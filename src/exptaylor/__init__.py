@@ -26,11 +26,11 @@ from .identities import (
 )
 from .jet import Jet1D, JetND, derivative, lift, lift_nd
 from .operators import (
-    OperatorField,
     OperatorSequence,
-    d_lambda_nd,
     d_lambda_recursive,
     d_lambda_stirling,
+    stage_rows,
+    stage_tensor,
 )
 from .series1d import (
     ConvergenceReport,
@@ -63,6 +63,7 @@ from .stirling import (
     build_ratio_rows,
     build_table,
     dump_row_csv,
+    stage_matrix,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +82,6 @@ __all__ = [
     "Jet1D",
     "JetND",
     "NdConvergenceReport",
-    "OperatorField",
     "OperatorSequence",
     "ParseError",
     "RemainderEstimate",
@@ -92,7 +92,6 @@ __all__ = [
     "build_table",
     "convergence_check_nd",
     "cosine_series",
-    "d_lambda_nd",
     "d_lambda_recursive",
     "d_lambda_stirling",
     "derivative",
@@ -119,6 +118,9 @@ __all__ = [
     "results_to_json",
     "results_to_text",
     "run_suite",
+    "stage_matrix",
+    "stage_rows",
+    "stage_tensor",
     "stirling_log2_series",
     "suite_names",
     "to_source",

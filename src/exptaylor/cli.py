@@ -639,7 +639,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ParseError, ValidationError, DiagnosticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     _emit(text, args.out)

@@ -19,8 +19,9 @@ class DomainError(ExpTaylorError):
     """Evaluation left the domain of an elementary function.
 
     Raised for division by zero, log/sqrt at zero, log/sqrt on the branch
-    cut along the negative real axis, and zero raised to a non-positive or
-    non-real power.
+    cut along the negative real axis, zero raised to a non-positive or
+    non-real power, and expansion coefficients that overflow to a
+    non-finite value.
     """
 
 

@@ -11,21 +11,25 @@ Stirling numbers:
 
     stage N  =  sum_{m=1..N} s(N, m) * lam^(-m) * d^m/dx^m     (N >= 1)
 
-Both forms are implemented; they must agree to rounding, which the test
-suite uses as a cross-check.  In n dimensions the cascade factorizes per
-axis and the Stirling form becomes a product over axes.
+which is one lower-triangular matrix, ``stirling.stage_matrix``, applied
+to the jet scaled by ``lam^(-m)``.  Both forms are implemented; they must
+agree to rounding, which the test suite uses as a cross-check.  In n
+dimensions the cascade factorizes per axis, so the Stirling form is the
+same matrix applied along each axis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .jet import Jet1D, JetND
-from .stirling import StirlingTable
+from .stirling import stage_matrix
+
+POINT_CHUNK = 1024  # sample points per matrix product in stage_rows
 
 
 @dataclass(frozen=True)
@@ -37,24 +41,20 @@ class OperatorSequence:
     values: np.ndarray  # complex128, shape (N+1,)
 
 
-@dataclass(frozen=True)
-class OperatorField:
-    """Cascade values per multi-index ``g`` with ``|g| < order`` at one point."""
-
-    lam: complex
-    center: tuple[float, ...]
-    order: int
-    values: dict[tuple[int, ...], complex]
-
-    def value(self, gamma: tuple[int, ...]) -> complex:
-        return self.values.get(tuple(gamma), 0j)
-
-
 def _check_lam(lam: complex) -> complex:
     lam = complex(lam)
     if lam == 0:
         raise ValidationError("lam must be nonzero")
     return lam
+
+
+def _inverse_powers(lam: complex, k: int) -> np.ndarray:
+    """``lam^(-j)`` for ``j = 0 .. k`` by repeated Python division, which rounds
+    ``(a i) / (b i)`` once where numpy's may round twice; printed digits depend on it."""
+    out = [1.0]
+    for _ in range(k):
+        out.append(out[-1] / lam)
+    return np.array(out)
 
 
 def cascade_values(coeffs: np.ndarray, lam: complex, count: int) -> np.ndarray:
@@ -91,86 +91,76 @@ def d_lambda_recursive(jet: Jet1D, lam: complex, count: int) -> OperatorSequence
     return OperatorSequence(lam=complex(lam), center=jet.center, values=values)
 
 
-def d_lambda_stirling(jet: Jet1D, table: StirlingTable, lam: complex, count: int) -> OperatorSequence:
+def d_lambda_stirling(jet: Jet1D, lam: complex, count: int) -> OperatorSequence:
     """Cascade stages 0..count via the signed-Stirling expansion.
 
-    Stage ``N >= 1`` is ``sum_m s(N, m) lam^(-m) m! c_m`` with ``c_m`` the
-    normalized jet coefficients; stage 0 is the value itself.
+    Stage ``N`` is ``sum_m s(N, m) m! lam^(-m) c_m`` with ``c_m`` the
+    normalized jet coefficients: ``stage_matrix(count) @ (lam^(-m) c)``.
     """
     lam = _check_lam(lam)
     if count < 0 or count > jet.order:
         raise ValidationError(f"need jet order >= {count}, have {jet.order}")
-    if count > table.n_max:
-        raise ValidationError(f"table only reaches n = {table.n_max}, need {count}")
-    # m! * c_m = f^(m); precompute plain derivatives and powers of 1/lam
-    derivs = [jet.coeffs[m] * math.factorial(m) for m in range(count + 1)]
-    inv_pows = [complex(1.0)]
-    for _ in range(count):
-        inv_pows.append(inv_pows[-1] / lam)
-    values = np.empty(count + 1, dtype=np.complex128)
-    values[0] = jet.coeffs[0]
-    for N in range(1, count + 1):
-        row = table.row(N)
-        acc = 0j
-        for m in range(1, N + 1):
-            acc += row[m] * inv_pows[m] * derivs[m]
-        values[N] = acc
+    values = stage_matrix(count) @ (_inverse_powers(lam, count) * jet.coeffs[: count + 1])
     return OperatorSequence(lam=lam, center=jet.center, values=values)
 
 
-def d_lambda_nd(jet: JetND, table: StirlingTable, lam: complex, order: int) -> OperatorField:
-    """Cascade values for every multi-index ``g`` with ``|g| < order``.
+def stage_tensor(jet: JetND, lam: complex, order: int) -> np.ndarray:
+    """Cascade values ``out[g]`` for every multi-index ``g`` with ``|g| < order``.
 
-    The per-axis Stirling expansions multiply out:
-
-        value(g) = sum over m <= g (m_i >= 1 wherever g_i >= 1) of
-                   prod_i s(g_i, m_i) * lam^(-|m|) * m! * c_m
-
-    with ``c_m`` the normalized jet coefficients, ``m!`` the product of
-    per-axis factorials.  Requires ``jet.order >= order - 1``.
+    The jet coefficients go into a dense tensor of shape ``(order,) * dims``,
+    each scaled by ``lam^(-|m|)``; ``stage_matrix(order - 1)`` is then applied
+    along every axis.  Entries with ``|g| >= order`` are zero.  Requires
+    ``jet.order >= order - 1``.
     """
     lam = _check_lam(lam)
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if jet.order < order - 1:
         raise ValidationError(f"need jet order >= {order - 1}, have {jet.order}")
-    if order - 1 > table.n_max:
-        raise ValidationError(f"table only reaches n = {table.n_max}, need {order - 1}")
-    from .seriesnd import multi_indices  # local import: seriesnd depends on this module
+    inv = _inverse_powers(lam, order - 1)
+    out = np.zeros((order,) * jet.dims, dtype=np.complex128)
+    # only stored entries are scaled, so an absent (zero) one never meets an
+    # overflowed power of 1/lam
+    for m, c in jet.coeffs.items():
+        if sum(m) < order:
+            out[m] = c * inv[sum(m)]
+    # a stack of order-by-order products per axis: no single BLAS call is
+    # large enough to be split across threads
+    S = stage_matrix(order - 1)
+    stack = out[None]  # the leading unit axis keeps 1-D jets a stack too
+    for axis in range(1, jet.dims + 1):
+        stack = np.moveaxis(S @ np.moveaxis(stack, axis, -2), -2, axis)
+    out = stack[0]
+    out[np.indices(out.shape).sum(axis=0) >= order] = 0
+    return out
 
-    values: dict[tuple[int, ...], complex] = {}
-    for gamma in multi_indices(jet.dims, order):
-        values[gamma] = complex(nd_stage_value(jet.coeffs, gamma, table, lam))
-    return OperatorField(lam=lam, center=jet.center, order=order, values=values)
 
+def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) -> Iterator[np.ndarray]:
+    """Cascade values for the multi-indices ``gammas`` over a batch of points.
 
-def nd_stage_value(coeffs: dict, gamma: tuple[int, ...], table: StirlingTable, lam: complex):
-    """Stage value for one multi-index from normalized n-D jet coefficients.
-
-    ``coeffs`` maps multi-indices to coefficients; values may be scalars or
-    ndarrays over a batch of centers, and the result has the same shape.
+    ``arrays`` maps multi-indices to normalized jet coefficients, each of
+    shape ``(P,)``, as the batched n-D lift returns them; it must hold every
+    ``m`` with ``|m| <= max |g|`` that is nonzero.  The row weights
+    ``W[g, m] = prod_i S[g_i, m_i]`` are built once; then, for each chunk of
+    at most ``POINT_CHUNK`` points, the stored coefficients are scaled by
+    ``lam^(-|m|)`` and ``W @ values`` is yielded, an array of shape
+    ``(len(gammas), chunk)`` whose row ``r`` holds stage ``gammas[r]``.
     """
-    ranges = [(0,) if g == 0 else tuple(range(1, g + 1)) for g in gamma]
-    acc = 0j
-    for m in _cartesian(ranges):
-        c = coeffs.get(m)
-        if c is None:
-            continue
-        weight = 1
-        fact = 1
-        for gi, mi in zip(gamma, m):
-            if gi >= 1:
-                weight *= table.value(gi, mi)
-            fact *= math.factorial(mi)
-        acc = acc + (weight * fact) * lam ** (-sum(m)) * c
-    return acc
-
-
-def _cartesian(ranges):
-    if not ranges:
-        yield ()
-        return
-    head, *tail = ranges
-    for h in head:
-        for rest in _cartesian(tail):
-            yield (h,) + rest
+    lam = _check_lam(lam)
+    top = max(sum(g) for g in gammas)
+    keys = [m for m in arrays if sum(m) <= top]
+    S = stage_matrix(top)
+    G = np.array(gammas, dtype=np.intp).reshape(len(gammas), -1)
+    M = np.array(keys, dtype=np.intp).reshape(len(keys), G.shape[1])
+    W = np.ones((len(gammas), len(keys)))
+    for axis in range(G.shape[1]):
+        W *= S[G[:, axis, None], M[None, :, axis]]
+    scale = _inverse_powers(lam, top)[M.sum(axis=1)]
+    points = len(arrays[keys[0]]) if keys else 0
+    for lo in range(0, points, POINT_CHUNK):
+        hi = min(lo + POINT_CHUNK, points)
+        values = np.empty((len(keys), hi - lo), dtype=np.complex128)
+        for r, m in enumerate(keys):
+            values[r] = arrays[m][lo:hi] * scale[r]
+        # a real matrix times complex columns: one real product on the interleaved parts
+        yield (W @ values.view(np.float64)).view(np.complex128)

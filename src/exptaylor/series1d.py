@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagnosticError, ValidationError
+from .errors import DiagnosticError, DomainError, ValidationError
 from .expr import ExprAst
 from .jet import MAX_ORDER, _lift_1d_array, lift
-from .operators import cascade_values
-from .stirling import build_table
+from .operators import _check_lam, _inverse_powers, cascade_values
+from .stirling import stage_matrix
 
 MAX_EXPANSION_ORDER = MAX_ORDER
 
@@ -113,13 +113,6 @@ class GrowthReport:
 # ---- expansion and evaluation ----------------------------------------------
 
 
-def _check_lam(lam: complex) -> complex:
-    lam = complex(lam)
-    if lam == 0:
-        raise ValidationError("lam must be nonzero")
-    return lam
-
-
 def _check_1d(ast: ExprAst) -> None:
     if ast.dims != 1:
         raise ValidationError(f"expected a 1-variable expression, got dims={ast.dims}")
@@ -143,10 +136,12 @@ def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
     _check_1d(ast)
     if not isinstance(order, int) or order < 1 or order > MAX_EXPANSION_ORDER:
         raise ValidationError(f"order must be an integer in [1, {MAX_EXPANSION_ORDER}], got {order!r}")
-    jet = lift(ast, float(x0), order - 1)
-    stages = cascade_values(jet.coeffs, lam, order - 1)
     facts = np.array([math.factorial(j) for j in range(order)], dtype=np.float64)
-    return Expansion1D(lam=lam, x0=float(x0), order=order, coeffs=stages / facts)
+    with np.errstate(all="ignore"):
+        coeffs = cascade_values(lift(ast, float(x0), order - 1).coeffs, lam, order - 1) / facts
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
+    return Expansion1D(lam=lam, x0=float(x0), order=order, coeffs=coeffs)
 
 
 def eval_series(expansion: Expansion1D, x: float | complex) -> complex:
@@ -301,22 +296,15 @@ def _cascade_roundoff_scales(coeffs: np.ndarray, lam: complex, count: int) -> np
 
     Stage ``n`` expands as ``sum_m s(n, m) lam^-m m! c_m``; when the true
     value is zero (terminating series) the float result is roundoff of this
-    sum, so its absolute-value version is the right yardstick for deciding
-    whether a computed stage value is distinguishable from zero.
+    sum, so its absolute-value version, ``|S| @ (|lam|^-m |c|)``, is the
+    yardstick for whether a computed stage value is distinguishable from zero.
     """
-    table = build_table(count)
-    absc = np.abs(np.asarray(coeffs))
-    inv = 1.0 / abs(lam)
-    scales = np.empty(count + 1)
-    scales[0] = absc[0]
-    for n in range(1, count + 1):
-        total = 0.0
-        weight = inv
-        for m in range(1, n + 1):
-            total += abs(table.value(n, m)) * weight * math.factorial(m) * float(absc[m])
-            weight *= inv
-        scales[n] = total
-    return scales
+    weights = np.abs(stage_matrix(count))
+    # only the nonzero s(n, m) enter, so an overflowed high-order term leaves
+    # the scales of the stages below it finite
+    with np.errstate(invalid="ignore"):
+        terms = weights * (_inverse_powers(abs(lam), count) * np.abs(np.asarray(coeffs)[: count + 1]))
+    return np.where(weights > 0, terms, 0.0).sum(axis=1)
 
 
 def radius_estimate(

@@ -25,12 +25,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .expr import ExprAst
 from .jet import _lift_nd_arrays, lift_nd
-from .operators import d_lambda_nd, nd_stage_value
+from .operators import _check_lam, stage_rows, stage_tensor
 from .series1d import epsilon_sup
-from .stirling import build_table
 
 MAX_ND_ORDER = 16
 MAX_ND_DIMS = 4
@@ -161,14 +160,11 @@ class ExpansionND:
 
 
 def _check_nd_args(ast: ExprAst, n: int, lam: complex) -> complex:
-    lam = complex(lam)
-    if lam == 0:
-        raise ValidationError("lam must be nonzero")
     if not isinstance(n, int) or n < 1 or n > MAX_ND_DIMS:
         raise ValidationError(f"n must be an integer in [1, {MAX_ND_DIMS}], got {n!r}")
     if n != ast.dims:
         raise ValidationError(f"expression has dims={ast.dims}, caller said n={n}")
-    return lam
+    return _check_lam(lam)
 
 
 def _check_nd_order(order: int) -> None:
@@ -197,9 +193,11 @@ def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order
     pts = tuple(float(c) for c in center)
     if len(pts) != n:
         raise ValidationError(f"center has {len(pts)} coordinates, need {n}")
-    jet = lift_nd(ast, pts, order - 1)
-    field = d_lambda_nd(jet, build_table(max(order - 1, 0)), lam, order)
-    coeffs = {g: field.values[g] / multi_index_factorial(g) for g in multi_indices(n, order)}
+    with np.errstate(all="ignore"):
+        stages = stage_tensor(lift_nd(ast, pts, order - 1), lam, order)
+    if not np.all(np.isfinite(stages)):
+        raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
+    coeffs = {g: stages[g] / multi_index_factorial(g) for g in multi_indices(n, order)}
     return ExpansionND(lam=lam, center=pts, order=order, coeffs=coeffs)
 
 
@@ -223,6 +221,14 @@ def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> c
 
 
 # ---- remainder bound and convergence ---------------------------------------
+
+
+def _stage_sups(arrays: dict, gammas: list[tuple[int, ...]], lam: complex) -> np.ndarray:
+    """Sampled ``sup |stage_g|`` over the batch of points in ``arrays``, per ``g`` in ``gammas``."""
+    sups = np.zeros(len(gammas))
+    for block in stage_rows(arrays, gammas, lam):
+        sups = np.maximum(sups, np.max(np.abs(block), axis=1))
+    return sups
 
 
 def remainder_bound_nd(
@@ -252,11 +258,10 @@ def remainder_bound_nd(
     box = BoxDomain.from_points(c, xv)
     points = _sample_points(box, grid, seed)
     arrays = _lift_nd_arrays(ast, points, order)
-    table = build_table(order)
+    gammas = multi_indices_of_degree(n, order)
     total = 0.0
-    for g in multi_indices_of_degree(n, order):
-        sup = float(np.max(np.abs(nd_stage_value(arrays, g, table, lam))))
-        total += order / multi_index_factorial(g) * sup
+    for g, sup in zip(gammas, _stage_sups(arrays, gammas, lam)):
+        total += order / multi_index_factorial(g) * float(sup)
     eps = epsilon_sup(lam, h)
     return abs(lam) * total * eps ** (order - 1) * h
 
@@ -337,11 +342,11 @@ def convergence_check_nd(
     box = BoxDomain.centered(c, float(v_halfwidth))
     points = _sample_points(box, grid, seed)
     arrays = _lift_nd_arrays(ast, points, n_max)
-    table = build_table(n_max)
     worst = 0.0
-    for g in multi_indices(n, n_max + 1):
-        sup = float(np.max(np.abs(nd_stage_value(arrays, g, table, lam))))
-        worst = max(worst, sup / (a_bound * multi_index_factorial(g)))
+    for degree in range(n_max + 1):
+        gammas = multi_indices_of_degree(n, degree)
+        for g, sup in zip(gammas, _stage_sups(arrays, gammas, lam)):
+            worst = max(worst, float(sup) / (a_bound * multi_index_factorial(g)))
     delta = _delta_for_alpha(lam, alpha)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     pred = a_bound * delta * abs(lam) * ns**n / math.factorial(n - 1) * alpha ** (ns - 1)

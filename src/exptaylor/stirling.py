@@ -1,12 +1,17 @@
 """Stirling numbers of the first kind, exact and factorial-scaled.
 
-Two representations are kept deliberately separate:
+Three representations are kept deliberately separate:
 
 * :class:`StirlingTable` holds the signed integers ``s(n, k)`` defined by
   ``x(x-1)...(x-n+1) = sum_k s(n, k) x^k``, built exactly with Python
   integers via ``s(n+1, k) = s(n, k-1) - n * s(n, k)``.  Exact tables are
   capped at ``n <= 256``; the entries grow factorially and the table is
   meant for operator coefficients, not for long sums.
+
+* :func:`stage_matrix` is the float image of the exact table that the
+  numerics use: ``S[n, m] = s(n, m) * m!``, each entry rounded once from the
+  exact integer.  Stage ``n`` of the lambda cascade is
+  ``sum_m S[n, m] lam^(-m) c_m`` over normalized jet coefficients ``c``.
 
 * :class:`StirlingRatioRow` holds the float ratios ``u[j] = |s(j, k)| / j!``
   for a fixed ``k``.  The recurrence
@@ -23,13 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from functools import lru_cache
+from typing import TextIO
 
 import numpy as np
 
 from .errors import ValidationError
 
 MAX_TABLE_DEPTH = 256
+# |s(n, m)| m! <= (n!)^2 is finite in doubles up to here (and overflows by n = 100)
+MAX_MATRIX_DEPTH = 64
 MAX_RATIO_K = 8
 MAX_RATIO_J = 10**6
 
@@ -51,10 +59,6 @@ class StirlingTable:
         if k < 0 or k > n:
             return 0
         return self.rows[n][k]
-
-    def unsigned(self, n: int, k: int) -> int:
-        """Unsigned ``|s(n, k)|``, the cycle-count convention."""
-        return abs(self.value(n, k))
 
     def row(self, n: int) -> tuple[int, ...]:
         if n < 0 or n > self.n_max:
@@ -95,6 +99,28 @@ def build_table(n_max: int) -> StirlingTable:
             nxt[k] = left - n * right
         rows.append(tuple(nxt))
     return StirlingTable(n_max=n_max, rows=tuple(rows))
+
+
+@lru_cache(maxsize=None)
+def stage_matrix(k_max: int) -> np.ndarray:
+    """Read-only lower-triangular ``S[n, m] = s(n, m) * m!`` for ``0 <= m <= n <= k_max``.
+
+    Every entry is the exact integer rounded once to a double.  The result
+    is cached per ``k_max`` and shared by every caller.
+
+    Parameters
+    ----------
+    k_max : int
+        Largest row index, ``0 <= k_max <= 64``.
+    """
+    if not isinstance(k_max, int) or k_max < 0 or k_max > MAX_MATRIX_DEPTH:
+        raise ValidationError(f"k_max must be an integer in [0, {MAX_MATRIX_DEPTH}], got {k_max!r}")
+    table = build_table(k_max)
+    out = np.zeros((k_max + 1, k_max + 1))
+    for n, row in enumerate(table.rows):
+        out[n, : n + 1] = [float(v * math.factorial(m)) for m, v in enumerate(row)]
+    out.setflags(write=False)
+    return out
 
 
 def build_ratio_rows(k_max: int, j_max: int) -> list[StirlingRatioRow]:
@@ -140,18 +166,3 @@ def dump_row_csv(table: StirlingTable, n: int, stream: TextIO) -> None:
     stream.write("n,k,s_nk\n")
     for k, v in enumerate(row):
         stream.write(f"{n},{k},{v}\n")
-
-
-def row_abs_sum(table: StirlingTable, n: int) -> int:
-    """Exact ``sum_k |s(n, k)|``, equal to ``n!``."""
-    return sum(abs(v) for v in table.row(n))
-
-
-def row_signed_sum(table: StirlingTable, n: int) -> int:
-    """Exact ``sum_k s(n, k)``, zero for ``n >= 2``."""
-    return sum(table.row(n))
-
-
-def factorial_float(n: int) -> float:
-    """``n!`` as a float; convenience for ratio checks in tests."""
-    return float(math.factorial(n))

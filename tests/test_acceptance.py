@@ -67,7 +67,7 @@ def test_01_operator_paths_agree():
     for src, lam, _ in FUNCTIONS:
         jet = lift(parse(src), 0.0, 12)
         a = d_lambda_recursive(jet, lam, 12).values
-        b = d_lambda_stirling(jet, table, lam, 12).values
+        b = d_lambda_stirling(jet, lam, 12).values
         absc = np.abs(jet.coeffs)
         inv = 1.0 / abs(lam)
         for j in range(13):

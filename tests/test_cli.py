@@ -159,6 +159,25 @@ def test_eval_domain_error_exits_2():
     assert "domain error" in p.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the jet of 1/x at 1e-200 overflows from c[2] on
+        ("expand", "--fn", "1/x", "--lambda", "1", "--x0", "1e-200", "--order", "4"),
+        # exp(800) overflows a double in the series value
+        ("eval", "--fn", "exp(x)", "--lambda", "1", "--x", "800", "--order", "64"),
+    ],
+    ids=["expand_nonfinite", "eval_overflow"],
+)
+def test_overflow_exits_2_with_one_line(argv):
+    p = run_cli(*argv)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("domain error:")
+
+
 # ---- sweep ----------------------------------------------------------------------
 
 

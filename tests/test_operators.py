@@ -8,12 +8,14 @@ import pytest
 
 from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import lift, lift_nd
+from exptaylor.jet import _lift_nd_arrays, lift, lift_nd
 from exptaylor.operators import (
-    d_lambda_nd,
+    POINT_CHUNK,
+    cascade_values,
     d_lambda_recursive,
     d_lambda_stirling,
-    nd_stage_value,
+    stage_rows,
+    stage_tensor,
 )
 from exptaylor.stirling import build_table
 
@@ -24,7 +26,7 @@ def stages(src, lam, x0, count, path="recursive"):
     jet = lift(parse(src), x0, count)
     if path == "recursive":
         return d_lambda_recursive(jet, lam, count).values
-    return d_lambda_stirling(jet, build_table(count), lam, count).values
+    return d_lambda_stirling(jet, lam, count).values
 
 
 def test_cosine_stage_values():
@@ -59,7 +61,7 @@ def test_square_with_log2_lambda():
     lam = math.log(2.0)
     table = build_table(8)
     jet = lift(parse("x^2"), 0.0, 8)
-    got = d_lambda_stirling(jet, table, lam, 8).values
+    got = d_lambda_stirling(jet, lam, 8).values
     assert got[0] == 0
     assert got[1] == 0  # first derivative of x^2 vanishes at 0
     for j in range(2, 9):
@@ -135,59 +137,95 @@ def test_validation():
     with pytest.raises(ValidationError):
         d_lambda_recursive(jet, 1.0, 5)  # count beyond jet order
     with pytest.raises(ValidationError):
-        d_lambda_stirling(jet, build_table(2), 1.0, 4)  # table too shallow
+        d_lambda_stirling(jet, 1.0, 5)
 
 
 def test_nd_product_of_coordinates():
-    table = build_table(6)
     jet = lift_nd(parse("x1*x2", 2), (0.0, 0.0), 4)
-    field = d_lambda_nd(jet, table, TWO_PI_I, 4)
+    field = stage_tensor(jet, TWO_PI_I, 4)
     want = 1 / TWO_PI_I**2
-    assert field.value((1, 1)) == pytest.approx(want)
-    assert field.value((1, 1)).real == pytest.approx(-1 / (4 * math.pi**2))
-    assert field.value((0, 0)) == 0
-    assert field.value((9, 9)) == 0  # outside the stored range
+    assert field[1, 1] == pytest.approx(want)
+    assert field[1, 1].real == pytest.approx(-1 / (4 * math.pi**2))
+    assert field[0, 0] == 0
+    assert field[2, 3] == 0  # |g| >= order is not a stage of this field
+    with pytest.raises(IndexError):
+        field[9, 9]  # outside the stored range
 
 
 def test_nd_constant_only_gamma_zero():
-    table = build_table(4)
     jet = lift_nd(parse("3 + 0*x1", 2), (0.5, 0.5), 3)
-    field = d_lambda_nd(jet, table, 1.0, 3)
-    assert field.value((0, 0)) == pytest.approx(3.0)
-    for g, v in field.values.items():
+    field = stage_tensor(jet, 1.0, 3)
+    assert field[0, 0] == pytest.approx(3.0)
+    for g, v in np.ndenumerate(field):
         if g != (0, 0):
             assert abs(v) < 1e-14
 
 
 def test_nd_separability_against_1d():
-    table = build_table(8)
     lam = TWO_PI_I
     jet2 = lift_nd(parse("cos(2*pi*x1)*cos(2*pi*x2)", 2), (0.0, 0.0), 6)
-    field = d_lambda_nd(jet2, table, lam, 6)
+    field = stage_tensor(jet2, lam, 6)
     one_d = stages("cos(2*pi*x)", lam, 0.0, 5)
-    for (g1, g2), v in field.values.items():
-        want = one_d[g1] * one_d[g2]
+    for (g1, g2), v in np.ndenumerate(field):
+        want = one_d[g1] * one_d[g2] if g1 + g2 < 6 else 0
         assert v == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_nd_field_center_value():
-    table = build_table(4)
     jet = lift_nd(parse("exp(x1+x2)", 2), (0.1, 0.2), 3)
-    field = d_lambda_nd(jet, table, 1.0, 3)
-    assert field.value((0, 0)) == pytest.approx(math.exp(0.3), rel=1e-13)
+    field = stage_tensor(jet, 1.0, 3)
+    assert field[0, 0] == pytest.approx(math.exp(0.3), rel=1e-13)
 
 
-def test_nd_stage_value_matches_field():
-    table = build_table(6)
+def test_stage_rows_match_stage_tensor():
+    # the batched row weights and the dense per-axis apply are two shapes
+    # of the same map
     jet = lift_nd(parse("sin(x1)*exp(x2)", 2), (0.3, -0.2), 5)
-    field = d_lambda_nd(jet, table, 1 + 1j, 5)
-    for g in [(0, 0), (2, 1), (1, 3), (4, 0)]:
-        direct = nd_stage_value(jet.coeffs, g, table, 1 + 1j)
-        assert direct == pytest.approx(field.value(g), rel=1e-13)
+    field = stage_tensor(jet, 1 + 1j, 5)
+    gammas = [(0, 0), (2, 1), (1, 3), (4, 0)]
+    arrays = {m: np.array([c]) for m, c in jet.coeffs.items()}
+    (block,) = stage_rows(arrays, gammas, 1 + 1j)
+    for g, direct in zip(gammas, block[:, 0]):
+        assert direct == pytest.approx(field[g], rel=1e-13)
+
+
+def test_stage_rows_chunks_cover_every_point():
+    ast = parse("1/(3+x1-x2)", 2)
+    centers = np.stack([np.linspace(-0.5, 0.5, POINT_CHUNK + 3), np.linspace(0.4, -0.4, POINT_CHUNK + 3)], axis=1)
+    gammas = [(3, 0), (2, 1), (1, 2), (0, 3)]
+    blocks = list(stage_rows(_lift_nd_arrays(ast, centers, 3), gammas, TWO_PI_I))
+    assert [b.shape for b in blocks] == [(4, POINT_CHUNK), (4, 3)]
+    rows = np.concatenate(blocks, axis=1)
+    for p in (0, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 2):
+        field = stage_tensor(lift_nd(ast, centers[p], 3), TWO_PI_I, 4)
+        for g, got in zip(gammas, rows[:, p]):
+            assert got == pytest.approx(field[g], rel=1e-13)
 
 
 def test_nd_requires_enough_jet_order():
-    table = build_table(6)
     jet = lift_nd(parse("x1+x2", 2), (0.0, 0.0), 2)
     with pytest.raises(ValidationError):
-        d_lambda_nd(jet, table, 1.0, 4)
+        stage_tensor(jet, 1.0, 4)
+
+
+def cascade_tensor(jet, lam):
+    # the recursion path run along each axis of the dense jet tensor; the
+    # result is exact for |g| <= jet.order, since stage g reads only m <= g
+    K = jet.order
+    t = np.zeros((K + 1,) * jet.dims, dtype=np.complex128)
+    for m, c in jet.coeffs.items():
+        t[m] = c
+    for axis in range(jet.dims):
+        t = np.moveaxis(cascade_values(np.moveaxis(t, axis, -1), lam, K), -1, axis)
+    return t
+
+
+@pytest.mark.parametrize("src", ["exp(x1*x2)+x3^2", "1/(4+x1+x2+x3)"])
+@pytest.mark.parametrize("lam", [TWO_PI_I, 1.0, 0.3 + 1j])
+def test_nd_stirling_matches_cascade_per_axis(src, lam):
+    K = 8
+    jet = lift_nd(parse(src, 3), (0.2, -0.1, 0.3), K)
+    a = cascade_tensor(jet, lam)
+    b = stage_tensor(jet, lam, K + 1)
+    inside = np.indices(a.shape).sum(axis=0) <= K
+    assert np.max(np.abs(a - b)[inside]) <= 1e-12 * np.max(np.abs(a[inside]))

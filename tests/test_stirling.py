@@ -4,6 +4,7 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from exptaylor.errors import ValidationError
@@ -11,9 +12,7 @@ from exptaylor.stirling import (
     build_ratio_rows,
     build_table,
     dump_row_csv,
-    factorial_float,
-    row_abs_sum,
-    row_signed_sum,
+    stage_matrix,
 )
 
 
@@ -46,11 +45,11 @@ def test_recurrence_holds_through_n64():
 def test_row_sums():
     table = build_table(64)
     for n in range(65):
-        assert row_abs_sum(table, n) == math.factorial(n)
-    assert row_signed_sum(table, 0) == 1
-    assert row_signed_sum(table, 1) == 1
+        assert sum(abs(v) for v in table.row(n)) == math.factorial(n)
+    assert sum(table.row(0)) == 1
+    assert sum(table.row(1)) == 1
     for n in range(2, 65):
-        assert row_signed_sum(table, n) == 0
+        assert sum(table.row(n)) == 0
 
 
 def test_sign_pattern():
@@ -72,7 +71,7 @@ def test_known_small_values():
     assert table.value(5, 1) == 24
     assert table.value(5, 2) == -50
     assert table.value(5, 3) == 35
-    assert table.unsigned(5, 2) == 50
+    assert abs(table.value(5, 2)) == 50
 
 
 def test_outside_triangle_is_zero():
@@ -100,7 +99,7 @@ def test_ratio_rows_match_exact_table():
     assert len(rows) == 5
     for k in range(1, 5):
         for j in range(k, 65):
-            exact = Fraction(table.unsigned(j, k), math.factorial(j))
+            exact = Fraction(abs(table.value(j, k)), math.factorial(j))
             got = rows[k].values[j]
             assert got == pytest.approx(float(exact), rel=1e-12)
 
@@ -148,5 +147,28 @@ def test_csv_round_trip():
         assert int(v_str) == table.value(9, k)
 
 
-def test_factorial_float():
-    assert factorial_float(10) == float(math.factorial(10))
+def test_stage_matrix_diagonal_is_factorial():
+    # s(n, n) = 1, so the diagonal of S[n, m] = s(n, m) m! is n!
+    assert stage_matrix(10)[10, 10] == float(math.factorial(10))
+
+
+def test_stage_matrix_matches_exact_table():
+    table = build_table(64)
+    S = stage_matrix(64)
+    assert S.shape == (65, 65)
+    for n in range(65):
+        for m in range(65):
+            assert S[n, m] == float(table.value(n, m) * math.factorial(m))
+    assert np.all(np.isfinite(S))
+
+
+def test_stage_matrix_cached_and_read_only():
+    S = stage_matrix(6)
+    assert stage_matrix(6) is S
+    assert not S.flags.writeable
+    with pytest.raises(ValueError):
+        S[1, 1] = 2.0
+    with pytest.raises(ValidationError):
+        stage_matrix(65)
+    with pytest.raises(ValidationError):
+        stage_matrix(-1)
