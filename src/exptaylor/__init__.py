@@ -43,6 +43,7 @@ from .series1d import (
     growth_diagnostic,
     radius_estimate,
     remainder_bound,
+    remainder_bounds,
     remainder_integral,
 )
 from .seriesnd import (
@@ -114,6 +115,7 @@ __all__ = [
     "radius_estimate",
     "remainder_bound",
     "remainder_bound_nd",
+    "remainder_bounds",
     "remainder_integral",
     "results_to_json",
     "results_to_text",

@@ -27,6 +27,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from .series1d import (
     growth_diagnostic,
     radius_estimate,
     remainder_bound,
+    remainder_bounds,
 )
 from .seriesnd import eval_nd, expand_nd, remainder_bound_nd
 
@@ -267,30 +269,35 @@ def _cmd_sweep(args) -> tuple[str, int]:
     ast = parse(args.fn, dims=1)
     lam = parse_complex_literal(args.lam)
 
-    rows: list[tuple[str, float, float, float]] = []
+    # one remainder_bounds call per sweep: it lifts each segment once
     if args.x_range is not None:
         key = "x"
         lo, hi, steps = _parse_x_range(args.x_range)
         exp = expand_1d(ast, lam, args.x0, args.order)
-        for x in np.linspace(lo, hi, steps):
-            x = float(x)
-            err = abs(eval_complex(ast, x) - eval_series(exp, x))
-            est = remainder_bound(
-                ast, lam, args.x0, x, args.order, grid=args.grid, quad_nodes=args.quad_nodes
-            )
-            rows.append((_g(x), err, est.bound_tight, est.bound_loose))
+        xs = [float(x) for x in np.linspace(lo, hi, steps)]
+        ests = remainder_bounds(
+            ast, lam, args.x0, xs, [args.order], grid=args.grid, quad_nodes=args.quad_nodes
+        )
+        errs = [abs(eval_complex(ast, x) - eval_series(exp, x)) for x in xs]
+        firsts = [_g(x) for x in xs]
     else:
         key = "N"
         if args.x is None:
             raise ValidationError("an --n-range sweep needs --x")
         lo, hi = _parse_n_range(args.n_range)
-        for n in range(lo, hi + 1):
-            exp = expand_1d(ast, lam, args.x0, n)
-            err = abs(eval_complex(ast, args.x) - eval_series(exp, args.x))
-            est = remainder_bound(
-                ast, lam, args.x0, args.x, n, grid=args.grid, quad_nodes=args.quad_nodes
-            )
-            rows.append((str(n), err, est.bound_tight, est.bound_loose))
+        orders = list(range(lo, hi + 1))
+        ests = remainder_bounds(
+            ast, lam, args.x0, [args.x], orders, grid=args.grid, quad_nodes=args.quad_nodes
+        )
+        # the order-n expansion is the first n coefficients of the order-hi one
+        full = expand_1d(ast, lam, args.x0, hi)
+        true = eval_complex(ast, args.x)
+        errs = [
+            abs(true - eval_series(replace(full, order=n, coeffs=full.coeffs[:n]), args.x))
+            for n in orders
+        ]
+        firsts = [str(n) for n in orders]
+    rows = [(first, err, est.bound_tight, est.bound_loose) for first, err, est in zip(firsts, errs, ests)]
 
     if args.format == "json":
         payload = {

@@ -24,8 +24,10 @@ for cascade values over one period.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -118,6 +120,11 @@ def _check_1d(ast: ExprAst) -> None:
         raise ValidationError(f"expected a 1-variable expression, got dims={ast.dims}")
 
 
+def _check_order(order: int) -> None:
+    if not isinstance(order, int) or order < 1 or order > MAX_EXPANSION_ORDER:
+        raise ValidationError(f"order must be an integer in [1, {MAX_EXPANSION_ORDER}], got {order!r}")
+
+
 def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
     """Expansion coefficients ``c[0..order-1]`` about ``x0``.
 
@@ -134,8 +141,7 @@ def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
     """
     lam = _check_lam(lam)
     _check_1d(ast)
-    if not isinstance(order, int) or order < 1 or order > MAX_EXPANSION_ORDER:
-        raise ValidationError(f"order must be an integer in [1, {MAX_EXPANSION_ORDER}], got {order!r}")
+    _check_order(order)
     facts = np.array([math.factorial(j) for j in range(order)], dtype=np.float64)
     with np.errstate(all="ignore"):
         coeffs = cascade_values(lift(ast, float(x0), order - 1).coeffs, lam, order - 1) / facts
@@ -145,28 +151,46 @@ def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
 
 
 def eval_series(expansion: Expansion1D, x: float | complex) -> complex:
-    """Evaluate the truncated expansion at ``x`` (Horner in ``w``)."""
+    """Evaluate the truncated expansion at ``x`` (Horner in ``w``).
+
+    Overflow gives a non-finite value without a warning; the remainder bound
+    at the same ``x`` overflows with it and raises ``DomainError``.
+    """
     w = cmath.exp(expansion.lam * (complex(x) - expansion.x0)) - 1
     acc = 0j
-    for c in expansion.coeffs[::-1]:
-        acc = acc * w + c
+    with np.errstate(all="ignore"):
+        for c in expansion.coeffs[::-1]:
+            acc = acc * w + c
     return complex(acc)
 
 
 # ---- exact remainder and bounds --------------------------------------------
 
 
-def _quad_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if not isinstance(quad_nodes, int) or quad_nodes < 2 or quad_nodes > 1024:
-        raise ValidationError(f"quad_nodes must be an integer in [2, 1024], got {quad_nodes!r}")
+@functools.lru_cache(maxsize=16)
+def _mapped_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     t, w = np.polynomial.legendre.leggauss(quad_nodes)
     # map [-1, 1] -> [0, 1]
-    return (t + 1.0) / 2.0, w / 2.0
+    theta, weights = (t + 1.0) / 2.0, w / 2.0
+    theta.flags.writeable = False
+    weights.flags.writeable = False
+    return theta, weights
 
 
-def _stage_n_at(ast: ExprAst, lam: complex, points: np.ndarray, order: int) -> np.ndarray:
-    coeffs = _lift_1d_array(ast, points, order)
-    return cascade_values(coeffs, lam, order)[..., order]
+def _quad_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on ``[0, 1]``, cached per node count and read-only."""
+    if not isinstance(quad_nodes, int) or quad_nodes < 2 or quad_nodes > 1024:
+        raise ValidationError(f"quad_nodes must be an integer in [2, 1024], got {quad_nodes!r}")
+    return _mapped_rule(quad_nodes)
+
+
+def _quad_sum(
+    lam: complex, dx: float, order: int, weights: np.ndarray, v_n: np.ndarray, w_nodes: np.ndarray
+) -> complex:
+    """The remainder integral from the stage-``order`` values ``v_n`` and
+    ``w_nodes = exp(lam (1 - theta) dx) - 1`` at the quadrature nodes."""
+    total = np.sum(weights * v_n * w_nodes ** (order - 1))
+    return complex(lam / math.factorial(order - 1) * dx * total)
 
 
 def remainder_integral(
@@ -185,17 +209,83 @@ def remainder_integral(
     """
     lam = _check_lam(lam)
     _check_1d(ast)
-    if not isinstance(order, int) or order < 1 or order > MAX_EXPANSION_ORDER:
-        raise ValidationError(f"order must be an integer in [1, {MAX_EXPANSION_ORDER}], got {order!r}")
+    _check_order(order)
     theta, weights = _quad_rule(quad_nodes)
     x0 = float(x0)
-    x = float(x)
-    dx = x - x0
-    xi = x0 + theta * dx
-    v_n = _stage_n_at(ast, lam, xi, order)
-    factor = (np.exp(lam * (1.0 - theta) * dx) - 1.0) ** (order - 1)
-    total = np.sum(weights * v_n * factor)
-    return complex(lam / math.factorial(order - 1) * dx * total)
+    dx = float(x) - x0
+    v_n = cascade_values(_lift_1d_array(ast, x0 + theta * dx, order), lam, order)[..., order]
+    return _quad_sum(lam, dx, order, weights, v_n, np.exp(lam * (1.0 - theta) * dx) - 1.0)
+
+
+def remainder_bounds(
+    ast: ExprAst,
+    lam: complex,
+    x0: float,
+    xs: Sequence[float],
+    orders: Sequence[int],
+    grid: int = 513,
+    quad_nodes: int = 64,
+) -> list[RemainderEstimate]:
+    """Remainder quadrature and bounds for every ``x`` in ``xs`` and every order.
+
+    Returns ``len(xs) * len(orders)`` estimates, x-major: entry
+    ``i * len(orders) + k`` is for ``xs[i]`` after ``orders[k]`` terms.  Each
+    segment from ``x0`` to ``x`` is lifted once, at ``max(orders)``, on its
+    ``grid`` sampling points and its quadrature nodes together; every order
+    reads its stage column from that one cascade.  Stage ``N`` of a higher
+    order lift is bit for bit the stage ``N`` of an order-``N`` lift, so the
+    result does not depend on which other orders are requested.  Segments
+    are processed one at a time.  Raises ``DomainError`` when a bound or the
+    integral is not finite.
+    """
+    lam = _check_lam(lam)
+    _check_1d(ast)
+    if not isinstance(grid, int) or grid < 3 or grid % 2 == 0:
+        raise ValidationError(f"grid must be an odd integer >= 3, got {grid!r}")
+    orders = list(orders)
+    if not orders:
+        raise ValidationError("remainder_bounds needs at least one order")
+    for order in orders:
+        _check_order(order)
+    theta, weights = _quad_rule(quad_nodes)
+    top = max(orders)
+    s = np.linspace(0.0, 1.0, grid)
+    x0 = float(x0)
+    out: list[RemainderEstimate] = []
+    with np.errstate(all="ignore"):
+        for x in xs:
+            dx = float(x) - x0
+            points = np.concatenate((x0 + s * dx, x0 + theta * dx))
+            stages = cascade_values(_lift_1d_array(ast, points, top), lam, top)
+            # x - xi = (1 - s) dx runs over the segment; its sup feeds the tight bound
+            w_grid = np.exp(lam * (1.0 - s) * dx) - 1.0
+            w_nodes = np.exp(lam * (1.0 - theta) * dx) - 1.0
+            eps = epsilon_sup(lam, abs(dx))
+            for order in orders:
+                v_grid = stages[:grid, order]
+                prefix = abs(lam) / math.factorial(order - 1) * abs(dx)
+                bound_tight = prefix * float(np.max(np.abs(v_grid * w_grid ** (order - 1))))
+                try:
+                    eps_power = eps ** (order - 1)
+                except OverflowError:
+                    eps_power = math.inf
+                bound_loose = prefix * float(np.max(np.abs(v_grid))) * eps_power
+                integral = _quad_sum(lam, dx, order, weights, stages[grid:, order], w_nodes)
+                if not all(map(math.isfinite, (bound_tight, bound_loose, integral.real, integral.imag))):
+                    raise DomainError(
+                        f"non-finite remainder bound or integral at x={float(x)!r}, order {order} "
+                        "(overflow in the stage values or in powers of exp(lam z) - 1)"
+                    )
+                out.append(
+                    RemainderEstimate(
+                        order=order,
+                        integral_value=integral,
+                        bound_tight=bound_tight,
+                        bound_loose=bound_loose,
+                        grid_points=grid,
+                    )
+                )
+    return out
 
 
 def remainder_bound(
@@ -207,37 +297,15 @@ def remainder_bound(
     grid: int = 513,
     quad_nodes: int = 64,
 ) -> RemainderEstimate:
-    """Remainder quadrature plus tight and loose upper bounds.
+    """Remainder quadrature plus tight and loose upper bounds at one ``x``.
 
     Suprema over the segment are sampled on ``grid`` equally spaced points
-    (odd, at least 3, so the midpoint and both endpoints are hit).
+    (odd, at least 3, so the midpoint and both endpoints are hit).  This is
+    ``remainder_bounds`` for one ``x`` and one order: the grid points and the
+    ``quad_nodes`` Gauss-Legendre nodes share one lift, the rule comes from
+    a cache, and a non-finite bound or integral raises ``DomainError``.
     """
-    lam = _check_lam(lam)
-    _check_1d(ast)
-    if not isinstance(grid, int) or grid < 3 or grid % 2 == 0:
-        raise ValidationError(f"grid must be an odd integer >= 3, got {grid!r}")
-    if not isinstance(order, int) or order < 1 or order > MAX_EXPANSION_ORDER:
-        raise ValidationError(f"order must be an integer in [1, {MAX_EXPANSION_ORDER}], got {order!r}")
-    x0 = float(x0)
-    x = float(x)
-    dx = x - x0
-    s = np.linspace(0.0, 1.0, grid)
-    xi = x0 + s * dx
-    v_n = _stage_n_at(ast, lam, xi, order)
-    prefix = abs(lam) / math.factorial(order - 1) * abs(dx)
-    # x - xi = (1 - s) dx runs over the segment; its sup feeds the tight bound
-    prod = np.abs(v_n * (np.exp(lam * (1.0 - s) * dx) - 1.0) ** (order - 1))
-    bound_tight = prefix * float(np.max(prod))
-    eps = epsilon_sup(lam, abs(dx))
-    bound_loose = prefix * float(np.max(np.abs(v_n))) * eps ** (order - 1)
-    integral = remainder_integral(ast, lam, x0, x, order, quad_nodes=quad_nodes)
-    return RemainderEstimate(
-        order=order,
-        integral_value=integral,
-        bound_tight=bound_tight,
-        bound_loose=bound_loose,
-        grid_points=grid,
-    )
+    return remainder_bounds(ast, lam, x0, [x], [order], grid=grid, quad_nodes=quad_nodes)[0]
 
 
 def epsilon_sup(lam: complex, r: float) -> float:
@@ -325,8 +393,11 @@ def radius_estimate(
     _check_1d(ast)
     if not isinstance(window, int) or not isinstance(j_max, int) or not 4 <= window <= j_max <= MAX_ORDER:
         raise ValidationError(f"need 4 <= window <= j_max <= {MAX_ORDER}, got window={window!r}, j_max={j_max!r}")
-    jet = lift(ast, float(x0), j_max)
-    absv = np.abs(cascade_values(jet.coeffs, lam, j_max))
+    with np.errstate(all="ignore"):
+        jet = lift(ast, float(x0), j_max)
+        absv = np.abs(cascade_values(jet.coeffs, lam, j_max))
+    if not np.all(np.isfinite(absv)):
+        raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
     # A stage value counts as zero when it sits below the roundoff floor of
     # its own Stirling-sum computation.  Terminating series produce exact
     # zeros in that sum, but the float cascade leaves factorially amplified

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +14,14 @@ from exptaylor.errors import ValidationError
 TWO_PI_I = "0+6.283185307179586i"
 
 
-def run_cli(*argv, timeout=60):
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# numpy RuntimeWarnings become errors, so any one reaching stderr is caught
+STRICT = ("-W", "error::RuntimeWarning")
+
+
+def run_cli(*argv, timeout=60, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "exptaylor", *argv],
+        [sys.executable, *python_flags, "-m", "exptaylor", *argv],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -166,16 +172,31 @@ def test_eval_domain_error_exits_2():
         ("expand", "--fn", "1/x", "--lambda", "1", "--x0", "1e-200", "--order", "4"),
         # exp(800) overflows a double in the series value
         ("eval", "--fn", "exp(x)", "--lambda", "1", "--x", "800", "--order", "64"),
+        # (exp(300) - 1)^63 overflows in both remainder bounds
+        ("eval", "--fn", "exp(x)", "--lambda", "1", "--x", "300", "--order", "64"),
+        ("sweep", "--fn", "exp(x)", "--lambda", "1", "--x", "400", "--n-range", "60:64"),
+        # the jet of 1/x at 1e-200 overflows, and so do its stage values
+        ("radius", "--fn", "1/x", "--lambda", "1", "--x0", "1e-200"),
     ],
-    ids=["expand_nonfinite", "eval_overflow"],
+    ids=["expand_nonfinite", "eval_overflow", "eval_remainder_overflow", "sweep_remainder_overflow",
+         "radius_nonfinite"],
 )
 def test_overflow_exits_2_with_one_line(argv):
-    p = run_cli(*argv)
+    p = run_cli(*argv, python_flags=STRICT)
     assert p.returncode == 2
     assert p.stdout == ""
     lines = p.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("domain error:")
+
+
+@pytest.mark.parametrize(
+    "case", json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8")), ids=lambda c: c["name"]
+)
+def test_readme_examples_emit_no_runtime_warning(case):
+    p = run_cli(*case["argv"], python_flags=STRICT)
+    assert p.returncode == case["exit"]
+    assert p.stderr == ""
 
 
 # ---- sweep ----------------------------------------------------------------------

@@ -1,20 +1,23 @@
 """1-D expansion, exact remainder, bounds, and convergence diagnostics."""
 
-import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from exptaylor.errors import DiagnosticError, ValidationError
+from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import eval_complex, parse
 from exptaylor.series1d import (
+    _mapped_rule,
+    _quad_rule,
     epsilon_sup,
     eval_series,
     expand_1d,
     growth_diagnostic,
     radius_estimate,
     remainder_bound,
+    remainder_bounds,
     remainder_integral,
 )
 
@@ -135,6 +138,63 @@ def test_bound_chain(src, lam, x, order):
     assert est.grid_points == 513
 
 
+# One lift at max(orders) over grid points and nodes together must give the
+# same bits as one remainder_bound call per (x, order): compared with ==.
+@pytest.mark.parametrize("src", ["cos(2*pi*x)", "x", "1/cos(x)+log(2+x)", "exp(2*x)*sin(x)^3", "sqrt(3+x)"])
+@pytest.mark.parametrize("lam", [TWO_PI_I, 1.0, 0.3 + 1j], ids=["2pi_i", "1", "0.3+1i"])
+def test_remainder_bounds_equal_single_calls_exactly(src, lam):
+    ast = parse(src)
+    x0, xs, orders = 0.02, [-0.13, 0.02, 0.09, 0.2], [1, 4, 8, 16, 33]
+    batch = remainder_bounds(ast, lam, x0, xs, orders)
+    assert len(batch) == len(xs) * len(orders)
+    for i, x in enumerate(xs):
+        for k, order in enumerate(orders):
+            single = remainder_bound(ast, lam, x0, x, order)
+            assert batch[i * len(orders) + k] == single
+            assert single.integral_value == remainder_integral(ast, lam, x0, x, order)
+
+
+def test_remainder_bounds_validation():
+    ast = parse("x")
+    with pytest.raises(ValidationError):
+        remainder_bounds(ast, 1.0, 0.0, [0.1], [])
+    with pytest.raises(ValidationError):
+        remainder_bounds(ast, 1.0, 0.0, [0.1], [4, 65])
+    with pytest.raises(ValidationError):
+        remainder_bounds(ast, 1.0, 0.0, [0.1], [4], grid=4)
+    assert remainder_bounds(ast, 1.0, 0.0, [], [4]) == []
+
+
+def test_quad_rule_is_cached_and_read_only():
+    theta, weights = _quad_rule(64)
+    again = _quad_rule(64)
+    assert again[0] is theta and again[1] is weights
+    assert weights.sum() == pytest.approx(1.0, rel=1e-14)
+    assert np.all((theta > 0) & (theta < 1))
+    with pytest.raises(ValueError):
+        theta[0] = 0.5
+    with pytest.raises(ValueError):
+        weights[0] = 0.5
+
+
+@pytest.mark.parametrize("bad", [1, 1025, 64.0, "64", None, [64]])
+def test_quad_rule_rejects_without_caching(bad):
+    before = _mapped_rule.cache_info().currsize
+    with pytest.raises(ValidationError):
+        _quad_rule(bad)
+    assert _mapped_rule.cache_info().currsize == before
+
+
+def test_remainder_overflow_is_domain_error_without_warning():
+    # (exp(300) - 1)^63 overflows a double in both bounds
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite remainder"):
+            remainder_bound(parse("exp(x)"), 1.0, 0.0, 300.0, 64)
+        with pytest.raises(DomainError, match="non-finite remainder"):
+            remainder_bounds(parse("exp(x)"), 1.0, 0.0, [400.0], range(60, 65))
+
+
 def test_epsilon_closed_forms():
     assert epsilon_sup(1.0, 0.0) == 0.0
     assert epsilon_sup(TWO_PI_I, 1.0 / 6.0) == pytest.approx(1.0, rel=1e-12)
@@ -197,6 +257,14 @@ def test_radius_real_lambda_has_no_x_region():
 def test_radius_terminating_series_diagnostic_error(src):
     with pytest.raises(DiagnosticError):
         radius_estimate(parse(src), 1.0, 0.0, j_max=24, window=8)
+
+
+def test_radius_overflow_is_domain_error_without_warning():
+    # the jet of 1/x at 1e-200 overflows from its second coefficient on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite stage value"):
+            radius_estimate(parse("1/x"), 1.0, 1e-200)
 
 
 def test_radius_validation():
