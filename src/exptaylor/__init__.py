@@ -64,6 +64,7 @@ from .stirling import (
     build_ratio_rows,
     build_table,
     dump_row_csv,
+    ratio_rows,
     stage_matrix,
 )
 
@@ -113,6 +114,7 @@ __all__ = [
     "multi_indices_of_degree",
     "parse",
     "radius_estimate",
+    "ratio_rows",
     "remainder_bound",
     "remainder_bound_nd",
     "remainder_bounds",

@@ -635,10 +635,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_lambda_value(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--lambda -2-0.5i`` as ``--lambda=-2-0.5i``.
+
+    argparse reads a token that starts with ``-`` and is not a plain
+    negative number as an option, so a complex literal with a leading minus
+    cannot follow ``--lambda`` as a separate token.  Such a token is
+    attached to the flag when it parses as a complex literal.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--lambda" and token.startswith("-"):
+            try:
+                parse_complex_literal(token)
+            except ValidationError:
+                pass  # not a value; argparse reports the missing argument
+            else:
+                out[-1] = f"--lambda={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_lambda_value(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_OK
     try:

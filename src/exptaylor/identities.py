@@ -34,11 +34,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ValidationError
-from .stirling import StirlingRatioRow, build_ratio_rows
+from .stirling import StirlingRatioRow, ratio_rows
 
 TOL_FLOOR = 1e-12
 TWO_PI_I = 2j * math.pi
@@ -143,7 +145,7 @@ def stirling_log2_series(
     weighted: bool,
     J: int,
     variant: str | None = None,
-    ratio_rows: list[StirlingRatioRow] | None = None,
+    row: StirlingRatioRow | None = None,
 ) -> IdentityResult:
     """Stirling sum for ``log(2)^k / k!``, ``1 <= k <= 4``.
 
@@ -161,21 +163,22 @@ def stirling_log2_series(
     signed); only the signed convention matches the targets for every
     ``k``, which is exactly the bookkeeping this suite documents.
 
-    ``ratio_rows`` may supply precomputed rows from
-    :func:`~exptaylor.stirling.build_ratio_rows` covering ``j <= J + 1``.
+    ``row`` may supply the precomputed row for this ``k`` from
+    :func:`~exptaylor.stirling.ratio_rows`, covering ``j <= J + 1``.
     """
     if not isinstance(k, int) or k < 1 or k > MAX_STIRLING_K:
         raise ValidationError(f"k must be an integer in [1, {MAX_STIRLING_K}], got {k!r}")
     _check_terms(J, k)
     if variant not in (None, "signed", "unsigned"):
         raise ValidationError(f"variant must be 'signed', 'unsigned', or None, got {variant!r}")
-    if ratio_rows is None:
-        ratio_rows = build_ratio_rows(k, J + 1)
-    if len(ratio_rows) <= k or ratio_rows[k].k != k:
-        raise ValidationError("ratio_rows must be indexable by k")
-    u = ratio_rows[k].values  # u[j] = |s(j, k)| / j!
+    if row is None:
+        for row in ratio_rows(k, J + 1):
+            pass  # the last row is row k
+    if row.k != k:
+        raise ValidationError(f"row is for k={row.k}, need k={k}")
+    u = row.values  # u[j] = |s(j, k)| / j!
     if len(u) < J + 2:
-        raise ValidationError(f"ratio_rows cover j <= {len(u) - 1}, need {J + 1}")
+        raise ValidationError(f"row covers j <= {len(u) - 1}, need {J + 1}")
 
     kind = "weighted" if weighted else "unweighted"
     if weighted:
@@ -195,10 +198,13 @@ def stirling_log2_series(
         tol = 4.0 * u[J + 1] * 0.5 ** (J + 1) + TOL_FLOOR
         terms = J - k + 1
     else:
-        # boundary series: a_j = s(j,k)/j! = (-1)^(j-k) u[j], averaged partial sums
-        s_j = 0.0
-        for j in range(k, J + 1):
-            s_j += u[j] if (j - k) % 2 == 0 else -u[j]
+        # boundary series: a_j = s(j,k)/j! = (-1)^(j-k) u[j], averaged partial sums.
+        # Adjacent terms are paired, so the sum runs over small differences
+        # rather than cancelling two sums of size sum_j u[j].
+        pairs = (J - k + 1) // 2
+        s_j = float(np.sum(u[k : k + 2 * pairs : 2] - u[k + 1 : k + 2 * pairs : 2]))
+        if (J - k) % 2 == 0:
+            s_j += u[J]
         a_next = u[J + 1] if (J + 1 - k) % 2 == 0 else -u[J + 1]
         signed_value = s_j + 0.5 * a_next
         unsigned_value = (-1) ** k * signed_value
@@ -252,6 +258,8 @@ def run_suite(
     the whole suite.  ``tol_overrides`` maps registered names to replacement
     tolerances (the pass flag is recomputed against the override).  Unknown
     names in either argument are rejected so typos cannot silently pass.
+    The Stirling identities share one stream of ratio rows, up to the largest
+    selected ``k`` and ``J``, and each is summed while its row is alive.
     """
     registered = set(suite_names())
     overrides = dict(tol_overrides or {})
@@ -267,8 +275,17 @@ def run_suite(
         wanted = set(names)
         selected = tuple(entry for entry in _SUITE if entry[0] in wanted)
 
-    stirling_js = [args[3] for _, args in selected if args[0] == "stirling"]
-    rows = build_ratio_rows(MAX_STIRLING_K, max(stirling_js) + 1) if stirling_js else None
+    stirling_results: dict[str, IdentityResult] = {}
+    stirling = [(name, args) for name, args in selected if args[0] == "stirling"]
+    if stirling:
+        k_max = max(args[1] for _, args in stirling)
+        j_max = max(args[3] for _, args in stirling) + 1
+        for row in ratio_rows(k_max, j_max):
+            for name, args in stirling:
+                if args[1] == row.k:
+                    stirling_results[name] = stirling_log2_series(
+                        args[1], args[2], args[3], row=row
+                    )
 
     results = []
     for name, args in selected:
@@ -280,19 +297,10 @@ def run_suite(
         elif kind == "log":
             res = log_series(args[1], args[2])
         else:
-            res = stirling_log2_series(args[1], args[2], args[3], ratio_rows=rows)
+            res = stirling_results[name]
         if name in overrides:
             tol = float(overrides[name])
-            res = IdentityResult(
-                name=res.name,
-                computed=res.computed,
-                target=res.target,
-                terms_used=res.terms_used,
-                tolerance=tol,
-                abs_error=res.abs_error,
-                passed=res.abs_error <= tol,
-                variant=res.variant,
-            )
+            res = replace(res, tolerance=tol, passed=res.abs_error <= tol)
         results.append(res)
     return results
 

@@ -13,15 +13,19 @@ Three representations are kept deliberately separate:
   exact integer.  Stage ``n`` of the lambda cascade is
   ``sum_m S[n, m] lam^(-m) c_m`` over normalized jet coefficients ``c``.
 
-* :class:`StirlingRatioRow` holds the float ratios ``u[j] = |s(j, k)| / j!``
-  for a fixed ``k``.  The recurrence
+* :class:`StirlingRatioRow` holds the float ratios ``u_k[j] = |s(j, k)| / j!``
+  for a fixed ``k``.  Dividing the recurrence of the unsigned numbers by
+  ``(j + 1)!`` gives ``(j + 1) u_k[j+1] = u_{k-1}[j] + j u_k[j]``, which
+  telescopes to
 
-      ``u[j+1] = (u_km1[j] + j * u[j]) / (j + 1)``
+      ``j * u_k[j] = sum_{i < j} u_{k-1}[i]``.
 
-  (where ``u_km1`` is the row for ``k - 1``) has all-positive terms, so it
-  is stable and usable out to ``j`` in the hundreds of thousands, far past
-  where either ``|s(j, k)|`` or ``j!`` overflows a double.  These rows feed
-  the slowly convergent log-2 sums.
+  So each row is one cumulative sum of the previous row, followed by one
+  division by ``j``.  Every term is positive, so the sum is stable and
+  usable out to ``j`` in the hundreds of thousands, far past where either
+  ``|s(j, k)|`` or ``j!`` overflows a double.  :func:`ratio_rows` streams
+  the rows one ``k`` at a time; these rows feed the slowly convergent
+  log-2 sums.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -40,6 +44,8 @@ MAX_TABLE_DEPTH = 256
 MAX_MATRIX_DEPTH = 64
 MAX_RATIO_K = 8
 MAX_RATIO_J = 10**6
+# j is made a chunk at a time, so no third row-length array is alive
+RATIO_DIVIDE_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -123,11 +129,15 @@ def stage_matrix(k_max: int) -> np.ndarray:
     return out
 
 
-def build_ratio_rows(k_max: int, j_max: int) -> list[StirlingRatioRow]:
-    """Build float ratio rows ``|s(j, k)| / j!`` for ``k = 0 .. k_max``.
+def ratio_rows(k_max: int, j_max: int) -> Iterator[StirlingRatioRow]:
+    """Yield float ratio rows ``|s(j, k)| / j!`` for ``k = 0 .. k_max`` in order.
 
-    Returns ``k_max + 1`` rows so callers can index the result by ``k``
-    directly; the ``k = 0`` row is the trivial ``(1, 0, 0, ...)``.
+    Row ``k`` is ``cumsum`` of row ``k - 1``, shifted by one and divided by
+    ``j = 1 .. j_max``.  The ``k = 0`` row is the trivial ``(1, 0, 0, ...)``.
+    Each row is a fresh array, and the generator keeps only the row it last
+    yielded, so a caller that drops each row holds at most two rows at
+    once.  A row's first ``n`` entries do not depend on ``j_max``.  The
+    arguments are checked on the first ``next``.
 
     Parameters
     ----------
@@ -141,20 +151,37 @@ def build_ratio_rows(k_max: int, j_max: int) -> list[StirlingRatioRow]:
     if not isinstance(j_max, int) or j_max < k_max or j_max > MAX_RATIO_J:
         raise ValidationError(f"j_max must be an integer in [{k_max}, {MAX_RATIO_J}], got {j_max!r}")
 
-    out = np.zeros((k_max + 1, j_max + 1))
-    out[0, 0] = 1.0
-    # March j upward keeping the previous column vector as plain floats;
-    # each u[j+1, k] touches only u[j, k-1] and u[j, k].
-    cur = [0.0] * (k_max + 1)
-    cur[0] = 1.0
-    for j in range(j_max):
-        nxt = [0.0] * (k_max + 1)
-        inv = 1.0 / (j + 1)
-        for k in range(1, k_max + 1):
-            nxt[k] = (cur[k - 1] + j * cur[k]) * inv
-        out[1:, j + 1] = nxt[1:]
-        cur = nxt
-    return [StirlingRatioRow(k=k, values=out[k]) for k in range(k_max + 1)]
+    prev = np.zeros(j_max + 1)
+    prev[0] = 1.0
+    yield StirlingRatioRow(k=0, values=prev)
+    for k in range(1, k_max + 1):
+        cur = np.empty(j_max + 1)
+        cur[0] = 0.0
+        # j * u_k[j] = sum_{i<j} u_{k-1}[i]: positive terms, summed in order of i
+        np.cumsum(prev[:-1], out=cur[1:])
+        for lo in range(1, j_max + 1, RATIO_DIVIDE_CHUNK):
+            hi = min(lo + RATIO_DIVIDE_CHUNK, j_max + 1)
+            cur[lo:hi] /= np.arange(lo, hi, dtype=float)
+        prev = cur
+        yield StirlingRatioRow(k=k, values=cur)
+
+
+def build_ratio_rows(k_max: int, j_max: int) -> list[StirlingRatioRow]:
+    """All rows of :func:`ratio_rows` at once, indexable by ``k``.
+
+    Returns ``k_max + 1`` rows ``|s(j, k)| / j!`` for ``0 <= j <= j_max``;
+    each is ``j * u_k[j] = sum_{i<j} u_{k-1}[i]`` as one cumulative sum.
+    This holds every row in memory; a caller that needs one ``k`` at a time
+    should iterate :func:`ratio_rows` instead.
+
+    Parameters
+    ----------
+    k_max : int
+        Largest ``k``, ``1 <= k_max <= 8``.
+    j_max : int
+        Largest ``j``, ``k_max <= j_max <= 10**6``.
+    """
+    return list(ratio_rows(k_max, j_max))
 
 
 def dump_row_csv(table: StirlingTable, n: int, stream: TextIO) -> None:

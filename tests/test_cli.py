@@ -425,6 +425,37 @@ def test_bad_lambda_exits_1():
     assert p.returncode == 1
 
 
+# every subcommand that takes --lambda, with a lambda that starts with a minus
+NEGATIVE_LAMBDA_CASES = {
+    "expand": ("expand", "--fn", "cos(x)", "--order", "6"),
+    "eval": ("eval", "--fn", "cos(x)", "--x", "0.1", "--order", "6", "--grid", "65",
+             "--quad-nodes", "32"),
+    "sweep": ("sweep", "--fn", "cos(x)", "--order", "4", "--x-range", "0:0.1:3",
+              "--grid", "33", "--quad-nodes", "16"),
+    "radius": ("radius", "--fn", "cos(x)", "--j-max", "16", "--window", "4"),
+    "growth": ("growth", "--fn", "cos(x)", "--n-max", "6", "--grid", "65"),
+    "nd": ("nd", "--fn", "cos(x1)*x2", "--dims", "2", "--order", "4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_LAMBDA_CASES))
+def test_lambda_with_leading_minus_as_separate_token(name):
+    argv = NEGATIVE_LAMBDA_CASES[name]
+    joined = run_cli(*argv, "--lambda=-2-0.5i")
+    separate = run_cli(*argv, "--lambda", "-2-0.5i")
+    assert joined.returncode == 0, joined.stderr
+    assert separate.returncode == 0, separate.stderr
+    assert separate.stdout
+    assert separate.stdout == joined.stdout
+
+
+def test_lambda_missing_value_still_exits_1():
+    # a following flag is not taken as the value
+    p = run_cli("expand", "--fn", "x", "--lambda", "--order", "4")
+    assert p.returncode == 1
+    assert "--lambda" in p.stderr
+
+
 DETERMINISM_CASES = [
     ("expand", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--order", "6",
      "--format", "json"),

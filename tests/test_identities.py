@@ -2,12 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
 from exptaylor.identities import (
+    _SUITE,
     cosine_series,
     linear_series,
     log_series,
@@ -130,11 +133,63 @@ def test_stirling_unsigned_variant_coincides_for_even_k():
 
 
 def test_stirling_precomputed_rows():
-    rows = build_ratio_rows(4, 201)
-    r = stirling_log2_series(3, True, 200, ratio_rows=rows)
+    row = build_ratio_rows(4, 201)[3]
+    r = stirling_log2_series(3, True, 200, row=row)
     assert r.passed
     with pytest.raises(ValidationError):
-        stirling_log2_series(3, True, 400, ratio_rows=rows)  # rows too short
+        stirling_log2_series(3, True, 400, row=row)  # row too short
+    with pytest.raises(ValidationError):
+        stirling_log2_series(2, True, 200, row=row)  # row for another k
+
+
+@pytest.mark.parametrize("k,J", [(1, 20000), (2, 100000), (3, 20000), (4, 20000), (4, 777)])
+def test_stirling_boundary_sum_error_within_pairwise_bound(k, J):
+    # The boundary series is summed as n differences d_i of adjacent terms.
+    # Pairwise summation of depth m errs by at most gamma_m * sum |d_i|
+    # (Higham, 2nd ed., 4.2).  numpy sums 8 interleaved accumulators over
+    # blocks of at most 128 terms and halves above that, so m <= log2(n) + 32
+    # covers the blocks, the subtractions and the last additions.  The
+    # reference is the exactly rounded sum of the same float terms, so only
+    # the summation is measured.
+    eps = np.finfo(float).eps
+    row = build_ratio_rows(k, J + 1)[k]
+    u = row.values
+    r = stirling_log2_series(k, False, J, variant="signed", row=row)
+    signed = [u[j] if (j - k) % 2 == 0 else -u[j] for j in range(k, J + 2)]
+    exact = math.fsum(signed[:-1] + [0.5 * signed[-1]])
+    pairs = (J - k + 1) // 2
+    abs_d = math.fsum(abs(signed[2 * i] + signed[2 * i + 1]) for i in range(pairs))
+    abs_d += abs(signed[J - k]) if (J - k) % 2 == 0 else 0.0
+    depth = math.ceil(math.log2(pairs)) + 32
+    assert abs(r.computed.real - exact) <= eps * (depth * abs_d + 2 * abs(exact))
+
+
+STIRLING_NAMES = [name for name in suite_names() if name.startswith("stirling")]
+
+
+def test_stirling_results_agree_across_entry_points():
+    # the streamed suite, a one-name suite and a standalone call sum the same
+    # row prefix, so every field is bitwise equal
+    whole = {n: r for n, r in zip(suite_names(), run_suite())}
+    for name in STIRLING_NAMES:
+        _, k, weighted, J = dict(_SUITE)[name]
+        alone = run_suite(names=[name])[0]
+        standalone = stirling_log2_series(k, weighted, J)
+        assert whole[name] == alone == standalone
+
+
+def test_stirling_suite_holds_two_rows_at_a_time():
+    # rows of 100002 doubles for k = 0, 1, 2: a stream keeps two rows
+    # (2 x 8 x 100002 bytes); all three at once, or two rows and a
+    # row-length index vector, would be three such arrays
+    run_suite(names=["log_k2_J60"])
+    tracemalloc.start()
+    try:
+        run_suite(names=["stirling_k2_unweighted_J100000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * 100003
 
 
 def test_stirling_validation():

@@ -12,6 +12,7 @@ from exptaylor.stirling import (
     build_ratio_rows,
     build_table,
     dump_row_csv,
+    ratio_rows,
     stage_matrix,
 )
 
@@ -113,6 +114,45 @@ def test_ratio_row_closed_forms():
         assert rows[1].values[j] == pytest.approx(1.0 / j, rel=1e-14)
         harmonic = sum(1.0 / i for i in range(1, j))
         assert rows[2].values[j] == pytest.approx(harmonic / j, rel=1e-13)
+
+
+def test_ratio_rows_within_summation_bound_of_mpmath():
+    # reference: j * u_k[j] = sum_{i<j} u_{k-1}[i] run at 40 digits.  Row k
+    # adds j - 1 positive terms (relative error <= gamma_{j-1}) of inputs
+    # carrying row k-1's error, then divides once; compounded over k levels
+    # that is below (k * (j + 1) + 1) * eps relative.
+    mpmath = pytest.importorskip("mpmath")
+    k_max, j_max = 4, 20001
+    rows = build_ratio_rows(k_max, j_max)
+    eps = np.finfo(float).eps
+    j = np.arange(j_max + 1)
+    with mpmath.workdps(40):
+        prev = [mpmath.mpf(1)] + [mpmath.mpf(0)] * j_max
+        for k in range(1, k_max + 1):
+            cur = [mpmath.mpf(0)] * (j_max + 1)
+            acc = mpmath.mpf(0)
+            for i in range(1, j_max + 1):
+                acc += prev[i - 1]
+                cur[i] = acc / i
+            got = rows[k].values
+            assert not got[:k].any()
+            rel = np.array(
+                [float(abs(mpmath.mpf(got[i]) - cur[i]) / cur[i]) for i in range(k, j_max + 1)]
+            )
+            assert (rel <= (k * (j[k:] + 1) + 1) * eps).all()
+            prev = cur
+
+
+def test_ratio_rows_stream_in_order_and_match_list():
+    streamed = list(ratio_rows(3, 500))
+    assert [row.k for row in streamed] == [0, 1, 2, 3]
+    for a, b in zip(streamed, build_ratio_rows(3, 500)):
+        assert np.array_equal(a.values, b.values)
+    # a row's prefix does not depend on how far the rows reach
+    for a, b in zip(ratio_rows(3, 80), streamed):
+        assert np.array_equal(a.values, b.values[:81])
+    with pytest.raises(ValidationError):
+        next(ratio_rows(9, 10))
 
 
 def test_ratio_row_k0_trivial():
