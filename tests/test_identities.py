@@ -164,15 +164,14 @@ def test_stirling_boundary_sum_error_within_pairwise_bound(k, J):
     assert abs(r.computed.real - exact) <= eps * (depth * abs_d + 2 * abs(exact))
 
 
-STIRLING_NAMES = [name for name in suite_names() if name.startswith("stirling")]
-
-
 def test_stirling_results_agree_across_entry_points():
     # the streamed suite, a one-name suite and a standalone call sum the same
     # row prefix, so every field is bitwise equal
-    whole = {n: r for n, r in zip(suite_names(), run_suite())}
-    for name in STIRLING_NAMES:
-        _, k, weighted, J = dict(_SUITE)[name]
+    whole = dict(zip(suite_names(), run_suite()))
+    for name, args in _SUITE:
+        if args[0] != "stirling":
+            continue
+        _, k, weighted, J = args
         alone = run_suite(names=[name])[0]
         standalone = stirling_log2_series(k, weighted, J)
         assert whole[name] == alone == standalone
