@@ -18,20 +18,12 @@ from .identities import (
     cosine_series,
     linear_series,
     log_series,
-    results_to_json,
-    results_to_text,
     run_suite,
     stirling_log2_series,
     suite_names,
 )
-from .jet import Jet1D, JetND, derivative, lift, lift_nd
-from .operators import (
-    OperatorSequence,
-    d_lambda_recursive,
-    d_lambda_stirling,
-    stage_rows,
-    stage_tensor,
-)
+from .jet import Jet1D, JetND, lift, lift_nd
+from .operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor
 from .series1d import (
     ConvergenceReport,
     Expansion1D,
@@ -63,7 +55,6 @@ from .stirling import (
     StirlingTable,
     build_ratio_rows,
     build_table,
-    dump_row_csv,
     ratio_rows,
     stage_matrix,
 )
@@ -84,7 +75,6 @@ __all__ = [
     "Jet1D",
     "JetND",
     "NdConvergenceReport",
-    "OperatorSequence",
     "ParseError",
     "RemainderEstimate",
     "StirlingRatioRow",
@@ -92,12 +82,10 @@ __all__ = [
     "ValidationError",
     "build_ratio_rows",
     "build_table",
+    "cascade_values",
     "convergence_check_nd",
     "cosine_series",
-    "d_lambda_recursive",
     "d_lambda_stirling",
-    "derivative",
-    "dump_row_csv",
     "epsilon_sup",
     "eval_complex",
     "eval_nd",
@@ -119,8 +107,6 @@ __all__ = [
     "remainder_bound_nd",
     "remainder_bounds",
     "remainder_integral",
-    "results_to_json",
-    "results_to_text",
     "run_suite",
     "stage_matrix",
     "stage_rows",

@@ -10,31 +10,30 @@ growth        stage-sup growth diagnostic against factorial envelopes
 nd            multivariate coefficient table, optional remainder bound
 identities    numeric identity suite
 
-Exit codes: 0 success, 1 bad usage or validation failure, 2 domain error
-during evaluation, 3 a ``--check`` assertion or an identity failed.
+Exit codes: 0 success, 1 bad usage or validation failure (a non-finite
+number in any option included), 2 domain error during evaluation or a
+non-finite value to be printed, 3 a ``--check`` or an identity failed.
 
-Output goes to stdout or ``--out``, in ``--format`` text, json, or csv.
-CSV floats carry 17 significant digits so they round-trip to the exact
-double.  Identical invocations (including ``--seed``) produce byte-identical
-output.  An infinite x-region half-width is printed as ``inf`` and emitted
-as the JSON string ``"inf"``.
+Any option value may begin with ``-`` (``--x -1e-2``, ``--fn '-x'``).  Each
+handler returns a record that :mod:`exptaylor.render` prints as
+``--format`` text, json or csv to stdout or ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
+import math
+import re
 import sys
 from dataclasses import replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DiagnosticError, DomainError, ParseError, ValidationError
 from .expr import eval_complex, parse
-from .identities import results_to_json, results_to_text, run_suite
+from .identities import run_suite
+from .render import RENDERERS, Field, Table, format_complex, format_float
 from .series1d import (
     eval_series,
     expand_1d,
@@ -52,56 +51,49 @@ EXIT_CHECK = 3
 
 
 def parse_complex_literal(text: str) -> complex:
-    """Parse ``a``, ``bi``, ``a+bi``, or ``a-bi`` into a complex number.
+    """Parse ``a``, ``bi``, ``a+bi``, or ``a-bi`` into a finite complex number.
 
     Parts are plain decimal floats (exponents allowed); no arithmetic, no
     parentheses, imaginary unit spelled ``i`` and written last.
     """
     s = text.strip()
-    if not s:
-        raise ValidationError("empty complex literal")
     try:
         if not s.endswith("i"):
-            return complex(float(s))
-        body = s[:-1]
-        # split real/imag at the last sign that is not an exponent sign
-        split = None
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                split = pos
-                break
-        if split is None:
-            re_part, im_part = "", body
+            z = complex(float(s))
         else:
-            re_part, im_part = body[:split], body[split:]
-        if im_part in ("", "+"):
-            im_val = 1.0
-        elif im_part == "-":
-            im_val = -1.0
-        else:
-            im_val = float(im_part)
-        re_val = float(re_part) if re_part else 0.0
-        return complex(re_val, im_val)
+            body = s[:-1]
+            # split real/imag at the last sign that is not an exponent sign
+            sign = re.search(r".*[^eE]([+-])", body)
+            split = sign.start(1) if sign else 0
+            im = body[split:]
+            z = complex(float(body[:split] or 0), float(im + "1" if im in ("", "+", "-") else im))
     except ValueError:
         raise ValidationError(f"bad complex literal {text!r}; expected a+bi") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValidationError(f"complex literal {text!r} is not finite")
+    return z
 
 
-def _parse_vector(text: str, dims: int, flag: str) -> tuple[float, ...]:
+# ---- option values ---------------------------------------------------------------
+
+def _float(text: str) -> float:
     try:
-        values = tuple(float(part) for part in text.split(","))
+        value = float(text)
     except ValueError:
-        raise ValidationError(f"{flag} expects comma-separated floats, got {text!r}") from None
-    if len(values) != dims:
-        raise ValidationError(f"{flag} has {len(values)} components, --dims is {dims}")
-    return values
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _parse_x_range(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValidationError(f"--x-range expects lo:hi:steps, got {text!r}")
+def _vector(text: str) -> tuple[float, ...]:
+    return tuple(_float(part) for part in text.split(","))
+
+
+def _x_range(text: str) -> tuple[float, float, int]:
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = _float(lo), _float(hi), int(steps)
     except ValueError:
         raise ValidationError(f"--x-range expects lo:hi:steps, got {text!r}") from None
     if steps < 1:
@@ -109,12 +101,9 @@ def _parse_x_range(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
-def _parse_n_range(text: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValidationError(f"--n-range expects lo:hi, got {text!r}")
+def _n_range(text: str) -> tuple[int, int]:
     try:
-        lo, hi = int(parts[0]), int(parts[1])
+        lo, hi = map(int, text.split(":"))
     except ValueError:
         raise ValidationError(f"--n-range expects lo:hi, got {text!r}") from None
     if lo < 1 or hi < lo:
@@ -122,554 +111,315 @@ def _parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# ---- formatting helpers ------------------------------------------------------
-
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _c_text(z: complex) -> str:
-    sign = "-" if z.imag < 0 else "+"
-    return f"{_g(z.real)} {sign} {_g(abs(z.imag))}i"
-
-
-def _c_lit(z: complex) -> str:
-    sign = "-" if z.imag < 0 else "+"
-    return f"{_g(z.real)}{sign}{_g(abs(z.imag))}i"
-
-
-def _c_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _kv_block(pairs: list[tuple[str, str]]) -> list[str]:
-    width = max(len(k) for k, _ in pairs)
-    return [f"{k:<{width}} = {v}" for k, v in pairs]
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _override(text: str) -> tuple[str, float]:
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise ValidationError(f"bad --tol-override {text!r}, expected NAME=VALUE")
+    return name, _float(value)
 
 
 # ---- subcommand handlers -----------------------------------------------------
 
-def _cmd_expand(args) -> tuple[str, int]:
-    ast = parse(args.fn, dims=1)
-    lam = parse_complex_literal(args.lam)
-    exp = expand_1d(ast, lam, args.x0, args.order)
-    coeffs = [complex(c) for c in exp.coeffs]
-    if args.format == "json":
-        payload = {
-            "lambda": _c_json(lam),
-            "x0": float(args.x0),
-            "order": exp.order,
-            "coeffs": [{"index": j, "re": c.real, "im": c.imag} for j, c in enumerate(coeffs)],
-        }
-        return _json(payload), EXIT_OK
-    if args.format == "csv":
-        lines = ["index,re,im"]
-        lines += [f"{j},{_g(c.real)},{_g(c.imag)}" for j, c in enumerate(coeffs)]
-        return "\n".join(lines) + "\n", EXIT_OK
-    pairs = [
-        ("fn", args.fn),
-        ("lambda", _c_lit(lam)),
-        ("x0", _g(args.x0)),
-        ("order", str(exp.order)),
-    ]
-    lines = _kv_block(pairs)
-    lines += [f"c[{j}] = {_c_text(c)}" for j, c in enumerate(coeffs)]
-    return "\n".join(lines) + "\n", EXIT_OK
+def _coeff_table(items, index_kind: str, label: Callable) -> Table:
+    columns = (("index", index_kind), ("", "complex"))
+    return Table(columns, list(items), lambda i, c: f"c[{label(i)}] = {format_complex(c)}")
 
 
-def _cmd_eval(args) -> tuple[str, int]:
+def _cmd_expand(args):
+    exp = expand_1d(parse(args.fn, dims=1), args.lam, args.x0, args.order)
+    return [
+        Field(None, args.fn, "str", "fn"),
+        Field("lambda", args.lam, "lit"),
+        Field("x0", args.x0, "float"),
+        Field("order", exp.order, "int"),
+        Field("coeffs", _coeff_table(enumerate(exp.coeffs), "int", str), "table"),
+    ], EXIT_OK
+
+
+def _cmd_eval(args):
+    if args.check_tol < 0:
+        raise ValidationError(f"--check-tol must be >= 0, got {args.check_tol!r}")
     ast = parse(args.fn, dims=1)
-    lam = parse_complex_literal(args.lam)
-    exp = expand_1d(ast, lam, args.x0, args.order)
+    exp = expand_1d(ast, args.lam, args.x0, args.order)
     series = complex(eval_series(exp, args.x))
     true = complex(eval_complex(ast, args.x))
     est = remainder_bound(
-        ast, lam, args.x0, args.x, args.order, grid=args.grid, quad_nodes=args.quad_nodes
+        ast, args.lam, args.x0, args.x, args.order, grid=args.grid, quad_nodes=args.quad_nodes
     )
     remainder = complex(est.integral_value)
-    abs_error = abs(true - series)
     recon_error = abs(series + remainder - true)
     check_ok = recon_error <= args.check_tol
-    code = EXIT_OK if (not args.check or check_ok) else EXIT_CHECK
-
-    if args.format == "json":
-        payload = {
-            "fn": args.fn,
-            "lambda": _c_json(lam),
-            "x0": float(args.x0),
-            "x": float(args.x),
-            "order": args.order,
-            "series": _c_json(series),
-            "true": _c_json(true),
-            "abs_error": abs_error,
-            "remainder": _c_json(remainder),
-            "bound_tight": float(est.bound_tight),
-            "bound_loose": float(est.bound_loose),
-            "recon_error": recon_error,
-        }
-        if args.check:
-            payload["check"] = {"tolerance": float(args.check_tol), "passed": check_ok}
-        return _json(payload), code
-    if args.format == "csv":
-        header = (
-            "x,series_re,series_im,true_re,true_im,abs_error,"
-            "remainder_re,remainder_im,bound_tight,bound_loose,recon_error"
-        )
-        row = ",".join(
-            _g(v)
-            for v in (
-                args.x,
-                series.real,
-                series.imag,
-                true.real,
-                true.imag,
-                abs_error,
-                remainder.real,
-                remainder.imag,
-                est.bound_tight,
-                est.bound_loose,
-                recon_error,
-            )
-        )
-        return header + "\n" + row + "\n", code
-    pairs = [
-        ("fn", args.fn),
-        ("lambda", _c_lit(lam)),
-        ("x0", _g(args.x0)),
-        ("x", _g(args.x)),
-        ("order", str(args.order)),
-        ("series", _c_text(series)),
-        ("true", _c_text(true)),
-        ("abs_error", _g(abs_error)),
-        ("remainder", _c_text(remainder)),
-        ("bound_tight", _g(est.bound_tight)),
-        ("bound_loose", _g(est.bound_loose)),
-        ("recon_error", _g(recon_error)),
+    record = [
+        Field("fn", args.fn, "str"),
+        Field("lambda", args.lam, "lit"),
+        Field("x0", args.x0, "float"),
+        Field("x", args.x, "float", csv=True),
+        Field("order", args.order, "int"),
+        Field("series", series, "complex", csv=True),
+        Field("true", true, "complex", csv=True),
+        Field("abs_error", abs(true - series), "float", csv=True),
+        Field("remainder", remainder, "complex", csv=True),
+        Field("bound_tight", est.bound_tight, "float", csv=True),
+        Field("bound_loose", est.bound_loose, "float", csv=True),
+        Field("recon_error", recon_error, "float", csv=True),
     ]
     if args.check:
-        pairs.append(("check", f"{'pass' if check_ok else 'fail'} (tol {_g(args.check_tol)})"))
-    return "\n".join(_kv_block(pairs)) + "\n", code
+        record.append(Field("check", (check_ok, args.check_tol), "check"))
+    return record, EXIT_OK if (not args.check or check_ok) else EXIT_CHECK
 
 
-def _cmd_sweep(args) -> tuple[str, int]:
+def _cmd_sweep(args):
     if (args.x_range is None) == (args.n_range is None):
         raise ValidationError("sweep needs exactly one of --x-range or --n-range")
-    ast = parse(args.fn, dims=1)
-    lam = parse_complex_literal(args.lam)
-
-    # one remainder_bounds call per sweep: it lifts each segment once
     if args.x_range is not None:
-        key = "x"
-        lo, hi, steps = _parse_x_range(args.x_range)
-        exp = expand_1d(ast, lam, args.x0, args.order)
-        xs = [float(x) for x in np.linspace(lo, hi, steps)]
-        ests = remainder_bounds(
-            ast, lam, args.x0, xs, [args.order], grid=args.grid, quad_nodes=args.quad_nodes
-        )
-        errs = [abs(eval_complex(ast, x) - eval_series(exp, x)) for x in xs]
-        firsts = [_g(x) for x in xs]
+        column = ("x", "float")
+        xs = points = [float(x) for x in np.linspace(*args.x_range)]
+        orders = [args.order]
+    elif args.x is None:
+        raise ValidationError("an --n-range sweep needs --x")
     else:
-        key = "N"
-        if args.x is None:
-            raise ValidationError("an --n-range sweep needs --x")
-        lo, hi = _parse_n_range(args.n_range)
-        orders = list(range(lo, hi + 1))
-        ests = remainder_bounds(
-            ast, lam, args.x0, [args.x], orders, grid=args.grid, quad_nodes=args.quad_nodes
-        )
-        # the order-n expansion is the first n coefficients of the order-hi one
-        full = expand_1d(ast, lam, args.x0, hi)
-        true = eval_complex(ast, args.x)
-        errs = [
-            abs(true - eval_series(replace(full, order=n, coeffs=full.coeffs[:n]), args.x))
-            for n in orders
-        ]
-        firsts = [str(n) for n in orders]
-    rows = [(first, err, est.bound_tight, est.bound_loose) for first, err, est in zip(firsts, errs, ests)]
-
-    if args.format == "json":
-        payload = {
-            "sweep": key,
-            "rows": [
-                {
-                    key: (float(first) if key == "x" else int(first)),
-                    "abs_error": float(err),
-                    "bound_tight": float(bt),
-                    "bound_loose": float(bl),
-                }
-                for first, err, bt, bl in rows
-            ],
-        }
-        return _json(payload), EXIT_OK
-    lines = [f"{key},abs_error,bound_tight,bound_loose"]
-    lines += [f"{first},{_g(err)},{_g(bt)},{_g(bl)}" for first, err, bt, bl in rows]
-    text = "\n".join(lines) + "\n"
-    if args.format == "text":
-        text = text.replace(",", "  ")
-    return text, EXIT_OK
-
-
-def _cmd_radius(args) -> tuple[str, int]:
+        column = ("N", "int")
+        xs, orders = [args.x], list(range(args.n_range[0], args.n_range[1] + 1))
+        points = orders
     ast = parse(args.fn, dims=1)
-    lam = parse_complex_literal(args.lam)
-    rep = radius_estimate(ast, lam, args.x0, j_max=args.j_max, window=args.window)
-    half = rep.x_region_halfwidth
-    if args.format == "json":
-        if half is None:
-            half_json = None
-        elif half == float("inf"):
-            half_json = "inf"
-        else:
-            half_json = float(half)
-        payload = {
-            "fn": args.fn,
-            "lambda": _c_json(lam),
-            "x0": float(args.x0),
-            "j_max": args.j_max,
-            "window": rep.window,
-            "r_estimate": float(rep.r_estimate),
-            "x_region_halfwidth": half_json,
-            "stable": rep.stable,
-            "ratios": [
-                {"j": int(j), "value": float(v)}
-                for j, v in zip(rep.ratio_indices, rep.ratios)
-            ],
-        }
-        return _json(payload), EXIT_OK
-    if args.format == "csv":
-        lines = ["j,ratio"]
-        lines += [f"{j},{_g(v)}" for j, v in zip(rep.ratio_indices, rep.ratios)]
-        return "\n".join(lines) + "\n", EXIT_OK
-    pairs = [
-        ("fn", args.fn),
-        ("lambda", _c_lit(lam)),
-        ("x0", _g(args.x0)),
-        ("j_max", str(args.j_max)),
-        ("window", str(rep.window)),
-        ("r_estimate", _g(rep.r_estimate)),
-        ("halfwidth", "none" if half is None else _g(half)),
-        ("stable", "true" if rep.stable else "false"),
+    # one remainder_bounds call per sweep: it lifts each segment once
+    ests = remainder_bounds(ast, args.lam, args.x0, xs, orders, grid=args.grid, quad_nodes=args.quad_nodes)
+    # the order-n expansion is the first n coefficients of the highest-order one
+    full = expand_1d(ast, args.lam, args.x0, max(orders))
+    errs = [
+        abs(true - eval_series(replace(full, order=n, coeffs=full.coeffs[:n]), x))
+        for x, true in zip(xs, [eval_complex(ast, x) for x in xs])
+        for n in orders
     ]
-    lines = _kv_block(pairs)
-    lines += [f"rho[{j}] = {_g(v)}" for j, v in zip(rep.ratio_indices, rep.ratios)]
-    return "\n".join(lines) + "\n", EXIT_OK
+    rows = [(p, err, est.bound_tight, est.bound_loose) for p, err, est in zip(points, errs, ests)]
+    columns = (column, ("abs_error", "float"), ("bound_tight", "float"), ("bound_loose", "float"))
+    return [Field("sweep", column[0], "str", None), Field("rows", Table(columns, rows), "table")], EXIT_OK
 
 
-def _cmd_growth(args) -> tuple[str, int]:
-    ast = parse(args.fn, dims=1)
-    lam = parse_complex_literal(args.lam)
-    rep = growth_diagnostic(ast, lam, args.period, n_max=args.n_max, grid=args.grid)
-    sups = [float(v) for v in rep.sup_values]
-    if args.format == "json":
-        payload = {
-            "fn": args.fn,
-            "lambda": _c_json(lam),
-            "period": float(args.period),
-            "n_max": rep.n_max,
-            "grid": rep.grid,
-            "k_fit": rep.k_fit,
-            "c0": float(rep.c0),
-            "envelope_bounded": rep.envelope_bounded,
-            "periodic_input": rep.periodic_input,
-            "sup": [{"n": i + 1, "value": v} for i, v in enumerate(sups)],
-        }
-        return _json(payload), EXIT_OK
-    if args.format == "csv":
-        lines = ["n,sup"]
-        lines += [f"{i + 1},{_g(v)}" for i, v in enumerate(sups)]
-        return "\n".join(lines) + "\n", EXIT_OK
-    pairs = [
-        ("fn", args.fn),
-        ("lambda", _c_lit(lam)),
-        ("period", _g(args.period)),
-        ("n_max", str(rep.n_max)),
-        ("grid", str(rep.grid)),
-        ("k_fit", str(rep.k_fit)),
-        ("c0", _g(rep.c0)),
-        ("envelope_bounded", "true" if rep.envelope_bounded else "false"),
-        ("periodic_input", "true" if rep.periodic_input else "false"),
-    ]
-    lines = _kv_block(pairs)
-    lines += [f"g[{i + 1}] = {_g(v)}" for i, v in enumerate(sups)]
-    return "\n".join(lines) + "\n", EXIT_OK
+def _cmd_radius(args):
+    rep = radius_estimate(parse(args.fn, dims=1), args.lam, args.x0, j_max=args.j_max, window=args.window)
+    ratios = Table(
+        (("j", "int"), ("value", "float", "ratio")),
+        list(zip(rep.ratio_indices, rep.ratios)),
+        lambda j, v: f"rho[{j}] = {format_float(v)}",
+    )
+    return [
+        Field("fn", args.fn, "str"),
+        Field("lambda", args.lam, "lit"),
+        Field("x0", args.x0, "float"),
+        Field("j_max", args.j_max, "int"),
+        Field("window", rep.window, "int"),
+        Field("r_estimate", rep.r_estimate, "float"),
+        Field("x_region_halfwidth", rep.x_region_halfwidth, "inf", "halfwidth"),
+        Field("stable", rep.stable, "bool"),
+        Field("ratios", ratios, "table"),
+    ], EXIT_OK
 
 
-def _cmd_nd(args) -> tuple[str, int]:
+def _cmd_growth(args):
+    rep = growth_diagnostic(parse(args.fn, dims=1), args.lam, args.period, n_max=args.n_max, grid=args.grid)
+    sups = Table(
+        (("n", "int"), ("value", "float", "sup")),
+        list(enumerate(rep.sup_values, 1)),
+        lambda n, v: f"g[{n}] = {format_float(v)}",
+    )
+    return [
+        Field("fn", args.fn, "str"),
+        Field("lambda", args.lam, "lit"),
+        Field("period", args.period, "float"),
+        Field("n_max", rep.n_max, "int"),
+        Field("grid", rep.grid, "int"),
+        Field("k_fit", rep.k_fit, "int"),
+        Field("c0", rep.c0, "float"),
+        Field("envelope_bounded", rep.envelope_bounded, "bool"),
+        Field("periodic_input", rep.periodic_input, "bool"),
+        Field("sup", sups, "table"),
+    ], EXIT_OK
+
+
+def _cmd_nd(args):
     n = args.dims
     ast = parse(args.fn, dims=n)
-    lam = parse_complex_literal(args.lam)
-    center = _parse_vector(args.x0, n, "--x0") if args.x0 is not None else (0.0,) * n
-    exp = expand_nd(ast, n, lam, center, args.order)
-    items = [(g, complex(c)) for g, c in exp.coeffs.items()]
-
-    point = None
-    if args.x is not None:
-        x = _parse_vector(args.x, n, "--x")
-        series = complex(eval_nd(exp, x))
-        true = complex(eval_complex(ast, x))
-        bound = float(
-            remainder_bound_nd(ast, n, lam, center, x, args.order, grid=args.grid, seed=args.seed)
-        )
-        point = (x, series, true, abs(true - series), bound)
-
-    if args.format == "json":
-        payload = {
-            "fn": args.fn,
-            "dims": n,
-            "lambda": _c_json(lam),
-            "center": [float(c) for c in center],
-            "order": exp.order,
-            "coeffs": [
-                {"index": list(g), "re": c.real, "im": c.imag} for g, c in items
-            ],
-        }
-        if point is not None:
-            x, series, true, err, bound = point
-            payload["point"] = {
-                "x": [float(v) for v in x],
-                "series": _c_json(series),
-                "true": _c_json(true),
-                "abs_error": err,
-                "bound": bound,
-            }
-        return _json(payload), EXIT_OK
-    if args.format == "csv":
-        lines = ["index,re,im"]
-        lines += [f"{' '.join(map(str, g))},{_g(c.real)},{_g(c.imag)}" for g, c in items]
-        return "\n".join(lines) + "\n", EXIT_OK
-    pairs = [
-        ("fn", args.fn),
-        ("dims", str(n)),
-        ("lambda", _c_lit(lam)),
-        ("center", ",".join(_g(c) for c in center)),
-        ("order", str(exp.order)),
+    center = (0.0,) * n if args.x0 is None else args.x0
+    exp = expand_nd(ast, n, args.lam, center, args.order)
+    record = [
+        Field("fn", args.fn, "str"),
+        Field("dims", n, "int"),
+        Field("lambda", args.lam, "lit"),
+        Field("center", center, "vector"),
+        Field("order", exp.order, "int"),
+        Field("coeffs", _coeff_table(exp.coeffs.items(), "index", lambda g: ",".join(map(str, g))), "table"),
     ]
-    lines = _kv_block(pairs)
-    lines += [f"c[{','.join(map(str, g))}] = {_c_text(c)}" for g, c in items]
-    if point is not None:
-        x, series, true, err, bound = point
-        lines += _kv_block(
-            [
-                ("x", ",".join(_g(v) for v in x)),
-                ("series", _c_text(series)),
-                ("true", _c_text(true)),
-                ("abs_error", _g(err)),
-                ("bound", _g(bound)),
-            ]
-        )
-    return "\n".join(lines) + "\n", EXIT_OK
+    if args.x is not None:
+        series = complex(eval_nd(exp, args.x))  # checks the length of x
+        true = complex(eval_complex(ast, args.x))
+        bound = remainder_bound_nd(ast, n, args.lam, center, args.x, args.order, grid=args.grid, seed=args.seed)
+        point = [
+            Field("x", args.x, "vector"),
+            Field("series", series, "complex"),
+            Field("true", true, "complex"),
+            Field("abs_error", abs(true - series), "float"),
+            Field("bound", bound, "float"),
+        ]
+        record.append(Field("point", point, "group"))
+    return record, EXIT_OK
 
 
-def _cmd_identities(args) -> tuple[str, int]:
-    overrides: dict[str, float] = {}
-    for item in args.tol_override or []:
-        name, sep, value = item.partition("=")
-        if not sep or not name:
-            raise ValidationError(f"bad --tol-override {item!r}, expected NAME=VALUE")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise ValidationError(f"bad tolerance in --tol-override {item!r}") from None
+def _identity_line(name, computed, target, terms_used, tolerance, abs_error, passed, variant) -> str:
+    variant = f" [{variant}]" if variant else ""
+    return f"{'PASS' if passed else 'FAIL'}  {name:<42} err={abs_error:.3e} tol={tolerance:.3e}{variant}"
+
+
+def _cmd_identities(args):
     if args.suite == "all":
         names = None
     else:
         names = tuple(part for part in args.suite.split(",") if part)
         if not names:
             raise ValidationError("--suite needs 'all' or a comma-separated name list")
-    results = run_suite(overrides, names=names)
-    code = EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
-
-    if args.format == "json":
-        return results_to_json(results) + "\n", code
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "name",
-                "computed_re",
-                "computed_im",
-                "target_re",
-                "target_im",
-                "terms_used",
-                "tolerance",
-                "abs_error",
-                "passed",
-                "variant",
-            ]
-        )
-        for r in results:
-            writer.writerow(
-                [
-                    r.name,
-                    _g(r.computed.real),
-                    _g(r.computed.imag),
-                    _g(r.target.real),
-                    _g(r.target.imag),
-                    r.terms_used,
-                    _g(r.tolerance),
-                    _g(r.abs_error),
-                    "true" if r.passed else "false",
-                    r.variant or "",
-                ]
-            )
-        return buf.getvalue(), code
+    results = run_suite(dict(args.tol_override or ()), names=names)
     n_pass = sum(1 for r in results if r.passed)
+    # each column holds the IdentityResult field of its name
+    columns = (
+        ("name", "str"), ("computed", "complex"), ("target", "complex"), ("terms_used", "int"),
+        ("tolerance", "float"), ("abs_error", "float"), ("passed", "bool"), ("variant", "str"),
+    )
+    table = Table(columns, [tuple(getattr(r, key) for key, _ in columns) for r in results], _identity_line)
     summary = f"{n_pass} passed, {len(results) - n_pass} failed"
-    return results_to_text(results).rstrip("\n") + "\n" + summary + "\n", code
+    code = EXIT_OK if n_pass == len(results) else EXIT_CHECK
+    return [Field("", table, "table"), Field(None, summary, "line", "summary")], code
 
 
-# ---- parser ------------------------------------------------------------------
+# ---- options -------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; 2 is reserved for domain
-    # errors here, so remap to 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def _opt(flag: str, help: str, **kw) -> tuple[str, dict]:
+    return flag, dict(kw, help=help)
 
 
-def _add_output_flags(sub, default_format: str) -> None:
-    sub.add_argument(
-        "--format", choices=("text", "json", "csv"), default=default_format,
-        help=f"output format (default {default_format})",
-    )
-    sub.add_argument("--out", default=None, help="write to this file instead of stdout")
+def _output(default: str) -> tuple:
+    fmt = _opt("--format", f"output format (default {default})", choices=tuple(RENDERERS), default=default)
+    return fmt, _opt("--out", "write to this file instead of stdout")
 
 
-def _add_fn_lambda(sub, dims_flag: bool = False) -> None:
-    sub.add_argument("--fn", required=True, help="expression, e.g. 'cos(2*pi*x)'")
-    if dims_flag:
-        sub.add_argument("--dims", type=int, required=True, help="number of variables x1..xn")
-    sub.add_argument(
-        "--lambda", dest="lam", required=True, metavar="A+BI",
-        help="complex literal, e.g. 0+6.283185307179586i or 1",
-    )
+FN = _opt("--fn", "expression, e.g. 'cos(2*pi*x)'", required=True)
+LAMBDA = _opt("--lambda", "complex literal, e.g. 0+6.283185307179586i or 1",
+              type=parse_complex_literal, required=True, dest="lam", metavar="A+BI")
+X0 = _opt("--x0", "expansion point (default 0)", type=_float, default=0.0)
+QUAD_NODES = _opt("--quad-nodes", "Gauss-Legendre nodes (default 64)", type=int, default=64)
+GRID = _opt("--grid", "bound sampling grid (default 513)", type=int, default=513)
+
+# subcommand -> (handler, help, options as add_argument keywords)
+COMMANDS = {
+    "expand": (_cmd_expand, "print series coefficients", (
+        FN, LAMBDA, X0,
+        _opt("--order", "number of coefficients N (default 8)", type=int, default=8),
+        *_output("text"),
+    )),
+    "eval": (_cmd_eval, "series value, remainder, and bounds at x", (
+        FN, LAMBDA, X0,
+        _opt("--x", "evaluation point", type=_float, required=True),
+        _opt("--order", "truncation order N (default 8)", type=int, default=8),
+        QUAD_NODES, GRID,
+        _opt("--check", "exit 3 unless series + remainder = true value", action="store_true"),
+        _opt("--check-tol", "tolerance for --check (default 1e-9)", type=_float, default=1e-9),
+        *_output("text"),
+    )),
+    "sweep": (_cmd_sweep, "error/bound curves over x or N", (
+        FN, LAMBDA, X0,
+        _opt("--x", "evaluation point for --n-range sweeps", type=_float),
+        _opt("--order", "truncation order for --x-range sweeps", type=int, default=8),
+        _opt("--x-range", "sweep x over a uniform grid", type=_x_range, metavar="LO:HI:STEPS"),
+        _opt("--n-range", "sweep the truncation order", type=_n_range, metavar="LO:HI"),
+        QUAD_NODES, GRID,
+        *_output("csv"),
+    )),
+    "radius": (_cmd_radius, "ratio-test radius and x-region half-width", (
+        FN, LAMBDA, X0,
+        _opt("--j-max", "highest coefficient index (default 48)", type=int, default=48),
+        _opt("--window", "trailing ratios kept (default 8)", type=int, default=8),
+        *_output("text"),
+    )),
+    "growth": (_cmd_growth, "stage-sup growth against factorial envelopes", (
+        FN, LAMBDA,
+        _opt("--period", "grid interval [0, T] (default 1)", type=_float, default=1.0),
+        _opt("--n-max", "stages examined (default 16)", type=int, default=16),
+        _opt("--grid", "sampling grid (default 257)", type=int, default=257),
+        *_output("text"),
+    )),
+    "nd": (_cmd_nd, "multivariate coefficients and remainder bound", (
+        FN,
+        _opt("--dims", "number of variables x1..xn", type=int, required=True),
+        LAMBDA,
+        _opt("--x0", "expansion center (default origin)", type=_vector, metavar="C1,..,CN"),
+        _opt("--x", "evaluation point for the bound block", type=_vector, metavar="X1,..,XN"),
+        _opt("--order", "total degree bound N (default 6)", type=int, default=6),
+        _opt("--grid", "box sampling grid per axis (default 33)", type=int, default=33),
+        _opt("--seed", "box sampling seed (default 0)", type=int, default=0),
+        *_output("text"),
+    )),
+    "identities": (_cmd_identities, "run the numeric identity suite", (
+        _opt("--suite", "'all' or comma-separated identity names", default="all"),
+        _opt(
+            "--tol-override", "replace one identity's tolerance (repeatable)",
+            type=_override, action="append", metavar="NAME=VALUE",
+        ),
+        *_output("text"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="exptaylor", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="exptaylor", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    sub = subs.add_parser("expand", help="print series coefficients")
-    _add_fn_lambda(sub)
-    sub.add_argument("--x0", type=float, default=0.0, help="expansion point (default 0)")
-    sub.add_argument("--order", type=int, default=8, help="number of coefficients N (default 8)")
-    _add_output_flags(sub, "text")
-    sub.set_defaults(handler=_cmd_expand)
-
-    sub = subs.add_parser("eval", help="series value, remainder, and bounds at x")
-    _add_fn_lambda(sub)
-    sub.add_argument("--x0", type=float, default=0.0, help="expansion point (default 0)")
-    sub.add_argument("--x", type=float, required=True, help="evaluation point")
-    sub.add_argument("--order", type=int, default=8, help="truncation order N (default 8)")
-    sub.add_argument("--quad-nodes", type=int, default=64, help="Gauss-Legendre nodes (default 64)")
-    sub.add_argument("--grid", type=int, default=513, help="bound sampling grid (default 513)")
-    sub.add_argument("--check", action="store_true", help="exit 3 unless series + remainder = true value")
-    sub.add_argument("--check-tol", type=float, default=1e-9, help="tolerance for --check (default 1e-9)")
-    _add_output_flags(sub, "text")
-    sub.set_defaults(handler=_cmd_eval)
-
-    sub = subs.add_parser("sweep", help="error/bound curves over x or N")
-    _add_fn_lambda(sub)
-    sub.add_argument("--x0", type=float, default=0.0, help="expansion point (default 0)")
-    sub.add_argument("--x", type=float, default=None, help="evaluation point for --n-range sweeps")
-    sub.add_argument("--order", type=int, default=8, help="truncation order for --x-range sweeps")
-    sub.add_argument(
-        "--x-range", default=None, metavar="LO:HI:STEPS",
-        help="sweep x over a uniform grid (use --x-range=-0.1:0.1:5 for a negative lo)",
-    )
-    sub.add_argument("--n-range", default=None, metavar="LO:HI", help="sweep the truncation order")
-    sub.add_argument("--quad-nodes", type=int, default=64, help="Gauss-Legendre nodes (default 64)")
-    sub.add_argument("--grid", type=int, default=513, help="bound sampling grid (default 513)")
-    _add_output_flags(sub, "csv")
-    sub.set_defaults(handler=_cmd_sweep)
-
-    sub = subs.add_parser("radius", help="ratio-test radius and x-region half-width")
-    _add_fn_lambda(sub)
-    sub.add_argument("--x0", type=float, default=0.0, help="expansion point (default 0)")
-    sub.add_argument("--j-max", type=int, default=48, help="highest coefficient index (default 48)")
-    sub.add_argument("--window", type=int, default=8, help="trailing ratios kept (default 8)")
-    _add_output_flags(sub, "text")
-    sub.set_defaults(handler=_cmd_radius)
-
-    sub = subs.add_parser("growth", help="stage-sup growth against factorial envelopes")
-    _add_fn_lambda(sub)
-    sub.add_argument("--period", type=float, default=1.0, help="grid interval [0, T] (default 1)")
-    sub.add_argument("--n-max", type=int, default=16, help="stages examined (default 16)")
-    sub.add_argument("--grid", type=int, default=257, help="sampling grid (default 257)")
-    _add_output_flags(sub, "text")
-    sub.set_defaults(handler=_cmd_growth)
-
-    sub = subs.add_parser("nd", help="multivariate coefficients and remainder bound")
-    _add_fn_lambda(sub, dims_flag=True)
-    sub.add_argument("--x0", default=None, metavar="C1,..,CN", help="expansion center (default origin)")
-    sub.add_argument("--x", default=None, metavar="X1,..,XN", help="evaluation point for the bound block")
-    sub.add_argument("--order", type=int, default=6, help="total degree bound N (default 6)")
-    sub.add_argument("--grid", type=int, default=33, help="box sampling grid per axis (default 33)")
-    sub.add_argument("--seed", type=int, default=0, help="box sampling seed (default 0)")
-    _add_output_flags(sub, "text")
-    sub.set_defaults(handler=_cmd_nd)
-
-    sub = subs.add_parser("identities", help="run the numeric identity suite")
-    sub.add_argument("--suite", default="all", help="'all' or comma-separated identity names")
-    sub.add_argument(
-        "--tol-override", action="append", default=None, metavar="NAME=VALUE",
-        help="replace one identity's tolerance (repeatable)",
-    )
-    _add_output_flags(sub, "text")
-    sub.set_defaults(handler=_cmd_identities)
-
+    for name, (handler, help_, options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_)
+        for flag, kw in options:
+            sub.add_argument(flag, **kw)
+        sub.set_defaults(handler=handler)
     return parser
 
 
-def _attach_lambda_value(argv: Sequence[str]) -> list[str]:
-    """Rewrite ``--lambda -2-0.5i`` as ``--lambda=-2-0.5i``.
+def _attach_values(argv: Sequence[str]) -> list[str]:
+    """Join each option that takes a value with a following token that starts with ``-``.
 
-    argparse reads a token that starts with ``-`` and is not a plain
-    negative number as an option, so a complex literal with a leading minus
-    cannot follow ``--lambda`` as a separate token.  Such a token is
-    attached to the flag when it parses as a complex literal.
+    argparse reads such a token as an option unless it is a plain negative
+    number, so ``--fn -x`` becomes ``--fn=-x``.  A token that is one of the
+    subcommand's own options is left alone, and argparse reports the
+    missing value.
     """
+    options = COMMANDS[argv[0]][2] if argv and argv[0] in COMMANDS else ()
+    flags = {flag for flag, _ in options} | {"-h", "--help"}
+    takes_value = {flag for flag, kw in options if kw.get("action") != "store_true"}
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--lambda" and token.startswith("-"):
-            try:
-                parse_complex_literal(token)
-            except ValidationError:
-                pass  # not a value; argparse reports the missing argument
-            else:
-                out[-1] = f"--lambda={token}"
-                continue
-        out.append(token)
+        if out and out[-1] in takes_value and token.startswith("-") and token.split("=")[0] not in flags:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
     return out
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_lambda_value(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+        record, code = args.handler(args)
+        text = RENDERERS[args.format](record)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_OK
-    try:
-        text, code = args.handler(args)
+        # argparse exits 2 on a usage error; 2 is reserved for domain errors here
+        return EXIT_USAGE if exc.code == 2 else exc.code or EXIT_OK
     except (ParseError, ValidationError, DiagnosticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _emit(text, args.out)
+    try:
+        if args.out in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code

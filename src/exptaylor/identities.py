@@ -32,7 +32,6 @@ targets for every ``k``.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -303,34 +302,3 @@ def run_suite(
             res = replace(res, tolerance=tol, passed=res.abs_error <= tol)
         results.append(res)
     return results
-
-
-def results_to_json(results: list[IdentityResult]) -> str:
-    """JSON array with one object per result, stable key order."""
-    payload = []
-    for r in results:
-        payload.append(
-            {
-                "name": r.name,
-                "computed": {"re": r.computed.real, "im": r.computed.imag},
-                "target": {"re": r.target.real, "im": r.target.imag},
-                "terms_used": r.terms_used,
-                "tolerance": r.tolerance,
-                "abs_error": r.abs_error,
-                "passed": r.passed,
-                "variant": r.variant,
-            }
-        )
-    return json.dumps(payload, indent=2)
-
-
-def results_to_text(results: list[IdentityResult]) -> str:
-    """Fixed-width pass/fail table."""
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        variant = f" [{r.variant}]" if r.variant else ""
-        lines.append(
-            f"{status}  {r.name:<42} err={r.abs_error:.3e} tol={r.tolerance:.3e}{variant}"
-        )
-    return "\n".join(lines) + "\n"

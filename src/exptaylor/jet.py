@@ -426,11 +426,3 @@ def _scalar_center(center) -> float:
     if len(seq) != 1:
         raise ValidationError(f"expected a single real center, got {center!r}")
     return float(seq[0])
-
-
-def derivative(jet: Jet1D) -> Jet1D:
-    """Jet of ``f'`` about the same center, order reduced by one."""
-    if jet.order < 1:
-        raise ValidationError("cannot differentiate an order-0 jet")
-    k = np.arange(1, jet.order + 1)
-    return Jet1D(coeffs=jet.coeffs[1:] * k, center=jet.center)

@@ -20,7 +20,6 @@ same matrix applied along each axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,15 +29,6 @@ from .jet import Jet1D, JetND
 from .stirling import stage_matrix
 
 POINT_CHUNK = 1024  # sample points per matrix product in stage_rows
-
-
-@dataclass(frozen=True)
-class OperatorSequence:
-    """Cascade values ``values[j]`` for stages ``j = 0 .. N`` at one point."""
-
-    lam: complex
-    center: float
-    values: np.ndarray  # complex128, shape (N+1,)
 
 
 def _check_lam(lam: complex) -> complex:
@@ -82,26 +72,17 @@ def cascade_values(coeffs: np.ndarray, lam: complex, count: int) -> np.ndarray:
     return out
 
 
-def d_lambda_recursive(jet: Jet1D, lam: complex, count: int) -> OperatorSequence:
-    """Cascade stages 0..count at the jet's center, by the defining recursion.
-
-    Requires ``jet.order >= count``: every stage costs one derivative.
-    """
-    values = cascade_values(jet.coeffs, lam, count)
-    return OperatorSequence(lam=complex(lam), center=jet.center, values=values)
-
-
-def d_lambda_stirling(jet: Jet1D, lam: complex, count: int) -> OperatorSequence:
-    """Cascade stages 0..count via the signed-Stirling expansion.
+def d_lambda_stirling(jet: Jet1D, lam: complex, count: int) -> np.ndarray:
+    """Cascade stages 0..count at the jet's center, via the signed-Stirling expansion.
 
     Stage ``N`` is ``sum_m s(N, m) m! lam^(-m) c_m`` with ``c_m`` the
     normalized jet coefficients: ``stage_matrix(count) @ (lam^(-m) c)``.
+    The recursion path is :func:`cascade_values` on ``jet.coeffs``.
     """
     lam = _check_lam(lam)
     if count < 0 or count > jet.order:
         raise ValidationError(f"need jet order >= {count}, have {jet.order}")
-    values = stage_matrix(count) @ (_inverse_powers(lam, count) * jet.coeffs[: count + 1])
-    return OperatorSequence(lam=lam, center=jet.center, values=values)
+    return stage_matrix(count) @ (_inverse_powers(lam, count) * jet.coeffs[: count + 1])
 
 
 def stage_tensor(jet: JetND, lam: complex, order: int) -> np.ndarray:

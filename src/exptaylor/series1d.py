@@ -447,7 +447,8 @@ def growth_diagnostic(
     the smallest ``k`` whose trailing half does not exceed its leading half
     (by more than 1 percent) is reported, with ``c0`` the trailing-half
     level.  Inputs that fail ``a(0) == a(period)`` on the sample are flagged
-    non-periodic; the diagnostic is still computed.
+    non-periodic; the diagnostic is still computed.  A stage value that
+    overflows on the grid raises ``DomainError``.
     """
     lam = _check_lam(lam)
     _check_1d(ast)
@@ -459,9 +460,12 @@ def growth_diagnostic(
     if period <= 0:
         raise ValidationError(f"period must be positive, got {period!r}")
     xs = np.linspace(0.0, period, grid)
-    coeffs = _lift_1d_array(ast, xs, n_max)
-    stages = cascade_values(coeffs, lam, n_max)  # (grid, n_max+1)
-    sup_values = np.max(np.abs(stages), axis=0)[1:]  # index N-1 <-> stage N
+    with np.errstate(all="ignore"):
+        coeffs = _lift_1d_array(ast, xs, n_max)
+        stages = cascade_values(coeffs, lam, n_max)  # (grid, n_max+1)
+        sup_values = np.max(np.abs(stages), axis=0)[1:]  # index N-1 <-> stage N
+    if not np.all(np.isfinite(stages)):
+        raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
     a_vals = stages[:, 0]
     scale = 1.0 + float(np.max(np.abs(a_vals)))
     periodic = bool(abs(a_vals[0] - a_vals[-1]) <= 1e-9 * scale)

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, TextIO
+from typing import Iterator
 
 import numpy as np
 
@@ -182,14 +182,3 @@ def build_ratio_rows(k_max: int, j_max: int) -> list[StirlingRatioRow]:
         Largest ``j``, ``k_max <= j_max <= 10**6``.
     """
     return list(ratio_rows(k_max, j_max))
-
-
-def dump_row_csv(table: StirlingTable, n: int, stream: TextIO) -> None:
-    """Write row ``n`` of the exact table as ``n,k,s_nk`` CSV lines.
-
-    Values are exact decimal integers; a header line is included.
-    """
-    row = table.row(n)
-    stream.write("n,k,s_nk\n")
-    for k, v in enumerate(row):
-        stream.write(f"{n},{k},{v}\n")

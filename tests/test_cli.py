@@ -1,5 +1,8 @@
 """End-to-end CLI tests run through ``python -m exptaylor``."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -7,9 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exptaylor import cli
 from exptaylor.cli import parse_complex_literal
-from exptaylor.errors import ValidationError
+from exptaylor.errors import DomainError, ValidationError
+from exptaylor.identities import run_suite
+from exptaylor.render import RENDERERS, Field, Table, format_complex
 
 TWO_PI_I = "0+6.283185307179586i"
 
@@ -17,6 +25,13 @@ TWO_PI_I = "0+6.283185307179586i"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # numpy RuntimeWarnings become errors, so any one reaching stderr is caught
 STRICT = ("-W", "error::RuntimeWarning")
+
+
+def run_main(capsys, *argv):
+    """``cli.main`` in this process: (exit code, stdout, stderr)."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def run_cli(*argv, timeout=60, python_flags=()):
@@ -49,10 +64,16 @@ def test_parse_complex_literal(text, value):
     assert parse_complex_literal(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "foo", "1+2j", "i2", "1++2i"])
+@pytest.mark.parametrize("text", ["", "foo", "1+2j", "i2", "1++2i", "nan", "infi", "1-nani", "1e999"])
 def test_parse_complex_literal_rejects(text):
     with pytest.raises(ValidationError):
         parse_complex_literal(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_parse_complex_literal_round_trips_printed_literal(z):
+    assert parse_complex_literal(format_complex(z, "")) == z
 
 
 # ---- expand ---------------------------------------------------------------------
@@ -372,6 +393,30 @@ def test_identities_subset():
     assert lines[-1] == "2 passed, 0 failed"
 
 
+def test_identities_json_rows_match_run_suite():
+    names = ["log_k2_J60", "stirling_k2_weighted_J60"]
+    p = run_cli("identities", "--suite", ",".join(names), "--format", "json")
+    assert p.returncode == 0
+    payload = json.loads(p.stdout)
+    results = run_suite(names=names)
+    assert len(payload) == 2
+    for row, r in zip(payload, results):
+        assert row["name"] == r.name
+        assert row["computed"]["re"] == r.computed.real
+        assert row["target"]["re"] == r.target.real
+        assert row["passed"] is True
+    assert payload[1]["variant"] == "signed"
+
+
+def test_identities_text_line_format():
+    p = run_cli("identities", "--suite", "log_k2_J60")
+    lines = p.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("PASS")
+    assert "log(k=2, J=60)" in lines[0]
+    assert lines[1] == "1 passed, 0 failed"
+
+
 def test_identities_csv_header():
     p = run_cli("identities", "--suite", "log_k2_J60", "--format", "csv")
     lines = p.stdout.splitlines()
@@ -454,6 +499,122 @@ def test_lambda_missing_value_still_exits_1():
     p = run_cli("expand", "--fn", "x", "--lambda", "--order", "4")
     assert p.returncode == 1
     assert "--lambda" in p.stderr
+
+
+# an option value that starts with "-", as its own token and in the "=" form
+LEADING_MINUS_CASES = {
+    "eval_x": (("eval", "--fn", "cos(x)", "--lambda", "1", "--order", "4", "--grid", "9",
+                "--quad-nodes", "8"), "--x", "-1e-2"),
+    "eval_x0": (("eval", "--fn", "cos(x)", "--lambda", "1", "--x", "0", "--order", "4", "--grid", "9",
+                 "--quad-nodes", "8"), "--x0", "-1e-3"),
+    "expand_x0": (("expand", "--fn", "cos(x)", "--lambda", "1", "--order", "4"), "--x0", "-1e-3"),
+    "expand_fn": (("expand", "--lambda", "1", "--order", "4"), "--fn", "-x"),
+    "sweep_x_range": (("sweep", "--fn", "x", "--lambda", "1", "--order", "4", "--grid", "9",
+                       "--quad-nodes", "8"), "--x-range", "-0.1:0.1:3"),
+    "radius_x0": (("radius", "--fn", "1/(2+x)", "--lambda", "0+6.283185307179586i", "--j-max", "16",
+                   "--window", "4"), "--x0", "-0.25"),
+    "nd_x0": (("nd", "--fn", "cos(x1)*x2", "--dims", "2", "--lambda", "1", "--order", "4"), "--x0", "-0.1,0"),
+    "nd_x": (("nd", "--fn", "cos(x1)*x2", "--dims", "2", "--lambda", "1", "--order", "4", "--grid", "5"),
+             "--x", "-0.1,0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEADING_MINUS_CASES))
+def test_option_value_with_leading_minus_as_separate_token(capsys, name):
+    argv, flag, value = LEADING_MINUS_CASES[name]
+    joined = run_main(capsys, *argv, f"{flag}={value}")
+    separate = run_main(capsys, *argv, flag, value)
+    assert joined[0] == 0, joined[2]
+    assert separate[1]
+    assert separate == joined
+
+
+def test_option_followed_by_an_option_still_misses_its_value():
+    p = run_cli("expand", "--fn", "--lambda", "1")
+    assert p.returncode == 1
+    assert "--fn" in p.stderr
+
+
+def test_unwritable_out_path_exits_1_with_one_line(capsys, tmp_path):
+    target = tmp_path / "missing" / "f.txt"
+    code, out, err = run_main(capsys, "expand", "--fn", "x", "--lambda", "1", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot write {target}: No such file or directory"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "--fn", "exp(x)", "--lambda", "1", "--period", "nan"),
+        ("nd", "--fn", "x1*x2", "--dims", "2", "--lambda", "1", "--x", "nan,0"),
+        ("eval", "--fn", "x", "--lambda", "1", "--x", "nan"),
+        ("eval", "--fn", "x", "--lambda", "1", "--x", "0.1", "--check", "--check-tol", "nan"),
+        ("eval", "--fn", "x", "--lambda", "1", "--x", "0.1", "--check", "--check-tol", "-1"),
+        ("expand", "--fn", "x", "--lambda", "infi"),
+        ("expand", "--fn", "x", "--lambda", "1", "--x0", "inf"),
+        ("identities", "--tol-override", "log_k2_J60=nan"),
+    ],
+    ids=["growth_period_nan", "nd_x_nan", "eval_x_nan", "check_tol_nan", "check_tol_negative",
+         "lambda_infinite", "x0_infinite", "override_nan"],
+)
+def test_non_finite_or_negative_input_exits_1(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_growth_overflow_exits_2_with_one_line():
+    p = run_cli("growth", "--fn", "exp(x)", "--lambda", "1", "--period", "800", python_flags=STRICT)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("domain error:")
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERERS))
+def test_renderer_refuses_non_finite_value(fmt):
+    for kind, value in (("float", math.nan), ("float", math.inf), ("complex", complex(1, math.nan)),
+                        ("vector", (0.0, math.inf)), ("inf", math.nan)):
+        with pytest.raises(DomainError, match="bound"):
+            RENDERERS[fmt]([Field("bound", value, kind, csv=True)])
+    # only the x_region_halfwidth kind may print inf
+    assert "inf" in RENDERERS[fmt]([Field("halfwidth", math.inf, "inf", csv=True)])
+    for line in (None, lambda n, c: f"c[{n}]"):
+        table = Table((("n", "int"), ("", "complex")), [(0, 1j), (1, complex(math.inf, 0))], line)
+        with pytest.raises(DomainError, match="coeffs"):
+            RENDERERS[fmt]([Field("coeffs", table, "table")])
+
+
+def test_non_finite_output_exits_2_naming_the_field(capsys, monkeypatch):
+    real = cli.radius_estimate
+
+    def nan_radius(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), r_estimate=math.nan)
+
+    monkeypatch.setattr(cli, "radius_estimate", nan_radius)
+    code, out, err = run_main(capsys, "radius", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["domain error: non-finite value in r_estimate"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_numeric_option_value_reads_the_same_in_either_form(v):
+    text = repr(v)
+    base = ("eval", "--fn", "x", "--lambda", "1", "--order", "2", "--grid", "3", "--quad-nodes", "2")
+    for flag, rest in (("--x", ()), ("--x0", ("--x", "0"))):
+        results = []
+        for argv in ((*base, *rest, flag, text), (*base, *rest, f"{flag}={text}")):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(list(argv))
+            results.append((code, out.getvalue(), err.getvalue()))
+        assert results[0] == results[1]
+        assert results[0][1] or results[0][0] != 0
 
 
 DETERMINISM_CASES = [

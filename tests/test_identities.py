@@ -1,6 +1,5 @@
 """Tests for the self-checking identity suite."""
 
-import json
 import math
 import tracemalloc
 
@@ -14,8 +13,6 @@ from exptaylor.identities import (
     cosine_series,
     linear_series,
     log_series,
-    results_to_json,
-    results_to_text,
     run_suite,
     stirling_log2_series,
     suite_names,
@@ -266,27 +263,3 @@ def test_suite_override_forces_failure():
     by_name = {r.name: r for r in results}
     assert not by_name["log(k=2, J=60)"].passed
     assert all(r.passed for r in results if r.name != "log(k=2, J=60)")
-
-
-# ---- serialization ---------------------------------------------------------------------
-
-
-def test_results_to_json_round_trip():
-    results = run_suite(names=["log_k2_J60", "stirling_k2_weighted_J60"])
-    payload = json.loads(results_to_json(results))
-    assert len(payload) == 2
-    for row, r in zip(payload, results):
-        assert row["name"] == r.name
-        assert row["computed"]["re"] == r.computed.real
-        assert row["target"]["re"] == r.target.real
-        assert row["passed"] is True
-    assert payload[1]["variant"] == "signed"
-
-
-def test_results_to_text_format():
-    results = run_suite(names=["log_k2_J60"])
-    text = results_to_text(results)
-    lines = text.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("PASS")
-    assert "log(k=2, J=60)" in lines[0]

@@ -8,7 +8,7 @@ import pytest
 
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import Jet1D, derivative, lift, lift_nd
+from exptaylor.jet import Jet1D, lift, lift_nd
 
 
 def coeffs_of(src, center, order, dims=1):
@@ -160,20 +160,6 @@ def test_low_order_against_finite_differences(src, fn, j):
     got = coeffs_of(src, 0.4, 3)[j]
     want = finite_difference_coeff(fn, 0.4, j)
     assert got == pytest.approx(want, rel=1e-5)
-
-
-def test_derivative_shift_rule():
-    jet = Jet1D(coeffs=np.array([5.0, 3.0, 2.0], dtype=complex), center=0.0)
-    d = derivative(jet)
-    np.testing.assert_allclose(d.coeffs, [3.0, 4.0])
-    assert d.order == 1
-
-    e = lift(parse("exp(x)"), 0.0, 3)
-    np.testing.assert_allclose(derivative(e).coeffs, [1, 1, 0.5], rtol=1e-15)
-
-    const = Jet1D(coeffs=np.array([7.0 + 0j]), center=0.0)
-    with pytest.raises(ValidationError):
-        derivative(const)
 
 
 def test_lift_validates_order():

@@ -12,7 +12,6 @@ from exptaylor.jet import _lift_nd_arrays, lift, lift_nd
 from exptaylor.operators import (
     POINT_CHUNK,
     cascade_values,
-    d_lambda_recursive,
     d_lambda_stirling,
     stage_rows,
     stage_tensor,
@@ -25,8 +24,8 @@ TWO_PI_I = 2j * math.pi
 def stages(src, lam, x0, count, path="recursive"):
     jet = lift(parse(src), x0, count)
     if path == "recursive":
-        return d_lambda_recursive(jet, lam, count).values
-    return d_lambda_stirling(jet, lam, count).values
+        return cascade_values(jet.coeffs, lam, count)
+    return d_lambda_stirling(jet, lam, count)
 
 
 def test_cosine_stage_values():
@@ -61,7 +60,7 @@ def test_square_with_log2_lambda():
     lam = math.log(2.0)
     table = build_table(8)
     jet = lift(parse("x^2"), 0.0, 8)
-    got = d_lambda_stirling(jet, lam, 8).values
+    got = d_lambda_stirling(jet, lam, 8)
     assert got[0] == 0
     assert got[1] == 0  # first derivative of x^2 vanishes at 0
     for j in range(2, 9):
@@ -133,9 +132,9 @@ def test_linearity():
 def test_validation():
     jet = lift(parse("x"), 0.0, 4)
     with pytest.raises(ValidationError):
-        d_lambda_recursive(jet, 0.0, 2)
+        cascade_values(jet.coeffs, 0.0, 2)
     with pytest.raises(ValidationError):
-        d_lambda_recursive(jet, 1.0, 5)  # count beyond jet order
+        cascade_values(jet.coeffs, 1.0, 5)  # count beyond jet order
     with pytest.raises(ValidationError):
         d_lambda_stirling(jet, 1.0, 5)
 

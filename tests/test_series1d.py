@@ -303,6 +303,14 @@ def test_growth_linear_not_periodic():
         assert rep.sup_values[n - 1] == pytest.approx(want, rel=1e-9)
 
 
+def test_growth_overflow_raises_domain_error():
+    # exp(800) overflows on the grid; stage sups must not come back as nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            growth_diagnostic(parse("exp(x)"), 1.0, 800.0)
+
+
 def test_growth_validation():
     ast = parse("x")
     with pytest.raises(ValidationError):

@@ -1,6 +1,5 @@
 """Exact Stirling table vs an independent polynomial-expansion oracle."""
 
-import io
 import math
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from exptaylor.errors import ValidationError
 from exptaylor.stirling import (
     build_ratio_rows,
     build_table,
-    dump_row_csv,
     ratio_rows,
     stage_matrix,
 )
@@ -172,19 +170,6 @@ def test_ratio_rows_validated():
         build_ratio_rows(2, 1)
     with pytest.raises(ValidationError):
         build_ratio_rows(2, 10**6 + 1)
-
-
-def test_csv_round_trip():
-    table = build_table(12)
-    buf = io.StringIO()
-    dump_row_csv(table, 9, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "n,k,s_nk"
-    assert len(lines) == 11
-    for k, line in enumerate(lines[1:]):
-        n_str, k_str, v_str = line.split(",")
-        assert (int(n_str), int(k_str)) == (9, k)
-        assert int(v_str) == table.value(9, k)
 
 
 def test_stage_matrix_diagonal_is_factorial():
