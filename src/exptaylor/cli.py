@@ -115,7 +115,10 @@ def _override(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise ValidationError(f"bad --tol-override {text!r}, expected NAME=VALUE")
-    return name, _float(value)
+    tol = _float(value)
+    if tol < 0:
+        raise ValidationError(f"--tol-override must be >= 0, got {text!r}")
+    return name, tol
 
 
 # ---- subcommand handlers -----------------------------------------------------

@@ -4,15 +4,16 @@ A 1-D jet of order ``K`` about a real center ``x0`` stores the normalized
 coefficients ``c[j] = f^(j)(x0) / j!`` for ``j <= K``.  Arithmetic is the
 usual truncated power-series algebra: products are convolutions, quotients
 solve the convolution, and the elementary functions use their first-order
-ODE recurrences.  All 1-D kernels operate on the last axis of an ndarray,
-so a whole batch of centers (quadrature nodes, grid points) is lifted in
-one pass.
+ODE recurrences.  A whole batch of centers (quadrature nodes, grid points)
+is lifted in one pass.
 
 An n-D jet stores ``c[g] = D^g f(center) / g!`` for multi-indices with
-total degree ``|g| <= K`` in a dict.  Elementary functions of an n-D jet
-``u`` are composed through the 1-D Taylor coefficients of the function at
-the constant term ``u0``, applied by Horner to ``u - u0`` (which has no
-constant term, so degrees only climb).
+total degree ``|g| <= K``.  The same recurrences hold there with
+"coefficient k" read as the homogeneous part of degree k, since the Euler
+operator ``sum_i x_i d/dx_i`` multiplies that part by k (Neidinger, Math.
+Comp. 74, 2005).  So the kernels and the expression walk are written once,
+over a part algebra with two implementations: in 1-D part k is column k of
+an array, in n-D a sparse map from multi-indices of degree k to values.
 
 Orders are capped at 64: coefficients are factorially scaled and double
 precision runs out of headroom not far beyond that.
@@ -20,6 +21,7 @@ precision runs out of headroom not far beyond that.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -56,7 +58,7 @@ class JetND:
         return self.coeffs.get(tuple(gamma), 0j)
 
 
-# ---- 1-D kernels (batched over leading axes) -------------------------------
+# ---- domain checks ---------------------------------------------------------
 
 
 def _check_nonzero(u0: np.ndarray, what: str) -> None:
@@ -70,301 +72,249 @@ def _check_off_cut(u0: np.ndarray, what: str) -> None:
         raise DomainError(f"{what}: argument on the negative real axis at a lift point")
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    L = a.shape[-1]
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (L,)
-    out = np.zeros(shape, dtype=np.complex128)
-    for i in range(L):
-        out[..., i:] += a[..., i : i + 1] * b[..., : L - i]
-    return out
+# ---- jets over parts -------------------------------------------------------
 
 
-def _div(a: np.ndarray, b: np.ndarray, what: str = "division") -> np.ndarray:
-    L = a.shape[-1]
-    b0 = b[..., 0]
-    _check_nonzero(b0, what)
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (L,)
-    out = np.zeros(shape, dtype=np.complex128)
-    out[..., 0] = a[..., 0] / b0
-    for k in range(1, L):
-        acc = a[..., k] - np.sum(out[..., :k] * b[..., k:0:-1], axis=-1)
-        out[..., k] = acc / b0
-    return out
+class _Algebra:
+    """The jet kernels and the expression walk, written once over parts.
 
+    A subclass implements the part algebra: ``const(c0)`` makes a jet with
+    constant term ``c0`` (values over the batch) and ``c0`` reads it back,
+    ``part``/``set`` read and write part k, ``euler`` scales part k by k,
+    ``add``/``neg``/``mul`` are the truncated jet ring, and ``conv(k, a, b,
+    lo, hi) = sum_{j=lo..hi} a_j * b_{k-j}``.  Parts support ``+``, ``-``,
+    ``k * part`` and division by a number or by constant terms.  Each kernel
+    keeps the operation order of its scalar recurrence: 1-D lifts are pinned
+    bit for bit, signed zeros included (``-t / k`` and ``-(t / k)`` differ).
+    """
 
-def _exp(u: np.ndarray) -> np.ndarray:
-    L = u.shape[-1]
-    e = np.empty_like(u, dtype=np.complex128)
-    e[..., 0] = np.exp(u[..., 0])
-    ju = u * np.arange(L)
-    for k in range(1, L):
-        e[..., k] = np.sum(ju[..., 1 : k + 1] * e[..., k - 1 :: -1], axis=-1) / k
-    return e
+    def __init__(self, centers: np.ndarray, order: int):
+        self.centers = centers
+        self.order = order
 
+    def exp(self, u):
+        e = self.const(np.exp(self.c0(u)))
+        ju = self.euler(u)
+        for k in range(1, self.order + 1):
+            self.set(e, k, self.conv(k, ju, e, 1, k) / k)
+        return e
 
-def _log(u: np.ndarray, what: str = "log") -> np.ndarray:
-    L = u.shape[-1]
-    u0 = u[..., 0]
-    _check_off_cut(u0, what)
-    out = np.empty_like(u, dtype=np.complex128)
-    out[..., 0] = np.log(u0)
-    for k in range(1, L):
-        s = np.sum((np.arange(1, k) * out[..., 1:k]) * u[..., k - 1 : 0 : -1], axis=-1)
-        out[..., k] = (u[..., k] - s / k) / u0
-    return out
-
-
-def _sin_cos(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    L = u.shape[-1]
-    s = np.empty_like(u, dtype=np.complex128)
-    c = np.empty_like(u, dtype=np.complex128)
-    s[..., 0] = np.sin(u[..., 0])
-    c[..., 0] = np.cos(u[..., 0])
-    ju = u * np.arange(L)
-    for k in range(1, L):
-        s[..., k] = np.sum(ju[..., 1 : k + 1] * c[..., k - 1 :: -1], axis=-1) / k
-        c[..., k] = -np.sum(ju[..., 1 : k + 1] * s[..., k - 1 :: -1], axis=-1) / k
-    return s, c
-
-
-def _sinh_cosh(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    L = u.shape[-1]
-    s = np.empty_like(u, dtype=np.complex128)
-    c = np.empty_like(u, dtype=np.complex128)
-    s[..., 0] = np.sinh(u[..., 0])
-    c[..., 0] = np.cosh(u[..., 0])
-    ju = u * np.arange(L)
-    for k in range(1, L):
-        s[..., k] = np.sum(ju[..., 1 : k + 1] * c[..., k - 1 :: -1], axis=-1) / k
-        c[..., k] = np.sum(ju[..., 1 : k + 1] * s[..., k - 1 :: -1], axis=-1) / k
-    return s, c
-
-
-def _sqrt(u: np.ndarray) -> np.ndarray:
-    L = u.shape[-1]
-    u0 = u[..., 0]
-    _check_off_cut(u0, "sqrt")
-    out = np.empty_like(u, dtype=np.complex128)
-    r0 = np.sqrt(u0)
-    out[..., 0] = r0
-    for k in range(1, L):
-        s = np.sum(out[..., 1:k] * out[..., k - 1 : 0 : -1], axis=-1)
-        out[..., k] = (u[..., k] - s) / (2 * r0)
-    return out
-
-
-def _apply_call_1d(func: str, u: np.ndarray) -> np.ndarray:
-    if func == "exp":
-        return _exp(u)
-    if func == "log":
-        return _log(u)
-    if func == "sqrt":
-        return _sqrt(u)
-    if func == "sin":
-        return _sin_cos(u)[0]
-    if func == "cos":
-        return _sin_cos(u)[1]
-    if func == "tan":
-        s, c = _sin_cos(u)
-        return _div(s, c, what="tan")
-    if func == "sinh":
-        return _sinh_cosh(u)[0]
-    if func == "cosh":
-        return _sinh_cosh(u)[1]
-    raise ValidationError(f"unsupported function {func!r}")
-
-
-def _ipow(u: np.ndarray, n: int, what: str = "power") -> np.ndarray:
-    if n == 0:
-        # 0^0 is rejected, matching scalar evaluation
-        _check_nonzero(u[..., 0], what)
-        out = np.zeros_like(u, dtype=np.complex128)
-        out[..., 0] = 1.0
+    def log(self, u, what: str = "log"):
+        u0 = self.c0(u)
+        _check_off_cut(u0, what)
+        out = self.const(np.log(u0))
+        jl = self.const(0)  # euler(out), filled in as out grows
+        for k in range(1, self.order + 1):
+            s = self.conv(k, jl, u, 1, k - 1)
+            self.set(out, k, (self.part(u, k) - s / k) / u0)
+            self.set(jl, k, k * self.part(out, k))
         return out
-    if n < 0:
-        one = np.zeros_like(u, dtype=np.complex128)
-        one[..., 0] = 1.0
-        return _div(one, _ipow(u, -n), what=what)
-    acc = None
-    base = u
-    m = n
-    while m:
-        if m & 1:
-            acc = base if acc is None else _mul(acc, base)
-        m >>= 1
-        if m:
-            base = _mul(base, base)
-    return acc
+
+    def sqrt(self, u):
+        u0 = self.c0(u)
+        _check_off_cut(u0, "sqrt")
+        r0 = np.sqrt(u0)
+        out = self.const(r0)
+        for k in range(1, self.order + 1):
+            self.set(out, k, (self.part(u, k) - self.conv(k, out, out, 1, k - 1)) / (2 * r0))
+        return out
+
+    def trig(self, u, func: str):
+        """``sin``, ``cos``, ``tan``, ``sinh`` or ``cosh`` of ``u``: one recurrence up to a sign."""
+        hyperbolic = func.endswith("h")
+        u0 = self.c0(u)
+        s = self.const(np.sinh(u0) if hyperbolic else np.sin(u0))
+        c = self.const(np.cosh(u0) if hyperbolic else np.cos(u0))
+        ju = self.euler(u)
+        for k in range(1, self.order + 1):
+            self.set(s, k, self.conv(k, ju, c, 1, k) / k)
+            t = self.conv(k, ju, s, 1, k)
+            self.set(c, k, (t if hyperbolic else -t) / k)
+        if func == "tan":
+            return self.div(s, c, what="tan")
+        return c if func.startswith("cos") else s
+
+    def div(self, a, b, what: str = "division"):
+        b0 = self.c0(b)
+        _check_nonzero(b0, what)
+        out = self.const(self.c0(a) / b0)
+        for k in range(1, self.order + 1):
+            self.set(out, k, (self.part(a, k) - self.conv(k, out, b, 0, k - 1)) / b0)
+        return out
+
+    def ipow(self, u, n: int, what: str = "power"):
+        if n == 0:
+            # 0^0 is rejected, matching scalar evaluation
+            _check_nonzero(self.c0(u), what)
+            return self.const(1.0)
+        if n < 0:
+            return self.div(self.const(1.0), self.ipow(u, -n), what=what)
+        acc = None
+        while n:
+            if n & 1:
+                acc = u if acc is None else self.mul(acc, u)
+            n >>= 1
+            if n:
+                u = self.mul(u, u)
+        return acc
+
+    def walk(self, node: Node):
+        """Jet of the subexpression ``node``."""
+        if isinstance(node, (Const, NamedConst)):
+            return self.const(node.value)
+        if isinstance(node, Var):
+            return self.var(node.index)
+        if isinstance(node, Neg):
+            return self.neg(self.walk(node.operand))
+        if isinstance(node, Call):
+            u = self.walk(node.arg)
+            if node.func in ("exp", "log", "sqrt"):
+                return getattr(self, node.func)(u)
+            if node.func in ("sin", "cos", "tan", "sinh", "cosh"):
+                return self.trig(u, node.func)
+            raise ValidationError(f"unsupported function {node.func!r}")
+        if isinstance(node, BinOp):
+            if node.op == "^":
+                n = int_exponent(node.right)
+                base = self.walk(node.left)
+                if n is not None:
+                    return self.ipow(base, n)
+                return self.exp(self.mul(self.walk(node.right), self.log(base, what="power base")))
+            a = self.walk(node.left)
+            b = self.walk(node.right)
+            if node.op == "+":
+                return self.add(a, b)
+            if node.op == "-":
+                return self.add(a, self.neg(b))
+            if node.op == "*":
+                return self.mul(a, b)
+            return self.div(a, b)
+        raise TypeError(f"not an AST node: {node!r}")
+
+
+class _Dense(_Algebra):
+    """1-D jets: part k is column k of a ``centers.shape + (K+1,)`` array."""
+
+    add = staticmethod(np.add)
+    neg = staticmethod(np.negative)
+
+    def const(self, c0) -> np.ndarray:
+        out = np.zeros(self.centers.shape + (self.order + 1,), dtype=np.complex128)
+        out[..., 0] = c0
+        return out
+
+    def var(self, index: int) -> np.ndarray:
+        out = self.const(self.centers)
+        out[..., 1:2] = 1.0  # no slope part at order 0
+        return out
+
+    def c0(self, u: np.ndarray) -> np.ndarray:
+        return u[..., 0]
+
+    def part(self, u: np.ndarray, k: int) -> np.ndarray:
+        return u[..., k]
+
+    def set(self, u: np.ndarray, k: int, v: np.ndarray) -> None:
+        u[..., k] = v
+
+    def euler(self, u: np.ndarray) -> np.ndarray:
+        return u * np.arange(self.order + 1)
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(a)
+        for i in range(self.order + 1):
+            out[..., i:] += a[..., i : i + 1] * b[..., : self.order + 1 - i]
+        return out
+
+    def conv(self, k: int, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        stop = k - hi - 1 if hi < k else None
+        return np.sum(a[..., lo : hi + 1] * b[..., k - lo : stop : -1], axis=-1)
+
+
+class _Part(dict):
+    """Part k of an n-D jet: each stored multi-index of degree k to its values."""
+
+    def __add__(self, other: _Part) -> _Part:
+        out = _Part(self)
+        for g, v in other.items():
+            cur = out.get(g)
+            out[g] = v if cur is None else cur + v
+        return out
+
+    def __neg__(self) -> _Part:
+        return _Part({g: -v for g, v in self.items()})
+
+    def __sub__(self, other: _Part) -> _Part:
+        return self + -other
+
+    def __truediv__(self, s) -> _Part:
+        return _Part({g: v / s for g, v in self.items()})
+
+    def __rmul__(self, s) -> _Part:
+        return _Part({g: s * v for g, v in self.items()})
+
+
+class _Sparse(_Algebra):
+    """n-D jets: a list of K+1 parts over centers of shape ``(P, n)``."""
+
+    def const(self, c0) -> list[_Part]:
+        zero = (0,) * self.centers.shape[1]
+        first = _Part({zero: np.full(len(self.centers), c0, dtype=np.complex128)})
+        return [first] + [_Part() for _ in range(self.order)]
+
+    def var(self, index: int) -> list[_Part]:
+        out = self.const(self.centers[:, index])
+        if self.order >= 1:
+            unit = tuple(int(i == index) for i in range(self.centers.shape[1]))
+            out[1] = _Part({unit: np.ones(len(self.centers), dtype=np.complex128)})
+        return out
+
+    def c0(self, u: list[_Part]) -> np.ndarray:
+        (values,) = u[0].values()  # part 0 holds only the zero multi-index
+        return values
+
+    def part(self, u: list[_Part], k: int) -> _Part:
+        return u[k]
+
+    def set(self, u: list[_Part], k: int, v: _Part) -> None:
+        u[k] = v
+
+    def add(self, a: list[_Part], b: list[_Part]) -> list[_Part]:
+        return [x + y for x, y in zip(a, b)]
+
+    def neg(self, a: list[_Part]) -> list[_Part]:
+        return [-x for x in a]
+
+    def euler(self, u: list[_Part]) -> list[_Part]:
+        return [k * p for k, p in enumerate(u)]
+
+    def mul(self, a: list[_Part], b: list[_Part]) -> list[_Part]:
+        return [self.conv(k, a, b, 0, k) for k in range(self.order + 1)]
+
+    def conv(self, k: int, a: list[_Part], b: list[_Part], lo: int, hi: int) -> _Part:
+        out = _Part()
+        for j in range(lo, hi + 1):
+            for ga, va in a[j].items():
+                for gb, vb in b[k - j].items():
+                    g = tuple(map(operator.add, ga, gb))
+                    cur = out.get(g)
+                    out[g] = va * vb if cur is None else cur + va * vb
+        return out
 
 
 def _lift_1d_array(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
     """Lift at every real center in ``centers``; returns shape ``centers.shape + (order+1,)``."""
-    L = order + 1
-    shape = centers.shape + (L,)
-
-    def rec(node: Node) -> np.ndarray:
-        if isinstance(node, (Const, NamedConst)):
-            out = np.zeros(shape, dtype=np.complex128)
-            out[..., 0] = node.value
-            return out
-        if isinstance(node, Var):
-            out = np.zeros(shape, dtype=np.complex128)
-            out[..., 0] = centers
-            if order >= 1:
-                out[..., 1] = 1.0
-            return out
-        if isinstance(node, Neg):
-            return -rec(node.operand)
-        if isinstance(node, Call):
-            return _apply_call_1d(node.func, rec(node.arg))
-        if isinstance(node, BinOp):
-            if node.op == "^":
-                n = int_exponent(node.right)
-                base = rec(node.left)
-                if n is not None:
-                    return _ipow(base, n)
-                return _exp(_mul(rec(node.right), _log(base, what="power base")))
-            a = rec(node.left)
-            b = rec(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return _mul(a, b)
-            return _div(a, b)
-        raise TypeError(f"not an AST node: {node!r}")
-
-    return rec(ast.root)
-
-
-# ---- n-D jets --------------------------------------------------------------
-# internal form: dict mapping multi-index tuple -> ndarray over the batch of
-# centers; the constant-term key is (0,)*n and absent keys are zero.
-
-
-def _nd_mul(a: dict, b: dict, order: int) -> dict:
-    bi = [(k, sum(k), v) for k, v in b.items()]
-    out: dict = {}
-    for ka, va in a.items():
-        da = sum(ka)
-        for kb, db, vb in bi:
-            if da + db > order:
-                continue
-            key = tuple(x + y for x, y in zip(ka, kb))
-            cur = out.get(key)
-            prod = va * vb
-            out[key] = prod if cur is None else cur + prod
-    return out
-
-
-def _nd_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        cur = out.get(k)
-        out[k] = v if cur is None else cur + v
-    return out
-
-
-def _nd_neg(a: dict) -> dict:
-    return {k: -v for k, v in a.items()}
-
-
-def _nd_compose(gc: np.ndarray, w: dict, order: int, zero: tuple[int, ...]) -> dict:
-    """Horner evaluation of ``sum_j gc[..., j] * w^j`` with ``w`` lacking a constant term."""
-    K = gc.shape[-1] - 1
-    acc: dict = {zero: gc[..., K]}
-    for j in range(K - 1, -1, -1):
-        acc = _nd_mul(acc, w, order)
-        cur = acc.get(zero)
-        acc[zero] = gc[..., j] if cur is None else cur + gc[..., j]
-    return acc
-
-
-def _var_jet_1d(u0: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(u0.shape + (order + 1,), dtype=np.complex128)
-    out[..., 0] = u0
-    if order >= 1:
-        out[..., 1] = 1.0
-    return out
-
-
-def _nd_apply_call(func: str, u: dict, order: int, zero: tuple[int, ...]) -> dict:
-    u0 = np.asarray(u.get(zero, 0j))
-    gc = _apply_call_1d(func, _var_jet_1d(u0, order))
-    w = {k: v for k, v in u.items() if k != zero}
-    return _nd_compose(gc, w, order, zero)
-
-
-def _nd_recip(u: dict, order: int, zero: tuple[int, ...], what: str) -> dict:
-    u0 = np.asarray(u.get(zero, 0j))
-    one = np.zeros(u0.shape + (order + 1,), dtype=np.complex128)
-    one[..., 0] = 1.0
-    gc = _div(one, _var_jet_1d(u0, order), what=what)
-    w = {k: v for k, v in u.items() if k != zero}
-    return _nd_compose(gc, w, order, zero)
-
-
-def _nd_ipow(u: dict, n: int, order: int, zero: tuple[int, ...]) -> dict:
-    if n == 0:
-        ref = np.asarray(u[zero])
-        _check_nonzero(ref, "power")
-        return {zero: np.ones(ref.shape, dtype=np.complex128)}
-    if n < 0:
-        return _nd_recip(_nd_ipow(u, -n, order, zero), order, zero, what="power")
-    acc = None
-    base = u
-    m = n
-    while m:
-        if m & 1:
-            acc = base if acc is None else _nd_mul(acc, base, order)
-        m >>= 1
-        if m:
-            base = _nd_mul(base, base, order)
-    return acc
+    return _Dense(centers, order).walk(ast.root)
 
 
 def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> dict:
-    """Lift at a batch of centers, shape (P, n); values in the dict have shape (P,)."""
-    n = ast.dims
-    zero = (0,) * n
-    P = centers.shape[0]
+    """Lift at a batch of centers, shape (P, n); values in the dict have shape (P,).
 
-    def unit(axis: int) -> tuple[int, ...]:
-        return tuple(1 if i == axis else 0 for i in range(n))
-
-    def rec(node: Node) -> dict:
-        if isinstance(node, (Const, NamedConst)):
-            return {zero: np.full(P, node.value, dtype=np.complex128)}
-        if isinstance(node, Var):
-            out = {zero: centers[:, node.index].astype(np.complex128)}
-            if order >= 1:
-                out[unit(node.index)] = np.ones(P, dtype=np.complex128)
-            return out
-        if isinstance(node, Neg):
-            return _nd_neg(rec(node.operand))
-        if isinstance(node, Call):
-            return _nd_apply_call(node.func, rec(node.arg), order, zero)
-        if isinstance(node, BinOp):
-            if node.op == "^":
-                k = int_exponent(node.right)
-                base = rec(node.left)
-                if k is not None:
-                    return _nd_ipow(base, k, order, zero)
-                logu = _nd_apply_call("log", base, order, zero)
-                return _nd_apply_call("exp", _nd_mul(rec(node.right), logu, order), order, zero)
-            a = rec(node.left)
-            b = rec(node.right)
-            if node.op == "+":
-                return _nd_add(a, b)
-            if node.op == "-":
-                return _nd_add(a, _nd_neg(b))
-            if node.op == "*":
-                return _nd_mul(a, b, order)
-            return _nd_mul(a, _nd_recip(b, order, zero, what="division"), order)
-        raise TypeError(f"not an AST node: {node!r}")
-
-    return rec(ast.root)
+    Keys are the multi-indices some term of the expression reaches; an
+    absent key is zero.
+    """
+    parts = _Sparse(centers, order).walk(ast.root)
+    return {g: v for part in parts for g, v in part.items()}
 
 
 # ---- public surface --------------------------------------------------------

@@ -1,0 +1,40 @@
+"""The benchmark tracer's hooks still name functions of the program.
+
+``bench/tracer.py`` wraps functions by name and reports a hook whose name
+or arguments changed as absent, then runs on without it.  These tests read
+its hook table, so such a loss fails here instead of thinning the
+benchmark's per-layer counts.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+from exptaylor import jet
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+# deleted with the n-D big-integer stage sums (now operators.stage_tensor/stage_rows)
+ALREADY_ABSENT = {"operators.d_lambda_nd", "operators.nd_stage_value"}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_names_a_function():
+    tracer = load_tracer()
+    for key in (*tracer.HOOKS, *tracer.SAMPLING):
+        if key in ALREADY_ABSENT:
+            continue
+        home, name = key.split(".")
+        module = importlib.import_module(f"exptaylor.{home}")
+        assert inspect.isfunction(getattr(module, name, None)), key
+
+
+def test_lift_hooks_read_ast_centers_order():
+    for fn in (jet._lift_1d_array, jet._lift_nd_arrays):
+        assert list(inspect.signature(fn).parameters)[:3] == ["ast", "centers", "order"]

@@ -554,15 +554,17 @@ def test_unwritable_out_path_exits_1_with_one_line(capsys, tmp_path):
         ("expand", "--fn", "x", "--lambda", "infi"),
         ("expand", "--fn", "x", "--lambda", "1", "--x0", "inf"),
         ("identities", "--tol-override", "log_k2_J60=nan"),
+        ("identities", "--suite", "log_k2_J60", "--tol-override", "log_k2_J60=-1"),
     ],
     ids=["growth_period_nan", "nd_x_nan", "eval_x_nan", "check_tol_nan", "check_tol_negative",
-         "lambda_infinite", "x0_infinite", "override_nan"],
+         "lambda_infinite", "x0_infinite", "override_nan", "override_negative"],
 )
 def test_non_finite_or_negative_input_exits_1(capsys, argv):
     code, out, err = run_main(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
 
 
 def test_growth_overflow_exits_2_with_one_line():

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from exptaylor import cli
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
@@ -27,3 +29,15 @@ def test_readme_example_output_is_pinned(case):
     assert p.returncode == case["exit"]
     assert p.stderr == b""
     assert p.stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()
+
+
+def test_readme_examples_repeat_in_one_process(capsys):
+    # every case twice through one process's cli.main: state that one call
+    # leaves behind (the cached Stirling and quadrature tables) must not
+    # change what a later call prints
+    for _ in range(2):
+        for case in CASES:
+            code = cli.main(case["argv"])
+            out, _err = capsys.readouterr()
+            assert code == case["exit"], case["name"]
+            assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.stdout").read_bytes(), case["name"]

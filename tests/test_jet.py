@@ -1,14 +1,17 @@
 """Jet lifts vs closed-form Taylor coefficients and finite differences."""
 
 import math
+import re
 from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import Jet1D, lift, lift_nd
+from exptaylor.jet import Jet1D, _lift_1d_array, lift, lift_nd
 
 
 def coeffs_of(src, center, order, dims=1):
@@ -229,3 +232,59 @@ def test_scalar_lift_dispatches_to_1d():
     assert isinstance(jet, Jet1D)
     nd = lift(parse("x1+x2", 2), (0.0, 0.0), 2)
     assert nd.dims == 2
+
+
+def along(jet, d):
+    """Coefficients of ``t -> f(center + t*d)``: ``sum over |g| = k of c_g d^g``."""
+    out = np.zeros(jet.order + 1, dtype=np.complex128)
+    for g, c in jet.coeffs.items():
+        out[sum(g)] += c * math.prod(di**gi for di, gi in zip(d, g))
+    return out
+
+
+def test_nd_jet_against_mpmath_along_directions():
+    mpmath = pytest.importorskip("mpmath")
+    c = (0.05, 0.07)
+    jet = lift_nd(parse("sqrt(3+x1*x2)*log(2+x2)^2.5/tan(1+x1)", 2), c, 12)
+    with mpmath.workdps(40):
+        for i in range(6):
+            d = (math.cos(i * math.pi / 6), math.sin(i * math.pi / 6))
+
+            def f(t):
+                x1, x2 = c[0] + t * d[0], c[1] + t * d[1]
+                return mpmath.sqrt(3 + x1 * x2) * mpmath.log(2 + x2) ** 2.5 / mpmath.tan(1 + x1)
+
+            want = np.array([complex(v) for v in mpmath.taylor(f, 0, 12)])
+            err = np.abs(along(jet, d) - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), (d, err)
+
+
+# every grammar function, integer and real powers, and division, in 2-4 variables
+LINE_EXPRS = [
+    ("exp(x1*x2) + sin(x1 - x2)", 2),
+    ("log(2 + x1 + x2) * cos(x1 + x2) / (1 + x1^2)", 2),
+    ("sqrt(3 + x1*x2) - tan(x1 - x2)", 2),
+    ("sinh(x1 + x2) * cosh(x1 - x2) + (1 + x1 + x2)^2.5", 2),
+    ("(x1 + x2 + 1)^-3 - x1^0 * x2^3 + e*pi", 2),
+    ("exp(x1) * log(1 + x2*x3) - cos(x3)^2 / (2 + x1)", 3),
+    ("sqrt(1 + x1^2 + x2^2 + x3^2) * tan(x1*x2 - x3)", 3),
+    ("sinh(x1 + x2 - x3) / cosh(x4) - x4^3 * x1", 4),
+    ("(2 + x1*x2 + x3*x4)^(1/3) - exp(-x4) * sin(x1)", 4),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_nd_jet_agrees_with_1d_jet_along_a_line(data):
+    src, n = data.draw(st.sampled_from(LINE_EXPRS))
+    c = data.draw(st.lists(st.floats(0.05, 0.3), min_size=n, max_size=n))
+    raw = data.draw(
+        st.lists(st.floats(-1, 1), min_size=n, max_size=n).filter(lambda v: math.hypot(*v) > 0.1)
+    )
+    d = [v / math.hypot(*raw) for v in raw]
+    order = data.draw(st.integers(2, 12))
+    # the 1-D jet of f(c + x*d) at x = 0; the goldens pin the 1-D kernels
+    line = re.sub(r"x(\d)", lambda m: f"({c[int(m[1]) - 1]!r}+({d[int(m[1]) - 1]!r})*x)", src)
+    want = _lift_1d_array(parse(line), np.array([0.0]), order)[0]
+    got = along(lift_nd(parse(src, n), c, order), d)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
