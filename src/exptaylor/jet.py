@@ -245,7 +245,12 @@ class _Part(dict):
         return _Part({g: -v for g, v in self.items()})
 
     def __sub__(self, other: _Part) -> _Part:
-        return self + -other
+        # x - y is x + (-y) bit for bit, signed zeros included, in one pass
+        out = _Part(self)
+        for g, v in other.items():
+            cur = out.get(g)
+            out[g] = -v if cur is None else cur - v
+        return out
 
     def __truediv__(self, s) -> _Part:
         return _Part({g: v / s for g, v in self.items()})

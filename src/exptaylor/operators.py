@@ -20,15 +20,13 @@ same matrix applied along each axis.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .jet import Jet1D, JetND
 from .stirling import stage_matrix
-
-POINT_CHUNK = 1024  # sample points per matrix product in stage_rows
 
 
 def _check_lam(lam: complex) -> complex:
@@ -116,16 +114,17 @@ def stage_tensor(jet: JetND, lam: complex, order: int) -> np.ndarray:
     return out
 
 
-def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) -> Iterator[np.ndarray]:
+def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) -> np.ndarray:
     """Cascade values for the multi-indices ``gammas`` over a batch of points.
 
     ``arrays`` maps multi-indices to normalized jet coefficients, each of
     shape ``(P,)``, as the batched n-D lift returns them; it must hold every
-    ``m`` with ``|m| <= max |g|`` that is nonzero.  The row weights
-    ``W[g, m] = prod_i S[g_i, m_i]`` are built once; then, for each chunk of
-    at most ``POINT_CHUNK`` points, the stored coefficients are scaled by
-    ``lam^(-|m|)`` and ``W @ values`` is yielded, an array of shape
-    ``(len(gammas), chunk)`` whose row ``r`` holds stage ``gammas[r]``.
+    ``m`` with ``|m| <= max |g|`` that is nonzero.  The stored coefficients
+    are scaled by ``lam^(-|m|)`` and multiplied by the row weights
+    ``W[g, m] = prod_i S[g_i, m_i]``: the result has shape
+    ``(len(gammas), P)`` and its row ``r`` holds stage ``gammas[r]``.  The
+    caller bounds ``P`` (``seriesnd.POINT_CHUNK``), since the scaled copy
+    holds every stored coefficient of every point.
     """
     lam = _check_lam(lam)
     top = max(sum(g) for g in gammas)
@@ -137,11 +136,8 @@ def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) ->
     for axis in range(G.shape[1]):
         W *= S[G[:, axis, None], M[None, :, axis]]
     scale = _inverse_powers(lam, top)[M.sum(axis=1)]
-    points = len(arrays[keys[0]]) if keys else 0
-    for lo in range(0, points, POINT_CHUNK):
-        hi = min(lo + POINT_CHUNK, points)
-        values = np.empty((len(keys), hi - lo), dtype=np.complex128)
-        for r, m in enumerate(keys):
-            values[r] = arrays[m][lo:hi] * scale[r]
-        # a real matrix times complex columns: one real product on the interleaved parts
-        yield (W @ values.view(np.float64)).view(np.complex128)
+    values = np.empty((len(keys), len(arrays[keys[0]])), dtype=np.complex128)
+    for r, m in enumerate(keys):
+        values[r] = arrays[m] * scale[r]
+    # a real matrix times complex columns: one real product on the interleaved parts
+    return (W @ values.view(np.float64)).view(np.complex128)

@@ -33,6 +33,9 @@ from .series1d import epsilon_sup
 
 MAX_ND_ORDER = 16
 MAX_ND_DIMS = 4
+# sample points per lift and stage product: memory is O(keys * chunk), not
+# O(keys * points); 1024 keeps the BLAS column split that printed bounds pin
+POINT_CHUNK = 1024
 
 
 # ---- multi-indices ---------------------------------------------------------
@@ -223,11 +226,17 @@ def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> c
 # ---- remainder bound and convergence ---------------------------------------
 
 
-def _stage_sups(arrays: dict, gammas: list[tuple[int, ...]], lam: complex) -> np.ndarray:
-    """Sampled ``sup |stage_g|`` over the batch of points in ``arrays``, per ``g`` in ``gammas``."""
-    sups = np.zeros(len(gammas))
-    for block in stage_rows(arrays, gammas, lam):
-        sups = np.maximum(sups, np.max(np.abs(block), axis=1))
+def _stage_sups(ast: ExprAst, points: np.ndarray, order: int, groups: list[list], lam: complex) -> list[np.ndarray]:
+    """Sampled ``sup |stage_g|`` over ``points`` for every ``g`` of each list in ``groups``.
+
+    The points are lifted to ``order`` and staged one ``POINT_CHUNK`` at a
+    time, with a running maximum per multi-index.
+    """
+    sups = [np.zeros(len(gammas)) for gammas in groups]
+    for lo in range(0, len(points), POINT_CHUNK):
+        arrays = _lift_nd_arrays(ast, points[lo : lo + POINT_CHUNK], order)
+        for i, gammas in enumerate(groups):
+            sups[i] = np.maximum(sups[i], np.max(np.abs(stage_rows(arrays, gammas, lam)), axis=1))
     return sups
 
 
@@ -245,8 +254,10 @@ def remainder_bound_nd(
 
     The stage suprema are sampled over the closed box spanned by ``center``
     and ``x``: a full ``grid``-per-axis tensor grid for up to three axes,
-    ``10 * grid`` seeded uniform points (corners pinned) beyond that.
-    Returns zero when ``x == center`` or the expression is flat there.
+    ``10 * grid`` seeded uniform points (corners pinned) beyond that.  The
+    sample points are lifted and staged ``POINT_CHUNK`` at a time, so the
+    memory held is bounded by the chunk, not by ``grid``.  Returns zero when
+    ``x == center`` or the expression is flat there.
     """
     lam = _check_nd_args(ast, n, lam)
     _check_nd_order(order)
@@ -256,11 +267,10 @@ def remainder_bound_nd(
         raise ValidationError(f"center and x must have length {n}")
     h = max(abs(a - b) for a, b in zip(xv, c))
     box = BoxDomain.from_points(c, xv)
-    points = _sample_points(box, grid, seed)
-    arrays = _lift_nd_arrays(ast, points, order)
     gammas = multi_indices_of_degree(n, order)
+    (sups,) = _stage_sups(ast, _sample_points(box, grid, seed), order, [gammas], lam)
     total = 0.0
-    for g, sup in zip(gammas, _stage_sups(arrays, gammas, lam)):
+    for g, sup in zip(gammas, sups):
         total += order / multi_index_factorial(g) * float(sup)
     eps = epsilon_sup(lam, h)
     return abs(lam) * total * eps ** (order - 1) * h
@@ -340,12 +350,10 @@ def convergence_check_nd(
         raise ValidationError(f"a_bound must be positive, got {a_bound!r}")
     c = tuple(float(v) for v in center)
     box = BoxDomain.centered(c, float(v_halfwidth))
-    points = _sample_points(box, grid, seed)
-    arrays = _lift_nd_arrays(ast, points, n_max)
+    groups = [multi_indices_of_degree(n, degree) for degree in range(n_max + 1)]
     worst = 0.0
-    for degree in range(n_max + 1):
-        gammas = multi_indices_of_degree(n, degree)
-        for g, sup in zip(gammas, _stage_sups(arrays, gammas, lam)):
+    for gammas, sups in zip(groups, _stage_sups(ast, _sample_points(box, grid, seed), n_max, groups, lam)):
+        for g, sup in zip(gammas, sups):
             worst = max(worst, float(sup) / (a_bound * multi_index_factorial(g)))
     delta = _delta_for_alpha(lam, alpha)
     ns = np.arange(1, n_max + 1, dtype=np.float64)

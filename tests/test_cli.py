@@ -211,6 +211,18 @@ def test_overflow_exits_2_with_one_line(argv):
     assert lines[0].startswith("domain error:")
 
 
+def test_nd_zero_divisor_past_the_first_chunk_exits_2():
+    # the divisor vanishes at x1 grid index 1 of the bound's 33^3 sample
+    # grid, points 1,089-2,177, so only a later chunk of the lift meets it
+    p = run_cli(
+        "nd", "--fn", "1/(x1-0.001953125)", "--dims", "3", "--lambda", "1", "--x", "0.0625,0.0625,0.0625",
+        python_flags=STRICT,
+    )
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr == "domain error: division: argument is zero at a lift point\n"
+
+
 @pytest.mark.parametrize(
     "case", json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8")), ids=lambda c: c["name"]
 )

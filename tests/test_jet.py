@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import Jet1D, _lift_1d_array, lift, lift_nd
+from exptaylor.jet import Jet1D, _lift_1d_array, _Part, lift, lift_nd
 
 
 def coeffs_of(src, center, order, dims=1):
@@ -198,6 +198,19 @@ def test_nd_zero_power():
     jet = lift_nd(parse("(1+x1)^0 + x2", 2), (0.0, 0.0), 4)
     assert jet.coeff((0, 0)) == pytest.approx(1.0)
     assert jet.coeff((0, 1)) == pytest.approx(1.0)
+
+
+def test_part_subtraction_is_addition_of_the_negation():
+    # the fused a - b must keep the bits of a + -b, signed zeros included
+    vals = np.array([complex(re, im) for re in (0.0, -0.0, 1.5) for im in (0.0, -0.0, -2.0)])
+    x, y = np.repeat(vals, len(vals)), np.tile(vals, len(vals))  # every pair of values
+    a = _Part({(1, 0): x, (0, 1): y})
+    b = _Part({(1, 0): y, (2, 0): x})
+    for x, y in ((a, b), (b, a), (a, a), (_Part(), b)):
+        fused, negated = x - y, x + -y
+        assert fused.keys() == negated.keys()
+        for g in fused:
+            assert np.array_equal(fused[g].view(np.uint64), negated[g].view(np.uint64)), g
 
 
 def test_nd_jet_separable_product():

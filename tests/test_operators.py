@@ -8,14 +8,10 @@ import pytest
 
 from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import _lift_nd_arrays, lift, lift_nd
-from exptaylor.operators import (
-    POINT_CHUNK,
-    cascade_values,
-    d_lambda_stirling,
-    stage_rows,
-    stage_tensor,
-)
+from exptaylor import seriesnd
+from exptaylor.jet import lift, lift_nd
+from exptaylor.operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor
+from exptaylor.seriesnd import POINT_CHUNK
 from exptaylor.stirling import build_table
 
 TWO_PI_I = 2j * math.pi
@@ -183,22 +179,31 @@ def test_stage_rows_match_stage_tensor():
     field = stage_tensor(jet, 1 + 1j, 5)
     gammas = [(0, 0), (2, 1), (1, 3), (4, 0)]
     arrays = {m: np.array([c]) for m, c in jet.coeffs.items()}
-    (block,) = stage_rows(arrays, gammas, 1 + 1j)
+    block = stage_rows(arrays, gammas, 1 + 1j)
     for g, direct in zip(gammas, block[:, 0]):
         assert direct == pytest.approx(field[g], rel=1e-13)
 
 
-def test_stage_rows_chunks_cover_every_point():
+def test_stage_rows_chunks_cover_every_point(monkeypatch):
+    # the sampled sups lift and stage one chunk of points at a time
+    blocks = []
+
+    def recording_stage_rows(arrays, gammas, lam):
+        blocks.append(stage_rows(arrays, gammas, lam))
+        return blocks[-1]
+
+    monkeypatch.setattr(seriesnd, "stage_rows", recording_stage_rows)
     ast = parse("1/(3+x1-x2)", 2)
     centers = np.stack([np.linspace(-0.5, 0.5, POINT_CHUNK + 3), np.linspace(0.4, -0.4, POINT_CHUNK + 3)], axis=1)
     gammas = [(3, 0), (2, 1), (1, 2), (0, 3)]
-    blocks = list(stage_rows(_lift_nd_arrays(ast, centers, 3), gammas, TWO_PI_I))
+    (sups,) = seriesnd._stage_sups(ast, centers, 3, [gammas], TWO_PI_I)
     assert [b.shape for b in blocks] == [(4, POINT_CHUNK), (4, 3)]
     rows = np.concatenate(blocks, axis=1)
     for p in (0, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 2):
         field = stage_tensor(lift_nd(ast, centers[p], 3), TWO_PI_I, 4)
         for g, got in zip(gammas, rows[:, p]):
             assert got == pytest.approx(field[g], rel=1e-13)
+    assert np.array_equal(sups, np.max(np.abs(rows), axis=1))
 
 
 def test_nd_requires_enough_jet_order():

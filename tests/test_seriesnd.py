@@ -1,14 +1,19 @@
 """Tests for multivariate expansions, bounds, and the envelope check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from exptaylor import seriesnd
 from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
+from exptaylor.jet import _lift_nd_arrays
+from exptaylor.operators import stage_rows
 from exptaylor.series1d import eval_series, expand_1d, remainder_bound
 from exptaylor.seriesnd import (
+    POINT_CHUNK,
     BoxDomain,
     convergence_check_nd,
     eval_nd,
@@ -239,6 +244,75 @@ def test_bound_four_dims_random_sampling():
     measured = abs(eval_nd(e, x) - true)
     bound = remainder_bound_nd(ast, 4, LAM, (0.0,) * 4, x, 3, grid=9, seed=1)
     assert measured <= 1.02 * bound
+
+
+def whole_batch_stage_sups(ast, points, order, groups, lam):
+    """The sampled sups as one lift of every point, staged 1024 points at a time."""
+    arrays = _lift_nd_arrays(ast, points, order)
+    sups = [np.zeros(len(gammas)) for gammas in groups]
+    for lo in range(0, len(points), 1024):
+        chunk = {m: v[lo : lo + 1024] for m, v in arrays.items()}
+        for i, gammas in enumerate(groups):
+            sups[i] = np.maximum(sups[i], np.max(np.abs(stage_rows(chunk, gammas, lam)), axis=1))
+    return sups
+
+
+def whole_batch(monkeypatch, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the sampled sups taken from one whole-batch lift."""
+    calls = []
+
+    def reference(*a):
+        calls.append(len(a[1]))
+        return whole_batch_stage_sups(*a)
+
+    with monkeypatch.context() as m:
+        m.setattr(seriesnd, "_stage_sups", reference)
+        out = fn(*args, **kwargs)
+    assert calls and calls[0] > POINT_CHUNK  # the reference ran, over more than one chunk
+    return out
+
+
+@pytest.mark.parametrize(
+    "src, n, grid, lam",
+    [
+        ("exp(x1)/(3+x1-x2) + sin(x1*x2)", 2, 33, LAM),  # 1,089 grid points
+        ("exp(x1*x2) + x3^2 + 1/(4+x1+x2+x3)", 3, 13, 1.0),  # 2,197 grid points
+        ("exp(x1*x2) + x3^2*x4 + 1/(4+x1+x2+x3+x4)", 4, 103, 0.5 - 2j),  # 1,030 random points
+    ],
+    ids=["2d_grid33", "3d_grid13", "4d_random1030"],
+)
+def test_streamed_bound_equals_whole_batch_bound(monkeypatch, src, n, grid, lam):
+    ast = parse(src, n)
+    args = (ast, n, lam, (0.0,) * n, tuple(0.05 * (i + 1) for i in range(n)), 8)
+    streamed = remainder_bound_nd(*args, grid=grid, seed=3)
+    assert streamed > 0
+    assert streamed == whole_batch(monkeypatch, remainder_bound_nd, *args, grid=grid, seed=3)
+
+
+def test_streamed_convergence_check_equals_whole_batch(monkeypatch):
+    args = (parse("exp(x1)/(3+x1-x2)", 2), 2, LAM, (0.1, -0.1), 1.0, 0.2, 8)
+    streamed = convergence_check_nd(*args, grid=40)  # 1,600 grid points
+    reference = whole_batch(monkeypatch, convergence_check_nd, *args, grid=40)
+    assert streamed.worst_ratio == reference.worst_ratio
+    assert streamed.envelope_holds == reference.envelope_holds
+
+
+def test_sampled_bound_memory_is_bounded_by_the_chunk():
+    # 35,937 grid points at order 8 in 3 variables.  Per chunk the lifted
+    # jet, the working jets of the walk, the scaled copy that stage_rows
+    # multiplies and its product each hold at most `keys` complex rows of
+    # POINT_CHUNK values: four rows of that size, plus the sample points.
+    ast, order = parse("1/(4+x1+x2+x3)", 3), 8
+    keys = math.comb(order + 3, 3)
+    points = BoxDomain.from_points((0.0,) * 3, (0.1,) * 3).grid_points(33)
+    limit = points.nbytes + 4 * keys * POINT_CHUNK * 16
+    tracemalloc.start()
+    try:
+        remainder_bound_nd(ast, 3, 1.0, (0.0,) * 3, (0.1,) * 3, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, (peak, limit)
 
 
 # ---- convergence check -----------------------------------------------------------
