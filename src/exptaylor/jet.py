@@ -12,8 +12,11 @@ total degree ``|g| <= K``.  The same recurrences hold there with
 "coefficient k" read as the homogeneous part of degree k, since the Euler
 operator ``sum_i x_i d/dx_i`` multiplies that part by k (Neidinger, Math.
 Comp. 74, 2005).  So the kernels and the expression walk are written once,
-over a part algebra with two implementations: in 1-D part k is column k of
-an array, in n-D a sparse map from multi-indices of degree k to values.
+over a part algebra with two implementations: in 1-D part k is row k of a
+coefficient-major array, so every kernel step runs over a contiguous row of
+points; in n-D a sparse map from multi-indices of degree k to values.  The
+1-D convolution adds in the order of ``np.sum`` over one point's contiguous
+terms, the order the printed digits are pinned to.
 
 Orders are capped at 64: coefficients are factorially scaled and double
 precision runs out of headroom not far beyond that.
@@ -84,8 +87,11 @@ class _Algebra:
     ``add``/``neg``/``mul`` are the truncated jet ring, and ``conv(k, a, b,
     lo, hi) = sum_{j=lo..hi} a_j * b_{k-j}``.  Parts support ``+``, ``-``,
     ``k * part`` and division by a number or by constant terms.  Each kernel
-    keeps the operation order of its scalar recurrence: 1-D lifts are pinned
-    bit for bit, signed zeros included (``-t / k`` and ``-(t / k)`` differ).
+    keeps the operation order of its scalar recurrence, and ``conv`` keeps
+    the order of its sum: 1-D lifts are pinned bit for bit, signed zeros
+    included (``-t / k`` and ``-(t / k)`` differ).  Products keep their
+    operand order too, since numpy's fused complex product does not commute
+    bit for bit.
     """
 
     def __init__(self, centers: np.ndarray, order: int):
@@ -193,42 +199,63 @@ class _Algebra:
 
 
 class _Dense(_Algebra):
-    """1-D jets: part k is column k of a ``centers.shape + (K+1,)`` array."""
+    """1-D jets: part k is row k of a ``(K+1,) + centers.shape`` array.
+
+    Coefficient-major storage makes every kernel step one operation on
+    contiguous rows over all points.  ``conv`` is the one reduction over
+    parts.  Summed row by row it would round differently from ``np.sum``
+    over one point's contiguous terms, the order the printed digits are
+    pinned to, so it adds in that order, numpy's pairwise one for at most 64
+    terms: four interleaved lanes combined as ``(l0 + l1) + (l2 + l3)``,
+    then the ``n % 4`` trailing terms in turn; fewer than four terms are one
+    sequential sum.
+    """
 
     add = staticmethod(np.add)
     neg = staticmethod(np.negative)
 
     def const(self, c0) -> np.ndarray:
-        out = np.zeros(self.centers.shape + (self.order + 1,), dtype=np.complex128)
-        out[..., 0] = c0
+        out = np.zeros((self.order + 1,) + self.centers.shape, dtype=np.complex128)
+        out[0] = c0
         return out
 
     def var(self, index: int) -> np.ndarray:
         out = self.const(self.centers)
-        out[..., 1:2] = 1.0  # no slope part at order 0
+        out[1:2] = 1.0  # no slope part at order 0
         return out
 
     def c0(self, u: np.ndarray) -> np.ndarray:
-        return u[..., 0]
+        return u[0]
 
     def part(self, u: np.ndarray, k: int) -> np.ndarray:
-        return u[..., k]
+        return u[k]
 
     def set(self, u: np.ndarray, k: int, v: np.ndarray) -> None:
-        u[..., k] = v
+        u[k] = v
 
     def euler(self, u: np.ndarray) -> np.ndarray:
-        return u * np.arange(self.order + 1)
+        return u * np.arange(self.order + 1).reshape((-1,) + (1,) * self.centers.ndim)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros_like(a)
         for i in range(self.order + 1):
-            out[..., i:] += a[..., i : i + 1] * b[..., : self.order + 1 - i]
+            out[i:] += a[i : i + 1] * b[: self.order + 1 - i]
         return out
 
     def conv(self, k: int, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
         stop = k - hi - 1 if hi < k else None
-        return np.sum(a[..., lo : hi + 1] * b[..., k - lo : stop : -1], axis=-1)
+        terms = a[lo : hi + 1] * b[k - lo : stop : -1]
+        n = len(terms)
+        if n < 4:
+            return np.add.reduce(terms, axis=0)
+        m = n - n % 4
+        # the lanes start from +0 where np.sum adds its +0 last: no bit of the total moves
+        lanes = np.add.reduce(terms[:m].reshape((m // 4, 4) + terms.shape[1:]), axis=0)
+        pairs = lanes[0::2] + lanes[1::2]
+        out = pairs[0] + pairs[1]
+        for j in range(m, n):
+            out = out + terms[j]  # numpy's in-place add costs more per call on one-point rows
+        return out
 
 
 class _Part(dict):
@@ -308,8 +335,11 @@ class _Sparse(_Algebra):
 
 
 def _lift_1d_array(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
-    """Lift at every real center in ``centers``; returns shape ``centers.shape + (order+1,)``."""
-    return _Dense(centers, order).walk(ast.root)
+    """Lift at every real center in ``centers``; returns shape ``centers.shape + (order+1,)``.
+
+    The result is a view of the coefficient-major jet.
+    """
+    return np.moveaxis(_Dense(centers, order).walk(ast.root), 0, -1)
 
 
 def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> dict:

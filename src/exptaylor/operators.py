@@ -52,22 +52,28 @@ def cascade_values(coeffs: np.ndarray, lam: complex, count: int) -> np.ndarray:
     at least ``count + 1``.  Returns an array of shape ``(..., count+1)``
     whose entry ``[..., j]`` is the stage-``j`` cascade value at the jet's
     center.  This is the recursion path: each step differentiates the
-    running jet (dropping one order) and subtracts ``j`` times it.
+    running jet (dropping one order) and subtracts ``j`` times it.  The steps
+    run coefficient-major and the result is a view of that array.
     """
     lam = _check_lam(lam)
     L = coeffs.shape[-1]
     if count < 0 or count > L - 1:
         raise ValidationError(f"need jet order >= {count}, have {L - 1}")
-    out = np.empty(coeffs.shape[:-1] + (count + 1,), dtype=np.complex128)
-    cur = np.asarray(coeffs, dtype=np.complex128)
-    out[..., 0] = cur[..., 0]
+    # a lifted jet is already stored coefficient-major: moving its axis copies nothing
+    cur = np.moveaxis(np.asarray(coeffs, dtype=np.complex128), -1, 0)
+    steps = np.arange(1, L).reshape((-1,) + (1,) * (cur.ndim - 1))
+    out = np.empty((count + 1,) + cur.shape[1:], dtype=np.complex128)
+    out[0] = cur[0]
     inv = 1.0 / lam
     for j in range(count):
-        m = cur.shape[-1] - 1
-        deriv = cur[..., 1:] * np.arange(1, m + 1)
-        cur = inv * deriv - j * cur[..., :m]
-        out[..., j + 1] = cur[..., 0]
-    return out
+        m = len(cur) - 1
+        # named, not inlined: numpy may reuse a large temporary as the output
+        # of ``inv * temp`` with the operands swapped, and its fused complex
+        # product does not commute bit for bit
+        deriv = cur[1:] * steps[:m]
+        cur = inv * deriv - j * cur[:m]
+        out[j + 1] = cur[0]
+    return np.moveaxis(out, 0, -1)
 
 
 def d_lambda_stirling(jet: Jet1D, lam: complex, count: int) -> np.ndarray:

@@ -11,7 +11,12 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from exptaylor import jet
+from exptaylor.expr import parse
+from exptaylor.operators import cascade_values
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 # deleted with the n-D big-integer stage sums (now operators.stage_tensor/stage_rows)
@@ -38,3 +43,14 @@ def test_every_hook_names_a_function():
 def test_lift_hooks_read_ast_centers_order():
     for fn in (jet._lift_1d_array, jet._lift_nd_arrays):
         assert list(inspect.signature(fn).parameters)[:3] == ["ast", "centers", "order"]
+
+
+# series1d and the tracer's hooks index lifted jets and stage values by their
+# last axis and count points by the centers' size, whatever the storage order
+@pytest.mark.parametrize("shape", [(1,), (577,), (3, 5)])
+def test_lift_and_cascade_shapes(shape):
+    centers = np.linspace(0.1, 0.9, int(np.prod(shape))).reshape(shape)
+    coeffs = jet._lift_1d_array(parse("sin(x)/(2+x)"), centers, 9)
+    assert coeffs.shape == shape + (10,)
+    assert cascade_values(coeffs, 2j, 6).shape == shape + (7,)
+    assert cascade_values(coeffs[(0,) * len(shape)], 2j, 9).shape == (10,)

@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import Jet1D, _lift_1d_array, _Part, lift, lift_nd
+from exptaylor.jet import Jet1D, _Algebra, _Dense, _lift_1d_array, _Part, lift, lift_nd
+from exptaylor.operators import cascade_values
+
+
+TWO_PI_I = 2j * math.pi
 
 
 def coeffs_of(src, center, order, dims=1):
@@ -301,3 +305,133 @@ def test_nd_jet_agrees_with_1d_jet_along_a_line(data):
     want = _lift_1d_array(parse(line), np.array([0.0]), order)[0]
     got = along(lift_nd(parse(src, n), c, order), d)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+# ---- the coefficient-major 1-D layout keeps the bits of the point-major one
+
+
+def mixed_values(rng, shape):
+    """Complex values over 60 binades, about a third of each part +0 or -0."""
+    parts = rng.standard_normal(shape + (2,)) * 2.0 ** rng.integers(-30, 30, size=shape + (2,))
+    pick = rng.random(shape + (2,))
+    parts[pick < 0.15] = 0.0
+    parts[pick > 0.85] = -0.0
+    return parts.view(np.complex128)[..., 0]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("P", [1, 2, 577])
+def test_conv_adds_in_numpy_pairwise_order(P):
+    # conv's one reduction must give np.sum's bits over a contiguous axis of
+    # n <= 64 terms; if a numpy release changes that order, printed digits
+    # could move, and this fails first
+    rng = np.random.default_rng(P)
+    a, b = mixed_values(rng, (65, P)), mixed_values(rng, (65, P))
+    # every part of the first point is a signed zero, so some lanes sum to -0
+    a[:, 0] = np.where(rng.random(65) < 0.5, -0.0, 0.0) + 1j * np.where(rng.random(65) < 0.5, -0.0, 0.0)
+    dense = _Dense(np.zeros(P), 64)
+    A, B = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)  # point-major, rows contiguous
+    for n in range(1, 65):
+        k = n - 1
+        want = np.sum(A[:, :n] * B[:, k::-1], axis=-1)
+        assert np.array_equal(bits(dense.conv(k, a, b, 0, k)), bits(want)), n
+
+
+class PointMajor(_Algebra):
+    """The 1-D part algebra as it was stored point-major: part k is column k."""
+
+    add = staticmethod(np.add)
+    neg = staticmethod(np.negative)
+
+    def const(self, c0):
+        out = np.zeros(self.centers.shape + (self.order + 1,), dtype=np.complex128)
+        out[..., 0] = c0
+        return out
+
+    def var(self, index):
+        out = self.const(self.centers)
+        out[..., 1:2] = 1.0
+        return out
+
+    def c0(self, u):
+        return u[..., 0]
+
+    def part(self, u, k):
+        return u[..., k]
+
+    def set(self, u, k, v):
+        u[..., k] = v
+
+    def euler(self, u):
+        return u * np.arange(self.order + 1)
+
+    def mul(self, a, b):
+        out = np.zeros_like(a)
+        for i in range(self.order + 1):
+            out[..., i:] += a[..., i : i + 1] * b[..., : self.order + 1 - i]
+        return out
+
+    def conv(self, k, a, b, lo, hi):
+        stop = k - hi - 1 if hi < k else None
+        return np.sum(a[..., lo : hi + 1] * b[..., k - lo : stop : -1], axis=-1)
+
+
+def point_major_cascade(coeffs, lam, count):
+    out = np.empty(coeffs.shape[:-1] + (count + 1,), dtype=np.complex128)
+    cur = coeffs
+    out[..., 0] = cur[..., 0]
+    inv = 1.0 / lam
+    for j in range(count):
+        m = cur.shape[-1] - 1
+        # a named operand: numpy may reuse a large temporary as the output of
+        # `inv * temp` with the operands swapped, and its fused complex product
+        # does not commute bit for bit
+        deriv = cur[..., 1:] * np.arange(1, m + 1)
+        cur = inv * deriv - j * cur[..., :m]
+        out[..., j + 1] = cur[..., 0]
+    return out
+
+
+BIT_EXPRS = [
+    "sin(x) + cos(2*pi*x)",
+    "tan(x)",
+    "exp(-x) * sinh(x) - cosh(2*x)",
+    "log(2+x)",
+    "sqrt(3+x)",
+    "(1+x)^5",
+    "(2+x)^-3",
+    "(1+x)^0",
+    "(2+x)^2.5",
+    "(2+x)^(1/3)",
+    "x^x",
+    "sin(x)/(2+x)",
+    "1/(3+cos(2*pi*x))",
+    "x - x",
+    "log(x-1)",  # each lift fails with a domain error from here on
+    "1/(x-x)",
+    "sqrt(x-2)",
+    "(x-x)^0",
+]
+
+
+@pytest.mark.parametrize("P", [1, 57, 577])
+def test_lift_and_cascade_keep_the_point_major_bits(P):
+    centers = np.linspace(0.05, 1.4, P) if P > 1 else np.array([0.3])
+    for src in BIT_EXPRS:
+        ast = parse(src)
+        for order in (0, 1, 3, 4, 7, 8, 9, 16, 33, 64):
+            with np.errstate(all="ignore"):
+                try:
+                    want = PointMajor(centers, order).walk(ast.root)
+                except DomainError as err:
+                    with pytest.raises(DomainError, match=f"^{re.escape(str(err))}$"):
+                        _lift_1d_array(ast, centers, order)
+                    continue
+                got = _lift_1d_array(ast, centers, order)
+                assert np.array_equal(bits(got), bits(want)), (src, order)
+                for lam in (1.0, TWO_PI_I, 0.3 - 1.7j):
+                    stages = cascade_values(got, lam, order)
+                    assert np.array_equal(bits(stages), bits(point_major_cascade(want, lam, order))), (src, order, lam)

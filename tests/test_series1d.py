@@ -5,10 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import eval_complex, parse
+from exptaylor.jet import lift
+from exptaylor.operators import cascade_values, d_lambda_stirling
 from exptaylor.series1d import (
+    _cascade_roundoff_scales,
     _mapped_rule,
     _quad_rule,
     epsilon_sup,
@@ -317,3 +322,59 @@ def test_growth_validation():
         growth_diagnostic(ast, TWO_PI_I, 0.0)
     with pytest.raises(ValidationError):
         growth_diagnostic(ast, TWO_PI_I, 1.0, n_max=33)
+
+
+# ---- properties over random expressions smooth on the real line
+
+
+def _grow(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(inner, inner).map(lambda t: f"({t[0]})/(2+({t[1]})^2)"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sinh", "cosh"]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(st.sampled_from(["log", "sqrt"]), inner).map(lambda t: f"{t[0]}(2+({t[1]})^2)"),
+        st.tuples(inner, st.sampled_from(["5", "-3", "2.5", "(1/3)"])).map(lambda t: f"(2+({t[0]})^2)^{t[1]}"),
+    )
+
+
+SMOOTH_EXPRS = st.recursive(st.sampled_from(["x", "2*x", "pi*x", "0.5"]), _grow, max_leaves=5)
+LAMBDAS = st.complex_numbers(min_magnitude=0.5, max_magnitude=8, allow_nan=False, allow_infinity=False)
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@settings(max_examples=25, deadline=None)
+@given(src=SMOOTH_EXPRS, lam=LAMBDAS, data=st.data())
+def test_remainder_bounds_do_not_depend_on_the_other_orders_or_xs(src, lam, data):
+    ast = parse(src)
+    x0 = data.draw(st.floats(-0.3, 0.3))
+    xs = data.draw(st.lists(st.floats(-0.6, 0.6), min_size=2, max_size=4))
+    orders = data.draw(st.lists(st.integers(1, 24), min_size=2, max_size=5, unique=True))
+    try:
+        full = remainder_bounds(ast, lam, x0, xs, orders, grid=65)
+    except DomainError:
+        assume(False)
+    sub = data.draw(st.lists(st.sampled_from(orders), min_size=1, unique=True))
+    want = [full[i * len(orders) + orders.index(order)] for i in range(len(xs)) for order in sub]
+    assert remainder_bounds(ast, lam, x0, xs, sub, grid=65) == want
+    cut = data.draw(st.integers(1, len(xs) - 1))
+    split = remainder_bounds(ast, lam, x0, xs[:cut], orders, grid=65)
+    assert split + remainder_bounds(ast, lam, x0, xs[cut:], orders, grid=65) == full
+
+
+@settings(max_examples=40, deadline=None)
+@given(src=SMOOTH_EXPRS, lam=LAMBDAS, x0=st.floats(-0.5, 0.5), count=st.integers(1, 24))
+def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
+    with np.errstate(all="ignore"):  # a nested exp may overflow; such draws are rejected below
+        jet = lift(parse(src), x0, count)
+    # Both paths form stage N from the terms s(N, m) m! lam^-m c_m of one jet.
+    # The cascade's N steps each round within 11u of the absolute-value
+    # recursion, whose stage N is exactly this scale (inverse 6u, product 2u,
+    # j-term, step multiple and subtraction u each); the Stirling form rounds
+    # each term within (7N + 5)u of it (m divisions for lam^-m, the matrix
+    # entry, two products, an (N+1)-term sum).  Together that is under
+    # 18 (N + 1) u; the factor 32 leaves room for second-order terms.
+    scales = _cascade_roundoff_scales(jet.coeffs, lam, count)
+    assume(np.all(np.isfinite(scales)))
+    tol = 32 * (np.arange(count + 1) + 1) * UNIT_ROUNDOFF * scales
+    diff = np.abs(cascade_values(jet.coeffs, lam, count) - d_lambda_stirling(jet, lam, count))
+    assert np.all(diff <= tol), (diff / np.where(scales > 0, scales, 1)).max()
