@@ -18,6 +18,18 @@ points; in n-D a sparse map from multi-indices of degree k to values.  The
 1-D convolution adds in the order of ``np.sum`` over one point's contiguous
 terms, the order the printed digits are pinned to.
 
+n-D jets are real and stored as float64: the grammar has no imaginary
+literal, and ``log`` and ``sqrt`` reject the negative real axis.  They keep
+the bits of the complex jets they replaced: constant terms of the
+elementary functions are the real parts of numpy's complex functions (its
+real ones round differently in the last bit), and a division by constant
+terms or by k is a reciprocal and a product, which is how numpy divides by
+a complex number with zero imaginary part.  Only the sign of an exact zero
+can differ (a real ``2 * -0`` is -0, the complex product was +0); every
+stage value is a sum started at +0, so no stage, coefficient or bound
+moves.  1-D jets stay complex: the 1-D expansion prints their signed
+zeros, which a real lift would move.
+
 Orders are capped at 64: coefficients are factorially scaled and double
 precision runs out of headroom not far beyond that.
 """
@@ -86,7 +98,8 @@ class _Algebra:
     ``part``/``set`` read and write part k, ``euler`` scales part k by k,
     ``add``/``neg``/``mul`` are the truncated jet ring, and ``conv(k, a, b,
     lo, hi) = sum_{j=lo..hi} a_j * b_{k-j}``.  Parts support ``+``, ``-``,
-    ``k * part`` and division by a number or by constant terms.  Each kernel
+    ``k * part`` and division by a number or by constant terms, and
+    ``elementary`` applies a numpy function to constant terms.  Each kernel
     keeps the operation order of its scalar recurrence, and ``conv`` keeps
     the order of its sum: 1-D lifts are pinned bit for bit, signed zeros
     included (``-t / k`` and ``-(t / k)`` differ).  Products keep their
@@ -98,8 +111,12 @@ class _Algebra:
         self.centers = centers
         self.order = order
 
+    def elementary(self, func, u0):
+        """``func``, a numpy elementary function, of the constant terms ``u0``."""
+        return func(u0)
+
     def exp(self, u):
-        e = self.const(np.exp(self.c0(u)))
+        e = self.const(self.elementary(np.exp, self.c0(u)))
         ju = self.euler(u)
         for k in range(1, self.order + 1):
             self.set(e, k, self.conv(k, ju, e, 1, k) / k)
@@ -108,7 +125,7 @@ class _Algebra:
     def log(self, u, what: str = "log"):
         u0 = self.c0(u)
         _check_off_cut(u0, what)
-        out = self.const(np.log(u0))
+        out = self.const(self.elementary(np.log, u0))
         jl = self.const(0)  # euler(out), filled in as out grows
         for k in range(1, self.order + 1):
             s = self.conv(k, jl, u, 1, k - 1)
@@ -119,7 +136,7 @@ class _Algebra:
     def sqrt(self, u):
         u0 = self.c0(u)
         _check_off_cut(u0, "sqrt")
-        r0 = np.sqrt(u0)
+        r0 = self.elementary(np.sqrt, u0)
         out = self.const(r0)
         for k in range(1, self.order + 1):
             self.set(out, k, (self.part(u, k) - self.conv(k, out, out, 1, k - 1)) / (2 * r0))
@@ -129,8 +146,8 @@ class _Algebra:
         """``sin``, ``cos``, ``tan``, ``sinh`` or ``cosh`` of ``u``: one recurrence up to a sign."""
         hyperbolic = func.endswith("h")
         u0 = self.c0(u)
-        s = self.const(np.sinh(u0) if hyperbolic else np.sin(u0))
-        c = self.const(np.cosh(u0) if hyperbolic else np.cos(u0))
+        s = self.const(self.elementary(np.sinh if hyperbolic else np.sin, u0))
+        c = self.const(self.elementary(np.cosh if hyperbolic else np.cos, u0))
         ju = self.euler(u)
         for k in range(1, self.order + 1):
             self.set(s, k, self.conv(k, ju, c, 1, k) / k)
@@ -143,7 +160,8 @@ class _Algebra:
     def div(self, a, b, what: str = "division"):
         b0 = self.c0(b)
         _check_nonzero(b0, what)
-        out = self.const(self.c0(a) / b0)
+        out = self.const(0)
+        self.set(out, 0, self.part(a, 0) / b0)  # a part's division, as for k >= 1
         for k in range(1, self.order + 1):
             self.set(out, k, (self.part(a, k) - self.conv(k, out, b, 0, k - 1)) / b0)
         return out
@@ -280,25 +298,42 @@ class _Part(dict):
         return out
 
     def __truediv__(self, s) -> _Part:
-        return _Part({g: v / s for g, v in self.items()})
+        r = 1.0 / s  # numpy's complex division by a real divisor, bit for bit
+        return _Part({g: v * r for g, v in self.items()})
 
     def __rmul__(self, s) -> _Part:
         return _Part({g: s * v for g, v in self.items()})
 
 
 class _Sparse(_Algebra):
-    """n-D jets: a list of K+1 parts over centers of shape ``(P, n)``."""
+    """n-D jets: a list of K+1 parts over centers of shape ``(P, n)``.
+
+    Every stored ``(P,)`` vector is float64.  ``elementary`` keeps the real
+    part of numpy's complex function, whose real ``exp``, ``log``, ``sinh``
+    and ``cosh`` round differently in the last bit, and a part divides by
+    one reciprocal and a product, numpy's complex division when the divisor
+    has zero imaginary part (Smith's method: ``1/b_r``, then ``a_r *
+    (1/b_r)``).  A complex constant is refused: a real jet would drop its
+    imaginary part.
+    """
+
+    def elementary(self, func, u0):
+        return func(u0.astype(np.complex128)).real
 
     def const(self, c0) -> list[_Part]:
+        if isinstance(c0, complex):  # only a hand-built AST holds an imaginary constant
+            if c0.imag != 0:
+                raise ValidationError(f"n-D jets are real, got the constant {c0!r}")
+            c0 = c0.real
         zero = (0,) * self.centers.shape[1]
-        first = _Part({zero: np.full(len(self.centers), c0, dtype=np.complex128)})
+        first = _Part({zero: np.full(len(self.centers), c0, dtype=np.float64)})
         return [first] + [_Part() for _ in range(self.order)]
 
     def var(self, index: int) -> list[_Part]:
         out = self.const(self.centers[:, index])
         if self.order >= 1:
             unit = tuple(int(i == index) for i in range(self.centers.shape[1]))
-            out[1] = _Part({unit: np.ones(len(self.centers), dtype=np.complex128)})
+            out[1] = _Part({unit: np.ones(len(self.centers))})
         return out
 
     def c0(self, u: list[_Part]) -> np.ndarray:
@@ -343,7 +378,7 @@ def _lift_1d_array(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
 
 
 def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> dict:
-    """Lift at a batch of centers, shape (P, n); values in the dict have shape (P,).
+    """Lift at a batch of centers, shape (P, n); values in the dict are float64, shape (P,).
 
     Keys are the multi-indices some term of the expression reaches; an
     absent key is zero.

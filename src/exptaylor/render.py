@@ -6,6 +6,12 @@ renderer, and every number is checked before it is printed: a non-finite
 one raises ``DomainError`` naming its field, unless the kind allows it.
 CSV floats carry 17 significant digits, so they round-trip to the exact
 double.
+
+The JSON renderer writes the document itself, byte for byte what
+``json.dumps(doc, indent=2)`` writes, since with an indent the standard
+encoder runs in pure Python and a coefficient table took most of its
+time.  A table's rows are filled into one ``%`` template built from its
+columns, with no per-row dict; scalars go through ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import csv
 import io
 import json
 import math
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
@@ -35,8 +41,9 @@ class Field(NamedTuple):
 class Table(NamedTuple):
     """Rows under columns ``(JSON key, kind)`` or ``(JSON key, kind, CSV header)``.
 
-    An unnamed complex column is flattened to ``re`` and ``im``.  ``line``
-    formats a row as text; without it the text is the CSV spaced by two blanks.
+    An unnamed complex column is flattened to ``re`` and ``im``; the JSON
+    keys of a row are distinct.  ``line`` formats a row as text; without it
+    the text is the CSV spaced by two blanks.
     """
 
     columns: tuple
@@ -155,27 +162,93 @@ def _render_text(record: list[Field]) -> str:
     return "\n".join(lines + _block(block)) + "\n"
 
 
-def _json_value(f: Field):
-    if f.kind == "group":
-        return {g.key: _json_value(g) for g in f.value}
-    if f.kind != "table":
-        return _cell(f.key, f.value, f.kind, 1)
-    columns = _columns(f.value, f.key)
-    rows = []
-    for row in f.value.rows:
-        obj = {}
-        for (key, _, forms), v in zip(columns, row):
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value whose first line sits at indent ``pad``."""
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)) and value:
+        items = [inner + _json_text(v, inner) for v in value]
+    elif isinstance(value, dict) and value:
+        items = [f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+    else:
+        return json.dumps(value)
+    opening, closing = "[]" if isinstance(value, (list, tuple)) else "{}"
+    return opening + "\n" + ",\n".join(items) + "\n" + pad + closing
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _json_table(table: Table, name: str, pad: str) -> str:
+    """The rows of ``table`` as a JSON array, each row filled into one ``%`` template.
+
+    The template holds the row's JSON text with a slot per number: ``%d``
+    for an int, ``%r`` (``float.__repr__``, json's own form) for a float,
+    and ``%s`` for a piece already written as JSON text.  A complex fills
+    ``re`` and ``im`` (of the row itself when its column is unnamed), and
+    an ``index`` column of one length one ``%d`` per entry.  Other cells
+    are written by :func:`_json_text`.
+    """
+    columns = _columns(table, name)
+    rows = table.rows
+    if not rows:
+        return "[]"
+    row_pad, key_pad = pad + "  ", pad + "    "
+    slots, args = [], []
+    for i, (key, kind, forms) in enumerate(columns):
+        cells = list(map(itemgetter(i), rows))
+        head = json.dumps(key).replace("%", "%%") + ": "
+        if not key or kind in ("complex", "lit"):
+            args += [map(float, map(attrgetter("real"), cells)), map(float, map(attrgetter("imag"), cells))]
             if key:
-                obj[key] = forms[1](v)
+                slots.append(f'{head}{{\n{key_pad}  "re": %r,\n{key_pad}  "im": %r\n{key_pad}}}')
             else:
-                obj.update(forms[1](v))
-        rows.append(obj)
-    return rows
+                slots += ['"re": %r', '"im": %r']
+        elif kind == "int":
+            slots.append(head + "%d")
+            args.append(cells)
+        elif kind == "float":
+            slots.append(head + "%r")
+            args.append(map(float, cells))
+        elif kind == "str":
+            slots.append(head + "%s")
+            args.append(map(json.dumps, cells))
+        elif kind == "bool":
+            slots.append(head + "%s")
+            args.append(map(_JSON_BOOL.__getitem__, map(bool, cells)))
+        elif kind == "index" and len(set(map(len, cells))) == 1 and cells[0]:
+            item = f"\n{key_pad}  %d"
+            slots.append(f"{head}[" + ",".join([item] * len(cells[0])) + f"\n{key_pad}]")
+            args += zip(*cells)
+        else:
+            slots.append(head + "%s")
+            args.append([_json_text(forms[1](v), key_pad) for v in cells])
+    body = f",\n{key_pad}".join(slots)
+    template = f"{row_pad}{{\n{key_pad}{body}\n{row_pad}}}" if slots else row_pad + "{}"
+    cells = zip(*args) if args else [()] * len(rows)
+    return "[\n" + ",\n".join(map(template.__mod__, cells)) + "\n" + pad + "]"
+
+
+def _json_fields(fields: list[Field]) -> dict:
+    # a later field of a key takes the place of an earlier one, as in a dict
+    return {f.key: f for f in fields if f.key is not None}
+
+
+def _json_field(f: Field, pad: str) -> str:
+    if f.kind == "table":
+        return _json_table(f.value, f.key, pad)
+    if f.kind != "group":
+        return _json_text(_cell(f.key, f.value, f.kind, 1), pad)
+    fields = _json_fields(f.value)
+    if not fields:
+        return "{}"
+    inner = pad + "  "
+    items = [f"{inner}{json.dumps(key)}: {_json_field(g, inner)}" for key, g in fields.items()]
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
 
 
 def _render_json(record: list[Field]) -> str:
-    doc = {f.key: _json_value(f) for f in record if f.key is not None}
-    return json.dumps(doc.get("", doc), indent=2) + "\n"
+    whole = _json_fields(record).get("", Field(None, record, "group"))
+    return _json_field(whole, "") + "\n"
 
 
 def _render_csv(record: list[Field]) -> str:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -77,6 +78,23 @@ def multi_index_factorial(gamma: Sequence[int]) -> int:
     for g in gamma:
         out *= math.factorial(g)
     return out
+
+
+@lru_cache(maxsize=None)
+def _expansion_table(n: int, order: int) -> tuple:
+    """``(keys, index, factorials)`` for ``multi_indices(n, order)``; read-only.
+
+    ``keys`` is a tuple of the multi-indices, ``index`` a tuple of one
+    index array per axis, so ``stages[index]`` lists the stages in key
+    order, and ``factorials`` holds ``g!`` as float64, exact below 2^53
+    (``|g| <= 15`` gives at most 15!).
+    """
+    keys = tuple(multi_indices(n, order))
+    index = tuple(np.array(keys, dtype=np.intp).T)
+    factorials = np.array([multi_index_factorial(g) for g in keys], dtype=np.float64)
+    for a in (*index, factorials):
+        a.flags.writeable = False
+    return keys, index, factorials
 
 
 # ---- domain box ------------------------------------------------------------
@@ -200,7 +218,9 @@ def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order
         stages = stage_tensor(lift_nd(ast, pts, order - 1), lam, order)
     if not np.all(np.isfinite(stages)):
         raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
-    coeffs = {g: stages[g] / multi_index_factorial(g) for g in multi_indices(n, order)}
+    keys, index, factorials = _expansion_table(n, order)
+    # one complex division by g! + 0j per key, as the per-key quotient rounds
+    coeffs = dict(zip(keys, stages[index] / factorials))
     return ExpansionND(lam=lam, center=pts, order=order, coeffs=coeffs)
 
 

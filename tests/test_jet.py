@@ -1,6 +1,7 @@
 """Jet lifts vs closed-form Taylor coefficients and finite differences."""
 
 import math
+import operator
 import re
 from math import comb, factorial
 
@@ -9,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exptaylor import seriesnd
 from exptaylor.errors import DomainError, ValidationError
-from exptaylor.expr import parse
-from exptaylor.jet import Jet1D, _Algebra, _Dense, _lift_1d_array, _Part, lift, lift_nd
-from exptaylor.operators import cascade_values
+from exptaylor.expr import BinOp, Const, ExprAst, Var, parse
+from exptaylor.jet import Jet1D, JetND, _Algebra, _Dense, _lift_1d_array, _lift_nd_arrays, _Part, lift, lift_nd
+from exptaylor.operators import cascade_values, stage_rows, stage_tensor
+from exptaylor.seriesnd import remainder_bound_nd
 
 
 TWO_PI_I = 2j * math.pi
@@ -435,3 +438,199 @@ def test_lift_and_cascade_keep_the_point_major_bits(P):
                 for lam in (1.0, TWO_PI_I, 0.3 - 1.7j):
                     stages = cascade_values(got, lam, order)
                     assert np.array_equal(bits(stages), bits(point_major_cascade(want, lam, order))), (src, order, lam)
+
+
+# ---- the real n-D lift keeps the bits of the complex one
+
+
+class ComplexPart(dict):
+    """Part k of an n-D jet as it was stored: complex128 values."""
+
+    def __add__(self, other):
+        out = ComplexPart(self)
+        for g, v in other.items():
+            cur = out.get(g)
+            out[g] = v if cur is None else cur + v
+        return out
+
+    def __neg__(self):
+        return ComplexPart({g: -v for g, v in self.items()})
+
+    def __sub__(self, other):
+        out = ComplexPart(self)
+        for g, v in other.items():
+            cur = out.get(g)
+            out[g] = -v if cur is None else cur - v
+        return out
+
+    def __truediv__(self, s):
+        return ComplexPart({g: v / s for g, v in self.items()})
+
+    def __rmul__(self, s):
+        return ComplexPart({g: s * v for g, v in self.items()})
+
+
+class ComplexSparse(_Algebra):
+    """The n-D part algebra as it was: complex parts, numpy's complex functions and division."""
+
+    def const(self, c0):
+        zero = (0,) * self.centers.shape[1]
+        first = ComplexPart({zero: np.full(len(self.centers), c0, dtype=np.complex128)})
+        return [first] + [ComplexPart() for _ in range(self.order)]
+
+    def var(self, index):
+        out = self.const(self.centers[:, index])
+        if self.order >= 1:
+            unit = tuple(int(i == index) for i in range(self.centers.shape[1]))
+            out[1] = ComplexPart({unit: np.ones(len(self.centers), dtype=np.complex128)})
+        return out
+
+    def c0(self, u):
+        (values,) = u[0].values()
+        return values
+
+    def part(self, u, k):
+        return u[k]
+
+    def set(self, u, k, v):
+        u[k] = v
+
+    def add(self, a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    def neg(self, a):
+        return [-x for x in a]
+
+    def euler(self, u):
+        return [k * p for k, p in enumerate(u)]
+
+    def mul(self, a, b):
+        return [self.conv(k, a, b, 0, k) for k in range(self.order + 1)]
+
+    def conv(self, k, a, b, lo, hi):
+        out = ComplexPart()
+        for j in range(lo, hi + 1):
+            for ga, va in a[j].items():
+                for gb, vb in b[k - j].items():
+                    g = tuple(map(operator.add, ga, gb))
+                    cur = out.get(g)
+                    out[g] = va * vb if cur is None else cur + va * vb
+        return out
+
+
+def complex_lift(ast, centers, order):
+    return {g: v for part in ComplexSparse(centers, order).walk(ast.root) for g, v in part.items()}
+
+
+# (expression, dims, top order): the dense 3-D and 4-D quotients stop early,
+# since their order-16 lifts take seconds
+ND_BIT_EXPRS = [
+    ("exp(x1*x2) + sin(x1 - x2)", 2, 16),
+    ("log(2 + x1 + x2) * cos(x1 + x2) / (1 + x1^2)", 2, 16),
+    ("sqrt(3 + x1*x2) - tan(x1 - x2)", 2, 16),
+    ("sinh(x1 + x2) * cosh(x1 - x2) - x1*x2", 2, 16),
+    ("(1 + x1*x2)^5 - (2 + x1 + x2)^-3 + (x1 + x2)^0", 2, 16),
+    ("(2 + x1 - x2)^2.5 * (3 + x1*x2)^(1/3)", 2, 16),
+    ("x1^x2 + e*pi - x2", 2, 16),
+    ("exp(x1) * log(1 + x2*x3) - cos(x3)^2 / (2 + x1)", 3, 16),
+    ("1/(4 + x1 + x2 + x3)", 3, 16),
+    ("tan(x1*x2 - x3) / sqrt(1 + x1^2 + x2^2 + x3^2)", 3, 12),
+    ("sinh(x1 + x2 - x3) / cosh(x4) - x4^3 * x1", 4, 16),
+    ("cos(2*pi*x1)*cos(2*pi*x2)*cos(2*pi*x3)*cos(2*pi*x4)", 4, 16),
+    ("(2 + x1*x2 + x3*x4)^(1/3) - exp(-x4) * sin(x1) / (3 + x2)", 4, 8),
+    ("log(x1 - 1) + x2", 2, 16),  # each lift fails with a domain error from here on
+    ("sqrt(x3 - 2) * x1 * x2", 3, 16),
+    ("(x1 - x1)^0 + x2", 2, 16),
+    ("x1 / (x2 - x4) + x3", 4, 16),  # the divisor vanishes only at the last center
+]
+
+
+def nd_centers(P, n):
+    centers = np.random.default_rng(P + n).uniform(0.05, 0.4, size=(P, n))
+    centers[-1, -1] = centers[-1, 1]
+    return centers
+
+
+def same_as_the_complex_lift(ast, centers, order):
+    """Assert the real lift's keys and bits are the complex lift's; domain errors by message."""
+    with np.errstate(all="ignore"):
+        try:
+            want = complex_lift(ast, centers, order)
+        except DomainError as err:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(err))}$"):
+                _lift_nd_arrays(ast, centers, order)
+            return None
+        got = _lift_nd_arrays(ast, centers, order)
+    assert list(got) == list(want)
+    for g, v in want.items():
+        assert np.all(v.imag == 0), g
+        assert got[g].dtype == np.float64
+        assert np.array_equal(bits(got[g]), bits(v.real)), g
+    return got, want
+
+
+@pytest.mark.parametrize("P", [1, 7, 1024])
+def test_real_nd_lift_keeps_the_complex_lift_bits(P):
+    for src, n, top in ND_BIT_EXPRS:
+        ast = parse(src, n)
+        for order in (0, 1, 3, 8, 12, 16):
+            if order <= top and (P < 1024 or n * order <= 36):  # 1,024 points stop at 4-D order 8
+                same_as_the_complex_lift(ast, nd_centers(P, n), order)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_signed_zeros_the_real_lift_moves_never_reach_a_stage(n):
+    # at a zero coordinate a real product can be -0 where the complex one was
+    # +0 (2 * -0 against (2 + 0i)(-0 - 0i)); every stage value is a sum that
+    # starts from +0, so the stages keep their bits, and so does every
+    # printed coefficient and bound
+    srcs = ["*".join(f"cos(2*pi*x{i})" for i in range(1, n + 1)), f"2*(-x1) * sin(x{n}) + (x1 - x1)*exp(x2)"]
+    centers = np.zeros((5, n))
+    centers[2:, 0] = 0.25
+    for src in srcs:
+        ast = parse(src, n)
+        got = _lift_nd_arrays(ast, centers, 8)
+        want = complex_lift(ast, centers, 8)
+        assert list(got) == list(want)
+        for g, v in want.items():
+            assert np.array_equal(got[g], v.real), g  # equal values; zeros may differ in sign
+        gammas = seriesnd.multi_indices(n, 9)
+        for lam in (1.0, TWO_PI_I):
+            assert np.array_equal(bits(stage_rows(got, gammas, lam)), bits(stage_rows(want, gammas, lam)))
+            for p in range(len(centers)):
+                jets = [JetND(n, 8, {g: complex(v[p]) for g, v in lift.items()}, (0.0,) * n) for lift in (got, want)]
+                assert np.array_equal(*(bits(stage_tensor(jet, lam, 9)) for jet in jets))
+
+
+@pytest.mark.parametrize(
+    "src, n, x",
+    [
+        ("1/(4 + x1 + x2 + x3)", 3, (0.3, 0.2, 0.1)),
+        ("cos(2*pi*x1)*cos(2*pi*x2)*exp(x3)", 3, (0.2, 0.1, 0.25)),
+        ("sinh(x1 + x2 - x3) / cosh(x4) - x4^3 * x1", 4, (0.2, 0.1, 0.3, 0.1)),
+        ("1/(x1 - 0.001953125) + x2 + x3", 3, (0.0625, 0.0625, 0.0625)),  # zero past the first chunk
+    ],
+)
+def test_sampled_bound_is_the_complex_lifts_bound(monkeypatch, src, n, x):
+    ast = parse(src, n)
+    results = []
+    for lifter in (_lift_nd_arrays, complex_lift):
+        monkeypatch.setattr(seriesnd, "_lift_nd_arrays", lifter)
+        try:
+            results.append(remainder_bound_nd(ast, n, 1.0, (0.0,) * n, x, 6))
+        except DomainError as err:
+            results.append(str(err))
+    assert results[0] == results[1]
+    assert isinstance(results[0], float) or results[0] == "division: argument is zero at a lift point"
+
+
+def test_an_imaginary_constant_is_refused_in_n_d():
+    # the grammar has no imaginary literal: only a hand-built AST holds one,
+    # and a real jet would silently drop its imaginary part
+    ast = ExprAst(BinOp("+", Var(0, "x1"), BinOp("*", Const(1j), Var(1, "x2"))), 2)
+    with pytest.raises(ValidationError, match="real"):
+        lift_nd(ast, (0.1, 0.2), 3)
+    with pytest.raises(ValidationError, match="real"):
+        remainder_bound_nd(ast, 2, 1.0, (0.1, 0.2), (0.2, 0.3), 3, grid=5)
+    real = ExprAst(BinOp("+", Var(0, "x1"), Const(complex(2.0, 0.0))), 2)
+    assert lift_nd(real, (0.1, 0.2), 2).coeff((0, 0)) == 2.1

@@ -9,8 +9,8 @@ import pytest
 from exptaylor import seriesnd
 from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import _lift_nd_arrays
-from exptaylor.operators import stage_rows
+from exptaylor.jet import _lift_nd_arrays, lift_nd
+from exptaylor.operators import stage_rows, stage_tensor
 from exptaylor.series1d import eval_series, expand_1d, remainder_bound
 from exptaylor.seriesnd import (
     POINT_CHUNK,
@@ -165,6 +165,44 @@ def test_center_coefficient_is_function_value():
     e = expand_nd(product_cosine(), 2, LAM, (0.05, -0.03), 4)
     true = math.cos(2 * math.pi * 0.05) * math.cos(2 * math.pi * -0.03)
     assert e.coeffs[(0, 0)] == pytest.approx(true, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coefficients_are_the_per_key_quotients(n):
+    # the one array division keeps the bits and the key order of dividing
+    # each stage by the integer g! on its own, signed zeros included
+    xs = ["x"] if n == 1 else [f"x{i}" for i in range(1, n + 1)]
+    srcs = ["*".join(f"cos(2*pi*{x})" for x in xs), f"{xs[0]} * sin({xs[-1]}) / (4 + {xs[0]} + {xs[-1]})"]
+    for src in srcs:
+        ast = parse(src, n)
+        for order in range(1, 17):
+            for lam in (1.0, LAM):
+                stages = stage_tensor(lift_nd(ast, (0.0,) * n, order - 1), lam, order)
+                want = {g: stages[g] / multi_index_factorial(g) for g in multi_indices(n, order)}
+                got = expand_nd(ast, n, lam, (0.0,) * n, order).coeffs
+                assert list(got) == list(want)
+                values = np.array(list(got.values()))
+                assert np.array_equal(values.view(np.uint64), np.array(list(want.values())).view(np.uint64))
+    # stages over 60 binades, a third of their parts +0 or -0
+    rng = np.random.default_rng(n)
+    parts = rng.standard_normal((16,) * n + (2,)) * 2.0 ** rng.integers(-30, 30, size=(16,) * n + (2,))
+    pick = rng.random(parts.shape)
+    parts[pick < 0.15], parts[pick > 0.85] = 0.0, -0.0
+    stages = parts.view(np.complex128)[..., 0]
+    keys, index, factorials = seriesnd._expansion_table(n, 16)
+    got = np.array(stages[index] / factorials)
+    want = np.array([stages[g] / multi_index_factorial(g) for g in multi_indices(n, 16)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_expansion_table_cannot_be_changed_by_a_caller():
+    keys, index, factorials = seriesnd._expansion_table(3, 5)
+    assert isinstance(keys, tuple) and isinstance(index, tuple)
+    assert keys == tuple(multi_indices(3, 5))
+    for a in (*index, factorials):
+        with pytest.raises(ValueError):
+            a[0] = 7
+    assert seriesnd._expansion_table(3, 5)[0] is keys
 
 
 # ---- evaluation ----------------------------------------------------------------
