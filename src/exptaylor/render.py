@@ -5,7 +5,8 @@ holds a :class:`Table`.  A field's ``kind`` selects its formatting in every
 renderer, and every number is checked before it is printed: a non-finite
 one raises ``DomainError`` naming its field, unless the kind allows it.
 CSV floats carry 17 significant digits, so they round-trip to the exact
-double.
+double.  An exact zero prints without a sign in every format: its sign
+says how a value was computed, not what it is.
 
 The JSON renderer writes the document itself, byte for byte what
 ``json.dumps(doc, indent=2)`` writes, since with an indent the standard
@@ -21,7 +22,8 @@ import csv
 import io
 import json
 import math
-from operator import attrgetter, itemgetter
+from itertools import repeat
+from operator import add, attrgetter, itemgetter
 from typing import Callable, NamedTuple
 
 from .errors import DomainError
@@ -51,9 +53,14 @@ class Table(NamedTuple):
     line: Callable[..., str] | None = None
 
 
+def _unsigned(x) -> float:
+    """``x`` as a float, an exact zero unsigned: ``-0.0 + 0.0`` is ``+0.0``."""
+    return float(x) + 0.0
+
+
 def format_float(x: float) -> str:
     """17 significant digits: the shortest form that always round-trips."""
-    return format(float(x), ".17g")
+    return format(_unsigned(x), ".17g")
 
 
 def format_complex(z: complex, space: str = " ") -> str:
@@ -63,7 +70,7 @@ def format_complex(z: complex, space: str = " ") -> str:
 
 
 def _complex_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
+    return {"re": _unsigned(z.real), "im": _unsigned(z.imag)}
 
 
 # kind -> (text form, JSON form, test that its numbers are finite, or None)
@@ -71,25 +78,25 @@ KINDS = {
     "str": (lambda v: "" if v is None else v, lambda v: v, None),
     "int": (str, int, None),
     "bool": (lambda v: "true" if v else "false", bool, None),
-    "float": (format_float, float, math.isfinite),
+    "float": (format_float, _unsigned, math.isfinite),
     # a float that may be infinite or absent: only x_region_halfwidth
     "inf": (
         lambda v: "none" if v is None else format_float(v),
-        lambda v: "inf" if v == math.inf else v if v is None else float(v),
+        lambda v: "inf" if v == math.inf else v if v is None else _unsigned(v),
         lambda v: v is None or v == math.inf or math.isfinite(v),
     ),
     "complex": (format_complex, _complex_json, cmath.isfinite),
     "lit": (lambda z: format_complex(z, ""), _complex_json, cmath.isfinite),
     "vector": (
         lambda v: ",".join(map(format_float, v)),
-        lambda v: [float(x) for x in v],
+        lambda v: [_unsigned(x) for x in v],
         lambda v: all(map(math.isfinite, v)),
     ),
     "index": (lambda v: " ".join(map(str, v)), list, None),
     # (passed, tolerance) of a check
     "check": (
         lambda v: f"{'pass' if v[0] else 'fail'} (tol {format_float(v[1])})",
-        lambda v: {"tolerance": float(v[1]), "passed": v[0]},
+        lambda v: {"tolerance": _unsigned(v[1]), "passed": v[0]},
         None,
     ),
 }
@@ -178,6 +185,11 @@ def _json_text(value, pad: str) -> str:
 _JSON_BOOL = ("false", "true")
 
 
+def _unsigned_all(values):
+    """:func:`_unsigned` of each value, without a Python call per value."""
+    return map(add, map(float, values), repeat(0.0))
+
+
 def _json_table(table: Table, name: str, pad: str) -> str:
     """The rows of ``table`` as a JSON array, each row filled into one ``%`` template.
 
@@ -198,7 +210,7 @@ def _json_table(table: Table, name: str, pad: str) -> str:
         cells = list(map(itemgetter(i), rows))
         head = json.dumps(key).replace("%", "%%") + ": "
         if not key or kind in ("complex", "lit"):
-            args += [map(float, map(attrgetter("real"), cells)), map(float, map(attrgetter("imag"), cells))]
+            args += [_unsigned_all(map(attrgetter(part), cells)) for part in ("real", "imag")]
             if key:
                 slots.append(f'{head}{{\n{key_pad}  "re": %r,\n{key_pad}  "im": %r\n{key_pad}}}')
             else:
@@ -208,7 +220,7 @@ def _json_table(table: Table, name: str, pad: str) -> str:
             args.append(cells)
         elif kind == "float":
             slots.append(head + "%r")
-            args.append(map(float, cells))
+            args.append(_unsigned_all(cells))
         elif kind == "str":
             slots.append(head + "%s")
             args.append(map(json.dumps, cells))

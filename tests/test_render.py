@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,49 @@ def test_json_writer_on_edge_tables():
     ]
     for record in cases:
         assert render._render_json(record) == json.dumps(json_doc(record), indent=2) + "\n"
+
+
+# ---- exact zeros ---------------------------------------------------------------
+
+ZEROS = [0.0, -0.0]
+SIGNED_ZERO_TOKEN = re.compile(r"(?<![\w.])-0(\.0)?(?![\w.])")
+
+
+def zero_record():
+    """Every kind that holds a float, each with +0.0 and -0.0, in fields and in table cells."""
+    complexes = [complex(a, b) for a in ZEROS for b in ZEROS]
+    group = [Field(f"f{i}", x, "float") for i, x in enumerate(ZEROS)]
+    group += [Field(f"{kind}{i}", z, kind) for i, z in enumerate(complexes) for kind in ("complex", "lit")]
+    group += [Field("v", tuple(ZEROS), "vector"), Field("h", -0.0, "inf"), Field("c", (True, -0.0), "check")]
+    columns = (("i", "int"), ("", "complex"), ("named", "complex"), ("x", "float"))
+    rows = [(i, z, z, z.real) for i, z in enumerate(complexes)]
+    return [Field("g", group, "group"), Field("t", Table(columns, rows), "table")]
+
+
+def floats_in(value):
+    if isinstance(value, float):
+        return [value]
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else []
+    return [x for item in items for x in floats_in(item)]
+
+
+def test_an_exact_zero_prints_without_a_sign_in_json():
+    text = render._render_json(zero_record())
+    numbers = floats_in(json.loads(text))
+    # group: 2 floats, 8 complex of 2 parts, 2 vector entries, inf, check; table: 4 rows of 5 floats
+    assert len(numbers) == 2 + 16 + 2 + 1 + 1 + 4 * 5
+    assert all(x == 0 and math.copysign(1.0, x) == 1.0 for x in numbers)
+    assert not SIGNED_ZERO_TOKEN.search(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_no_format_writes_a_signed_zero(fmt):
+    table_only = [f for f in zero_record() if f.kind == "table"]
+    one_row = [Field(f"f{i}", x, "float", csv=True) for i, x in enumerate(ZEROS)]
+    one_row += [Field(f"z{i}", complex(a, b), "complex", csv=True) for i, (a, b) in enumerate([(-0.0, -0.0), (0.0, -0.0)])]
+    for record in (zero_record(), table_only, one_row):
+        out = render.RENDERERS[fmt](record)
+        assert "0" in out and not SIGNED_ZERO_TOKEN.search(out), out
+        if fmt == "csv":
+            cells = [c for line in out.splitlines()[1:] for c in line.split(",")]
+            assert set(cells) <= {"0", "1", "2", "3"}, cells
