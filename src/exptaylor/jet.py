@@ -18,17 +18,15 @@ points; in n-D a sparse map from multi-indices of degree k to values.  The
 1-D convolution adds in the order of ``np.sum`` over one point's contiguous
 terms, the order the printed digits are pinned to.
 
-n-D jets are real and stored as float64: the grammar has no imaginary
-literal, and ``log`` and ``sqrt`` reject the negative real axis.  They keep
-the bits of the complex jets they replaced: constant terms of the
-elementary functions are the real parts of numpy's complex functions (its
-real ones round differently in the last bit), and a division by constant
-terms or by k is a reciprocal and a product, which is how numpy divides by
-a complex number with zero imaginary part.  Only the sign of an exact zero
-can differ (a real ``2 * -0`` is -0, the complex product was +0); every
-stage value is a sum started at +0, so no stage, coefficient or bound
-moves.  1-D jets stay complex: the 1-D expansion prints their signed
-zeros, which a real lift would move.
+Jets are real (float64): the grammar has no imaginary literal, and
+``log`` and ``sqrt`` reject the negative real axis.  They keep the bits of
+the complex jets they replaced.  Constant terms of the elementary functions
+are the real parts of numpy's complex functions (its real ones round
+differently in the last bit), and a division by constant terms or by k is
+a reciprocal and a product, which is how numpy divides by a complex number
+with zero imaginary part (Smith's method).  Only the sign of an exact zero
+can differ (a real ``2 * -0`` is -0, the complex product was +0), and no
+output prints that sign.
 
 Orders are capped at 64: coefficients are factorially scaled and double
 precision runs out of headroom not far beyond that.
@@ -52,7 +50,7 @@ MAX_ORDER = 64
 class Jet1D:
     """Order-``len(coeffs)-1`` jet about ``center``; treat as immutable."""
 
-    coeffs: np.ndarray  # complex128, shape (K+1,)
+    coeffs: np.ndarray  # float64, shape (K+1,)
     center: float = 0.0
 
     @property
@@ -83,7 +81,7 @@ def _check_nonzero(u0: np.ndarray, what: str) -> None:
 
 def _check_off_cut(u0: np.ndarray, what: str) -> None:
     _check_nonzero(u0, what)
-    if np.any((u0.imag == 0) & (u0.real < 0)):
+    if np.any(u0 < 0):
         raise DomainError(f"{what}: argument on the negative real axis at a lift point")
 
 
@@ -93,18 +91,15 @@ def _check_off_cut(u0: np.ndarray, what: str) -> None:
 class _Algebra:
     """The jet kernels and the expression walk, written once over parts.
 
-    A subclass implements the part algebra: ``const(c0)`` makes a jet with
-    constant term ``c0`` (values over the batch) and ``c0`` reads it back,
-    ``part``/``set`` read and write part k, ``euler`` scales part k by k,
-    ``add``/``neg``/``mul`` are the truncated jet ring, and ``conv(k, a, b,
-    lo, hi) = sum_{j=lo..hi} a_j * b_{k-j}``.  Parts support ``+``, ``-``,
-    ``k * part`` and division by a number or by constant terms, and
-    ``elementary`` applies a numpy function to constant terms.  Each kernel
-    keeps the operation order of its scalar recurrence, and ``conv`` keeps
-    the order of its sum: 1-D lifts are pinned bit for bit, signed zeros
-    included (``-t / k`` and ``-(t / k)`` differ).  Products keep their
-    operand order too, since numpy's fused complex product does not commute
-    bit for bit.
+    A subclass implements the part algebra over float64 values: part k of a
+    jet ``u`` is ``u[k]``, ``const(c0)`` makes a jet with constant term
+    ``c0`` (values over the batch) and ``c0`` reads it back, ``euler``
+    scales part k by k, ``add``/``neg``/``mul`` are the truncated jet ring,
+    and ``conv(k, a, b, lo, hi) = sum_{j=lo..hi} a_j * b_{k-j}``.  Parts
+    support ``+``, ``-`` and a product with a number or with constant terms
+    on the left, which is how every division is written.  Each kernel keeps
+    the operation order of its scalar recurrence, and ``conv`` the order of
+    its sum, so the printed digits stay those of the complex lift.
     """
 
     def __init__(self, centers: np.ndarray, order: int):
@@ -112,25 +107,25 @@ class _Algebra:
         self.order = order
 
     def elementary(self, func, u0):
-        """``func``, a numpy elementary function, of the constant terms ``u0``."""
-        return func(u0)
+        """The real part of numpy's complex ``func`` of the constant terms ``u0``."""
+        return func(u0.astype(np.complex128)).real
 
     def exp(self, u):
         e = self.const(self.elementary(np.exp, self.c0(u)))
         ju = self.euler(u)
         for k in range(1, self.order + 1):
-            self.set(e, k, self.conv(k, ju, e, 1, k) / k)
+            e[k] = (1.0 / k) * self.conv(k, ju, e, 1, k)
         return e
 
     def log(self, u, what: str = "log"):
         u0 = self.c0(u)
         _check_off_cut(u0, what)
         out = self.const(self.elementary(np.log, u0))
-        jl = self.const(0)  # euler(out), filled in as out grows
+        jl = self.const(0.0)  # euler(out), filled in as out grows
+        rec = 1.0 / u0
         for k in range(1, self.order + 1):
-            s = self.conv(k, jl, u, 1, k - 1)
-            self.set(out, k, (self.part(u, k) - s / k) / u0)
-            self.set(jl, k, k * self.part(out, k))
+            out[k] = rec * (u[k] - (1.0 / k) * self.conv(k, jl, u, 1, k - 1))
+            jl[k] = k * out[k]
         return out
 
     def sqrt(self, u):
@@ -138,8 +133,9 @@ class _Algebra:
         _check_off_cut(u0, "sqrt")
         r0 = self.elementary(np.sqrt, u0)
         out = self.const(r0)
+        rec = 1.0 / (2 * r0)
         for k in range(1, self.order + 1):
-            self.set(out, k, (self.part(u, k) - self.conv(k, out, out, 1, k - 1)) / (2 * r0))
+            out[k] = rec * (u[k] - self.conv(k, out, out, 1, k - 1))
         return out
 
     def trig(self, u, func: str):
@@ -150,9 +146,9 @@ class _Algebra:
         c = self.const(self.elementary(np.cosh if hyperbolic else np.cos, u0))
         ju = self.euler(u)
         for k in range(1, self.order + 1):
-            self.set(s, k, self.conv(k, ju, c, 1, k) / k)
+            s[k] = (1.0 / k) * self.conv(k, ju, c, 1, k)
             t = self.conv(k, ju, s, 1, k)
-            self.set(c, k, (t if hyperbolic else -t) / k)
+            c[k] = (1.0 / k) * (t if hyperbolic else -t)
         if func == "tan":
             return self.div(s, c, what="tan")
         return c if func.startswith("cos") else s
@@ -160,10 +156,11 @@ class _Algebra:
     def div(self, a, b, what: str = "division"):
         b0 = self.c0(b)
         _check_nonzero(b0, what)
-        out = self.const(0)
-        self.set(out, 0, self.part(a, 0) / b0)  # a part's division, as for k >= 1
+        out = self.const(0.0)
+        rec = 1.0 / b0
+        out[0] = rec * a[0]  # a part's product, as for k >= 1
         for k in range(1, self.order + 1):
-            self.set(out, k, (self.part(a, k) - self.conv(k, out, b, 0, k - 1)) / b0)
+            out[k] = rec * (a[k] - self.conv(k, out, b, 0, k - 1))
         return out
 
     def ipow(self, u, n: int, what: str = "power"):
@@ -185,7 +182,9 @@ class _Algebra:
     def walk(self, node: Node):
         """Jet of the subexpression ``node``."""
         if isinstance(node, (Const, NamedConst)):
-            return self.const(node.value)
+            if node.value.imag != 0:  # only a hand-built AST holds an imaginary constant
+                raise ValidationError(f"jets are real, got the constant {node.value!r}")
+            return self.const(node.value.real)
         if isinstance(node, Var):
             return self.var(node.index)
         if isinstance(node, Neg):
@@ -233,7 +232,7 @@ class _Dense(_Algebra):
     neg = staticmethod(np.negative)
 
     def const(self, c0) -> np.ndarray:
-        out = np.zeros((self.order + 1,) + self.centers.shape, dtype=np.complex128)
+        out = np.zeros((self.order + 1,) + self.centers.shape)
         out[0] = c0
         return out
 
@@ -244,12 +243,6 @@ class _Dense(_Algebra):
 
     def c0(self, u: np.ndarray) -> np.ndarray:
         return u[0]
-
-    def part(self, u: np.ndarray, k: int) -> np.ndarray:
-        return u[k]
-
-    def set(self, u: np.ndarray, k: int, v: np.ndarray) -> None:
-        u[k] = v
 
     def euler(self, u: np.ndarray) -> np.ndarray:
         return u * np.arange(self.order + 1).reshape((-1,) + (1,) * self.centers.ndim)
@@ -279,6 +272,8 @@ class _Dense(_Algebra):
 class _Part(dict):
     """Part k of an n-D jet: each stored multi-index of degree k to its values."""
 
+    __array_ufunc__ = None  # so ``array * part`` reaches ``__rmul__``
+
     def __add__(self, other: _Part) -> _Part:
         out = _Part(self)
         for g, v in other.items():
@@ -297,10 +292,6 @@ class _Part(dict):
             out[g] = -v if cur is None else cur - v
         return out
 
-    def __truediv__(self, s) -> _Part:
-        r = 1.0 / s  # numpy's complex division by a real divisor, bit for bit
-        return _Part({g: v * r for g, v in self.items()})
-
     def __rmul__(self, s) -> _Part:
         return _Part({g: s * v for g, v in self.items()})
 
@@ -308,23 +299,10 @@ class _Part(dict):
 class _Sparse(_Algebra):
     """n-D jets: a list of K+1 parts over centers of shape ``(P, n)``.
 
-    Every stored ``(P,)`` vector is float64.  ``elementary`` keeps the real
-    part of numpy's complex function, whose real ``exp``, ``log``, ``sinh``
-    and ``cosh`` round differently in the last bit, and a part divides by
-    one reciprocal and a product, numpy's complex division when the divisor
-    has zero imaginary part (Smith's method: ``1/b_r``, then ``a_r *
-    (1/b_r)``).  A complex constant is refused: a real jet would drop its
-    imaginary part.
+    Real products commute, so ``rec * v`` has the bits of the complex ``v * rec``.
     """
 
-    def elementary(self, func, u0):
-        return func(u0.astype(np.complex128)).real
-
     def const(self, c0) -> list[_Part]:
-        if isinstance(c0, complex):  # only a hand-built AST holds an imaginary constant
-            if c0.imag != 0:
-                raise ValidationError(f"n-D jets are real, got the constant {c0!r}")
-            c0 = c0.real
         zero = (0,) * self.centers.shape[1]
         first = _Part({zero: np.full(len(self.centers), c0, dtype=np.float64)})
         return [first] + [_Part() for _ in range(self.order)]
@@ -339,12 +317,6 @@ class _Sparse(_Algebra):
     def c0(self, u: list[_Part]) -> np.ndarray:
         (values,) = u[0].values()  # part 0 holds only the zero multi-index
         return values
-
-    def part(self, u: list[_Part], k: int) -> _Part:
-        return u[k]
-
-    def set(self, u: list[_Part], k: int, v: _Part) -> None:
-        u[k] = v
 
     def add(self, a: list[_Part], b: list[_Part]) -> list[_Part]:
         return [x + y for x, y in zip(a, b)]

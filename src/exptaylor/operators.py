@@ -54,17 +54,21 @@ def cascade_values(coeffs: np.ndarray, lam: complex, count: int) -> np.ndarray:
     center.  This is the recursion path: each step differentiates the
     running jet (dropping one order) and subtracts ``j`` times it.  The steps
     run coefficient-major and the result is a view of that array.
+
+    The stages are real when the coefficients are and ``1/lam`` has a zero
+    imaginary part, and complex otherwise; a real stage has the bits of the
+    complex one's real part, up to the sign of an exact zero.
     """
-    lam = _check_lam(lam)
+    inv = 1.0 / _check_lam(lam)
+    inv = inv.real if inv.imag == 0 else inv
     L = coeffs.shape[-1]
     if count < 0 or count > L - 1:
         raise ValidationError(f"need jet order >= {count}, have {L - 1}")
     # a lifted jet is already stored coefficient-major: moving its axis copies nothing
-    cur = np.moveaxis(np.asarray(coeffs, dtype=np.complex128), -1, 0)
+    cur = np.moveaxis(np.asarray(coeffs), -1, 0)
     steps = np.arange(1, L).reshape((-1,) + (1,) * (cur.ndim - 1))
-    out = np.empty((count + 1,) + cur.shape[1:], dtype=np.complex128)
+    out = np.empty((count + 1,) + cur.shape[1:], dtype=np.result_type(cur, inv))
     out[0] = cur[0]
-    inv = 1.0 / lam
     for j in range(count):
         m = len(cur) - 1
         # named, not inlined: numpy may reuse a large temporary as the output

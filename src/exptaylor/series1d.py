@@ -47,7 +47,7 @@ class Expansion1D:
     lam: complex
     x0: float
     order: int
-    coeffs: np.ndarray  # complex128, shape (order,)
+    coeffs: np.ndarray  # shape (order,): float64 when 1/lam is real, else complex128
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,8 @@ def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
     _check_order(order)
     facts = np.array([math.factorial(j) for j in range(order)], dtype=np.float64)
     with np.errstate(all="ignore"):
-        coeffs = cascade_values(lift(ast, float(x0), order - 1).coeffs, lam, order - 1) / facts
+        # a reciprocal and a product: the complex division by facts + 0j rounded so
+        coeffs = cascade_values(lift(ast, float(x0), order - 1).coeffs, lam, order - 1) * (1.0 / facts)
     if not np.all(np.isfinite(coeffs)):
         raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
     return Expansion1D(lam=lam, x0=float(x0), order=order, coeffs=coeffs)

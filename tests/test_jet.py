@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exptaylor import seriesnd
-from exptaylor.errors import DomainError, ValidationError
-from exptaylor.expr import BinOp, Const, ExprAst, Var, parse
-from exptaylor.jet import Jet1D, JetND, _Algebra, _Dense, _lift_1d_array, _lift_nd_arrays, _Part, lift, lift_nd
+from exptaylor import series1d, seriesnd
+from exptaylor.errors import DiagnosticError, DomainError, ValidationError
+from exptaylor.expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Var, int_exponent, parse
+from exptaylor.jet import Jet1D, JetND, _Dense, _lift_1d_array, _lift_nd_arrays, _Part, lift, lift_nd
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor
+from exptaylor.series1d import expand_1d, growth_diagnostic, radius_estimate, remainder_bound
 from exptaylor.seriesnd import remainder_bound_nd
 
 
@@ -343,8 +344,128 @@ def test_conv_adds_in_numpy_pairwise_order(P):
         assert np.array_equal(bits(dense.conv(k, a, b, 0, k)), bits(want)), n
 
 
-class PointMajor(_Algebra):
-    """The 1-D part algebra as it was stored point-major: part k is column k."""
+# ---- the frozen complex oracle ------------------------------------------------
+
+
+def old_check_nonzero(u0, what):
+    if np.any(u0 == 0):
+        raise DomainError(f"{what}: argument is zero at a lift point")
+
+
+def old_check_off_cut(u0, what):
+    old_check_nonzero(u0, what)
+    if np.any((u0.imag == 0) & (u0.real < 0)):
+        raise DomainError(f"{what}: argument on the negative real axis at a lift point")
+
+
+class ComplexKernels:
+    """The jet kernels and the expression walk as they were over complex parts.
+
+    A copy, not a subclass of ``jet._Algebra``, so the real lift is checked
+    against the code it replaced: constant terms are numpy's complex
+    functions, and every division is one, ``/ k`` and ``/ u0``.
+    """
+
+    def __init__(self, centers, order):
+        self.centers = centers
+        self.order = order
+
+    def exp(self, u):
+        e = self.const(np.exp(self.c0(u)))
+        ju = self.euler(u)
+        for k in range(1, self.order + 1):
+            self.set(e, k, self.conv(k, ju, e, 1, k) / k)
+        return e
+
+    def log(self, u, what="log"):
+        u0 = self.c0(u)
+        old_check_off_cut(u0, what)
+        out = self.const(np.log(u0))
+        jl = self.const(0)
+        for k in range(1, self.order + 1):
+            s = self.conv(k, jl, u, 1, k - 1)
+            self.set(out, k, (self.part(u, k) - s / k) / u0)
+            self.set(jl, k, k * self.part(out, k))
+        return out
+
+    def sqrt(self, u):
+        u0 = self.c0(u)
+        old_check_off_cut(u0, "sqrt")
+        r0 = np.sqrt(u0)
+        out = self.const(r0)
+        for k in range(1, self.order + 1):
+            self.set(out, k, (self.part(u, k) - self.conv(k, out, out, 1, k - 1)) / (2 * r0))
+        return out
+
+    def trig(self, u, func):
+        hyperbolic = func.endswith("h")
+        u0 = self.c0(u)
+        s = self.const((np.sinh if hyperbolic else np.sin)(u0))
+        c = self.const((np.cosh if hyperbolic else np.cos)(u0))
+        ju = self.euler(u)
+        for k in range(1, self.order + 1):
+            self.set(s, k, self.conv(k, ju, c, 1, k) / k)
+            t = self.conv(k, ju, s, 1, k)
+            self.set(c, k, (t if hyperbolic else -t) / k)
+        if func == "tan":
+            return self.div(s, c, what="tan")
+        return c if func.startswith("cos") else s
+
+    def div(self, a, b, what="division"):
+        b0 = self.c0(b)
+        old_check_nonzero(b0, what)
+        out = self.const(0)
+        self.set(out, 0, self.part(a, 0) / b0)
+        for k in range(1, self.order + 1):
+            self.set(out, k, (self.part(a, k) - self.conv(k, out, b, 0, k - 1)) / b0)
+        return out
+
+    def ipow(self, u, n, what="power"):
+        if n == 0:
+            old_check_nonzero(self.c0(u), what)
+            return self.const(1.0)
+        if n < 0:
+            return self.div(self.const(1.0), self.ipow(u, -n), what=what)
+        acc = None
+        while n:
+            if n & 1:
+                acc = u if acc is None else self.mul(acc, u)
+            n >>= 1
+            if n:
+                u = self.mul(u, u)
+        return acc
+
+    def walk(self, node):
+        if isinstance(node, (Const, NamedConst)):
+            return self.const(node.value)
+        if isinstance(node, Var):
+            return self.var(node.index)
+        if isinstance(node, Neg):
+            return self.neg(self.walk(node.operand))
+        if isinstance(node, Call):
+            u = self.walk(node.arg)
+            if node.func in ("exp", "log", "sqrt"):
+                return getattr(self, node.func)(u)
+            return self.trig(u, node.func)
+        if node.op == "^":
+            n = int_exponent(node.right)
+            base = self.walk(node.left)
+            if n is not None:
+                return self.ipow(base, n)
+            return self.exp(self.mul(self.walk(node.right), self.log(base, what="power base")))
+        a = self.walk(node.left)
+        b = self.walk(node.right)
+        if node.op == "+":
+            return self.add(a, b)
+        if node.op == "-":
+            return self.add(a, self.neg(b))
+        if node.op == "*":
+            return self.mul(a, b)
+        return self.div(a, b)
+
+
+class PointMajor(ComplexKernels):
+    """The 1-D part algebra as it was: complex parts, stored point-major (part k is column k)."""
 
     add = staticmethod(np.add)
     neg = staticmethod(np.negative)
@@ -420,8 +541,22 @@ BIT_EXPRS = [
 ]
 
 
+LAMS = (1.0, -0.5, TWO_PI_I, 0.3 - 1.7j)
+
+
+def assert_same_bits(got, want, what):
+    """``got`` has ``want``'s bits; where ``got`` is real, it has the real parts and ``want``'s imaginary parts are 0."""
+    if not np.iscomplexobj(got):
+        assert np.all(want.imag == 0), what
+        want = want.real
+    assert got.dtype == want.dtype, what
+    assert np.array_equal(bits(got), bits(want)), what
+
+
 @pytest.mark.parametrize("P", [1, 57, 577])
 def test_lift_and_cascade_keep_the_point_major_bits(P):
+    # the real coefficient-major lift against the complex point-major oracle;
+    # the cascade is real where 1/lam is, and complex otherwise
     centers = np.linspace(0.05, 1.4, P) if P > 1 else np.array([0.3])
     for src in BIT_EXPRS:
         ast = parse(src)
@@ -434,10 +569,82 @@ def test_lift_and_cascade_keep_the_point_major_bits(P):
                         _lift_1d_array(ast, centers, order)
                     continue
                 got = _lift_1d_array(ast, centers, order)
-                assert np.array_equal(bits(got), bits(want)), (src, order)
-                for lam in (1.0, TWO_PI_I, 0.3 - 1.7j):
+                assert got.dtype == np.float64
+                assert_same_bits(got, want, (src, order))
+                for lam in LAMS:
                     stages = cascade_values(got, lam, order)
-                    assert np.array_equal(bits(stages), bits(point_major_cascade(want, lam, order))), (src, order, lam)
+                    assert np.iscomplexobj(stages) == (lam.imag != 0)
+                    assert_same_bits(stages, point_major_cascade(want, lam, order), (src, order, lam))
+
+
+@pytest.mark.parametrize("lam", LAMS, ids=str)
+def test_expansion_coefficients_keep_the_complex_quotients(lam):
+    # expand_1d multiplies by 1/j!, which is how numpy's complex division by
+    # j! + 0j rounds; that division turns a -0 real part into +0 and the
+    # product keeps it, so zeros are compared by value (no renderer prints
+    # their sign) and every other value by its bits
+    for src in BIT_EXPRS:
+        ast = parse(src)
+        for x0 in (0.3, 1.1):
+            for order in (1, 2, 9, 17, 34, 64):
+                facts = np.array([factorial(j) for j in range(order)], dtype=np.float64)
+                with np.errstate(all="ignore"):
+                    try:
+                        jet = PointMajor(np.array([x0]), order - 1).walk(ast.root)[0]
+                    except DomainError:
+                        break
+                    want = point_major_cascade(jet, lam, order - 1) / facts
+                if not np.all(np.isfinite(want)):
+                    with pytest.raises(DomainError, match="^non-finite expansion coefficient"):
+                        expand_1d(ast, lam, x0, order)
+                    continue
+                got = expand_1d(ast, lam, x0, order).coeffs
+                assert np.iscomplexobj(got) == (lam.imag != 0)
+                assert_same_bits(got + 0.0, want + 0.0, (src, x0, order))
+
+
+# domain errors, and overflows that the lift carries to a later refusal
+ERROR_EXPRS = [
+    "log(exp(800*x))",
+    "sqrt(-exp(800*x))",
+    "log(x-x)",
+    "1/(exp(800*x)-exp(800*x))",
+    "exp(800*x)",
+    "cosh(710*x) - sinh(710*x)",
+    "tan(x)^40 / (x - 1)",
+    "(exp(400*x) * exp(400*x))^0",
+]
+
+
+@pytest.mark.parametrize("src", ERROR_EXPRS)
+def test_domain_and_overflow_errors_keep_their_messages(monkeypatch, src):
+    # every 1-D entry point, first with the real lift and cascade, then with
+    # the complex oracle's patched in: the same values or the same message
+    ast = parse(src)
+    calls = [
+        lambda: expand_1d(ast, 1.0, 1.0, 8).coeffs,
+        lambda: expand_1d(ast, TWO_PI_I, 0.2, 8).coeffs,
+        lambda: remainder_bound(ast, 1.0, 0.5, 1.0, 6),
+        lambda: radius_estimate(ast, -0.5, 1.0).ratios,
+        lambda: growth_diagnostic(ast, 1.0, 1.5, grid=33).sup_values,
+    ]
+    outcomes = []
+    for oracle in (False, True):
+        if oracle:
+            lift_oracle = lambda ast, centers, order: PointMajor(centers, order).walk(ast.root)
+            monkeypatch.setattr(series1d, "_lift_1d_array", lift_oracle)
+            monkeypatch.setattr(series1d, "lift", lambda ast, x0, order: Jet1D(lift_oracle(ast, np.array([x0]), order)[0], x0))
+            monkeypatch.setattr(series1d, "cascade_values", point_major_cascade)
+        outcomes.append([])
+        for call in calls:
+            try:
+                outcomes[-1].append(call())
+            except (DomainError, DiagnosticError) as err:
+                outcomes[-1].append(f"{type(err).__name__}: {err}")
+    for got, want in zip(*outcomes):
+        assert type(got) is type(want)
+        assert np.array_equal(got, want) if isinstance(got, np.ndarray) else got == want
+    assert any(isinstance(v, str) for v in outcomes[0])
 
 
 # ---- the real n-D lift keeps the bits of the complex one
@@ -470,7 +677,7 @@ class ComplexPart(dict):
         return ComplexPart({g: s * v for g, v in self.items()})
 
 
-class ComplexSparse(_Algebra):
+class ComplexSparse(ComplexKernels):
     """The n-D part algebra as it was: complex parts, numpy's complex functions and division."""
 
     def const(self, c0):
@@ -634,3 +841,15 @@ def test_an_imaginary_constant_is_refused_in_n_d():
         remainder_bound_nd(ast, 2, 1.0, (0.1, 0.2), (0.2, 0.3), 3, grid=5)
     real = ExprAst(BinOp("+", Var(0, "x1"), Const(complex(2.0, 0.0))), 2)
     assert lift_nd(real, (0.1, 0.2), 2).coeff((0, 0)) == 2.1
+
+
+def test_an_imaginary_constant_is_refused_in_1_d():
+    # 1-D jets are real as well: a hand-built imaginary constant is refused
+    # rather than dropped
+    ast = ExprAst(BinOp("+", Var(0, "x"), Const(1j)), 1)
+    with pytest.raises(ValidationError, match="real"):
+        lift(ast, 0.1, 3)
+    with pytest.raises(ValidationError, match="real"):
+        expand_1d(ast, 1.0, 0.1, 3)
+    real = ExprAst(BinOp("+", Var(0, "x"), Const(complex(2.0, 0.0))), 1)
+    assert lift(real, 0.1, 2).coeffs[0] == 2.1
