@@ -340,7 +340,8 @@ def eval_complex(ast: ExprAst, point: Sequence[complex] | complex) -> complex:
 
     ``point`` is a sequence of length ``ast.dims`` (a bare scalar is accepted
     when ``dims == 1``).  Raises :class:`~exptaylor.errors.DomainError` on
-    division by zero, ``log``/``sqrt`` of zero, and ill-defined powers.
+    division by zero, ``log``/``sqrt`` of zero, ill-defined powers, and a
+    function or power that overflows, naming it and the point.
     """
     if isinstance(point, (int, float, complex)):
         point = (complex(point),)
@@ -357,12 +358,17 @@ def eval_complex(ast: ExprAst, point: Sequence[complex] | complex) -> complex:
             return vals[node.index]
         if isinstance(node, Neg):
             return -rec(node.operand)
-        if isinstance(node, Call):
-            return _call_value(node.func, rec(node.arg))
+        try:
+            if isinstance(node, Call):
+                return _call_value(node.func, rec(node.arg))
+            if isinstance(node, BinOp) and node.op == "^":
+                return _pow_value(rec(node.left), rec(node.right))
+        except OverflowError:
+            what = node.func if isinstance(node, Call) else "power"
+            where = ", ".join(map(repr, (z.real if z.imag == 0 else z for z in vals)))
+            raise DomainError(f"{what} overflows at the point ({where})") from None
         if isinstance(node, BinOp):
             a = rec(node.left)
-            if node.op == "^":
-                return _pow_value(a, rec(node.right))
             b = rec(node.right)
             if node.op == "+":
                 return a + b

@@ -250,13 +250,15 @@ def _stage_sups(ast: ExprAst, points: np.ndarray, order: int, groups: list[list]
     """Sampled ``sup |stage_g|`` over ``points`` for every ``g`` of each list in ``groups``.
 
     The points are lifted to ``order`` and staged one ``POINT_CHUNK`` at a
-    time, with a running maximum per multi-index.
+    time, with a running maximum per multi-index.  Overflow is silent: a
+    non-finite supremum is the caller's to refuse.
     """
     sups = [np.zeros(len(gammas)) for gammas in groups]
-    for lo in range(0, len(points), POINT_CHUNK):
-        arrays = _lift_nd_arrays(ast, points[lo : lo + POINT_CHUNK], order)
-        for i, gammas in enumerate(groups):
-            sups[i] = np.maximum(sups[i], np.max(np.abs(stage_rows(arrays, gammas, lam)), axis=1))
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(points), POINT_CHUNK):
+            arrays = _lift_nd_arrays(ast, points[lo : lo + POINT_CHUNK], order)
+            for i, gammas in enumerate(groups):
+                sups[i] = np.maximum(sups[i], np.max(np.abs(stage_rows(arrays, gammas, lam)), axis=1))
     return sups
 
 

@@ -588,6 +588,27 @@ def test_growth_overflow_exits_2_with_one_line():
     assert lines[0].startswith("domain error:")
 
 
+def test_sampled_nd_bound_overflow_exits_2_with_one_line():
+    # the expansion at the center is finite; the overflow is in the sampled
+    # box, whose lift and stages once wrote raw RuntimeWarnings
+    argv = ("nd", "--fn", "cosh(710*x1)+x2", "--dims", "2", "--lambda", "1", "--x", "1,0", "--order", "3", "--grid", "9")
+    p = run_cli(*argv)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr.splitlines() == ["domain error: non-finite value in bound"]
+
+
+@pytest.mark.parametrize(
+    "fn, what",
+    [("exp(800*x)", "exp"), ("2 + cosh(800*x)", "cosh"), ("sin(x) * exp(exp(7*x))", "exp"), ("(1+x)^2000", "power")],
+)
+def test_overflow_in_the_true_value_names_the_function(fn, what):
+    p = run_cli("eval", "--fn", fn, "--lambda", "1", "--x", "1", "--order", "4", python_flags=STRICT)
+    assert p.returncode == 2
+    assert p.stdout == ""
+    assert p.stderr.splitlines() == [f"domain error: {what} overflows at the point (1.0)"]
+
+
 @pytest.mark.parametrize("fmt", sorted(RENDERERS))
 def test_renderer_refuses_non_finite_value(fmt):
     for kind, value in (("float", math.nan), ("float", math.inf), ("complex", complex(1, math.nan)),
