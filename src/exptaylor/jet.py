@@ -221,11 +221,11 @@ class _Dense(_Algebra):
     Coefficient-major storage makes every kernel step one operation on
     contiguous rows over all points.  ``conv`` is the one reduction over
     parts.  Summed row by row it would round differently from ``np.sum``
-    over one point's contiguous terms, the order the printed digits are
-    pinned to, so it adds in that order, numpy's pairwise one for at most 64
-    terms: four interleaved lanes combined as ``(l0 + l1) + (l2 + l3)``,
-    then the ``n % 4`` trailing terms in turn; fewer than four terms are one
-    sequential sum.
+    over one point's contiguous complex terms, the order the printed digits
+    are pinned to, so it adds in that order, numpy's pairwise one for at
+    most 64 terms: four interleaved lanes combined as ``(l0 + l1) + (l2 +
+    l3)``, then the ``n % 4`` trailing terms in turn; fewer than four terms
+    are one sequential sum.  (A float64 ``np.sum`` would use eight lanes.)
     """
 
     add = staticmethod(np.add)

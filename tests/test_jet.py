@@ -338,10 +338,17 @@ def test_conv_adds_in_numpy_pairwise_order(P):
     a[:, 0] = np.where(rng.random(65) < 0.5, -0.0, 0.0) + 1j * np.where(rng.random(65) < 0.5, -0.0, 0.0)
     dense = _Dense(np.zeros(P), 64)
     A, B = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)  # point-major, rows contiguous
+    # the real parts a lift stores add in the complex order too: a float64
+    # np.sum would use eight lanes, not four
+    ra, rb = a.real.copy(), b.real.copy()
+    RA, RB = A.real + 0j, B.real + 0j
     for n in range(1, 65):
         k = n - 1
         want = np.sum(A[:, :n] * B[:, k::-1], axis=-1)
         assert np.array_equal(bits(dense.conv(k, a, b, 0, k)), bits(want)), n
+        want = np.sum(RA[:, :n] * RB[:, k::-1], axis=-1)
+        assert np.all(want.imag == 0)
+        assert np.array_equal(bits(dense.conv(k, ra, rb, 0, k)), bits(want.real)), n
 
 
 # ---- the frozen complex oracle ------------------------------------------------
