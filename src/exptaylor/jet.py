@@ -16,7 +16,7 @@ over a part algebra with two implementations: in 1-D part k is row k of a
 coefficient-major array, so every kernel step runs over a contiguous row of
 points; in n-D a sparse map from multi-indices of degree k to values.  The
 1-D convolution adds in the order of ``np.sum`` over one point's contiguous
-terms, the order the printed digits are pinned to.
+complex terms, the order the printed digits are pinned to.
 
 Jets are real (float64): the grammar has no imaginary literal, and
 ``log`` and ``sqrt`` reject the negative real axis.  They keep the bits of
