@@ -185,14 +185,13 @@ def _cmd_sweep(args):
         xs, orders = [args.x], list(range(args.n_range[0], args.n_range[1] + 1))
         points = orders
     ast = parse(args.fn, dims=1)
-    # one remainder_bounds call per sweep: it lifts each segment once
+    # one remainder_bounds call per sweep: it lifts consecutive segments together, in blocks
     ests = remainder_bounds(ast, args.lam, args.x0, xs, orders, grid=args.grid, quad_nodes=args.quad_nodes)
     # the order-n expansion is the first n coefficients of the highest-order one
     full = expand_1d(ast, args.lam, args.x0, max(orders))
+    truncated = [replace(full, order=n, coeffs=full.coeffs[:n]) for n in orders]
     errs = [
-        abs(true - eval_series(replace(full, order=n, coeffs=full.coeffs[:n]), x))
-        for x, true in zip(xs, [eval_complex(ast, x) for x in xs])
-        for n in orders
+        abs(true - eval_series(e, x)) for x, true in zip(xs, [eval_complex(ast, x) for x in xs]) for e in truncated
     ]
     rows = [(p, err, est.bound_tight, est.bound_loose) for p, err, est in zip(points, errs, ests)]
     columns = (column, ("abs_error", "float"), ("bound_tight", "float"), ("bound_loose", "float"))

@@ -196,11 +196,15 @@ def test_eval_domain_error_exits_2():
         # (exp(300) - 1)^63 overflows in both remainder bounds
         ("eval", "--fn", "exp(x)", "--lambda", "1", "--x", "300", "--order", "64"),
         ("sweep", "--fn", "exp(x)", "--lambda", "1", "--x", "400", "--n-range", "60:64"),
+        # the bounds at x = 0.9 overflow and the segment to x = -0.1 meets log's
+        # cut; one lift holds both segments, so the lift's error is the one printed
+        ("sweep", "--fn", "exp(800*x)+log(x)", "--lambda", "1", "--x0", "0.5", "--order", "4",
+         "--x-range", "0.9:-0.1:3"),
         # the jet of 1/x at 1e-200 overflows, and so do its stage values
         ("radius", "--fn", "1/x", "--lambda", "1", "--x0", "1e-200"),
     ],
     ids=["expand_nonfinite", "eval_overflow", "eval_remainder_overflow", "sweep_remainder_overflow",
-         "radius_nonfinite"],
+         "sweep_lift_error_after_an_overflow", "radius_nonfinite"],
 )
 def test_overflow_exits_2_with_one_line(argv):
     p = run_cli(*argv, python_flags=STRICT)

@@ -2,9 +2,12 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exptaylor.errors import DomainError, ParseError, ValidationError
 from exptaylor.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     Const,
@@ -102,6 +105,31 @@ def test_to_source_round_trips(src):
     ast = parse(src, dims)
     again = parse(to_source(ast), dims)
     assert again == ast
+
+
+def _source(variables):
+    """Hypothesis strategy for expression text over the whole grammar: the
+    four binary operators and ``^``, unary minus, every function, ``pi``,
+    ``e`` and literals, with operands parenthesised or not at random."""
+    leaves = st.sampled_from(["pi", "e", "1e-3", "1e300", "(1/3)", "2", "0.5", "10", *variables])
+
+    def grow(children):
+        binary = st.tuples(children, st.sampled_from("+-*/^"), children, st.booleans(), st.booleans()).map(
+            lambda t: ("({})" if t[3] else "{}").format(t[0]) + t[1] + ("({})" if t[4] else "{}").format(t[2])
+        )
+        call = st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(lambda t: f"{t[0]}({t[1]})")
+        # binary nodes three times as often: they carry the precedence cases
+        return st.one_of(binary, binary, binary, call, children.map(lambda c: f"-{c}"))
+
+    return st.recursive(leaves, grow, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_to_source_round_trips_any_expression(data):
+    dims = data.draw(st.sampled_from([1, 2]))
+    ast = parse(data.draw(_source(["x"] if dims == 1 else ["x1", "x2"])), dims)
+    assert parse(to_source(ast), dims) == ast
 
 
 def test_eval_basics():

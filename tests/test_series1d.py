@@ -1,6 +1,7 @@
 """1-D expansion, exact remainder, bounds, and convergence diagnostics."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import eval_complex, parse
-from exptaylor.jet import lift
+from exptaylor.jet import _lift_1d_array, lift
 from exptaylor.operators import cascade_values, d_lambda_stirling
 from exptaylor.series1d import (
+    LIFT_BLOCK,
+    RemainderEstimate,
     _cascade_roundoff_scales,
     _mapped_rule,
     _quad_rule,
@@ -168,6 +171,96 @@ def test_remainder_bounds_validation():
     with pytest.raises(ValidationError):
         remainder_bounds(ast, 1.0, 0.0, [0.1], [4], grid=4)
     assert remainder_bounds(ast, 1.0, 0.0, [], [4]) == []
+
+
+def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
+    """The one-segment-at-a-time loop ``remainder_bounds`` ran before it lifted
+    segments in blocks, frozen here as the oracle for the blocked one."""
+    lam = complex(lam)
+    theta, weights = _quad_rule(quad_nodes)
+    top = max(orders)
+    s = np.linspace(0.0, 1.0, grid)
+    x0 = float(x0)
+    out = []
+    with np.errstate(all="ignore"):
+        for x in xs:
+            dx = float(x) - x0
+            points = np.concatenate((x0 + s * dx, x0 + theta * dx))
+            stages = cascade_values(_lift_1d_array(ast, points, top), lam, top)
+            w_grid = np.exp(lam * (1.0 - s) * dx) - 1.0
+            w_nodes = np.exp(lam * (1.0 - theta) * dx) - 1.0
+            eps = epsilon_sup(lam, abs(dx))
+            for order in orders:
+                v_grid = stages[:grid, order]
+                prefix = abs(lam) / math.factorial(order - 1) * abs(dx)
+                bound_tight = prefix * float(np.max(np.abs(v_grid * w_grid ** (order - 1))))
+                try:
+                    eps_power = eps ** (order - 1)
+                except OverflowError:
+                    eps_power = math.inf
+                bound_loose = prefix * float(np.max(np.abs(v_grid))) * eps_power
+                total = np.sum(weights * stages[grid:, order] * w_nodes ** (order - 1))
+                integral = complex(lam / math.factorial(order - 1) * dx * total)
+                if not all(map(math.isfinite, (bound_tight, bound_loose, integral.real, integral.imag))):
+                    raise DomainError(
+                        f"non-finite remainder bound or integral at x={float(x)!r}, order {order} "
+                        "(overflow in the stage values or in powers of exp(lam z) - 1)"
+                    )
+                out.append(RemainderEstimate(order, integral, bound_tight, bound_loose, grid))
+    return out
+
+
+# every (grid, quad_nodes) pair meets one real and one complex lambda, and
+# every grid meets all four: the whole product would take twice as long
+BLOCK_CASES = [
+    (grid, quad_nodes, lam)
+    for g, grid in enumerate([3, 65, 513, 4097])
+    for q, quad_nodes in enumerate([2, 64])
+    for lam in [(1.0, TWO_PI_I), (-0.5, 0.3 - 1.7j)][(g + q) % 2]
+]
+
+
+@pytest.mark.parametrize("grid, quad_nodes, lam", BLOCK_CASES)
+def test_blocked_bounds_equal_the_per_segment_loop_bit_for_bit(grid, quad_nodes, lam):
+    ast, x0, orders = parse("exp(x)/(1.5-x)"), 0.05, [1, 4, 16, 33]
+    per = max(1, LIFT_BLOCK // (grid + quad_nodes))
+    xs = list(np.linspace(-0.4, 0.45, 3 * per + 2))
+    # the loop's estimates for a prefix of xs are a prefix of its estimates
+    oracle = _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes)
+    for n in sorted({1, per - 1, per, per + 1, 3 * per + 2}):
+        got = remainder_bounds(ast, lam, x0, xs[:n], orders, grid=grid, quad_nodes=quad_nodes)
+        want = oracle[: n * len(orders)]
+        assert len(got) == len(want) == n * len(orders)
+        for a, b in zip(got, want):
+            assert a == b
+            assert repr(a) == repr(b)  # and the signs of zeros
+
+
+def test_blocked_bounds_raise_at_the_first_non_finite_x_of_the_per_segment_loop():
+    ast, xs = parse("exp(40*x)"), list(np.linspace(0.0, 30.0, 9))
+    with pytest.raises(DomainError) as want:
+        _per_segment_bounds(ast, 1.0, 0.0, xs, [4, 33], 513, 64)
+    with pytest.raises(DomainError) as got:
+        remainder_bounds(ast, 1.0, 0.0, xs, [4, 33])
+    assert str(got.value) == str(want.value)
+
+
+def test_remainder_bounds_memory_is_bounded_by_the_block():
+    # one block at a time: the lifted jet, the walk's working jets and the
+    # cascade's running jet, product and output each hold at most one complex
+    # (order+1) x LIFT_BLOCK array; the limit does not grow with len(xs)
+    ast, lam, order = parse("exp(x)"), 0.3 - 1.7j, 16
+    limit = 6 * (order + 1) * LIFT_BLOCK * 16
+    remainder_bounds(ast, lam, 0.05, [0.1], [order])  # imports and caches the Gauss rule
+    for n in (11, 1001):
+        xs = list(np.linspace(-0.3, 0.4, n))
+        tracemalloc.start()
+        try:
+            remainder_bounds(ast, lam, 0.05, xs, [order])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (n, peak, limit)
 
 
 def test_quad_rule_is_cached_and_read_only():
