@@ -36,10 +36,8 @@ from .series1d import (
     radius_estimate,
     remainder_bound,
     remainder_bounds,
-    remainder_integral,
 )
 from .seriesnd import (
-    BoxDomain,
     ExpansionND,
     NdConvergenceReport,
     convergence_check_nd,
@@ -62,7 +60,6 @@ from .stirling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoxDomain",
     "ConvergenceReport",
     "DiagnosticError",
     "DomainError",
@@ -106,7 +103,6 @@ __all__ = [
     "remainder_bound",
     "remainder_bound_nd",
     "remainder_bounds",
-    "remainder_integral",
     "run_suite",
     "stage_matrix",
     "stage_rows",

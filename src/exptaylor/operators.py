@@ -146,8 +146,7 @@ def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) ->
     for axis in range(G.shape[1]):
         W *= S[G[:, axis, None], M[None, :, axis]]
     scale = _inverse_powers(lam, top)[M.sum(axis=1)]
-    values = np.empty((len(keys), len(arrays[keys[0]])), dtype=np.complex128)
-    for r, m in enumerate(keys):
-        values[r] = arrays[m] * scale[r]
+    values = np.array([arrays[m] for m in keys], dtype=np.complex128)
+    values *= scale[:, None]
     # a real matrix times complex columns: one real product on the interleaved parts
     return (W @ values.view(np.float64)).view(np.complex128)

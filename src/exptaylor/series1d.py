@@ -38,9 +38,10 @@ from .operators import _check_lam, _inverse_powers, cascade_values
 from .stirling import stage_matrix
 
 MAX_EXPANSION_ORDER = MAX_ORDER
-# points per lift and cascade in remainder_bounds, in whole segments (3 at the
-# default 513 + 64): on a 2-core Xeon, benchmark sweeps ran 20% faster than one
-# segment per lift; 4,096 ran slower and raised the peak memory by 15%
+# points per lift and cascade in growth_diagnostic, and in remainder_bounds in
+# whole segments (3 at the default 513 + 64): on a 2-core Xeon, benchmark sweeps
+# ran 20% faster than one segment per lift; 4,096 ran slower and raised the peak
+# memory by 15%
 LIFT_BLOCK = 2048
 
 
@@ -187,31 +188,6 @@ def _quad_rule(quad_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(quad_nodes, int) or quad_nodes < 2 or quad_nodes > 1024:
         raise ValidationError(f"quad_nodes must be an integer in [2, 1024], got {quad_nodes!r}")
     return _mapped_rule(quad_nodes)
-
-
-def remainder_integral(
-    ast: ExprAst,
-    lam: complex,
-    x0: float,
-    x: float,
-    order: int,
-    quad_nodes: int = 64,
-) -> complex:
-    """Quadrature of the exact integral remainder after ``order`` terms.
-
-    The sum of ``eval_series`` (same order) and this value reproduces the
-    function at ``x`` up to quadrature and rounding error.  Requires the
-    expression to be smooth on the whole segment from ``x0`` to ``x``.
-    """
-    lam = _check_lam(lam)
-    _check_1d(ast)
-    _check_order(order)
-    theta, weights = _quad_rule(quad_nodes)
-    x0 = float(x0)
-    dx = float(x) - x0
-    v_n = cascade_values(_lift_1d_array(ast, x0 + theta * dx, order), lam, order)[..., order]
-    total = np.sum(weights * v_n * (np.exp(lam * (1.0 - theta) * dx) - 1.0) ** (order - 1))
-    return complex(lam / math.factorial(order - 1) * dx * total)
 
 
 def remainder_bounds(
@@ -464,8 +440,10 @@ def growth_diagnostic(
     the smallest ``k`` whose trailing half does not exceed its leading half
     (by more than 1 percent) is reported, with ``c0`` the trailing-half
     level.  Inputs that fail ``a(0) == a(period)`` on the sample are flagged
-    non-periodic; the diagnostic is still computed.  A stage value that
-    overflows on the grid raises ``DomainError``.
+    non-periodic; the diagnostic is still computed.  The grid is lifted and
+    staged ``LIFT_BLOCK`` points at a time, keeping a running max of each
+    stage's magnitude, so memory does not grow with ``grid``.  A stage value
+    that overflows on the grid raises ``DomainError``.
     """
     lam = _check_lam(lam)
     _check_1d(ast)
@@ -477,15 +455,17 @@ def growth_diagnostic(
     if period <= 0:
         raise ValidationError(f"period must be positive, got {period!r}")
     xs = np.linspace(0.0, period, grid)
-    with np.errstate(all="ignore"):
-        coeffs = _lift_1d_array(ast, xs, n_max)
-        stages = cascade_values(coeffs, lam, n_max)  # (grid, n_max+1)
-        sup_values = np.max(np.abs(stages), axis=0)[1:]  # index N-1 <-> stage N
-    if not np.all(np.isfinite(stages)):
-        raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
-    a_vals = stages[:, 0]
-    scale = 1.0 + float(np.max(np.abs(a_vals)))
-    periodic = bool(abs(a_vals[0] - a_vals[-1]) <= 1e-9 * scale)
+    sups = np.zeros(n_max + 1)
+    for lo in range(0, grid, LIFT_BLOCK):
+        with np.errstate(all="ignore"):
+            stages = cascade_values(_lift_1d_array(ast, xs[lo : lo + LIFT_BLOCK], n_max), lam, n_max)
+        if not np.all(np.isfinite(stages)):
+            raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
+        if lo == 0:
+            first = stages[0, 0]
+        sups = np.maximum(sups, np.max(np.abs(stages), axis=0))
+    sup_values = sups[1:]  # index N-1 <-> stage N
+    periodic = bool(abs(first - stages[-1, 0]) <= 1e-9 * (1.0 + float(sups[0])))
 
     half = max(n_max // 2, 1)
     k_fit, c0, bounded = 0, 0.0, False

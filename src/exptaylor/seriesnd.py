@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,70 +97,38 @@ def _expansion_table(n: int, order: int) -> tuple:
     return keys, index, factorials
 
 
-# ---- domain box ------------------------------------------------------------
+# ---- sample box ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoxDomain:
-    """Closed axis-aligned box ``[lo_i, hi_i]`` in each coordinate."""
+def _box_points(lo: np.ndarray, hi: np.ndarray, per_axis: int, seed: int) -> Iterator[np.ndarray]:
+    """Sample points of the closed box ``[lo_i, hi_i]``, at most ``POINT_CHUNK`` rows at a time.
 
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lo) != len(self.hi):
-            raise ValidationError("lo and hi must have the same length")
-        if any(l > h for l, h in zip(self.lo, self.hi)):
-            raise ValidationError(f"box has lo > hi: {self.lo} vs {self.hi}")
-
-    @property
-    def dims(self) -> int:
-        return len(self.lo)
-
-    @classmethod
-    def from_points(cls, a: Sequence[float], b: Sequence[float]) -> "BoxDomain":
-        """Smallest box containing both points."""
-        lo = tuple(min(float(x), float(y)) for x, y in zip(a, b))
-        hi = tuple(max(float(x), float(y)) for x, y in zip(a, b))
-        if len(tuple(a)) != len(tuple(b)):
-            raise ValidationError("points must have the same length")
-        return cls(lo=lo, hi=hi)
-
-    @classmethod
-    def centered(cls, center: Sequence[float], halfwidth: float) -> "BoxDomain":
-        if halfwidth < 0:
-            raise ValidationError(f"halfwidth must be >= 0, got {halfwidth!r}")
-        c = tuple(float(x) for x in center)
-        return cls(lo=tuple(x - halfwidth for x in c), hi=tuple(x + halfwidth for x in c))
-
-    def grid_points(self, per_axis: int) -> np.ndarray:
-        """Full tensor grid, shape ``(per_axis**dims, dims)``."""
+    Up to three axes this is the full ``per_axis``-per-axis tensor grid in C
+    order; beyond that, where the grid blows up combinatorially, it is
+    ``10 * per_axis`` seeded uniform points with the corners ``lo`` and
+    ``hi`` pinned as the first two.  Only the chunk in hand is held.
+    """
+    dims = len(lo)
+    if dims <= 3:
         if not isinstance(per_axis, int) or per_axis < 3:
             raise ValidationError(f"per_axis must be an integer >= 3, got {per_axis!r}")
-        axes = [np.linspace(l, h, per_axis) for l, h in zip(self.lo, self.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def random_points(self, count: int, seed: int) -> np.ndarray:
-        """Uniform samples including the two extreme corners, shape ``(count, dims)``."""
-        if count < 2:
-            raise ValidationError(f"count must be >= 2, got {count!r}")
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(size=(count, self.dims))
-        lo = np.array(self.lo)
-        hi = np.array(self.hi)
-        out = lo + pts * (hi - lo)
-        out[0] = lo
-        out[1] = hi
-        return out
-
-
-def _sample_points(box: BoxDomain, per_axis: int, seed: int) -> np.ndarray:
-    # full tensor grids blow up combinatorially; beyond 3 axes fall back to
-    # seeded uniform sampling with the corner points pinned
-    if box.dims <= 3:
-        return box.grid_points(per_axis)
-    return box.random_points(10 * per_axis, seed)
+        axes = [np.linspace(l, h, per_axis) for l, h in zip(lo, hi)]
+        total = per_axis**dims
+        for start in range(0, total, POINT_CHUNK):
+            # flat indices in C order: the rows of meshgrid(*axes, indexing="ij") raveled
+            index = np.unravel_index(np.arange(start, min(start + POINT_CHUNK, total)), (per_axis,) * dims)
+            yield np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
+        return
+    count = 10 * per_axis
+    if count < 2:
+        raise ValidationError(f"count must be >= 2, got {count!r}")
+    # one generator drawn chunk by chunk gives the doubles of one whole draw
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, POINT_CHUNK):
+        out = lo + rng.uniform(size=(min(POINT_CHUNK, count - start), dims)) * (hi - lo)
+        if start == 0:
+            out[0], out[1] = lo, hi
+        yield out
 
 
 # ---- expansion -------------------------------------------------------------
@@ -246,17 +214,19 @@ def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> c
 # ---- remainder bound and convergence ---------------------------------------
 
 
-def _stage_sups(ast: ExprAst, points: np.ndarray, order: int, groups: list[list], lam: complex) -> list[np.ndarray]:
-    """Sampled ``sup |stage_g|`` over ``points`` for every ``g`` of each list in ``groups``.
+def _stage_sups(ast: ExprAst, chunks: Iterable, order: int, groups: list[list], lam: complex) -> list[np.ndarray]:
+    """Sampled ``sup |stage_g|`` over the points in ``chunks`` for every ``g`` of each list in ``groups``.
 
-    The points are lifted to ``order`` and staged one ``POINT_CHUNK`` at a
-    time, with a running maximum per multi-index.  Overflow is silent: a
-    non-finite supremum is the caller's to refuse.
+    Each chunk of points, ``(P, dims)`` with ``P <= POINT_CHUNK`` as
+    :func:`_box_points` yields them, is lifted to ``order`` and staged as it
+    comes, with a running maximum per multi-index, so no more than one chunk
+    is held.  Overflow is silent: a non-finite supremum is the caller's to
+    refuse.
     """
     sups = [np.zeros(len(gammas)) for gammas in groups]
     with np.errstate(all="ignore"):
-        for lo in range(0, len(points), POINT_CHUNK):
-            arrays = _lift_nd_arrays(ast, points[lo : lo + POINT_CHUNK], order)
+        for points in chunks:
+            arrays = _lift_nd_arrays(ast, points, order)
             for i, gammas in enumerate(groups):
                 sups[i] = np.maximum(sups[i], np.max(np.abs(stage_rows(arrays, gammas, lam)), axis=1))
     return sups
@@ -277,9 +247,10 @@ def remainder_bound_nd(
     The stage suprema are sampled over the closed box spanned by ``center``
     and ``x``: a full ``grid``-per-axis tensor grid for up to three axes,
     ``10 * grid`` seeded uniform points (corners pinned) beyond that.  The
-    sample points are lifted and staged ``POINT_CHUNK`` at a time, so the
-    memory held is bounded by the chunk, not by ``grid``.  Returns zero when
-    ``x == center`` or the expression is flat there.
+    sample points are made, lifted and staged ``POINT_CHUNK`` at a time, so
+    the memory held, the points included, is bounded by the chunk, not by
+    ``grid``.  Returns zero when ``x == center`` or the expression is flat
+    there.
     """
     lam = _check_nd_args(ast, n, lam)
     _check_nd_order(order)
@@ -288,9 +259,10 @@ def remainder_bound_nd(
     if len(c) != n or len(xv) != n:
         raise ValidationError(f"center and x must have length {n}")
     h = max(abs(a - b) for a, b in zip(xv, c))
-    box = BoxDomain.from_points(c, xv)
+    # numpy returns its second argument on a tie, as min(c, x) returns c: -0.0 stays put
+    lo, hi = np.minimum(xv, c), np.maximum(xv, c)
     gammas = multi_indices_of_degree(n, order)
-    (sups,) = _stage_sups(ast, _sample_points(box, grid, seed), order, [gammas], lam)
+    (sups,) = _stage_sups(ast, _box_points(lo, hi, grid, seed), order, [gammas], lam)
     total = 0.0
     for g, sup in zip(gammas, sups):
         total += order / multi_index_factorial(g) * float(sup)
@@ -371,10 +343,13 @@ def convergence_check_nd(
     if a_bound <= 0:
         raise ValidationError(f"a_bound must be positive, got {a_bound!r}")
     c = tuple(float(v) for v in center)
-    box = BoxDomain.centered(c, float(v_halfwidth))
+    halfwidth = float(v_halfwidth)
+    if halfwidth < 0:
+        raise ValidationError(f"halfwidth must be >= 0, got {halfwidth!r}")
+    points = _box_points(np.array(c) - halfwidth, np.array(c) + halfwidth, grid, seed)
     groups = [multi_indices_of_degree(n, degree) for degree in range(n_max + 1)]
     worst = 0.0
-    for gammas, sups in zip(groups, _stage_sups(ast, _sample_points(box, grid, seed), n_max, groups, lam)):
+    for gammas, sups in zip(groups, _stage_sups(ast, points, n_max, groups, lam)):
         for g, sup in zip(gammas, sups):
             worst = max(worst, float(sup) / (a_bound * multi_index_factorial(g)))
     delta = _delta_for_alpha(lam, alpha)
@@ -384,7 +359,7 @@ def convergence_check_nd(
         lam=lam,
         center=c,
         a_bound=float(a_bound),
-        v_halfwidth=float(v_halfwidth),
+        v_halfwidth=halfwidth,
         alpha=float(alpha),
         n_max=n_max,
         envelope_holds=worst <= 1.0 + 1e-9,

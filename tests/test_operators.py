@@ -196,7 +196,8 @@ def test_stage_rows_chunks_cover_every_point(monkeypatch):
     ast = parse("1/(3+x1-x2)", 2)
     centers = np.stack([np.linspace(-0.5, 0.5, POINT_CHUNK + 3), np.linspace(0.4, -0.4, POINT_CHUNK + 3)], axis=1)
     gammas = [(3, 0), (2, 1), (1, 2), (0, 3)]
-    (sups,) = seriesnd._stage_sups(ast, centers, 3, [gammas], TWO_PI_I)
+    chunks = (centers[lo : lo + POINT_CHUNK] for lo in range(0, len(centers), POINT_CHUNK))
+    (sups,) = seriesnd._stage_sups(ast, chunks, 3, [gammas], TWO_PI_I)
     assert [b.shape for b in blocks] == [(4, POINT_CHUNK), (4, 3)]
     rows = np.concatenate(blocks, axis=1)
     for p in (0, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 2):

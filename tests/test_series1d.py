@@ -1,5 +1,6 @@
 """1-D expansion, exact remainder, bounds, and convergence diagnostics."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ from exptaylor.jet import _lift_1d_array, lift
 from exptaylor.operators import cascade_values, d_lambda_stirling
 from exptaylor.series1d import (
     LIFT_BLOCK,
+    GrowthReport,
     RemainderEstimate,
     _cascade_roundoff_scales,
     _mapped_rule,
@@ -26,7 +28,6 @@ from exptaylor.series1d import (
     radius_estimate,
     remainder_bound,
     remainder_bounds,
-    remainder_integral,
 )
 
 TWO_PI_I = 2j * math.pi
@@ -90,13 +91,13 @@ def test_eval_series_periodic_in_x():
 
 
 def test_remainder_integral_at_center():
-    assert remainder_integral(parse("cos(2*pi*x)"), TWO_PI_I, 0.0, 0.0, 6) == 0
+    assert remainder_bound(parse("cos(2*pi*x)"), TWO_PI_I, 0.0, 0.0, 6, grid=3).integral_value == 0
 
 
 def test_remainder_integral_exp():
     ast = parse("exp(x)")
     exp = expand_1d(ast, 1.0, 0.0, 5)
-    r = remainder_integral(ast, 1.0, 0.0, 0.3, 5, quad_nodes=64)
+    r = remainder_bound(ast, 1.0, 0.0, 0.3, 5, grid=3, quad_nodes=64).integral_value
     want = math.exp(0.3) - eval_series(exp, 0.3)
     assert abs(r - want) < 1e-10
 
@@ -104,7 +105,7 @@ def test_remainder_integral_exp():
 def test_remainder_integral_cosine():
     ast = parse("cos(2*pi*x)")
     exp = expand_1d(ast, TWO_PI_I, 0.0, 6)
-    r = remainder_integral(ast, TWO_PI_I, 0.0, 0.1, 6)
+    r = remainder_bound(ast, TWO_PI_I, 0.0, 0.1, 6, grid=3).integral_value
     want = math.cos(0.2 * math.pi) - eval_series(exp, 0.1)
     assert abs(r - want) < 1e-9
 
@@ -115,7 +116,7 @@ def test_remainder_integral_cosine():
 def test_reconstruction_identity(src, lam, x, order):
     ast = parse(src)
     exp = expand_1d(ast, lam, 0.0, order)
-    r = remainder_integral(ast, lam, 0.0, x, order)
+    r = remainder_bound(ast, lam, 0.0, x, order, grid=3).integral_value
     true = eval_complex(ast, x)
     assert abs(eval_series(exp, x) + r - true) < 1e-9
 
@@ -146,6 +147,18 @@ def test_bound_chain(src, lam, x, order):
     assert est.grid_points == 513
 
 
+def single_segment_integral(ast, lam, x0, x, order, quad_nodes=64):
+    """The quadrature of the exact remainder on its own nodes alone, frozen here
+    from the ``remainder_integral`` that ``remainder_bounds`` made redundant."""
+    lam = complex(lam)
+    theta, weights = _quad_rule(quad_nodes)
+    x0 = float(x0)
+    dx = float(x) - x0
+    v_n = cascade_values(_lift_1d_array(ast, x0 + theta * dx, order), lam, order)[..., order]
+    total = np.sum(weights * v_n * (np.exp(lam * (1.0 - theta) * dx) - 1.0) ** (order - 1))
+    return complex(lam / math.factorial(order - 1) * dx * total)
+
+
 # One lift at max(orders) over grid points and nodes together must give the
 # same bits as one remainder_bound call per (x, order): compared with ==.
 @pytest.mark.parametrize("src", ["cos(2*pi*x)", "x", "1/cos(x)+log(2+x)", "exp(2*x)*sin(x)^3", "sqrt(3+x)"])
@@ -159,7 +172,7 @@ def test_remainder_bounds_equal_single_calls_exactly(src, lam):
         for k, order in enumerate(orders):
             single = remainder_bound(ast, lam, x0, x, order)
             assert batch[i * len(orders) + k] == single
-            assert single.integral_value == remainder_integral(ast, lam, x0, x, order)
+            assert single.integral_value == single_segment_integral(ast, lam, x0, x, order)
 
 
 def test_remainder_bounds_validation():
@@ -407,6 +420,77 @@ def test_growth_overflow_raises_domain_error():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             growth_diagnostic(parse("exp(x)"), 1.0, 800.0)
+
+
+def whole_grid_growth(ast, lam, period, n_max, grid):
+    """``growth_diagnostic`` as one lift of the whole grid, frozen here as the
+    oracle for the blocked one."""
+    lam = complex(lam)
+    xs = np.linspace(0.0, period, grid)
+    with np.errstate(all="ignore"):
+        stages = cascade_values(_lift_1d_array(ast, xs, n_max), lam, n_max)
+        sup_values = np.max(np.abs(stages), axis=0)[1:]
+    if not np.all(np.isfinite(stages)):
+        raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
+    a_vals = stages[:, 0]
+    scale = 1.0 + float(np.max(np.abs(a_vals)))
+    periodic = bool(abs(a_vals[0] - a_vals[-1]) <= 1e-9 * scale)
+    half = max(n_max // 2, 1)
+    k_fit, c0, bounded = 0, 0.0, False
+    worst = math.inf
+    for k in range(7):
+        shift = np.array([math.factorial(N + k) for N in range(1, n_max + 1)], dtype=np.float64)
+        ratio = sup_values / shift
+        lead = float(np.max(ratio[:half]))
+        trail = float(np.max(ratio[half:])) if n_max > half else float(ratio[-1])
+        growth = trail / lead if lead > 0 else 0.0
+        if growth <= 1.01:
+            k_fit, c0, bounded = k, trail, True
+            break
+        if growth < worst:
+            worst, k_fit, c0 = growth, k, trail
+    return GrowthReport(lam, float(period), n_max, grid, sup_values, k_fit, c0, bounded, periodic)
+
+
+@pytest.mark.parametrize("src", ["1/(3+cos(2*pi*x))", "cos(2*pi*x)", "x", "exp(sin(3*x))/(2+x^2)"])
+@pytest.mark.parametrize("lam", [TWO_PI_I, 1.0, 0.3 - 1.7j], ids=["2pi_i", "1", "0.3-1.7i"])
+@pytest.mark.parametrize("grid", [257, LIFT_BLOCK, LIFT_BLOCK + 1, 2 * LIFT_BLOCK + 5])
+def test_blocked_growth_equals_the_whole_grid(src, lam, grid):
+    ast = parse(src)
+    got = growth_diagnostic(ast, lam, 1.0, n_max=16, grid=grid)
+    want = whole_grid_growth(ast, lam, 1.0, 16, grid)
+    for f in dataclasses.fields(GrowthReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "sup_values":
+            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+def test_growth_overflow_is_raised_at_any_block():
+    # the jet of exp(40 x) overflows near x = 17, in the second of three blocks
+    with pytest.raises(DomainError, match="non-finite stage value") as want:
+        whole_grid_growth(parse("exp(40*x)"), 1.0, 20.0, 8, 2 * LIFT_BLOCK + 5)
+    with pytest.raises(DomainError) as got:
+        growth_diagnostic(parse("exp(40*x)"), 1.0, 20.0, n_max=8, grid=2 * LIFT_BLOCK + 5)
+    assert str(got.value) == str(want.value)
+
+
+def test_growth_memory_is_bounded_by_the_block():
+    # one block at a time: the walk's working jets and the cascade's
+    # temporaries hold at most eight complex (n_max+1) x LIFT_BLOCK arrays,
+    # next to the grid's own float64 x values; the whole grid lifted at once
+    # peaks near 70 MB here
+    ast, n_max, grid = parse("1/(3+cos(2*pi*x))"), 16, 50_001
+    limit = 8 * grid + 8 * (n_max + 1) * LIFT_BLOCK * 16
+    growth_diagnostic(ast, TWO_PI_I, 1.0, n_max=n_max, grid=3)  # imports and caches
+    tracemalloc.start()
+    try:
+        growth_diagnostic(ast, TWO_PI_I, 1.0, n_max=n_max, grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, (peak, limit)
 
 
 def test_growth_validation():

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exptaylor import seriesnd
 from exptaylor.errors import ValidationError
@@ -14,7 +16,6 @@ from exptaylor.operators import stage_rows, stage_tensor
 from exptaylor.series1d import eval_series, expand_1d, remainder_bound
 from exptaylor.seriesnd import (
     POINT_CHUNK,
-    BoxDomain,
     convergence_check_nd,
     eval_nd,
     expand_nd,
@@ -71,60 +72,139 @@ def test_multi_index_factorial():
     assert multi_index_factorial((5,)) == 120
 
 
-# ---- box domains -------------------------------------------------------------
+# ---- sample box ---------------------------------------------------------------
 
 
-def test_box_from_points_sorts_coordinates():
-    box = BoxDomain.from_points((0.2, -0.1), (-0.3, 0.4))
-    assert box.lo == (-0.3, -0.1)
-    assert box.hi == (0.2, 0.4)
-    assert box.dims == 2
+def frozen_grid_points(lo, hi, per_axis):
+    """The whole tensor grid as ``BoxDomain.grid_points`` built it, frozen here
+    as the oracle for the streamed one."""
+    axes = [np.linspace(l, h, per_axis) for l, h in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def test_box_centered():
-    box = BoxDomain.centered((1.0, -2.0), 0.25)
-    assert box.lo == (0.75, -2.25)
-    assert box.hi == (1.25, -1.75)
+def frozen_random_points(lo, hi, count, seed):
+    """The whole uniform draw as ``BoxDomain.random_points`` made it."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(size=(count, len(lo)))
+    lo, hi = np.array(lo), np.array(hi)
+    out = lo + pts * (hi - lo)
+    out[0] = lo
+    out[1] = hi
+    return out
+
+
+def box_points(lo, hi, per_axis, seed=0):
+    return np.concatenate(list(seriesnd._box_points(np.array(lo), np.array(hi), per_axis, seed)))
+
+
+def spy_box(monkeypatch):
+    """Record the corners that the public functions hand to ``_box_points``."""
+    corners, points = [], seriesnd._box_points
+
+    def recording(lo, hi, per_axis, seed):
+        corners.append((tuple(lo), tuple(hi)))
+        return points(lo, hi, per_axis, seed)
+
+    monkeypatch.setattr(seriesnd, "_box_points", recording)
+    return corners
+
+
+CORNERS = [0.3, -0.2, 0.0, 1.5], [-0.1, 0.4, -0.0, 1.5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.integers(1, 4),
+    per_axis=st.integers(3, 40),
+    a=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    b=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one chunk, one chunk + 1 and several chunks, on the grid and on the draw
+@example(1, 1024, *CORNERS, 0)
+@example(1, 1025, *CORNERS, 0)
+@example(2, 32, *CORNERS, 0)
+@example(3, 40, *CORNERS, 0)
+@example(4, 103, *CORNERS, 5)
+@example(4, 205, *CORNERS, 5)
+def test_streamed_box_points_equal_the_whole_box(dims, per_axis, a, b, seed):
+    # the corners come in either order, as the sorted pair of a center and a point
+    lo, hi = np.minimum(a[:dims], b[:dims]), np.maximum(a[:dims], b[:dims])
+    chunks = list(seriesnd._box_points(lo, hi, per_axis, seed))
+    assert all(0 < len(c) <= POINT_CHUNK for c in chunks)
+    got = np.concatenate(chunks)
+    if dims <= 3:
+        want = frozen_grid_points(lo, hi, per_axis)
+    else:
+        want = frozen_random_points(lo, hi, 10 * per_axis, seed)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_box_from_points_sorts_coordinates(monkeypatch):
+    corners = spy_box(monkeypatch)
+    remainder_bound_nd(product_cosine(), 2, LAM, (0.2, -0.1), (-0.3, 0.4), 3, grid=3)
+    assert corners == [((-0.3, -0.1), (0.2, 0.4))]
+
+
+def test_box_centered(monkeypatch):
+    corners = spy_box(monkeypatch)
+    convergence_check_nd(product_cosine(), 2, LAM, (1.0, -2.0), 1.0, 0.25, 3, grid=3)
+    assert corners == [((0.75, -2.25), (1.25, -1.75))]
 
 
 def test_box_grid_points_one_dim():
-    g = BoxDomain.centered((0.0,), 0.5).grid_points(5)
+    g = box_points((-0.5,), (0.5,), 5)
     assert np.allclose(g.ravel(), [-0.5, -0.25, 0.0, 0.25, 0.5])
 
 
 def test_box_grid_points_shape():
-    g = BoxDomain.centered((0.0, 0.0, 0.0), 0.1).grid_points(4)
+    g = box_points((-0.1,) * 3, (0.1,) * 3, 4)
     assert g.shape == (64, 3)
 
 
 def test_box_random_points_pins_corners():
-    box = BoxDomain.from_points((0.2, -0.1), (-0.3, 0.4))
-    pts = box.random_points(40, seed=7)
-    assert pts.shape == (40, 2)
-    assert np.array_equal(pts[0], box.lo)
-    assert np.array_equal(pts[1], box.hi)
-    assert np.all(pts >= np.array(box.lo) - 1e-15)
-    assert np.all(pts <= np.array(box.hi) + 1e-15)
+    lo, hi = (-0.3, -0.1, 0.0, -1.0), (0.2, 0.4, 0.5, 1.0)
+    pts = box_points(lo, hi, 4, seed=7)  # beyond three axes: 10 * 4 uniform points
+    assert pts.shape == (40, 4)
+    assert np.array_equal(pts[0], lo)
+    assert np.array_equal(pts[1], hi)
+    assert np.all(pts >= np.array(lo) - 1e-15)
+    assert np.all(pts <= np.array(hi) + 1e-15)
 
 
 def test_box_random_points_seed_deterministic():
-    box = BoxDomain.centered((0.0, 0.0), 1.0)
-    assert np.array_equal(box.random_points(16, seed=3), box.random_points(16, seed=3))
+    lo, hi = (-1.0,) * 4, (1.0,) * 4
+    assert np.array_equal(box_points(lo, hi, 4, seed=3), box_points(lo, hi, 4, seed=3))
 
 
 def test_box_validation():
-    with pytest.raises(ValidationError):
-        BoxDomain(lo=(1.0,), hi=(0.0,))
-    with pytest.raises(ValidationError):
-        BoxDomain(lo=(0.0, 0.0), hi=(1.0,))
-    with pytest.raises(ValidationError):
-        BoxDomain.from_points((0.0,), (1.0, 2.0))
-    with pytest.raises(ValidationError):
-        BoxDomain.centered((0.0,), -0.1)
-    with pytest.raises(ValidationError):
-        BoxDomain.centered((0.0,), 1.0).grid_points(2)
-    with pytest.raises(ValidationError):
-        BoxDomain.centered((0.0,), 1.0).random_points(1, seed=0)
+    ast = product_cosine()
+    with pytest.raises(ValidationError, match="center and x must have length 2"):
+        remainder_bound_nd(ast, 2, LAM, (0.0,), (1.0, 2.0), 3)
+    with pytest.raises(ValidationError, match="halfwidth must be >= 0"):
+        convergence_check_nd(ast, 2, LAM, (0.0, 0.0), 1.0, -0.1, 3)
+    with pytest.raises(ValidationError, match="per_axis must be an integer >= 3"):
+        box_points((-1.0,), (1.0,), 2)
+    with pytest.raises(ValidationError, match="per_axis must be an integer >= 3"):
+        remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1, 0.1), 3, grid=2)
+    with pytest.raises(ValidationError, match="count must be >= 2"):
+        box_points((-1.0,) * 4, (1.0,) * 4, 0)
+
+
+def test_first_box_chunk_is_bounded_by_the_chunk():
+    # a 3-D grid of 129 is 2,146,689 points: the whole grid and its meshgrid
+    # peak near 98 MB, one chunk of them holds 24 KB
+    points = seriesnd._box_points(np.zeros(3), np.full(3, 0.1), 129, 0)
+    tracemalloc.start()
+    try:
+        first = next(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.shape == (POINT_CHUNK, 3)
+    assert peak < 1_000_000, peak
 
 
 # ---- expansion coefficients ---------------------------------------------------
@@ -284,8 +364,9 @@ def test_bound_four_dims_random_sampling():
     assert measured <= 1.02 * bound
 
 
-def whole_batch_stage_sups(ast, points, order, groups, lam):
+def whole_batch_stage_sups(ast, chunks, order, groups, lam):
     """The sampled sups as one lift of every point, staged 1024 points at a time."""
+    points = np.concatenate(list(chunks))
     arrays = _lift_nd_arrays(ast, points, order)
     sups = [np.zeros(len(gammas)) for gammas in groups]
     for lo in range(0, len(points), 1024):
@@ -299,9 +380,10 @@ def whole_batch(monkeypatch, fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with the sampled sups taken from one whole-batch lift."""
     calls = []
 
-    def reference(*a):
-        calls.append(len(a[1]))
-        return whole_batch_stage_sups(*a)
+    def reference(ast, chunks, *a):
+        chunks = list(chunks)
+        calls.append(sum(map(len, chunks)))
+        return whole_batch_stage_sups(ast, chunks, *a)
 
     with monkeypatch.context() as m:
         m.setattr(seriesnd, "_stage_sups", reference)
@@ -339,11 +421,11 @@ def test_sampled_bound_memory_is_bounded_by_the_chunk():
     # 35,937 grid points at order 8 in 3 variables.  Per chunk the lifted
     # jet, the working jets of the walk, the scaled copy that stage_rows
     # multiplies and its product each hold at most `keys` complex rows of
-    # POINT_CHUNK values: four rows of that size, plus the sample points.
+    # POINT_CHUNK values: four rows of that size.  The sample points come one
+    # chunk at a time too.
     ast, order = parse("1/(4+x1+x2+x3)", 3), 8
     keys = math.comb(order + 3, 3)
-    points = BoxDomain.from_points((0.0,) * 3, (0.1,) * 3).grid_points(33)
-    limit = points.nbytes + 4 * keys * POINT_CHUNK * 16
+    limit = 4 * keys * POINT_CHUNK * 16
     tracemalloc.start()
     try:
         remainder_bound_nd(ast, 3, 1.0, (0.0,) * 3, (0.1,) * 3, order)
