@@ -23,7 +23,6 @@ for cascade values over one period.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -156,18 +155,30 @@ def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
     return Expansion1D(lam=lam, x0=float(x0), order=order, coeffs=coeffs)
 
 
-def eval_series(expansion: Expansion1D, x: float | complex) -> complex:
-    """Evaluate the truncated expansion at ``x`` (Horner in ``w``).
+def expm1(u):
+    """``exp(u) - 1`` for complex ``u = a + ib``, as ``expm1(a) cos b - 2 sin(b/2)^2 + i e^a sin b`` without
+    cancellation near 0; the imaginary part is 0 where ``b == 0``, so a real overflow is ``inf``, not ``nan``."""
+    u = np.asarray(u, dtype=np.complex128)
+    out = np.empty_like(u)
+    with np.errstate(all="ignore"):
+        out.real = np.expm1(u.real) * np.cos(u.imag) - 2.0 * np.sin(u.imag / 2.0) ** 2
+        out.imag = np.where(u.imag == 0, 0.0, np.exp(u.real) * np.sin(u.imag))
+    return out[()]  # a scalar for a scalar u, so eval_series sums in numpy scalar arithmetic
 
-    Overflow gives a non-finite value without a warning; the remainder bound
-    at the same ``x`` overflows with it and raises ``DomainError``.
-    """
-    w = cmath.exp(expansion.lam * (complex(x) - expansion.x0)) - 1
+
+def horner(coeffs, w):
+    """``sum_j coeffs[j] w^j`` by Horner's rule over the leading axis; ``w`` broadcasts against ``coeffs[0]``."""
     acc = 0j
     with np.errstate(all="ignore"):
-        for c in expansion.coeffs[::-1]:
+        for c in coeffs[::-1]:
             acc = acc * w + c
-    return complex(acc)
+    return acc
+
+
+def eval_series(expansion: Expansion1D, x: float | complex) -> complex:
+    """Evaluate the truncated expansion at ``x`` (Horner in ``w``).  Overflow gives a non-finite value
+    without a warning; the remainder bound at the same ``x`` overflows with it and raises ``DomainError``."""
+    return complex(horner(expansion.coeffs, expm1(expansion.lam * (complex(x) - expansion.x0))))
 
 
 # ---- exact remainder and bounds --------------------------------------------
@@ -242,8 +253,8 @@ def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders
         points = np.concatenate((x0 + s * dx, x0 + theta * dx), axis=1)
         staged = cascade_values(_lift_1d_array(ast, points.ravel(), top), lam, top)
         # x - xi = (1 - s) dx runs over the segment; its sup feeds the tight bound
-        w_grid = np.exp(lam * (1.0 - s) * dx) - 1.0
-        w_nodes = np.exp(lam * (1.0 - theta) * dx) - 1.0
+        w_grid = expm1(lam * (1.0 - s) * dx)
+        w_nodes = expm1(lam * (1.0 - theta) * dx)
         columns = []
         for order in orders:
             # a view: reshaping all of ``staged`` would copy it

@@ -30,7 +30,7 @@ from .errors import DomainError, ValidationError
 from .expr import ExprAst
 from .jet import _lift_nd_arrays, lift_nd
 from .operators import _check_lam, stage_rows, stage_tensor
-from .series1d import epsilon_sup
+from .series1d import epsilon_sup, expm1, horner
 
 MAX_ND_ORDER = 16
 MAX_ND_DIMS = 4
@@ -108,10 +108,10 @@ def _box_points(lo: np.ndarray, hi: np.ndarray, per_axis: int, seed: int) -> Ite
     ``10 * per_axis`` seeded uniform points with the corners ``lo`` and
     ``hi`` pinned as the first two.  Only the chunk in hand is held.
     """
+    if not isinstance(per_axis, int) or per_axis < 3:
+        raise ValidationError(f"grid must be an integer >= 3, got {per_axis!r}")
     dims = len(lo)
     if dims <= 3:
-        if not isinstance(per_axis, int) or per_axis < 3:
-            raise ValidationError(f"per_axis must be an integer >= 3, got {per_axis!r}")
         axes = [np.linspace(l, h, per_axis) for l, h in zip(lo, hi)]
         total = per_axis**dims
         for start in range(0, total, POINT_CHUNK):
@@ -120,8 +120,6 @@ def _box_points(lo: np.ndarray, hi: np.ndarray, per_axis: int, seed: int) -> Ite
             yield np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
         return
     count = 10 * per_axis
-    if count < 2:
-        raise ValidationError(f"count must be >= 2, got {count!r}")
     # one generator drawn chunk by chunk gives the doubles of one whole draw
     rng = np.random.default_rng(seed)
     for start in range(0, count, POINT_CHUNK):
@@ -193,22 +191,17 @@ def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order
 
 
 def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> complex:
-    """Evaluate the truncated expansion at ``x``; per-axis powers are reused."""
-    pts = tuple(complex(v) for v in x)
+    """Evaluate the truncated expansion at ``x``: the coefficients as a dense
+    ``(order,) * n`` tensor, summed by Horner's rule in ``w_i`` along each axis in turn."""
+    pts = np.array([complex(v) for v in x])
     if len(pts) != expansion.dims:
         raise ValidationError(f"point has {len(pts)} coordinates, need {expansion.dims}")
-    K = expansion.order - 1
-    pows = []
-    for xi, ci in zip(pts, expansion.center):
-        w = np.exp(expansion.lam * (xi - ci)) - 1.0
-        pows.append(w ** np.arange(K + 1))
-    acc = 0j
-    for g, c in expansion.coeffs.items():
-        term = c
-        for i, gi in enumerate(g):
-            term = term * pows[i][gi]
-        acc += term
-    return complex(acc)
+    dense = np.zeros((expansion.order,) * expansion.dims, dtype=np.complex128)
+    index = np.array(list(expansion.coeffs), dtype=np.intp).reshape(-1, expansion.dims).T
+    dense[tuple(index)] = list(expansion.coeffs.values())
+    for w in expm1(expansion.lam * (pts - np.array(expansion.center))):
+        dense = horner(dense, w)
+    return complex(dense)
 
 
 # ---- remainder bound and convergence ---------------------------------------
@@ -343,15 +336,18 @@ def convergence_check_nd(
     if a_bound <= 0:
         raise ValidationError(f"a_bound must be positive, got {a_bound!r}")
     c = tuple(float(v) for v in center)
+    if len(c) != n:
+        raise ValidationError(f"center has {len(c)} coordinates, need {n}")
     halfwidth = float(v_halfwidth)
     if halfwidth < 0:
         raise ValidationError(f"halfwidth must be >= 0, got {halfwidth!r}")
     points = _box_points(np.array(c) - halfwidth, np.array(c) + halfwidth, grid, seed)
+    # one stage product per degree; together the degrees list the keys of the expansion table
     groups = [multi_indices_of_degree(n, degree) for degree in range(n_max + 1)]
-    worst = 0.0
-    for gammas, sups in zip(groups, _stage_sups(ast, points, n_max, groups, lam)):
-        for g, sup in zip(gammas, sups):
-            worst = max(worst, float(sup) / (a_bound * multi_index_factorial(g)))
+    sups = np.concatenate(_stage_sups(ast, points, n_max, groups, lam))
+    if not np.all(np.isfinite(sups)):
+        raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
+    worst = float(np.max(sups / (a_bound * _expansion_table(n, n_max + 1)[2])))
     delta = _delta_for_alpha(lam, alpha)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
     pred = a_bound * delta * abs(lam) * ns**n / math.factorial(n - 1) * alpha ** (ns - 1)

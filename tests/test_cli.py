@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 from exptaylor import cli
 from exptaylor.cli import parse_complex_literal
 from exptaylor.errors import DomainError, ValidationError
+from exptaylor.expr import eval_complex, parse
 from exptaylor.identities import run_suite
 from exptaylor.render import RENDERERS, Field, Table, format_complex
+from exptaylor.series1d import eval_series, expand_1d, expm1
 
 TWO_PI_I = "0+6.283185307179586i"
 
@@ -160,6 +163,23 @@ def test_eval_at_expansion_point_is_exact():
     assert payload["bound_tight"] == 0.0
 
 
+def test_eval_near_the_center_keeps_w_exact(capsys):
+    # w = expm1(1e-10), not exp(1e-10) - 1, which is 8.3e-8 relative off
+    code, out, _ = run_main(capsys, "eval", "--fn", "x", "--lambda", "1", "--x", "1e-10", "--order", "6")
+    assert code == 0
+    assert "abs_error   = 0\n" in out
+
+
+def test_eval_with_a_tiny_lambda_keeps_the_series(capsys):
+    # exp(5e-301) - 1 is 0, so the series printed 0 and abs_error 0.5
+    argv = ("eval", "--fn", "x", "--lambda", "1e-300", "--x", "0.5", "--order", "6")
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    assert "series      = 0.49999999999999994 + 0i\n" in out
+    code, out, _ = run_main(capsys, *argv, "--format", "json")
+    assert json.loads(out)["abs_error"] <= 2.0**-53
+
+
 def test_eval_check_passes():
     p = run_cli(
         "eval", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
@@ -284,6 +304,31 @@ def test_sweep_n_range():
     assert [row["N"] for row in payload["rows"]] == [2, 3, 4, 5, 6]
     errs = [row["abs_error"] for row in payload["rows"]]
     assert errs[-1] < errs[0]
+
+
+@pytest.mark.parametrize(
+    "fn, lam, span",
+    [
+        ("x", TWO_PI_I, ("--order", "6", "--x-range", "0:0.15:31")),
+        ("1/cos(x)+log(2+x)", "1", ("--order", "12", "--x-range=-0.3:0.4:15")),
+        ("exp(sin(3*x))/(2+x^2)", "0.3-1.7i", ("--x", "0.2", "--n-range", "1:16")),
+    ],
+)
+def test_sweep_errors_match_eval_series_point_by_point(capsys, fn, lam, span):
+    code, out, _ = run_main(capsys, "sweep", "--fn", fn, "--lambda", lam, *span, "--grid", "33", "--format", "json")
+    assert code == 0
+    ast, lam = parse(fn), parse_complex_literal(lam)
+    for row in json.loads(out)["rows"]:
+        x, order = (row["x"], int(span[1])) if "--order" in span else (float(span[1]), row["N"])
+        e = expand_1d(ast, lam, 0.0, order)
+        true = complex(eval_complex(ast, x))
+        # sweep's array Horner and eval_series' scalar one each round within
+        # (sqrt(5) + 1)u of the terms' size per multiply-add, order - 1 of them,
+        # plus a few u of w to each power: under 10 order u for the two; the
+        # subtraction from true and the modulus add 2u of |true| each
+        size = float(np.sum(np.abs(e.coeffs) * np.abs(expm1(e.lam * x)) ** np.arange(order)))
+        tol = 10 * order * 2.0**-53 * size + 4 * 2.0**-53 * abs(true)
+        assert abs(row["abs_error"] - abs(true - eval_series(e, x))) <= tol
 
 
 def test_sweep_requires_exactly_one_range():

@@ -28,7 +28,10 @@ def test_readme_example_output_is_pinned(case):
     )
     assert p.returncode == case["exit"]
     assert p.stderr == b""
-    assert p.stdout == (GOLDEN / f"{case['name']}.stdout").read_bytes()
+    want = (GOLDEN / f"{case['name']}.stdout").read_bytes()
+    # lines first, so that a failure names the line that changed
+    assert p.stdout.decode("utf-8").splitlines() == want.decode("utf-8").splitlines()
+    assert p.stdout == want
 
 
 def test_readme_examples_repeat_in_one_process(capsys):
@@ -40,4 +43,6 @@ def test_readme_examples_repeat_in_one_process(capsys):
             code = cli.main(case["argv"])
             out, _err = capsys.readouterr()
             assert code == case["exit"], case["name"]
-            assert out.encode("utf-8") == (GOLDEN / f"{case['name']}.stdout").read_bytes(), case["name"]
+            want = (GOLDEN / f"{case['name']}.stdout").read_bytes()
+            assert out.splitlines() == want.decode("utf-8").splitlines(), case["name"]
+            assert out.encode("utf-8") == want, case["name"]

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
@@ -24,6 +24,7 @@ from exptaylor.series1d import (
     epsilon_sup,
     eval_series,
     expand_1d,
+    expm1,
     growth_diagnostic,
     radius_estimate,
     remainder_bound,
@@ -82,6 +83,37 @@ def test_eval_series_exp_termination_exact():
     exp = expand_1d(parse("exp(x)"), 1.0, 0.0, 2)
     for x in np.linspace(-1.0, 1.0, 9):
         assert abs(eval_series(exp, float(x)) - math.exp(x)) < 1e-12
+
+
+AXES = st.sampled_from([1.0, -1.0, 1j, -1j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_mag=st.floats(-14.0, 1.0),
+    # real, imaginary, or on any ray
+    unit=st.one_of(AXES, st.floats(-math.pi, math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))),
+)
+def test_expm1_against_mpmath(log_mag, unit):
+    mpmath = pytest.importorskip("mpmath")
+    u = 10.0**log_mag * unit
+    got = expm1(u)
+    with mpmath.workdps(40):
+        want = complex(mpmath.expm1(mpmath.mpc(u.real, u.imag)))
+    # expm1(a) cos b - 2 sin(b/2)^2 + i e^a sin b: each function value within
+    # 1 ulp (2u), each term one or two roundings more, so every part is off by
+    # at most 7u times the size of its terms, plus u for the subtraction
+    a, b = u.real, u.imag
+    terms = abs(math.expm1(a) * math.cos(b)) + 2.0 * math.sin(b / 2.0) ** 2 + abs(math.exp(a) * math.sin(b))
+    assert abs(got - want) <= 8 * UNIT_ROUNDOFF * terms
+    assert isinstance(got, np.complex128)
+
+
+def test_expm1_overflow_is_inf_not_nan():
+    assert expm1(800.0) == complex(math.inf, 0.0)
+    got = expm1(np.array([800.0, -800.0, 1e-300]))
+    assert not np.any(np.isnan(got))
+    assert list(got) == [complex(math.inf, 0.0), -1.0, 1e-300]
 
 
 def test_eval_series_periodic_in_x():
@@ -149,13 +181,14 @@ def test_bound_chain(src, lam, x, order):
 
 def single_segment_integral(ast, lam, x0, x, order, quad_nodes=64):
     """The quadrature of the exact remainder on its own nodes alone, frozen here
-    from the ``remainder_integral`` that ``remainder_bounds`` made redundant."""
+    from the ``remainder_integral`` that ``remainder_bounds`` made redundant.
+    It pins the shared lift, not the ``w`` formula: ``w`` comes from ``expm1``."""
     lam = complex(lam)
     theta, weights = _quad_rule(quad_nodes)
     x0 = float(x0)
     dx = float(x) - x0
     v_n = cascade_values(_lift_1d_array(ast, x0 + theta * dx, order), lam, order)[..., order]
-    total = np.sum(weights * v_n * (np.exp(lam * (1.0 - theta) * dx) - 1.0) ** (order - 1))
+    total = np.sum(weights * v_n * expm1(lam * (1.0 - theta) * dx) ** (order - 1))
     return complex(lam / math.factorial(order - 1) * dx * total)
 
 
@@ -188,7 +221,8 @@ def test_remainder_bounds_validation():
 
 def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
     """The one-segment-at-a-time loop ``remainder_bounds`` ran before it lifted
-    segments in blocks, frozen here as the oracle for the blocked one."""
+    segments in blocks, frozen here as the oracle for the blocked one.  It pins
+    the blocking, not the ``w`` formula: ``w`` comes from ``expm1``."""
     lam = complex(lam)
     theta, weights = _quad_rule(quad_nodes)
     top = max(orders)
@@ -200,8 +234,8 @@ def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
             dx = float(x) - x0
             points = np.concatenate((x0 + s * dx, x0 + theta * dx))
             stages = cascade_values(_lift_1d_array(ast, points, top), lam, top)
-            w_grid = np.exp(lam * (1.0 - s) * dx) - 1.0
-            w_nodes = np.exp(lam * (1.0 - theta) * dx) - 1.0
+            w_grid = expm1(lam * (1.0 - s) * dx)
+            w_nodes = expm1(lam * (1.0 - theta) * dx)
             eps = epsilon_sup(lam, abs(dx))
             for order in orders:
                 v_grid = stages[:grid, order]
@@ -555,3 +589,30 @@ def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     tol = 32 * (np.arange(count + 1) + 1) * UNIT_ROUNDOFF * scales
     diff = np.abs(cascade_values(jet.coeffs, lam, count) - d_lambda_stirling(jet, lam, count))
     assert np.all(diff <= tol), (diff / np.where(scales > 0, scales, 1)).max()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    src=SMOOTH_EXPRS,
+    lam=st.tuples(st.floats(0.1, 8.0), AXES).map(lambda t: t[0] * t[1]),
+    x0=st.floats(-0.3, 0.3),
+    dx=st.tuples(st.floats(-12.0, math.log10(0.3)), st.sampled_from([-1.0, 1.0])).map(lambda t: t[1] * 10.0 ** t[0]),
+    orders=st.lists(st.integers(1, 16), min_size=1, max_size=4, unique=True),
+)
+@example(src="x", lam=1.0, x0=0.0, dx=1e-10, orders=[16])
+@example(src="x", lam=-0.5, x0=0.0, dx=-1e-7, orders=[16])
+def test_bound_tight_is_at_most_bound_loose(src, lam, x0, dx, orders):
+    x = x0 + dx
+    try:
+        ests = remainder_bounds(parse(src), lam, x0, [x], orders)
+    except DomainError:
+        assume(False)
+    # Both bounds share prefix and stage values; they differ in |w|^(N-1)
+    # against eps^(N-1).  Every grid argument lam (1 - s) dx rounds to at most
+    # |lam dx| in size, so the computed |w| exceeds the computed eps by at most
+    # 8u (expm1 as in test_expm1_against_mpmath, and eps's product and libm
+    # call).  Raising to N - 1 multiplies that by N - 1, numpy's binary powering
+    # adds sqrt(5)u per complex product (N - 2 in all), and the product with the
+    # stage value, its modulus and the prefix products add 5u: under 11 N u.
+    for est in ests:
+        assert est.bound_tight <= est.bound_loose * (1.0 + 16 * est.order * UNIT_ROUNDOFF)

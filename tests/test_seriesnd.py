@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exptaylor import seriesnd
-from exptaylor.errors import ValidationError
+from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
 from exptaylor.jet import _lift_nd_arrays, lift_nd
 from exptaylor.operators import stage_rows, stage_tensor
@@ -185,12 +185,15 @@ def test_box_validation():
         remainder_bound_nd(ast, 2, LAM, (0.0,), (1.0, 2.0), 3)
     with pytest.raises(ValidationError, match="halfwidth must be >= 0"):
         convergence_check_nd(ast, 2, LAM, (0.0, 0.0), 1.0, -0.1, 3)
-    with pytest.raises(ValidationError, match="per_axis must be an integer >= 3"):
+    with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
         box_points((-1.0,), (1.0,), 2)
-    with pytest.raises(ValidationError, match="per_axis must be an integer >= 3"):
+    with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
         remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1, 0.1), 3, grid=2)
-    with pytest.raises(ValidationError, match="count must be >= 2"):
+    with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 0"):
         box_points((-1.0,) * 4, (1.0,) * 4, 0)
+    # four axes take random points, and the same grid check
+    with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
+        box_points((-1.0,) * 4, (1.0,) * 4, 2)
 
 
 def test_first_box_chunk_is_bounded_by_the_chunk():
@@ -314,6 +317,33 @@ def test_eval_complex_point():
     # exp(x1+x2) with lam = 1 terminates on each axis at degree 1
     val = eval_nd(e, (0.3 + 0.1j, -0.2))
     assert val == pytest.approx(np.exp(0.1 + 0.1j), rel=1e-12)
+
+
+ND_POINTS = [
+    ("cos(2*pi*x1)*cos(2*pi*x2)", 2, LAM, (0.0, 0.0), 8, (0.05, 0.05)),
+    ("cos(2*pi*x1)*cos(2*pi*x2)", 2, LAM, (0.0, 0.0), 16, (0.1 + 0.02j, -0.07)),
+    ("exp(x1*x2)/(2+x2)", 2, 0.3 + 1.0j, (0.1, -0.2), 12, (0.35, 0.05 - 0.1j)),
+    ("exp(x1*x2)+x3^2/(2+x1)", 3, 1.0, (0.1, 0.2, 0.3), 10, (0.25, 0.1, 0.4)),
+    ("exp(x1*x2)+x3^2/(2+x1)", 3, -0.5, (0.1, 0.2, 0.3), 10, (0.25j, 0.1, 0.4 - 0.2j)),
+    ("exp(x1*x2)+x3^2*x4", 4, LAM, (0.1, 0.2, 0.3, 0.4), 8, (0.15, 0.25, 0.2, 0.45)),
+]
+
+
+@pytest.mark.parametrize("src, n, lam, center, order, x", ND_POINTS)
+def test_eval_against_an_mpmath_sum_of_the_same_coefficients(src, n, lam, center, order, x):
+    mpmath = pytest.importorskip("mpmath")
+    e = expand_nd(parse(src, n), n, lam, center, order)
+    with mpmath.workdps(30):
+        mlam = mpmath.mpc(complex(lam))
+        w = [mpmath.expm1(mlam * (mpmath.mpc(complex(xi)) - ci)) for xi, ci in zip(x, center)]
+        terms = [mpmath.mpc(complex(c)) * mpmath.fprod(wi**gi for wi, gi in zip(w, g)) for g, c in e.coeffs.items()]
+        want = complex(mpmath.fsum(terms))
+        size = float(mpmath.fsum(abs(t) for t in terms))
+    # each term passes through order - 1 complex multiply-adds per axis, within
+    # 4u each, and carries the error of each w_i (within 8u, test_series1d's
+    # expm1 check) to a power of at most order - 1: (4n + 8)(order - 1)u in all
+    tol = 8 * (n + 1) * (order - 1) * 2.0**-53 * size
+    assert abs(eval_nd(e, x) - want) <= tol
 
 
 # ---- remainder bound ------------------------------------------------------------
@@ -466,6 +496,13 @@ def test_convergence_tight_A_fails():
     assert rep.worst_ratio > 1.0
 
 
+def test_convergence_non_finite_sup_is_domain_error():
+    # inf - inf on most of the box: the stage sups are nan, not a ratio of 0
+    ast = parse("exp(800*x1)-exp(800*x1)+x2", 2)
+    with pytest.raises(DomainError, match=r"^non-finite stage value \(overflow in the jet or in powers of 1/lam\)$"):
+        convergence_check_nd(ast, 2, 1.0, (0.5, 0.0), 1.0, 0.5, 4, grid=5)
+
+
 def test_delta_shrinks_with_alpha():
     a = convergence_check_nd(product_cosine(), 2, LAM, (0.0, 0.0), 1.0, 0.1, 4, alpha=0.5)
     b = convergence_check_nd(product_cosine(), 2, LAM, (0.0, 0.0), 1.0, 0.1, 4, alpha=0.9)
@@ -525,3 +562,5 @@ def test_convergence_validation():
         convergence_check_nd(ast, 2, LAM, (0.0, 0.0), 1.0, 0.1, 0)
     with pytest.raises(ValidationError):
         convergence_check_nd(ast, 2, LAM, (0.0, 0.0), 1.0, 0.1, 4, alpha=1.2)
+    with pytest.raises(ValidationError, match=r"^center has 3 coordinates, need 2$"):
+        convergence_check_nd(ast, 2, LAM, (0.0, 0.0, 0.0), 1.0, 0.1, 4)
