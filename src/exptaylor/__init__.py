@@ -23,7 +23,7 @@ from .identities import (
     suite_names,
 )
 from .jet import Jet1D, JetND, lift, lift_nd
-from .operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor
+from .operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor, stirling_row
 from .series1d import (
     ConvergenceReport,
     Expansion1D,
@@ -39,8 +39,6 @@ from .series1d import (
 )
 from .seriesnd import (
     ExpansionND,
-    NdConvergenceReport,
-    convergence_check_nd,
     eval_nd,
     expand_nd,
     multi_index_factorial,
@@ -71,7 +69,6 @@ __all__ = [
     "IdentityResult",
     "Jet1D",
     "JetND",
-    "NdConvergenceReport",
     "ParseError",
     "RemainderEstimate",
     "StirlingRatioRow",
@@ -80,7 +77,6 @@ __all__ = [
     "build_ratio_rows",
     "build_table",
     "cascade_values",
-    "convergence_check_nd",
     "cosine_series",
     "d_lambda_stirling",
     "epsilon_sup",
@@ -108,6 +104,7 @@ __all__ = [
     "stage_rows",
     "stage_tensor",
     "stirling_log2_series",
+    "stirling_row",
     "suite_names",
     "to_source",
 ]

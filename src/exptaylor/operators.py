@@ -13,9 +13,10 @@ Stirling numbers:
 
 which is one lower-triangular matrix, ``stirling.stage_matrix``, applied
 to the jet scaled by ``lam^(-m)``.  Both forms are implemented; they must
-agree to rounding, which the test suite uses as a cross-check.  In n
-dimensions the cascade factorizes per axis, so the Stirling form is the
-same matrix applied along each axis.
+agree to rounding, which the test suite uses as a cross-check; one row of
+the matrix gives stage N alone (``stirling_row``).  In n dimensions the
+cascade factorizes per axis, so the Stirling form is the same matrix
+applied along each axis.
 """
 
 from __future__ import annotations
@@ -91,6 +92,29 @@ def d_lambda_stirling(jet: Jet1D, lam: complex, count: int) -> np.ndarray:
     if count < 0 or count > jet.order:
         raise ValidationError(f"need jet order >= {count}, have {jet.order}")
     return stage_matrix(count) @ (_inverse_powers(lam, count) * jet.coeffs[: count + 1])
+
+
+def stirling_row(coeffs: np.ndarray, lam: complex, order: int) -> np.ndarray:
+    """Stage ``order`` alone, shape ``coeffs.shape[:-1]``, of jets laid out as for :func:`cascade_values`.
+
+    The row ``sum_m S[N, m] lam^(-m) c_m`` is nested in ``q = 1/lam`` by
+    Horner's rule, one numpy operation per term in a fixed order: no power of
+    ``q`` is formed, so an exact-zero ``c_m`` never meets an overflowed
+    ``lam^(-m)``, and no BLAS call splits the sum.  It is real when the
+    coefficients are and ``1/lam`` has a zero imaginary part.
+    """
+    q = 1.0 / _check_lam(lam)
+    q = q.real if q.imag == 0 else q
+    L = coeffs.shape[-1]
+    if order < 1 or order > L - 1:
+        raise ValidationError(f"need 1 <= order <= {L - 1}, got {order}")
+    # a lifted jet is already stored coefficient-major: each row is contiguous
+    c = np.moveaxis(np.asarray(coeffs), -1, 0)
+    S = stage_matrix(order)[order]
+    acc = S[order] * c[order]
+    for m in range(order - 1, 0, -1):
+        acc = acc * q + S[m] * c[m]
+    return acc * q
 
 
 def stage_tensor(jet: JetND, lam: complex, order: int) -> np.ndarray:

@@ -33,14 +33,14 @@ import numpy as np
 from .errors import DiagnosticError, DomainError, ValidationError
 from .expr import ExprAst
 from .jet import MAX_ORDER, _lift_1d_array, lift
-from .operators import _check_lam, _inverse_powers, cascade_values
+from .operators import _check_lam, _inverse_powers, cascade_values, stirling_row
 from .stirling import stage_matrix
 
 MAX_EXPANSION_ORDER = MAX_ORDER
-# points per lift and cascade in growth_diagnostic, and in remainder_bounds in
-# whole segments (3 at the default 513 + 64): on a 2-core Xeon, benchmark sweeps
-# ran 20% faster than one segment per lift; 4,096 ran slower and raised the peak
-# memory by 15%
+# points per lift in growth_diagnostic, and in remainder_bounds in whole segments
+# (3 at the default 513 + 64); on a 2-core Xeon, benchmark sweeps staged by the
+# cascade ran 20% faster than one segment per lift, and 4,096 ran slower and
+# raised the peak memory by 15%
 LIFT_BLOCK = 2048
 
 
@@ -216,13 +216,14 @@ def remainder_bounds(
     ``i * len(orders) + k`` is for ``xs[i]`` after ``orders[k]`` terms.  Each
     segment from ``x0`` to ``x`` is lifted once, at ``max(orders)``, on its
     ``grid`` sampling points and its quadrature nodes together; every order
-    reads its stage column from that one cascade.  Stage ``N`` of a higher
-    order lift is bit for bit the stage ``N`` of an order-``N`` lift, so the
-    result does not depend on which other orders are requested.  Consecutive
-    segments are lifted and staged together, ``LIFT_BLOCK`` points' worth at
-    a time; the kernels and the cascade act point by point, so the blocks
-    move no bit.  Raises ``DomainError`` when a bound or the integral is not
-    finite, checked in x-major order after each block's lift.
+    ``N`` takes stage ``N`` alone from that one lift by its Stirling row, in
+    O(N) per point.  The row reads coefficients ``0..N`` only, which a higher
+    order lift shares bit for bit with an order-``N`` lift, so the result does
+    not depend on which other orders are requested.  Consecutive segments are
+    lifted and staged together, ``LIFT_BLOCK`` points' worth at a time; the
+    kernels and the row act point by point, so the blocks move no bit.
+    Raises ``DomainError`` when a bound or the integral is not finite,
+    checked in x-major order after each block's lift.
     """
     lam = _check_lam(lam)
     _check_1d(ast)
@@ -245,20 +246,19 @@ def remainder_bounds(
 
 
 def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders: list[int], s, theta, weights):
-    """``remainder_bounds`` for one block of segments: one lift and cascade, then each
-    order's sups and quadrature sums as row-wise array operations, one row per segment."""
+    """``remainder_bounds`` for one block of segments: one lift, then each order's Stirling
+    row, sups and quadrature sums as row-wise array operations, one row per segment."""
     grid, top = len(s), max(orders)
     dx = (np.array(xs) - x0)[:, None]
     with np.errstate(all="ignore"):
         points = np.concatenate((x0 + s * dx, x0 + theta * dx), axis=1)
-        staged = cascade_values(_lift_1d_array(ast, points.ravel(), top), lam, top)
+        jet = _lift_1d_array(ast, points.ravel(), top)
         # x - xi = (1 - s) dx runs over the segment; its sup feeds the tight bound
         w_grid = expm1(lam * (1.0 - s) * dx)
         w_nodes = expm1(lam * (1.0 - theta) * dx)
         columns = []
         for order in orders:
-            # a view: reshaping all of ``staged`` would copy it
-            v = staged[:, order].reshape(points.shape)
+            v = stirling_row(jet, lam, order).reshape(points.shape)
             tight = np.max(np.abs(v[:, :grid] * w_grid ** (order - 1)), axis=1)
             totals = np.sum(weights * v[:, grid:] * w_nodes ** (order - 1), axis=1)
             columns.append((tight, np.max(np.abs(v[:, :grid]), axis=1), totals))

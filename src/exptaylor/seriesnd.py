@@ -13,8 +13,7 @@ provided is the upper bound
              * eps(lam, h)^(N-1) * h,        h = max_i |x_i - c_i|
 
 with the supremum sampled over the axis-aligned box spanned by the center
-and the evaluation point, plus a sampled envelope check that feeds the
-geometric convergence heuristic.
+and the evaluation point.
 """
 
 from __future__ import annotations
@@ -204,11 +203,11 @@ def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> c
     return complex(dense)
 
 
-# ---- remainder bound and convergence ---------------------------------------
+# ---- remainder bound -------------------------------------------------------
 
 
-def _stage_sups(ast: ExprAst, chunks: Iterable, order: int, groups: list[list], lam: complex) -> list[np.ndarray]:
-    """Sampled ``sup |stage_g|`` over the points in ``chunks`` for every ``g`` of each list in ``groups``.
+def _stage_sups(ast: ExprAst, chunks: Iterable, order: int, gammas: list, lam: complex) -> np.ndarray:
+    """Sampled ``sup |stage_g|`` over the points in ``chunks`` for every ``g`` in ``gammas``.
 
     Each chunk of points, ``(P, dims)`` with ``P <= POINT_CHUNK`` as
     :func:`_box_points` yields them, is lifted to ``order`` and staged as it
@@ -216,12 +215,11 @@ def _stage_sups(ast: ExprAst, chunks: Iterable, order: int, groups: list[list], 
     is held.  Overflow is silent: a non-finite supremum is the caller's to
     refuse.
     """
-    sups = [np.zeros(len(gammas)) for gammas in groups]
+    sups = np.zeros(len(gammas))
     with np.errstate(all="ignore"):
         for points in chunks:
             arrays = _lift_nd_arrays(ast, points, order)
-            for i, gammas in enumerate(groups):
-                sups[i] = np.maximum(sups[i], np.max(np.abs(stage_rows(arrays, gammas, lam)), axis=1))
+            sups = np.maximum(sups, np.max(np.abs(stage_rows(arrays, gammas, lam)), axis=1))
     return sups
 
 
@@ -255,111 +253,9 @@ def remainder_bound_nd(
     # numpy returns its second argument on a tie, as min(c, x) returns c: -0.0 stays put
     lo, hi = np.minimum(xv, c), np.maximum(xv, c)
     gammas = multi_indices_of_degree(n, order)
-    (sups,) = _stage_sups(ast, _box_points(lo, hi, grid, seed), order, [gammas], lam)
+    sups = _stage_sups(ast, _box_points(lo, hi, grid, seed), order, gammas, lam)
     total = 0.0
     for g, sup in zip(gammas, sups):
         total += order / multi_index_factorial(g) * float(sup)
     eps = epsilon_sup(lam, h)
     return abs(lam) * total * eps ** (order - 1) * h
-
-
-@dataclass(frozen=True)
-class NdConvergenceReport:
-    """Sampled envelope check plus the geometric decay it predicts.
-
-    ``envelope_holds`` reports whether every sampled stage magnitude with
-    ``|g| <= n_max`` stays below ``a_bound * g!`` on the box of half-width
-    ``v_halfwidth`` around the center (``worst_ratio`` is the max of
-    ``sup / (a_bound g!)``).  ``delta`` is the largest half-width with
-    ``eps(lam, delta) <= alpha``; inside it the bound above decays like
-    ``predicted_envelope[N-1] = a_bound * delta * |lam| * N^n/(n-1)! *
-    alpha^(N-1)``.
-    """
-
-    lam: complex
-    center: tuple[float, ...]
-    a_bound: float
-    v_halfwidth: float
-    alpha: float
-    n_max: int
-    envelope_holds: bool
-    worst_ratio: float
-    delta: float
-    predicted_envelope: np.ndarray  # float64, shape (n_max,)
-
-
-def _delta_for_alpha(lam: complex, alpha: float) -> float:
-    """Largest half-width ``d >= 0`` with ``epsilon_sup(lam, d) <= alpha``."""
-    a, b = lam.real, lam.imag
-    if b == 0:
-        return math.log1p(alpha) / abs(a)
-    if a == 0:
-        # sup saturates at 2; alpha < 1 < 2 always intersects the rising part
-        return 2.0 * math.asin(alpha / 2.0) / abs(b)
-    hi = 1.0
-    for _ in range(80):
-        if epsilon_sup(lam, hi) > alpha:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(100):
-        mid = (lo + hi) / 2.0
-        if epsilon_sup(lam, mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def convergence_check_nd(
-    ast: ExprAst,
-    n: int,
-    lam: complex,
-    center: Sequence[float],
-    a_bound: float,
-    v_halfwidth: float,
-    n_max: int,
-    alpha: float = 0.9,
-    grid: int = 9,
-    seed: int = 0,
-) -> NdConvergenceReport:
-    """Check the factorial envelope on a sample and predict geometric decay.
-
-    ``a_bound`` is the constant A of the hypothesized bound
-    ``sup |stage_g| <= A g!``; ``alpha`` must lie in (0, 1).
-    """
-    lam = _check_nd_args(ast, n, lam)
-    if not isinstance(n_max, int) or n_max < 1 or n_max > MAX_ND_ORDER:
-        raise ValidationError(f"n_max must be an integer in [1, {MAX_ND_ORDER}], got {n_max!r}")
-    if not 0 < alpha < 1:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if a_bound <= 0:
-        raise ValidationError(f"a_bound must be positive, got {a_bound!r}")
-    c = tuple(float(v) for v in center)
-    if len(c) != n:
-        raise ValidationError(f"center has {len(c)} coordinates, need {n}")
-    halfwidth = float(v_halfwidth)
-    if halfwidth < 0:
-        raise ValidationError(f"halfwidth must be >= 0, got {halfwidth!r}")
-    points = _box_points(np.array(c) - halfwidth, np.array(c) + halfwidth, grid, seed)
-    # one stage product per degree; together the degrees list the keys of the expansion table
-    groups = [multi_indices_of_degree(n, degree) for degree in range(n_max + 1)]
-    sups = np.concatenate(_stage_sups(ast, points, n_max, groups, lam))
-    if not np.all(np.isfinite(sups)):
-        raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
-    worst = float(np.max(sups / (a_bound * _expansion_table(n, n_max + 1)[2])))
-    delta = _delta_for_alpha(lam, alpha)
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
-    pred = a_bound * delta * abs(lam) * ns**n / math.factorial(n - 1) * alpha ** (ns - 1)
-    return NdConvergenceReport(
-        lam=lam,
-        center=c,
-        a_bound=float(a_bound),
-        v_halfwidth=halfwidth,
-        alpha=float(alpha),
-        n_max=n_max,
-        envelope_holds=worst <= 1.0 + 1e-9,
-        worst_ratio=worst,
-        delta=delta,
-        predicted_envelope=pred,
-    )

@@ -1,4 +1,9 @@
-"""End-to-end CLI tests run through ``python -m exptaylor``."""
+"""End-to-end CLI tests.
+
+Most run ``cli.main`` in this process (``run_main``), which returns the
+exit code and writes the bytes that ``python -m exptaylor`` would.  A named
+set runs the real process (``run_cli``): what only a process shows.
+"""
 
 import contextlib
 import dataclasses
@@ -8,6 +13,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -30,13 +36,29 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 STRICT = ("-W", "error::RuntimeWarning")
 
 
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
 def run_main(capsys, *argv):
-    """``cli.main`` in this process: (exit code, stdout, stderr)."""
+    """``cli.main`` in this process: (exit code, stdout, stderr), also as ``.returncode``, ``.stdout``, ``.stderr``."""
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
-    return code, out, err
+    return Run(code, out, err)
 
 
+# ``python -m exptaylor`` in a child process, for what only a real process
+# shows; every such test runs ``__main__``:
+# - a numpy RuntimeWarning made an error by ``-W`` (STRICT): the
+#   ``test_overflow_*``, ``test_nd_zero_divisor_*``, ``test_growth_overflow_*``
+#   and ``test_readme_examples_emit_no_runtime_warning`` cases;
+# - stderr with no traceback and no raw warning, without ``-W``:
+#   ``test_sampled_nd_bound_overflow_exits_2_with_one_line``;
+# - the exit code as the shell sees it, one per code: ``test_no_subcommand_exits_1``,
+#   ``test_eval_domain_error_exits_2`` and ``test_eval_check_failure_exits_3``;
+# - determinism across processes: ``test_output_is_deterministic``.
 def run_cli(*argv, timeout=60, python_flags=()):
     return subprocess.run(
         [sys.executable, *python_flags, "-m", "exptaylor", *argv],
@@ -82,9 +104,9 @@ def test_parse_complex_literal_round_trips_printed_literal(z):
 # ---- expand ---------------------------------------------------------------------
 
 
-def test_expand_json_schema():
-    p = run_cli(
-        "expand", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
+def test_expand_json_schema(capsys):
+    p = run_main(
+        capsys, "expand", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
         "--order", "6", "--format", "json",
     )
     assert p.returncode == 0
@@ -100,10 +122,10 @@ def test_expand_json_schema():
     assert coeffs[3] == pytest.approx(-0.5, abs=1e-12)
 
 
-def test_expand_csv_round_trips_to_json_values():
+def test_expand_csv_round_trips_to_json_values(capsys):
     args = ("expand", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--order", "6")
-    js = json.loads(run_cli(*args, "--format", "json").stdout)
-    csv_out = run_cli(*args, "--format", "csv").stdout.splitlines()
+    js = json.loads(run_main(capsys, *args, "--format", "json").stdout)
+    csv_out = run_main(capsys, *args, "--format", "csv").stdout.splitlines()
     assert csv_out[0] == "index,re,im"
     assert len(csv_out) == 7
     for line, ref in zip(csv_out[1:], js["coeffs"]):
@@ -114,21 +136,21 @@ def test_expand_csv_round_trips_to_json_values():
         assert float(im) == ref["im"]
 
 
-def test_expand_text_output():
-    p = run_cli("expand", "--fn", "x", "--lambda", TWO_PI_I, "--order", "3")
+def test_expand_text_output(capsys):
+    p = run_main(capsys, "expand", "--fn", "x", "--lambda", TWO_PI_I, "--order", "3")
     assert p.returncode == 0
     assert "c[0]" in p.stdout and "c[2]" in p.stdout
     assert "lambda" in p.stdout
 
 
-def test_expand_out_file(tmp_path):
+def test_expand_out_file(capsys, tmp_path):
     target = tmp_path / "coeffs.csv"
     args = (
         "expand", "--fn", "x", "--lambda", TWO_PI_I,
         "--order", "4", "--format", "csv",
     )
-    direct = run_cli(*args)
-    p = run_cli(*args, "--out", str(target))
+    direct = run_main(capsys, *args)
+    p = run_main(capsys, *args, "--out", str(target))
     assert p.returncode == 0
     assert p.stdout == ""
     assert target.read_text() == direct.stdout
@@ -137,9 +159,9 @@ def test_expand_out_file(tmp_path):
 # ---- eval -----------------------------------------------------------------------
 
 
-def test_eval_json_reconstruction():
-    p = run_cli(
-        "eval", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
+def test_eval_json_reconstruction(capsys):
+    p = run_main(
+        capsys, "eval", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
         "--x", "0.05", "--order", "8", "--format", "json",
     )
     assert p.returncode == 0
@@ -152,9 +174,9 @@ def test_eval_json_reconstruction():
     assert payload["recon_error"] < 1e-12
 
 
-def test_eval_at_expansion_point_is_exact():
-    p = run_cli(
-        "eval", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
+def test_eval_at_expansion_point_is_exact(capsys):
+    p = run_main(
+        capsys, "eval", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
         "--x", "0", "--order", "6", "--format", "json",
     )
     payload = json.loads(p.stdout)
@@ -180,9 +202,9 @@ def test_eval_with_a_tiny_lambda_keeps_the_series(capsys):
     assert json.loads(out)["abs_error"] <= 2.0**-53
 
 
-def test_eval_check_passes():
-    p = run_cli(
-        "eval", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
+def test_eval_check_passes(capsys):
+    p = run_main(
+        capsys, "eval", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
         "--x", "0.1", "--order", "6", "--check",
     )
     assert p.returncode == 0
@@ -259,9 +281,9 @@ def test_readme_examples_emit_no_runtime_warning(case):
 # ---- sweep ----------------------------------------------------------------------
 
 
-def test_sweep_x_range_csv():
-    p = run_cli(
-        "sweep", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--order", "4",
+def test_sweep_x_range_csv(capsys):
+    p = run_main(
+        capsys, "sweep", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--order", "4",
         "--x-range", "0:0.1:3", "--grid", "33", "--quad-nodes", "16",
     )
     assert p.returncode == 0
@@ -273,9 +295,9 @@ def test_sweep_x_range_csv():
     assert [float(v) for v in first] == [0.0, 0.0, 0.0, 0.0]
 
 
-def test_sweep_single_step():
-    p = run_cli(
-        "sweep", "--fn", "x", "--lambda", TWO_PI_I, "--order", "4",
+def test_sweep_single_step(capsys):
+    p = run_main(
+        capsys, "sweep", "--fn", "x", "--lambda", TWO_PI_I, "--order", "4",
         "--x-range", "0.05:0.2:1", "--grid", "33", "--quad-nodes", "16",
     )
     lines = p.stdout.splitlines()
@@ -283,18 +305,18 @@ def test_sweep_single_step():
     assert lines[1].startswith("0.05")
 
 
-def test_sweep_negative_lo_equals_form():
-    p = run_cli(
-        "sweep", "--fn", "x", "--lambda", TWO_PI_I, "--order", "4",
+def test_sweep_negative_lo_equals_form(capsys):
+    p = run_main(
+        capsys, "sweep", "--fn", "x", "--lambda", TWO_PI_I, "--order", "4",
         "--x-range=-0.1:0.1:3", "--grid", "33", "--quad-nodes", "16",
     )
     assert p.returncode == 0
     assert p.stdout.splitlines()[1].startswith("-0.1")
 
 
-def test_sweep_n_range():
-    p = run_cli(
-        "sweep", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--x", "0.1",
+def test_sweep_n_range(capsys):
+    p = run_main(
+        capsys, "sweep", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--x", "0.1",
         "--n-range", "2:6", "--grid", "33", "--quad-nodes", "16",
         "--format", "json",
     )
@@ -331,18 +353,18 @@ def test_sweep_errors_match_eval_series_point_by_point(capsys, fn, lam, span):
         assert abs(row["abs_error"] - abs(true - eval_series(e, x))) <= tol
 
 
-def test_sweep_requires_exactly_one_range():
-    both = run_cli(
-        "sweep", "--fn", "x", "--lambda", TWO_PI_I,
+def test_sweep_requires_exactly_one_range(capsys):
+    both = run_main(
+        capsys, "sweep", "--fn", "x", "--lambda", TWO_PI_I,
         "--x-range", "0:1:3", "--n-range", "2:4", "--x", "0.1",
     )
-    neither = run_cli("sweep", "--fn", "x", "--lambda", TWO_PI_I)
+    neither = run_main(capsys, "sweep", "--fn", "x", "--lambda", TWO_PI_I)
     assert both.returncode == 1
     assert neither.returncode == 1
 
 
-def test_sweep_n_range_needs_x():
-    p = run_cli("sweep", "--fn", "x", "--lambda", TWO_PI_I, "--n-range", "2:4")
+def test_sweep_n_range_needs_x(capsys):
+    p = run_main(capsys, "sweep", "--fn", "x", "--lambda", TWO_PI_I, "--n-range", "2:4")
     assert p.returncode == 1
     assert "error" in p.stderr
 
@@ -350,9 +372,9 @@ def test_sweep_n_range_needs_x():
 # ---- radius and growth ------------------------------------------------------------
 
 
-def test_radius_json():
-    p = run_cli(
-        "radius", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--format", "json",
+def test_radius_json(capsys):
+    p = run_main(
+        capsys, "radius", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--format", "json",
     )
     assert p.returncode == 0
     payload = json.loads(p.stdout)
@@ -362,24 +384,24 @@ def test_radius_json():
     assert payload["ratios"][0]["j"] >= 1
 
 
-def test_radius_real_lambda_has_null_halfwidth():
-    p = run_cli(
-        "radius", "--fn", "1/(2+x)", "--lambda", "1", "--x0", "0.3",
+def test_radius_real_lambda_has_null_halfwidth(capsys):
+    p = run_main(
+        capsys, "radius", "--fn", "1/(2+x)", "--lambda", "1", "--x0", "0.3",
         "--j-max", "24", "--window", "4", "--format", "json",
     )
     payload = json.loads(p.stdout)
     assert payload["x_region_halfwidth"] is None
 
 
-def test_radius_terminating_series_exits_1():
-    p = run_cli("radius", "--fn", "exp(x)", "--lambda", "1", "--j-max", "24")
+def test_radius_terminating_series_exits_1(capsys):
+    p = run_main(capsys, "radius", "--fn", "exp(x)", "--lambda", "1", "--j-max", "24")
     assert p.returncode == 1
     assert "error" in p.stderr
 
 
-def test_radius_csv():
-    p = run_cli(
-        "radius", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
+def test_radius_csv(capsys):
+    p = run_main(
+        capsys, "radius", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
         "--j-max", "16", "--window", "4", "--format", "csv",
     )
     lines = p.stdout.splitlines()
@@ -387,9 +409,9 @@ def test_radius_csv():
     assert len(lines) > 4
 
 
-def test_growth_json():
-    p = run_cli(
-        "growth", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
+def test_growth_json(capsys):
+    p = run_main(
+        capsys, "growth", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,
         "--n-max", "8", "--grid", "65", "--format", "json",
     )
     assert p.returncode == 0
@@ -404,9 +426,9 @@ def test_growth_json():
 # ---- nd -------------------------------------------------------------------------------
 
 
-def test_nd_json_with_point():
-    p = run_cli(
-        "nd", "--fn", "x1*x2", "--dims", "2", "--lambda", TWO_PI_I,
+def test_nd_json_with_point(capsys):
+    p = run_main(
+        capsys, "nd", "--fn", "x1*x2", "--dims", "2", "--lambda", TWO_PI_I,
         "--x", "0.05,0.05", "--order", "4", "--grid", "9", "--format", "json",
     )
     assert p.returncode == 0
@@ -420,9 +442,9 @@ def test_nd_json_with_point():
     assert point["abs_error"] <= 1.02 * point["bound"]
 
 
-def test_nd_csv_header():
-    p = run_cli(
-        "nd", "--fn", "x1+x2", "--dims", "2", "--lambda", TWO_PI_I,
+def test_nd_csv_header(capsys):
+    p = run_main(
+        capsys, "nd", "--fn", "x1+x2", "--dims", "2", "--lambda", TWO_PI_I,
         "--order", "3", "--format", "csv",
     )
     lines = p.stdout.splitlines()
@@ -430,15 +452,15 @@ def test_nd_csv_header():
     assert lines[1].startswith("0 0,")
 
 
-def test_nd_unknown_variable_exits_1():
-    p = run_cli("nd", "--fn", "x1*x3", "--dims", "2", "--lambda", TWO_PI_I)
+def test_nd_unknown_variable_exits_1(capsys):
+    p = run_main(capsys, "nd", "--fn", "x1*x3", "--dims", "2", "--lambda", TWO_PI_I)
     assert p.returncode == 1
     assert "error" in p.stderr
 
 
-def test_nd_bad_point_length_exits_1():
-    p = run_cli(
-        "nd", "--fn", "x1*x2", "--dims", "2", "--lambda", TWO_PI_I, "--x", "0.1",
+def test_nd_bad_point_length_exits_1(capsys):
+    p = run_main(
+        capsys, "nd", "--fn", "x1*x2", "--dims", "2", "--lambda", TWO_PI_I, "--x", "0.1",
     )
     assert p.returncode == 1
 
@@ -446,17 +468,17 @@ def test_nd_bad_point_length_exits_1():
 # ---- identities -----------------------------------------------------------------------
 
 
-def test_identities_subset():
-    p = run_cli("identities", "--suite", "log_k2_J60,cosine_x0.1_J60")
+def test_identities_subset(capsys):
+    p = run_main(capsys, "identities", "--suite", "log_k2_J60,cosine_x0.1_J60")
     assert p.returncode == 0
     lines = p.stdout.splitlines()
     assert sum(1 for line in lines if line.startswith("PASS")) == 2
     assert lines[-1] == "2 passed, 0 failed"
 
 
-def test_identities_json_rows_match_run_suite():
+def test_identities_json_rows_match_run_suite(capsys):
     names = ["log_k2_J60", "stirling_k2_weighted_J60"]
-    p = run_cli("identities", "--suite", ",".join(names), "--format", "json")
+    p = run_main(capsys, "identities", "--suite", ",".join(names), "--format", "json")
     assert p.returncode == 0
     payload = json.loads(p.stdout)
     results = run_suite(names=names)
@@ -469,8 +491,8 @@ def test_identities_json_rows_match_run_suite():
     assert payload[1]["variant"] == "signed"
 
 
-def test_identities_text_line_format():
-    p = run_cli("identities", "--suite", "log_k2_J60")
+def test_identities_text_line_format(capsys):
+    p = run_main(capsys, "identities", "--suite", "log_k2_J60")
     lines = p.stdout.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("PASS")
@@ -478,8 +500,8 @@ def test_identities_text_line_format():
     assert lines[1] == "1 passed, 0 failed"
 
 
-def test_identities_csv_header():
-    p = run_cli("identities", "--suite", "log_k2_J60", "--format", "csv")
+def test_identities_csv_header(capsys):
+    p = run_main(capsys, "identities", "--suite", "log_k2_J60", "--format", "csv")
     lines = p.stdout.splitlines()
     assert lines[0] == (
         "name,computed_re,computed_im,target_re,target_im,"
@@ -488,21 +510,21 @@ def test_identities_csv_header():
     assert len(lines) == 2
 
 
-def test_identities_override_failure_exits_3():
-    p = run_cli(
-        "identities", "--suite", "log_k2_J60", "--tol-override", "log_k2_J60=1e-30",
+def test_identities_override_failure_exits_3(capsys):
+    p = run_main(
+        capsys, "identities", "--suite", "log_k2_J60", "--tol-override", "log_k2_J60=1e-30",
     )
     assert p.returncode == 3
     assert "FAIL" in p.stdout
 
 
-def test_identities_unknown_name_exits_1():
-    p = run_cli("identities", "--suite", "nope")
+def test_identities_unknown_name_exits_1(capsys):
+    p = run_main(capsys, "identities", "--suite", "nope")
     assert p.returncode == 1
 
 
-def test_identities_bad_override_exits_1():
-    p = run_cli("identities", "--tol-override", "log_k2_J60")
+def test_identities_bad_override_exits_1(capsys):
+    p = run_main(capsys, "identities", "--tol-override", "log_k2_J60")
     assert p.returncode == 1
 
 
@@ -514,20 +536,20 @@ def test_no_subcommand_exits_1():
     assert p.returncode == 1
 
 
-def test_missing_required_flag_exits_1():
-    p = run_cli("expand", "--lambda", TWO_PI_I)
+def test_missing_required_flag_exits_1(capsys):
+    p = run_main(capsys, "expand", "--lambda", TWO_PI_I)
     assert p.returncode == 1
     assert "usage" in p.stderr
 
 
-def test_bad_expression_exits_1():
-    p = run_cli("expand", "--fn", "cos(", "--lambda", TWO_PI_I)
+def test_bad_expression_exits_1(capsys):
+    p = run_main(capsys, "expand", "--fn", "cos(", "--lambda", TWO_PI_I)
     assert p.returncode == 1
     assert "error" in p.stderr
 
 
-def test_bad_lambda_exits_1():
-    p = run_cli("expand", "--fn", "x", "--lambda", "nope")
+def test_bad_lambda_exits_1(capsys):
+    p = run_main(capsys, "expand", "--fn", "x", "--lambda", "nope")
     assert p.returncode == 1
 
 
@@ -545,19 +567,19 @@ NEGATIVE_LAMBDA_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(NEGATIVE_LAMBDA_CASES))
-def test_lambda_with_leading_minus_as_separate_token(name):
+def test_lambda_with_leading_minus_as_separate_token(capsys, name):
     argv = NEGATIVE_LAMBDA_CASES[name]
-    joined = run_cli(*argv, "--lambda=-2-0.5i")
-    separate = run_cli(*argv, "--lambda", "-2-0.5i")
+    joined = run_main(capsys, *argv, "--lambda=-2-0.5i")
+    separate = run_main(capsys, *argv, "--lambda", "-2-0.5i")
     assert joined.returncode == 0, joined.stderr
     assert separate.returncode == 0, separate.stderr
     assert separate.stdout
     assert separate.stdout == joined.stdout
 
 
-def test_lambda_missing_value_still_exits_1():
+def test_lambda_missing_value_still_exits_1(capsys):
     # a following flag is not taken as the value
-    p = run_cli("expand", "--fn", "x", "--lambda", "--order", "4")
+    p = run_main(capsys, "expand", "--fn", "x", "--lambda", "--order", "4")
     assert p.returncode == 1
     assert "--lambda" in p.stderr
 
@@ -590,8 +612,8 @@ def test_option_value_with_leading_minus_as_separate_token(capsys, name):
     assert separate == joined
 
 
-def test_option_followed_by_an_option_still_misses_its_value():
-    p = run_cli("expand", "--fn", "--lambda", "1")
+def test_option_followed_by_an_option_still_misses_its_value(capsys):
+    p = run_main(capsys, "expand", "--fn", "--lambda", "1")
     assert p.returncode == 1
     assert "--fn" in p.stderr
 

@@ -14,9 +14,10 @@ from exptaylor import series1d, seriesnd
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Var, int_exponent, parse
 from exptaylor.jet import Jet1D, JetND, _Dense, _lift_1d_array, _lift_nd_arrays, _Part, lift, lift_nd
-from exptaylor.operators import cascade_values, stage_rows, stage_tensor
+from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_row
 from exptaylor.series1d import expand_1d, growth_diagnostic, radius_estimate, remainder_bound
 from exptaylor.seriesnd import remainder_bound_nd
+from exptaylor.stirling import stage_matrix
 
 
 TWO_PI_I = 2j * math.pi
@@ -526,6 +527,16 @@ def point_major_cascade(coeffs, lam, count):
     return out
 
 
+def point_major_row(coeffs, lam, order):
+    # stage `order` alone of the complex point-major jet: its Stirling row nested in 1/lam
+    S = stage_matrix(order)[order]
+    q = 1.0 / lam
+    acc = S[order] * coeffs[..., order]
+    for m in range(order - 1, 0, -1):
+        acc = acc * q + S[m] * coeffs[..., m]
+    return acc * q
+
+
 BIT_EXPRS = [
     "sin(x) + cos(2*pi*x)",
     "tan(x)",
@@ -563,7 +574,7 @@ def assert_same_bits(got, want, what):
 @pytest.mark.parametrize("P", [1, 57, 577])
 def test_lift_and_cascade_keep_the_point_major_bits(P):
     # the real coefficient-major lift against the complex point-major oracle;
-    # the cascade is real where 1/lam is, and complex otherwise
+    # the cascade and the Stirling row are real where 1/lam is, and complex otherwise
     centers = np.linspace(0.05, 1.4, P) if P > 1 else np.array([0.3])
     for src in BIT_EXPRS:
         ast = parse(src)
@@ -582,6 +593,9 @@ def test_lift_and_cascade_keep_the_point_major_bits(P):
                     stages = cascade_values(got, lam, order)
                     assert np.iscomplexobj(stages) == (lam.imag != 0)
                     assert_same_bits(stages, point_major_cascade(want, lam, order), (src, order, lam))
+                    if order:
+                        row = stirling_row(got, lam, order)
+                        assert_same_bits(row, point_major_row(want, lam, order), (src, order, lam))
 
 
 @pytest.mark.parametrize("lam", LAMS, ids=str)
@@ -625,8 +639,9 @@ ERROR_EXPRS = [
 
 @pytest.mark.parametrize("src", ERROR_EXPRS)
 def test_domain_and_overflow_errors_keep_their_messages(monkeypatch, src):
-    # every 1-D entry point, first with the real lift and cascade, then with
-    # the complex oracle's patched in: the same values or the same message
+    # every 1-D entry point, first with the real lift, cascade and Stirling
+    # row, then with the complex oracle's patched in: the same values or the
+    # same message
     ast = parse(src)
     calls = [
         lambda: expand_1d(ast, 1.0, 1.0, 8).coeffs,
@@ -642,6 +657,7 @@ def test_domain_and_overflow_errors_keep_their_messages(monkeypatch, src):
             monkeypatch.setattr(series1d, "_lift_1d_array", lift_oracle)
             monkeypatch.setattr(series1d, "lift", lambda ast, x0, order: Jet1D(lift_oracle(ast, np.array([x0]), order)[0], x0))
             monkeypatch.setattr(series1d, "cascade_values", point_major_cascade)
+            monkeypatch.setattr(series1d, "stirling_row", point_major_row)
         outcomes.append([])
         for call in calls:
             try:

@@ -3,14 +3,17 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
 from exptaylor import seriesnd
 from exptaylor.jet import lift, lift_nd
-from exptaylor.operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor
+from exptaylor.operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor, stirling_row
 from exptaylor.seriesnd import POINT_CHUNK
 from exptaylor.stirling import build_table
 
@@ -133,6 +136,62 @@ def test_validation():
         cascade_values(jet.coeffs, 1.0, 5)  # count beyond jet order
     with pytest.raises(ValidationError):
         d_lambda_stirling(jet, 1.0, 5)
+    for order in (0, 5):
+        with pytest.raises(ValidationError):
+            stirling_row(jet.coeffs, 1.0, order)
+    with pytest.raises(ValidationError):
+        stirling_row(jet.coeffs, 0.0, 2)
+
+
+# ---- stage N alone: the Stirling row nested in 1/lam
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@st.composite
+def batched_jets(draw):
+    """Float jets of one order at 1 to 4 points, stored coefficient-major as a lift stores them."""
+    order = draw(st.integers(1, 64))
+    points = draw(st.integers(1, 4))
+    # exact zeros, and magnitudes kept clear of underflow and overflow at order 64
+    coeff = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(1e-6, 1e3)).map(lambda t: t[0] * t[1])
+    flat = draw(st.lists(coeff, min_size=(order + 1) * points, max_size=(order + 1) * points))
+    return np.array(flat).reshape(order + 1, points).T
+
+
+DIRECTIONS = {"real": 1.0, "-real": -1.0, "imaginary": 1j, "-imaginary": -1j}
+ROW_LAMBDAS = st.tuples(
+    st.floats(0.125, 8.0),
+    st.one_of(st.sampled_from(sorted(DIRECTIONS)).map(DIRECTIONS.get), st.floats(0.0, 2 * math.pi).map(lambda a: cmath.exp(1j * a))),
+).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(jets=batched_jets(), lam=ROW_LAMBDAS)
+@example(jets=lift(parse("x"), 0.5, 6).coeffs[None, :], lam=1e-300)  # lam^-2 is inf, c_2 is 0
+def test_stirling_row_against_a_40_digit_sum_of_the_same_jet(jets, lam):
+    # Horner's rule on sum_m a_m q^m, a_m = S[N, m] c_m, q = 1/lam (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1): term m
+    # meets the rounding of S[N, m] and of a_m (u each), m products with q
+    # (a complex product errs by at most sqrt(2) gamma_2 < gamma_3), at most m
+    # additions of a real a_m (u each), and q's own error raised to the m-th
+    # power (CPython's complex 1/lam rounds each part within gamma_5).  So the
+    # row errs by at most gamma_(9N+2) sum_m |S[N, m]| |q|^m |c_m|, the
+    # yardstick of _cascade_roundoff_scales, taken here in mpmath because its
+    # float powers of |q| overflow for a tiny lam.
+    order = jets.shape[-1] - 1
+    got = stirling_row(jets, lam, order)
+    assert got.shape == jets.shape[:-1]
+    assert np.iscomplexobj(got) == ((1 / complex(lam)).imag != 0)
+    k = 9 * order + 2
+    gamma = k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+    row = [s * math.factorial(m) for m, s in enumerate(build_table(order).rows[order])]
+    with mpmath.workdps(40):
+        q = 1 / mpmath.mpc(lam)
+        for value, c in zip(got, jets):
+            terms = [row[m] * mpmath.mpf(c[m]) * q**m for m in range(1, order + 1)]
+            want, yardstick = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
+            assert abs(mpmath.mpc(complex(value)) - want) <= gamma * yardstick, (order, lam)
 
 
 def test_nd_product_of_coordinates():
@@ -197,7 +256,7 @@ def test_stage_rows_chunks_cover_every_point(monkeypatch):
     centers = np.stack([np.linspace(-0.5, 0.5, POINT_CHUNK + 3), np.linspace(0.4, -0.4, POINT_CHUNK + 3)], axis=1)
     gammas = [(3, 0), (2, 1), (1, 2), (0, 3)]
     chunks = (centers[lo : lo + POINT_CHUNK] for lo in range(0, len(centers), POINT_CHUNK))
-    (sups,) = seriesnd._stage_sups(ast, chunks, 3, [gammas], TWO_PI_I)
+    sups = seriesnd._stage_sups(ast, chunks, 3, gammas, TWO_PI_I)
     assert [b.shape for b in blocks] == [(4, POINT_CHUNK), (4, 3)]
     rows = np.concatenate(blocks, axis=1)
     for p in (0, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 2):

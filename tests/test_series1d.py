@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import eval_complex, parse
 from exptaylor.jet import _lift_1d_array, lift
-from exptaylor.operators import cascade_values, d_lambda_stirling
+from exptaylor.operators import cascade_values, d_lambda_stirling, stirling_row
 from exptaylor.series1d import (
     LIFT_BLOCK,
     GrowthReport,
@@ -182,12 +182,13 @@ def test_bound_chain(src, lam, x, order):
 def single_segment_integral(ast, lam, x0, x, order, quad_nodes=64):
     """The quadrature of the exact remainder on its own nodes alone, frozen here
     from the ``remainder_integral`` that ``remainder_bounds`` made redundant.
-    It pins the shared lift, not the ``w`` formula: ``w`` comes from ``expm1``."""
+    It pins the shared lift, not the ``w`` or stage formulas: ``w`` comes from
+    ``expm1`` and stage ``order`` from ``stirling_row``."""
     lam = complex(lam)
     theta, weights = _quad_rule(quad_nodes)
     x0 = float(x0)
     dx = float(x) - x0
-    v_n = cascade_values(_lift_1d_array(ast, x0 + theta * dx, order), lam, order)[..., order]
+    v_n = stirling_row(_lift_1d_array(ast, x0 + theta * dx, order), lam, order)
     total = np.sum(weights * v_n * expm1(lam * (1.0 - theta) * dx) ** (order - 1))
     return complex(lam / math.factorial(order - 1) * dx * total)
 
@@ -222,7 +223,8 @@ def test_remainder_bounds_validation():
 def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
     """The one-segment-at-a-time loop ``remainder_bounds`` ran before it lifted
     segments in blocks, frozen here as the oracle for the blocked one.  It pins
-    the blocking, not the ``w`` formula: ``w`` comes from ``expm1``."""
+    the blocking, not the ``w`` or stage formulas: ``w`` comes from ``expm1`` and
+    each order's stage from ``stirling_row``."""
     lam = complex(lam)
     theta, weights = _quad_rule(quad_nodes)
     top = max(orders)
@@ -233,12 +235,13 @@ def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
         for x in xs:
             dx = float(x) - x0
             points = np.concatenate((x0 + s * dx, x0 + theta * dx))
-            stages = cascade_values(_lift_1d_array(ast, points, top), lam, top)
+            jet = _lift_1d_array(ast, points, top)
             w_grid = expm1(lam * (1.0 - s) * dx)
             w_nodes = expm1(lam * (1.0 - theta) * dx)
             eps = epsilon_sup(lam, abs(dx))
             for order in orders:
-                v_grid = stages[:grid, order]
+                stages = stirling_row(jet, lam, order)
+                v_grid = stages[:grid]
                 prefix = abs(lam) / math.factorial(order - 1) * abs(dx)
                 bound_tight = prefix * float(np.max(np.abs(v_grid * w_grid ** (order - 1))))
                 try:
@@ -246,7 +249,7 @@ def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
                 except OverflowError:
                     eps_power = math.inf
                 bound_loose = prefix * float(np.max(np.abs(v_grid))) * eps_power
-                total = np.sum(weights * stages[grid:, order] * w_nodes ** (order - 1))
+                total = np.sum(weights * stages[grid:] * w_nodes ** (order - 1))
                 integral = complex(lam / math.factorial(order - 1) * dx * total)
                 if not all(map(math.isfinite, (bound_tight, bound_loose, integral.real, integral.imag))):
                     raise DomainError(
@@ -293,9 +296,9 @@ def test_blocked_bounds_raise_at_the_first_non_finite_x_of_the_per_segment_loop(
 
 
 def test_remainder_bounds_memory_is_bounded_by_the_block():
-    # one block at a time: the lifted jet, the walk's working jets and the
-    # cascade's running jet, product and output each hold at most one complex
-    # (order+1) x LIFT_BLOCK array; the limit does not grow with len(xs)
+    # one block at a time: the lifted jet and the walk's working jets each hold
+    # at most one (order+1) x LIFT_BLOCK array, and the Stirling row a few
+    # LIFT_BLOCK-long ones; the limit does not grow with len(xs)
     ast, lam, order = parse("exp(x)"), 0.3 - 1.7j, 16
     limit = 6 * (order + 1) * LIFT_BLOCK * 16
     remainder_bounds(ast, lam, 0.05, [0.1], [order])  # imports and caches the Gauss rule

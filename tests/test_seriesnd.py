@@ -1,4 +1,4 @@
-"""Tests for multivariate expansions, bounds, and the envelope check."""
+"""Tests for multivariate expansions and their sampled bounds."""
 
 import math
 import tracemalloc
@@ -16,7 +16,6 @@ from exptaylor.operators import stage_rows, stage_tensor
 from exptaylor.series1d import eval_series, expand_1d, remainder_bound
 from exptaylor.seriesnd import (
     POINT_CHUNK,
-    convergence_check_nd,
     eval_nd,
     expand_nd,
     multi_index_factorial,
@@ -148,12 +147,6 @@ def test_box_from_points_sorts_coordinates(monkeypatch):
     assert corners == [((-0.3, -0.1), (0.2, 0.4))]
 
 
-def test_box_centered(monkeypatch):
-    corners = spy_box(monkeypatch)
-    convergence_check_nd(product_cosine(), 2, LAM, (1.0, -2.0), 1.0, 0.25, 3, grid=3)
-    assert corners == [((0.75, -2.25), (1.25, -1.75))]
-
-
 def test_box_grid_points_one_dim():
     g = box_points((-0.5,), (0.5,), 5)
     assert np.allclose(g.ravel(), [-0.5, -0.25, 0.0, 0.25, 0.5])
@@ -183,8 +176,6 @@ def test_box_validation():
     ast = product_cosine()
     with pytest.raises(ValidationError, match="center and x must have length 2"):
         remainder_bound_nd(ast, 2, LAM, (0.0,), (1.0, 2.0), 3)
-    with pytest.raises(ValidationError, match="halfwidth must be >= 0"):
-        convergence_check_nd(ast, 2, LAM, (0.0, 0.0), 1.0, -0.1, 3)
     with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
         box_points((-1.0,), (1.0,), 2)
     with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
@@ -394,15 +385,14 @@ def test_bound_four_dims_random_sampling():
     assert measured <= 1.02 * bound
 
 
-def whole_batch_stage_sups(ast, chunks, order, groups, lam):
+def whole_batch_stage_sups(ast, chunks, order, gammas, lam):
     """The sampled sups as one lift of every point, staged 1024 points at a time."""
     points = np.concatenate(list(chunks))
     arrays = _lift_nd_arrays(ast, points, order)
-    sups = [np.zeros(len(gammas)) for gammas in groups]
+    sups = np.zeros(len(gammas))
     for lo in range(0, len(points), 1024):
         chunk = {m: v[lo : lo + 1024] for m, v in arrays.items()}
-        for i, gammas in enumerate(groups):
-            sups[i] = np.maximum(sups[i], np.max(np.abs(stage_rows(chunk, gammas, lam)), axis=1))
+        sups = np.maximum(sups, np.max(np.abs(stage_rows(chunk, gammas, lam)), axis=1))
     return sups
 
 
@@ -439,14 +429,6 @@ def test_streamed_bound_equals_whole_batch_bound(monkeypatch, src, n, grid, lam)
     assert streamed == whole_batch(monkeypatch, remainder_bound_nd, *args, grid=grid, seed=3)
 
 
-def test_streamed_convergence_check_equals_whole_batch(monkeypatch):
-    args = (parse("exp(x1)/(3+x1-x2)", 2), 2, LAM, (0.1, -0.1), 1.0, 0.2, 8)
-    streamed = convergence_check_nd(*args, grid=40)  # 1,600 grid points
-    reference = whole_batch(monkeypatch, convergence_check_nd, *args, grid=40)
-    assert streamed.worst_ratio == reference.worst_ratio
-    assert streamed.envelope_holds == reference.envelope_holds
-
-
 def test_sampled_bound_memory_is_bounded_by_the_chunk():
     # 35,937 grid points at order 8 in 3 variables.  Per chunk the lifted
     # jet, the working jets of the walk, the scaled copy that stage_rows
@@ -463,62 +445,6 @@ def test_sampled_bound_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < limit, (peak, limit)
-
-
-# ---- convergence check -----------------------------------------------------------
-
-
-def test_convergence_product_cosine_envelope():
-    rep = convergence_check_nd(product_cosine(), 2, LAM, (0.0, 0.0), 1.0, 0.1, 10)
-    assert rep.envelope_holds
-    # gamma = 0 attains sup |a| = 1 = A * 0!, so the worst ratio is exactly 1
-    assert rep.worst_ratio == pytest.approx(1.0, abs=1e-9)
-    assert rep.delta == pytest.approx(math.asin(0.45) / math.pi, rel=1e-12)
-
-
-def test_convergence_predicted_envelope_formula():
-    rep = convergence_check_nd(product_cosine(), 2, LAM, (0.0, 0.0), 1.0, 0.1, 10)
-    ns = np.arange(1, 11, dtype=float)
-    expected = rep.a_bound * rep.delta * abs(LAM) * ns**2 * 0.9 ** (ns - 1)
-    assert np.allclose(rep.predicted_envelope, expected, rtol=1e-12)
-
-
-def test_convergence_constant_function():
-    rep = convergence_check_nd(parse("3", 2), 2, LAM, (0.0, 0.0), 3.0, 0.5, 6)
-    assert rep.envelope_holds
-    # only gamma = 0 is nonzero: sup = 3 = A * 0!
-    assert rep.worst_ratio == pytest.approx(1.0, abs=1e-12)
-
-
-def test_convergence_tight_A_fails():
-    rep = convergence_check_nd(product_cosine(), 2, LAM, (0.0, 0.0), 0.4, 0.1, 8)
-    assert not rep.envelope_holds
-    assert rep.worst_ratio > 1.0
-
-
-def test_convergence_non_finite_sup_is_domain_error():
-    # inf - inf on most of the box: the stage sups are nan, not a ratio of 0
-    ast = parse("exp(800*x1)-exp(800*x1)+x2", 2)
-    with pytest.raises(DomainError, match=r"^non-finite stage value \(overflow in the jet or in powers of 1/lam\)$"):
-        convergence_check_nd(ast, 2, 1.0, (0.5, 0.0), 1.0, 0.5, 4, grid=5)
-
-
-def test_delta_shrinks_with_alpha():
-    a = convergence_check_nd(product_cosine(), 2, LAM, (0.0, 0.0), 1.0, 0.1, 4, alpha=0.5)
-    b = convergence_check_nd(product_cosine(), 2, LAM, (0.0, 0.0), 1.0, 0.1, 4, alpha=0.9)
-    assert a.delta < b.delta
-
-
-def test_delta_real_lambda_closed_form():
-    rep = convergence_check_nd(parse("cos(2*pi*x)"), 1, 0.5, (0.0,), 200.0, 0.1, 4, alpha=0.9)
-    assert rep.delta == pytest.approx(math.log1p(0.9) / 0.5, rel=1e-12)
-
-
-def test_delta_general_lambda_bisection():
-    from exptaylor.series1d import epsilon_sup
-
-    rep = convergence_check_nd(parse("cos(2*pi*x)"), 1, 0.3 + 1.0j, (0.0,), 200.0, 0.1, 4, alpha=0.7)
-    assert epsilon_sup(0.3 + 1.0j, rep.delta) == pytest.approx(0.7, abs=1e-9)
 
 
 # ---- validation -------------------------------------------------------------------
@@ -552,15 +478,3 @@ def test_bound_validation():
         remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1,), 4)
     with pytest.raises(ValidationError):
         remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1, 0.1), 4, grid=2)
-
-
-def test_convergence_validation():
-    ast = product_cosine()
-    with pytest.raises(ValidationError):
-        convergence_check_nd(ast, 2, LAM, (0.0, 0.0), 0.0, 0.1, 4)
-    with pytest.raises(ValidationError):
-        convergence_check_nd(ast, 2, LAM, (0.0, 0.0), 1.0, 0.1, 0)
-    with pytest.raises(ValidationError):
-        convergence_check_nd(ast, 2, LAM, (0.0, 0.0), 1.0, 0.1, 4, alpha=1.2)
-    with pytest.raises(ValidationError, match=r"^center has 3 coordinates, need 2$"):
-        convergence_check_nd(ast, 2, LAM, (0.0, 0.0, 0.0), 1.0, 0.1, 4)
