@@ -16,7 +16,12 @@ over a part algebra with two implementations: in 1-D part k is row k of a
 coefficient-major array, so every kernel step runs over a contiguous row of
 points; in n-D a sparse map from multi-indices of degree k to values.  The
 1-D convolution adds in the order of ``np.sum`` over one point's contiguous
-complex terms, the order the printed digits are pinned to.
+complex terms, the order the printed digits are pinned to.  A 1-D jet is
+stored only up to its degree, the highest part the expression lets be
+nonzero, so products and convolutions skip every term past it, a product
+with a zero part: a kernel of an affine argument takes one term per part.
+Where three or more terms remain, the pairwise lanes run over the whole
+window with the skipped terms as zeros, so they keep their bits.
 
 Jets are real (float64): the grammar has no imaginary literal, and
 ``log`` and ``sqrt`` reject the negative real axis.  They keep the bits of
@@ -92,14 +97,16 @@ class _Algebra:
     """The jet kernels and the expression walk, written once over parts.
 
     A subclass implements the part algebra over float64 values: part k of a
-    jet ``u`` is ``u[k]``, ``const(c0)`` makes a jet with constant term
-    ``c0`` (values over the batch) and ``c0`` reads it back, ``euler``
-    scales part k by k, ``add``/``neg``/``mul`` are the truncated jet ring,
-    and ``conv(k, a, b, lo, hi) = sum_{j=lo..hi} a_j * b_{k-j}``.  Parts
-    support ``+``, ``-`` and a product with a number or with constant terms
-    on the left, which is how every division is written.  Each kernel keeps
-    the operation order of its scalar recurrence, and ``conv`` the order of
-    its sum, so the printed digits stay those of the complex lift.
+    jet ``u`` is ``u[k]`` up to its degree ``len(u) - 1`` and zero past it,
+    ``const(c0, degree)`` makes a jet of that degree with constant term
+    ``c0`` (values over the batch) for a kernel to fill and ``c0`` reads it
+    back, ``euler`` scales part k by k, ``add``/``neg``/``mul`` are the
+    truncated jet ring, and ``conv(k, a, b, lo, hi) = sum_{j=lo..hi} a_j *
+    b_{k-j}``.  Parts support ``+``, ``-`` and a product with a number or
+    with constant terms on the left, which is how every division is written.
+    Each kernel keeps the operation order of its scalar recurrence, and
+    ``conv`` the order of its sum, so the printed digits stay those of the
+    complex lift.
     """
 
     def __init__(self, centers: np.ndarray, order: int):
@@ -110,21 +117,52 @@ class _Algebra:
         """The real part of numpy's complex ``func`` of the constant terms ``u0``."""
         return func(u0.astype(np.complex128)).real
 
+    def degree(self, u) -> int:
+        """The highest part of ``u`` that can be nonzero; every later part is +-0."""
+        return len(u) - 1
+
+    def part(self, u, k: int):
+        """Part ``k`` of ``u``, a zero past its degree."""
+        return u[k] if k < len(u) else 0.0
+
+    def padded(self, u):
+        """``u`` stored up to the order, zeros past its degree."""
+        return u if self.degree(u) == self.order else self.add(self.const(0.0, self.order), u)
+
+    def argument(self, u, *values):
+        """``u`` as an elementary function's recurrence reads it, and the function's degree.
+
+        A function of a constant has degree 0, of anything else the order.
+        A constant whose function ``values`` are not finite is read padded to
+        the order: the recurrence then forms its ``0 * inf`` terms, which make
+        every later part nan, so no later ``1/inf = 0`` turns the overflow
+        into a printed number.
+        """
+        if self.degree(u) > 0:
+            return u, self.order
+        if all(np.isfinite(v).all() for v in values):
+            return u, 0
+        return self.padded(u), self.order
+
     def exp(self, u):
-        e = self.const(self.elementary(np.exp, self.c0(u)))
+        e0 = self.elementary(np.exp, self.c0(u))
+        u, degree = self.argument(u, e0)
+        e = self.const(e0, degree)
         ju = self.euler(u)
-        for k in range(1, self.order + 1):
+        for k in range(1, degree + 1):
             e[k] = (1.0 / k) * self.conv(k, ju, e, 1, k)
         return e
 
     def log(self, u, what: str = "log"):
         u0 = self.c0(u)
         _check_off_cut(u0, what)
-        out = self.const(self.elementary(np.log, u0))
-        jl = self.const(0.0)  # euler(out), filled in as out grows
+        l0 = self.elementary(np.log, u0)
+        u, degree = self.argument(u, l0)
+        out = self.const(l0, degree)
+        jl = self.const(0.0, degree)  # euler(out), filled in as out grows
         rec = 1.0 / u0
-        for k in range(1, self.order + 1):
-            out[k] = rec * (u[k] - (1.0 / k) * self.conv(k, jl, u, 1, k - 1))
+        for k in range(1, degree + 1):
+            out[k] = rec * (self.part(u, k) - (1.0 / k) * self.conv(k, jl, u, 1, k - 1))
             jl[k] = k * out[k]
         return out
 
@@ -132,20 +170,23 @@ class _Algebra:
         u0 = self.c0(u)
         _check_off_cut(u0, "sqrt")
         r0 = self.elementary(np.sqrt, u0)
-        out = self.const(r0)
+        u, degree = self.argument(u, r0)
+        out = self.const(r0, degree)
         rec = 1.0 / (2 * r0)
-        for k in range(1, self.order + 1):
-            out[k] = rec * (u[k] - self.conv(k, out, out, 1, k - 1))
+        for k in range(1, degree + 1):
+            out[k] = rec * (self.part(u, k) - self.conv(k, out, out, 1, k - 1))
         return out
 
     def trig(self, u, func: str):
         """``sin``, ``cos``, ``tan``, ``sinh`` or ``cosh`` of ``u``: one recurrence up to a sign."""
         hyperbolic = func.endswith("h")
         u0 = self.c0(u)
-        s = self.const(self.elementary(np.sinh if hyperbolic else np.sin, u0))
-        c = self.const(self.elementary(np.cosh if hyperbolic else np.cos, u0))
+        s0 = self.elementary(np.sinh if hyperbolic else np.sin, u0)
+        c0 = self.elementary(np.cosh if hyperbolic else np.cos, u0)
+        u, degree = self.argument(u, s0, c0)
+        s, c = self.const(s0, degree), self.const(c0, degree)
         ju = self.euler(u)
-        for k in range(1, self.order + 1):
+        for k in range(1, degree + 1):
             s[k] = (1.0 / k) * self.conv(k, ju, c, 1, k)
             t = self.conv(k, ju, s, 1, k)
             c[k] = (1.0 / k) * (t if hyperbolic else -t)
@@ -156,11 +197,15 @@ class _Algebra:
     def div(self, a, b, what: str = "division"):
         b0 = self.c0(b)
         _check_nonzero(b0, what)
-        out = self.const(0.0)
         rec = 1.0 / b0
+        if not np.isfinite(rec * self.c0(a)).all():
+            # padded, the recurrence forms the 0 * inf terms that make the later parts nan
+            a, b = self.padded(a), self.padded(b)
+        # a quotient by a constant keeps the numerator's degree
+        out = self.const(0.0, self.degree(a) if self.degree(b) == 0 else self.order)
         out[0] = rec * a[0]  # a part's product, as for k >= 1
-        for k in range(1, self.order + 1):
-            out[k] = rec * (a[k] - self.conv(k, out, b, 0, k - 1))
+        for k in range(1, self.degree(out) + 1):
+            out[k] = rec * (self.part(a, k) - self.conv(k, out, b, 0, k - 1))
         return out
 
     def ipow(self, u, n: int, what: str = "power"):
@@ -216,7 +261,20 @@ class _Algebra:
 
 
 class _Dense(_Algebra):
-    """1-D jets: part k is row k of a ``(K+1,) + centers.shape`` array.
+    """1-D jets: part k is row k of a ``(d+1,) + centers.shape`` array.
+
+    A jet stores its parts only up to its degree ``d``, which the expression
+    fixes: 0 for a constant, 1 for ``x``, the larger of two for a sum, their
+    total (capped at the order) for a product, the numerator's for a
+    quotient by a constant, 0 for a function of a constant and the order for
+    any other kernel output.  ``_lift_1d_array`` pads the result once.  So
+    ``mul`` and ``conv`` skip every term with a part past its jet's degree,
+    which is a product with a +-0 part, and an elementary function of an
+    affine argument takes one term per part.  A product, quotient or
+    function of a constant whose constant term is not finite is formed on
+    operands padded to the order: its ``0 * inf`` terms then make the later
+    parts nan, as in a jet stored in full, so an overflow is refused
+    wherever such a jet would refuse it.
 
     Coefficient-major storage makes every kernel step one operation on
     contiguous rows over all points.  ``conv`` is the one reduction over
@@ -226,36 +284,62 @@ class _Dense(_Algebra):
     most 64 terms: four interleaved lanes combined as ``(l0 + l1) + (l2 +
     l3)``, then the ``n % 4`` trailing terms in turn; fewer than four terms
     are one sequential sum.  (A float64 ``np.sum`` would use eight lanes.)
+    Where three or more terms are within the degrees, the lanes run over
+    the whole window, the skipped terms as +0, so no term changes lane; one
+    or two terms need no lanes, since zeros move no bit of a value or of
+    the rounded sum of two.  Only the sign of an exact zero can differ.
     """
 
-    add = staticmethod(np.add)
     neg = staticmethod(np.negative)
 
-    def const(self, c0) -> np.ndarray:
-        out = np.zeros((self.order + 1,) + self.centers.shape)
+    def const(self, c0, degree: int = 0) -> np.ndarray:
+        out = np.zeros((degree + 1,) + self.centers.shape)
         out[0] = c0
         return out
 
     def var(self, index: int) -> np.ndarray:
-        out = self.const(self.centers)
-        out[1:2] = 1.0  # no slope part at order 0
+        out = self.const(self.centers, min(self.order, 1))
+        out[1:] = 1.0  # no slope part at order 0
         return out
 
     def c0(self, u: np.ndarray) -> np.ndarray:
         return u[0]
 
     def euler(self, u: np.ndarray) -> np.ndarray:
-        return u * np.arange(self.order + 1).reshape((-1,) + (1,) * self.centers.ndim)
+        return u * np.arange(len(u)).reshape((-1,) + (1,) * self.centers.ndim)
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if len(a) == len(b):
+            return a + b
+        out, short = (a.copy(), b) if len(a) > len(b) else (b.copy(), a)
+        out[: len(short)] += short  # real addition commutes, signed zeros included
+        return out
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a)
-        for i in range(self.order + 1):
-            out[i:] += a[i : i + 1] * b[: self.order + 1 - i]
+        if not (np.isfinite(a[0]).all() and np.isfinite(b[0]).all()):
+            # padded, the sum forms the 0 * inf terms that make the later parts nan
+            a, b = self.padded(a), self.padded(b)
+        n = min(len(a) + len(b) - 2, self.order) + 1
+        if len(b) <= 2 < len(a):
+            a, b = b, a  # each part then adds at most two terms, whose sum has no order
+        out = np.zeros((n,) + a.shape[1:], np.result_type(a, b))
+        for i in range(min(len(a), n)):
+            out[i : i + len(b)] += a[i : i + 1] * b[: n - i]
         return out
 
     def conv(self, k: int, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        stop = k - hi - 1 if hi < k else None
-        terms = a[lo : hi + 1] * b[k - lo : stop : -1]
+        first, last = max(lo, k + 1 - len(b)), min(hi, len(a) - 1)  # the terms within both degrees
+        skipped = first > lo or last < hi
+        if skipped and last - first < 2:
+            if last < first:
+                return np.zeros(a.shape[1:], np.result_type(a, b))
+            out = a[first] * b[k - first]
+            return out + a[last] * b[k - last] if last > first else out
+        terms = a[first : last + 1] * b[k - first : k - last - 1 if last < k else None : -1]
+        if skipped:
+            window = np.zeros((hi - lo + 1,) + terms.shape[1:], terms.dtype)
+            window[first - lo : last - lo + 1] = terms
+            terms = window
         n = len(terms)
         if n < 4:
             return np.add.reduce(terms, axis=0)
@@ -299,10 +383,11 @@ class _Part(dict):
 class _Sparse(_Algebra):
     """n-D jets: a list of K+1 parts over centers of shape ``(P, n)``.
 
-    Real products commute, so ``rec * v`` has the bits of the complex ``v * rec``.
+    Every jet has degree K; an empty part costs ``conv`` nothing.  Real
+    products commute, so ``rec * v`` has the bits of the complex ``v * rec``.
     """
 
-    def const(self, c0) -> list[_Part]:
+    def const(self, c0, degree: int = 0) -> list[_Part]:
         zero = (0,) * self.centers.shape[1]
         first = _Part({zero: np.full(len(self.centers), c0, dtype=np.float64)})
         return [first] + [_Part() for _ in range(self.order)]
@@ -344,9 +429,13 @@ class _Sparse(_Algebra):
 def _lift_1d_array(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
     """Lift at every real center in ``centers``; returns shape ``centers.shape + (order+1,)``.
 
-    The result is a view of the coefficient-major jet.
+    The result is a view of the coefficient-major jet, padded with zeros
+    past its degree.
     """
-    return np.moveaxis(_Dense(centers, order).walk(ast.root), 0, -1)
+    jet = _Dense(centers, order).walk(ast.root)
+    if len(jet) <= order:
+        jet = np.concatenate((jet, np.zeros((order + 1 - len(jet),) + centers.shape)))
+    return np.moveaxis(jet, 0, -1)
 
 
 def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> dict:

@@ -353,6 +353,35 @@ def test_sweep_errors_match_eval_series_point_by_point(capsys, fn, lam, span):
         assert abs(row["abs_error"] - abs(true - eval_series(e, x))) <= tol
 
 
+def test_sweep_bounds_of_x_against_mpmath_near_x0(capsys):
+    # a sweep whose x = -0.0770328 passes dx = 2.0e-7 from x0, where a reference
+    # that forms w as exp(z) - 1 cancels to 1e-9.  For f = x and lam = 1, stage
+    # N is (-1)^(N-1) (N-1)! at every point and |expm1((1 - s) dx)| peaks at
+    # s = 0, so at N = 4 bound_tight is |dx| |expm1(dx)|^3 and bound_loose
+    # |dx| expm1(|dx|)^3, with dx from the printed x and x0.  The program's
+    # dx = x - x0 rounds once (exactly near x0, by Sterbenz) and enters to the
+    # fourth power, with expm1's condition number at most 1.2 here: 4.6u.  Its
+    # libm expm1 (or math.expm1) is within 1 ulp = 2u, cubed: 6u; the cube is
+    # two products or one pow: 2u; then 1/3!, times |dx|, times the stage and
+    # times the sup round once each: 4u.  That is 16.6u to first order.
+    mpmath = pytest.importorskip("mpmath")
+    u = 2.0**-53
+    tol = 17 * u / (1 - 17 * u)
+    x0 = -0.077033
+    code, out, err = run_main(
+        capsys, "sweep", "--fn", "x", "--lambda", "1.0+0.0i", f"--x0={x0!r}", "--order", "4",
+        "--x-range=-0.1722:0.145024:161",
+    )
+    assert code == 0 and err == ""
+    rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 161 and rows[48][0] == -0.0770328
+    with mpmath.workdps(40):
+        for x, _, tight, loose in rows:
+            dx = mpmath.mpf(x) - mpmath.mpf(x0)
+            for got, want in ((tight, abs(dx) * abs(mpmath.expm1(dx)) ** 3), (loose, abs(dx) * mpmath.expm1(abs(dx)) ** 3)):
+                assert abs(got - want) <= tol * want, (x, got, want)
+
+
 def test_sweep_requires_exactly_one_range(capsys):
     both = run_main(
         capsys, "sweep", "--fn", "x", "--lambda", TWO_PI_I,

@@ -20,18 +20,34 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c["name"])
-def test_readme_example_output_is_pinned(case):
-    p = subprocess.run(
-        [sys.executable, "-m", "exptaylor", *case["argv"]],
-        capture_output=True,
-        timeout=120,
-    )
-    assert p.returncode == case["exit"]
-    assert p.stderr == b""
+def test_readme_example_output_is_pinned(capsys, case):
+    # through cli.main in this process; the test below runs the real process
+    code = cli.main(case["argv"])
+    out, err = capsys.readouterr()
+    assert code == case["exit"]
+    assert err == ""
     want = (GOLDEN / f"{case['name']}.stdout").read_bytes()
     # lines first, so that a failure names the line that changed
-    assert p.stdout.decode("utf-8").splitlines() == want.decode("utf-8").splitlines()
-    assert p.stdout == want
+    assert out.splitlines() == want.decode("utf-8").splitlines()
+    assert out.encode("utf-8") == want
+
+
+# one case per output format, through ``python -m exptaylor``
+PROCESS_CASES = ("eval_check", "nd_json", "sweep_x")
+
+
+def test_readme_examples_print_the_same_bytes_from_a_process():
+    by_name = {case["name"]: case for case in CASES}
+    for name in PROCESS_CASES:
+        case = by_name[name]
+        p = subprocess.run(
+            [sys.executable, "-m", "exptaylor", *case["argv"]],
+            capture_output=True,
+            timeout=120,
+        )
+        assert p.returncode == case["exit"], name
+        assert p.stderr == b"", name
+        assert p.stdout == (GOLDEN / f"{name}.stdout").read_bytes(), name
 
 
 def test_readme_examples_repeat_in_one_process(capsys):

@@ -352,6 +352,47 @@ def test_conv_adds_in_numpy_pairwise_order(P):
         assert np.array_equal(bits(dense.conv(k, ra, rb, 0, k)), bits(want.real)), n
 
 
+def same_up_to_zero_signs(got, want, what):
+    """Nonzero values keep their bits; a zero may change sign, which no output prints."""
+    assert got.shape == want.shape, what
+    nonzero = want != 0
+    assert np.array_equal(bits(got[nonzero]), bits(want[nonzero])), what
+    assert np.all(got[~nonzero] == 0), what
+
+
+@pytest.mark.parametrize("P", [1, 2, 577])
+def test_narrowed_conv_and_mul_keep_the_full_sums(P):
+    # a jet stored up to its degree: conv and mul skip every term past it,
+    # which is a product with a +-0 part; against the full sums over the same
+    # parts padded to the order with signed zeros
+    rng = np.random.default_rng(100 + P)
+    K = 16
+    dense = _Dense(np.zeros(P), K)
+    degrees = (0, 1, 2, 3, 5, K)
+    parts = {d: mixed_values(rng, (d + 1, P)).real for d in degrees}
+    full = {}
+    for d, p in parts.items():
+        full[d] = np.where(rng.random((K + 1, P)) < 0.5, -0.0, 0.0)  # a computed tail holds zeros of either sign
+        full[d][: d + 1] = p
+    for da in degrees:
+        for db in degrees:
+            a, b, A, B = parts[da], parts[db], full[da], full[db]
+            for k in range(1, K + 1):
+                # the windows of exp and trig, of log and sqrt, of div, and a whole product
+                for lo, hi in ((1, k), (1, k - 1), (0, k - 1), (0, k)):
+                    stop = k - hi - 1 if hi < k else None
+                    terms = A[lo : hi + 1] * B[k - lo : stop : -1] + 0j  # point-major below, as in np.sum
+                    want = np.sum(np.ascontiguousarray(terms.T), axis=-1)
+                    assert np.all(want.imag == 0)
+                    same_up_to_zero_signs(dense.conv(k, a, b, lo, hi), want.real, (da, db, k, lo, hi))
+            want = np.zeros_like(A)
+            for i in range(K + 1):
+                want[i:] += A[i : i + 1] * B[: K + 1 - i]
+            got = dense.mul(a, b)
+            assert len(got) == min(da + db, K) + 1
+            same_up_to_zero_signs(np.concatenate((got, np.zeros((K + 1 - len(got), P)))), want, (da, db))
+
+
 # ---- the frozen complex oracle ------------------------------------------------
 
 
@@ -552,6 +593,17 @@ BIT_EXPRS = [
     "sin(x)/(2+x)",
     "1/(3+cos(2*pi*x))",
     "x - x",
+    # kernels of constant, affine, quadratic and cubic arguments: their sums
+    # skip the parts past a degree, down to one or two terms
+    "exp(2)*x",
+    "x/2",
+    "sin(2*pi*x) * log(2+x)",
+    "exp(x^2)",
+    "log(2+x^2)",
+    "1/(1+x^2)",
+    "sqrt(3+x^2) - cosh(x^2-x)",
+    "sin(x^3/3) + exp(1-x^3)",
+    "exp((1+x)^4) / (2+x)^3",
     "log(x-1)",  # each lift fails with a domain error from here on
     "1/(x-x)",
     "sqrt(x-2)",
@@ -634,6 +686,17 @@ ERROR_EXPRS = [
     "cosh(710*x) - sinh(710*x)",
     "tan(x)^40 / (x - 1)",
     "(exp(400*x) * exp(400*x))^0",
+    # a constant or affine factor meets an overflowed jet
+    "2*exp(800*x)",
+    "sin(x)*exp(800*x)",
+    "exp(800*x)/(2+x)",
+    "log(2+x)*cosh(710*x)",
+    # an overflowed constant: its jet is formed in full, so 1/inf = 0 does
+    # not turn the overflow into a number, nor do stages that skip part 0
+    "x/exp(800)",
+    "exp(-exp(800)) + x",
+    "710*x - 1e308/0.5",
+    "(1e308*1e308)*2 + x",
 ]
 
 
