@@ -178,7 +178,7 @@ class _Algebra:
         return out
 
     def trig(self, u, func: str):
-        """``sin``, ``cos``, ``tan``, ``sinh`` or ``cosh`` of ``u``: one recurrence up to a sign."""
+        """``sin``, ``cos``, ``sinh`` or ``cosh`` of ``u``: one recurrence up to a sign."""
         hyperbolic = func.endswith("h")
         u0 = self.c0(u)
         s0 = self.elementary(np.sinh if hyperbolic else np.sin, u0)
@@ -190,9 +190,20 @@ class _Algebra:
             s[k] = (1.0 / k) * self.conv(k, ju, c, 1, k)
             t = self.conv(k, ju, s, 1, k)
             c[k] = (1.0 / k) * (t if hyperbolic else -t)
-        if func == "tan":
-            return self.div(s, c, what="tan")
         return c if func.startswith("cos") else s
+
+    def tan(self, u):
+        """``t = tan(u)`` by its own recurrence ``t' = u' (1 + t^2)`` (Griewank and Walther,
+        *Evaluating Derivatives*, 2nd ed., ch. 13), with ``p = 1 + t^2`` grown a part behind ``t``."""
+        t0 = self.elementary(np.tan, self.c0(u))
+        u, degree = self.argument(u, t0)
+        t, p = self.const(t0, degree), self.const(1.0 + t0 * t0, degree)
+        ju = self.euler(u)
+        for k in range(1, degree + 1):
+            t[k] = (1.0 / k) * self.conv(k, ju, p, 1, k)
+            if k < degree:
+                p[k] = self.conv(k, t, t, 0, k)
+        return t
 
     def div(self, a, b, what: str = "division"):
         b0 = self.c0(b)
@@ -236,9 +247,9 @@ class _Algebra:
             return self.neg(self.walk(node.operand))
         if isinstance(node, Call):
             u = self.walk(node.arg)
-            if node.func in ("exp", "log", "sqrt"):
+            if node.func in ("exp", "log", "sqrt", "tan"):
                 return getattr(self, node.func)(u)
-            if node.func in ("sin", "cos", "tan", "sinh", "cosh"):
+            if node.func in ("sin", "cos", "sinh", "cosh"):
                 return self.trig(u, node.func)
             raise ValidationError(f"unsupported function {node.func!r}")
         if isinstance(node, BinOp):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,11 +38,15 @@ from .operators import _check_lam, _inverse_powers, cascade_values, stirling_row
 from .stirling import stage_matrix
 
 MAX_EXPANSION_ORDER = MAX_ORDER
-# points per lift in growth_diagnostic, and in remainder_bounds in whole segments
-# (3 at the default 513 + 64); on a 2-core Xeon, benchmark sweeps staged by the
-# cascade ran 20% faster than one segment per lift, and 4,096 ran slower and
-# raised the peak memory by 15%
+# points per lift in growth_diagnostic, which stages by the cascade: on a
+# 2-core Xeon, grid 20,001 at n_max 16 took 47.3 ms at 2,048, 63.9 ms at
+# 4,096 and 66.9 ms at 8,192 (median of 6 alternating rounds)
 LIFT_BLOCK = 2048
+# points per lift in remainder_bounds, in whole segments (7 at the default
+# 513 + 64); on the same host the curves1d benchmark ran 129.8 ops/s at
+# 4,096 against 116.2 at 2,048, and 135.9 at 8,192 but with its peak memory
+# up from 39.9 to 41.7 MB (medians of 3 alternating runs)
+SWEEP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -156,9 +161,17 @@ def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
 
 
 def expm1(u):
-    """``exp(u) - 1`` for complex ``u = a + ib``, as ``expm1(a) cos b - 2 sin(b/2)^2 + i e^a sin b`` without
-    cancellation near 0; the imaginary part is 0 where ``b == 0``, so a real overflow is ``inf``, not ``nan``."""
-    u = np.asarray(u, dtype=np.complex128)
+    """``exp(u) - 1`` without cancellation near 0, real for a real ``u`` and complex for a complex one.
+
+    A real ``u`` gives numpy's real ``expm1``.  A complex ``u = a + ib`` gives
+    ``expm1(a) cos b - 2 sin(b/2)^2 + i e^a sin b``, whose real part at ``b == 0`` has the bits
+    of the real result; the imaginary part is 0 there, so a real overflow is ``inf``, not ``nan``.
+    """
+    u = np.asarray(u)
+    if not np.iscomplexobj(u):
+        with np.errstate(all="ignore"):
+            return np.expm1(u, dtype=np.float64)[()]
+    u = u.astype(np.complex128, copy=False)
     out = np.empty_like(u)
     with np.errstate(all="ignore"):
         out.real = np.expm1(u.real) * np.cos(u.imag) - 2.0 * np.sin(u.imag / 2.0) ** 2
@@ -173,6 +186,28 @@ def horner(coeffs, w):
         for c in coeffs[::-1]:
             acc = acc * w + c
     return acc
+
+
+def _real_power(w: np.ndarray, n: int) -> np.ndarray:
+    """``w ** n`` for a float64 ``w`` and ``0 <= n < 100``, by square-and-multiply over the bits of ``n``
+    from the low bit up.
+
+    Not ``w ** n``: glibc's ``pow`` takes a slow path for a negative base, and half of a
+    segment's ``w`` is negative.  Over 1,539 doubles ``(-w) ** 3`` took 229 us against 6.0 us
+    for ``w ** 3``, and these products take 2.4 us at n = 3 and 8.8 us at n = 23.  This is the
+    order numpy's complex power uses for ``|n| < 100``, and each real product rounds once, so
+    the result has the bits of the complex power's real part (up to the sign of an exact zero).
+    """
+    if n == 0:
+        return np.ones_like(w)
+    acc = None
+    while True:
+        if n & 1:
+            acc = w if acc is None else acc * w
+        n >>= 1
+        if not n:
+            return acc
+        w = w * w
 
 
 def eval_series(expansion: Expansion1D, x: float | complex) -> complex:
@@ -220,10 +255,12 @@ def remainder_bounds(
     O(N) per point.  The row reads coefficients ``0..N`` only, which a higher
     order lift shares bit for bit with an order-``N`` lift, so the result does
     not depend on which other orders are requested.  Consecutive segments are
-    lifted and staged together, ``LIFT_BLOCK`` points' worth at a time; the
-    kernels and the row act point by point, so the blocks move no bit.
-    Raises ``DomainError`` when a bound or the integral is not finite,
-    checked in x-major order after each block's lift.
+    lifted and staged together, ``SWEEP_BLOCK`` points' worth at a time; the
+    kernels and the row act point by point, so the blocks move no bit.  For
+    a real ``lam`` the bounds are formed in float64 (see ``_block_bounds``),
+    with the bits of the complex arithmetic.  Raises ``DomainError`` when a
+    bound or the integral is not finite, checked in x-major order after each
+    block's lift.
     """
     lam = _check_lam(lam)
     _check_1d(ast)
@@ -238,7 +275,7 @@ def remainder_bounds(
     s = np.linspace(0.0, 1.0, grid)
     x0 = float(x0)
     xs = [float(x) for x in xs]
-    per = max(1, LIFT_BLOCK // (grid + quad_nodes))
+    per = max(1, SWEEP_BLOCK // (grid + quad_nodes))
     out: list[RemainderEstimate] = []
     for lo in range(0, len(xs), per):
         out += _block_bounds(ast, lam, x0, xs[lo : lo + per], orders, s, theta, weights)
@@ -247,48 +284,60 @@ def remainder_bounds(
 
 def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders: list[int], s, theta, weights):
     """``remainder_bounds`` for one block of segments: one lift, then each order's Stirling
-    row, sups and quadrature sums as row-wise array operations, one row per segment."""
+    row, sups and quadrature sums as row-wise array operations, one row per segment.
+
+    For a real ``lam`` every factor is real: ``w`` is the real ``expm1`` of ``lam.real``
+    times the offsets, the stage row is already real, and the sups and the quadrature
+    products are float64.  Each product rounds once, as the real part of its complex
+    counterpart does, so the bounds keep the complex path's bits.  The products are
+    cast to complex128 for the sum over each row only: numpy's pairwise sum groups
+    a complex row differently from a real one.
+    """
     grid, top = len(s), max(orders)
+    real = lam.imag == 0
     dx = (np.array(xs) - x0)[:, None]
     with np.errstate(all="ignore"):
         points = np.concatenate((x0 + s * dx, x0 + theta * dx), axis=1)
         jet = _lift_1d_array(ast, points.ravel(), top)
         # x - xi = (1 - s) dx runs over the segment; its sup feeds the tight bound
-        w_grid = expm1(lam * (1.0 - s) * dx)
-        w_nodes = expm1(lam * (1.0 - theta) * dx)
+        scale, power = (lam.real, _real_power) if real else (lam, operator.pow)
+        w_grid = expm1(scale * (1.0 - s) * dx)
+        w_nodes = expm1(scale * (1.0 - theta) * dx)
         columns = []
         for order in orders:
             v = stirling_row(jet, lam, order).reshape(points.shape)
-            tight = np.max(np.abs(v[:, :grid] * w_grid ** (order - 1)), axis=1)
-            totals = np.sum(weights * v[:, grid:] * w_nodes ** (order - 1), axis=1)
-            columns.append((tight, np.max(np.abs(v[:, :grid]), axis=1), totals))
+            tight = np.max(np.abs(v[:, :grid] * power(w_grid, order - 1)), axis=1)
+            terms = (weights * v[:, grid:] * power(w_nodes, order - 1)).astype(np.complex128, copy=False)
+            columns.append((tight, np.max(np.abs(v[:, :grid]), axis=1), np.sum(terms, axis=1)))
     out: list[RemainderEstimate] = []
-    for i, x in enumerate(xs):
-        dx_i = x - x0
-        eps = epsilon_sup(lam, abs(dx_i))
-        for order, (tight, sup, totals) in zip(orders, columns):
-            prefix = abs(lam) / math.factorial(order - 1) * abs(dx_i)
-            bound_tight = prefix * float(tight[i])
-            try:
-                eps_power = eps ** (order - 1)
-            except OverflowError:
-                eps_power = math.inf
-            bound_loose = prefix * float(sup[i]) * eps_power
-            integral = complex(lam / math.factorial(order - 1) * dx_i * totals[i])
-            if not all(map(math.isfinite, (bound_tight, bound_loose, integral.real, integral.imag))):
-                raise DomainError(
-                    f"non-finite remainder bound or integral at x={x!r}, order {order} "
-                    "(overflow in the stage values or in powers of exp(lam z) - 1)"
+    # an overflowed row sum is inf + 0i, and its product with lam forms inf * 0
+    with np.errstate(all="ignore"):
+        for i, x in enumerate(xs):
+            dx_i = x - x0
+            eps = epsilon_sup(lam, abs(dx_i))
+            for order, (tight, sup, totals) in zip(orders, columns):
+                prefix = abs(lam) / math.factorial(order - 1) * abs(dx_i)
+                bound_tight = prefix * float(tight[i])
+                try:
+                    eps_power = eps ** (order - 1)
+                except OverflowError:
+                    eps_power = math.inf
+                bound_loose = prefix * float(sup[i]) * eps_power
+                integral = complex(lam / math.factorial(order - 1) * dx_i * totals[i])
+                if not all(map(math.isfinite, (bound_tight, bound_loose, integral.real, integral.imag))):
+                    raise DomainError(
+                        f"non-finite remainder bound or integral at x={x!r}, order {order} "
+                        "(overflow in the stage values or in powers of exp(lam z) - 1)"
+                    )
+                out.append(
+                    RemainderEstimate(
+                        order=order,
+                        integral_value=integral,
+                        bound_tight=bound_tight,
+                        bound_loose=bound_loose,
+                        grid_points=grid,
+                    )
                 )
-            out.append(
-                RemainderEstimate(
-                    order=order,
-                    integral_value=integral,
-                    bound_tight=bound_tight,
-                    bound_loose=bound_loose,
-                    grid_points=grid,
-                )
-            )
     return out
 
 

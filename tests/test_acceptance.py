@@ -6,12 +6,11 @@ each test prints an explicit PASS/FAIL line as well (visible with ``-s``).
 
 import json
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
+from exptaylor import cli
 from exptaylor.errors import DiagnosticError, ValidationError
 from exptaylor.expr import eval_complex, parse
 from exptaylor.identities import (
@@ -50,13 +49,11 @@ def check(label: str, ok: bool) -> None:
     assert ok, label
 
 
-def run_cli(*argv):
-    return subprocess.run(
-        [sys.executable, "-m", "exptaylor", *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+def run_main(capsys, *argv):
+    """``cli.main`` in this process: (exit code, stdout).  ``test_cli.py`` launches
+    the process for what only a process shows."""
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().out
 
 
 def test_01_operator_paths_agree():
@@ -188,7 +185,7 @@ def test_09_stirling_table_invariants():
     check("9 Stirling table recurrence, row sums, and float rows (n <= 64)", ok)
 
 
-def test_10_cli_determinism_and_exit_codes():
+def test_10_cli_determinism_and_exit_codes(capsys):
     cases = [
         ("expand", "--fn", "cos(2*pi*x)", "--lambda", "0+6.283185307179586i",
          "--order", "6", "--format", "json"),
@@ -210,17 +207,18 @@ def test_10_cli_determinism_and_exit_codes():
     ]
     ok = True
     for argv in cases:
-        a = run_cli(*argv)
-        b = run_cli(*argv)
-        ok = ok and a.returncode == 0 and b.returncode == 0
-        ok = ok and a.stdout == b.stdout
+        a = run_main(capsys, *argv)
+        b = run_main(capsys, *argv)
+        ok = ok and a[0] == 0 and b[0] == 0
+        ok = ok and a[1] == b[1]
     codes = {
-        1: run_cli("radius", "--fn", "exp(x)", "--lambda", "1", "--j-max", "24"),
-        2: run_cli("eval", "--fn", "log(x)", "--lambda", "1", "--x0", "1",
-                   "--x", "-0.5"),
-        3: run_cli("identities", "--suite", "log_k2_J60",
-                   "--tol-override", "log_k2_J60=1e-30"),
+        1: run_main(capsys, "radius", "--fn", "exp(x)", "--lambda", "1", "--j-max", "24"),
+        2: run_main(capsys, "eval", "--fn", "log(x)", "--lambda", "1", "--x0", "1",
+                    "--x", "-0.5"),
+        3: run_main(capsys, "identities", "--suite", "log_k2_J60",
+                    "--tol-override", "log_k2_J60=1e-30"),
     }
-    for expected, proc in codes.items():
-        ok = ok and proc.returncode == expected
-    check("10 CLI byte-identical reruns; exit codes 0/1/2/3 exercised", ok)
+    for expected, (code, _) in codes.items():
+        ok = ok and code == expected
+    with capsys.disabled():  # the PASS line, past the capture of the CLI's output
+        check("10 CLI byte-identical reruns; exit codes 0/1/2/3 exercised", ok)

@@ -312,6 +312,203 @@ def test_nd_jet_agrees_with_1d_jet_along_a_line(data):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+# ---- the tan recurrence against mpmath, within a rounding bound from analysis
+
+UNIT_ROUNDOFF = 2.0**-53
+LIBM_UNITS = 8  # each library value within 4 ulps of the function at its computed argument
+
+
+class RoundingBound:
+    """A first-order bound on the rounding error of every lifted part, by running
+    error analysis over the jet recurrences (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sec. 3.3).
+
+    The walk mirrors ``jet._Algebra`` kernel by kernel.  A jet is ``(v0, m, e)``:
+    ``v0`` the constant term, ``m[k]`` the size of part k and of every term summed
+    into it (the recurrence on absolute values), ``e[k]`` a bound on the error of
+    the computed part k.  A sum of n products, in any order, is within n u of the
+    sum of their sizes; perturbed factors add ``|a| e_b + |b| e_a``; a library
+    value of a constant term is within ``LIBM_UNITS`` u of the function at the
+    computed argument, which it moves by ``|f'(u0)| e(u0)``.  In n variables
+    every sum into one multi-index of a part takes at most ``spread = (K +
+    1)^(n - 1)`` times the products of the 1-D sum, and sizes and errors
+    distribute over the multi-indices, so the bound of the expression on the line
+    ``c + x d`` also bounds the n-D jet summed along ``d``.  The literals used
+    here are exact doubles.
+    """
+
+    def __init__(self, center, order, spread=1):
+        self.center, self.K, self.spread = center, order, spread
+
+    def jet(self, v0, m0, e0):
+        m, e = np.zeros(self.K + 1), np.zeros(self.K + 1)
+        m[0], e[0] = m0, e0
+        return [v0, m, e]
+
+    def conv(self, k, a, b, lo, hi):
+        terms = range(lo, hi + 1)
+        m = sum(a[1][j] * b[1][k - j] for j in terms)
+        e = sum(a[1][j] * b[2][k - j] + a[2][j] * b[1][k - j] for j in terms)
+        return m, e + (hi - lo + 1) * self.spread * UNIT_ROUNDOFF * m
+
+    def scaled(self, s, me, rounded_s=False):
+        # s * part: the product rounds once, and a reciprocal 1/k once more
+        m, e = me
+        return s * m, s * e + (2 if rounded_s else 1) * UNIT_ROUNDOFF * s * m
+
+    def add(self, a, b):
+        m = a[1] + b[1]
+        return [a[0] + b[0], m, a[2] + b[2] + UNIT_ROUNDOFF * m]
+
+    def mul(self, a, b):
+        out = self.jet(a[0] * b[0], 0.0, 0.0)
+        for k in range(self.K + 1):
+            out[1][k], out[2][k] = self.conv(k, a, b, 0, k)
+        return out
+
+    def libm(self, value, slope, u):
+        # f(u0) within LIBM_UNITS u, moved by |f'(u0)| e(u0)
+        return self.jet(value, abs(value), slope * u[2][0] + LIBM_UNITS * UNIT_ROUNDOFF * abs(value))
+
+    def reciprocal(self, b0, e0):
+        # 1/b0 rounded once, of a b0 off by e0
+        rec = 1.0 / b0
+        return abs(rec), abs(rec) * (e0 / abs(b0) + UNIT_ROUNDOFF)
+
+    def solve(self, out, k, rec, a_k, s):
+        # out_k = rec * (a_k - s): the difference and the product round once each
+        m_d, e_d = a_k[0] + s[0], a_k[1] + s[1] + UNIT_ROUNDOFF * (a_k[0] + s[0])
+        out[1][k] = rec[0] * m_d
+        out[2][k] = rec[0] * e_d + rec[1] * m_d + UNIT_ROUNDOFF * out[1][k]
+
+    def euler(self, u):
+        ks = np.arange(self.K + 1)
+        return [u[0], ks * u[1], ks * u[2] + UNIT_ROUNDOFF * ks * u[1]]
+
+    def exp(self, u):
+        v = math.exp(u[0])
+        e, ju = self.libm(v, v, u), self.euler(u)
+        for k in range(1, self.K + 1):
+            e[1][k], e[2][k] = self.scaled(1.0 / k, self.conv(k, ju, e, 1, k), True)
+        return e
+
+    def log(self, u):
+        out, jl = self.libm(math.log(u[0]), 1.0 / abs(u[0]), u), self.jet(0.0, 0.0, 0.0)
+        rec = self.reciprocal(u[0], u[2][0])
+        for k in range(1, self.K + 1):
+            s = self.scaled(1.0 / k, self.conv(k, jl, u, 1, k - 1), True)
+            self.solve(out, k, rec, (u[1][k], u[2][k]), s)
+            jl[1][k], jl[2][k] = self.scaled(k, (out[1][k], out[2][k]))
+        return out
+
+    def sqrt(self, u):
+        r0 = math.sqrt(u[0])
+        out = self.libm(r0, 0.5 / r0, u)
+        rec = self.reciprocal(2 * r0, 2 * out[2][0])
+        for k in range(1, self.K + 1):
+            self.solve(out, k, rec, (u[1][k], u[2][k]), self.conv(k, out, out, 1, k - 1))
+        return out
+
+    def tan(self, u):
+        t0 = math.tan(u[0])
+        t, ju = self.libm(t0, 1.0 + t0 * t0, u), self.euler(u)
+        # 1 + t0 * t0: a product and a sum, each rounding once
+        p = self.jet(1.0 + t0 * t0, 1.0 + t0 * t0, 2 * abs(t0) * t[2][0] + 2 * UNIT_ROUNDOFF * (1.0 + t0 * t0))
+        for k in range(1, self.K + 1):
+            t[1][k], t[2][k] = self.scaled(1.0 / k, self.conv(k, ju, p, 1, k), True)
+            p[1][k], p[2][k] = self.conv(k, t, t, 0, k)
+        return t
+
+    def div(self, a, b):
+        rec = self.reciprocal(b[0], b[2][0])
+        out = self.jet(a[0] / b[0], 0.0, 0.0)
+        for k in range(self.K + 1):
+            s = self.conv(k, out, b, 0, k - 1) if k else (0.0, 0.0)
+            self.solve(out, k, rec, (a[1][k], a[2][k]), s)
+        return out
+
+    def walk(self, node):
+        """The bound of the subexpression ``node``: constants, ``x``, ``+ - * /``, real
+        powers, ``exp``, ``log``, ``sqrt`` and ``tan``, the kernels the tests below lift."""
+        if isinstance(node, Const) and not isinstance(node, NamedConst):
+            return self.jet(node.value.real, abs(node.value.real), 0.0)
+        if isinstance(node, Var):
+            out = self.jet(self.center, abs(self.center), 0.0)
+            out[1][1] = 1.0
+            return out
+        if isinstance(node, Neg):
+            v0, m, e = self.walk(node.operand)
+            return [-v0, m, e]
+        if isinstance(node, Call) and node.func in ("exp", "log", "sqrt", "tan"):
+            return getattr(self, node.func)(self.walk(node.arg))
+        if isinstance(node, BinOp) and node.op != "^":
+            a, b = self.walk(node.left), self.walk(node.right)
+            if node.op == "-":
+                b = [-b[0], b[1], b[2]]
+            return {"+": self.add, "-": self.add, "*": self.mul, "/": self.div}[node.op](a, b)
+        if isinstance(node, BinOp) and int_exponent(node.right) is None:
+            return self.exp(self.mul(self.walk(node.right), self.log(self.walk(node.left))))
+        raise NotImplementedError(node)
+
+
+def tan_taylor(mpmath, x0, order):
+    """Taylor coefficients of tan about ``x0`` from its derivative polynomials,
+    ``P_0(T) = T`` and ``P_(k+1) = (1 + T^2) P_k'(T)`` at ``T = tan(x0)``: no
+    jet recurrence and no numerical differentiation."""
+    T, poly, out = mpmath.tan(mpmath.mpf(x0)), [0, 1], []
+    for k in range(order + 1):
+        out.append(mpmath.polyval(poly[::-1], T) / mpmath.factorial(k))
+        deriv = [i * c for i, c in enumerate(poly)][1:]
+        poly = [a + b for a, b in zip(deriv + [0, 0], [0, 0] + deriv)]
+    return out
+
+
+def assert_within(got, want, tol, what):
+    """``|got[k] - want[k]| <= tol[k]``, the difference taken in mpmath."""
+    for k, (g, w, t) in enumerate(zip(got, want, tol)):
+        err = abs(g - w)
+        assert err <= t, (what, k, float(err), t, float(abs(w)))
+
+
+@pytest.mark.parametrize("offset", [-0.05, -1e-3, 1e-3, 0.05])
+def test_tan_jet_near_its_pole_against_mpmath(offset):
+    # on either side of the pole every sum of the recurrence adds terms of one
+    # sign, so the sizes are the values themselves and the bound stays within
+    # a small factor of the error; twice the first-order bound covers the
+    # second-order terms, each a product of two errors below 1e-12 of a size
+    mpmath = pytest.importorskip("mpmath")
+    x0, order, ast = math.pi / 2 + offset, 12, parse("tan(x)")
+    bound = RoundingBound(x0, order).walk(ast.root)
+    got = _lift_1d_array(ast, np.array([x0]), order)[0]
+    with mpmath.workdps(40):
+        assert_within([mpmath.mpf(v) for v in got], tan_taylor(mpmath, x0, order), 2 * bound[2], x0)
+
+
+def test_jet_with_tan_against_mpmath_on_the_1d_and_nd_paths():
+    # twice the first-order bound covers the second-order terms; along() adds
+    # per multi-index two powers within 1 ulp, a product of them, one with the
+    # coefficient (6u in all) and a sum over at most K + 1 multi-indices
+    mpmath = pytest.importorskip("mpmath")
+    src, c, order = "sqrt(3+x1*x2)*log(2+x2)^2.5/tan(1+x1)", (0.257, 0.152), 12
+    nd = lift_nd(parse(src, 2), c, order)
+    for i in range(6):
+        d = (math.cos(i * math.pi / 6), math.sin(i * math.pi / 6))
+        line = parse(re.sub(r"x(\d)", lambda m: f"({c[int(m[1]) - 1]!r}+({d[int(m[1]) - 1]!r})*x)", src))
+        with mpmath.workdps(40):
+
+            def f(t):
+                x1, x2 = c[0] + t * mpmath.mpf(d[0]), c[1] + t * mpmath.mpf(d[1])
+                return mpmath.sqrt(3 + x1 * x2) * mpmath.log(2 + x2) ** 2.5 / mpmath.tan(1 + x1)
+
+            want = mpmath.taylor(f, 0, order)
+            one_d = _lift_1d_array(line, np.array([0.0]), order)[0]
+            assert_within([mpmath.mpf(v) for v in one_d], want, 2 * RoundingBound(0.0, order).walk(line.root)[2], d)
+            spread = order + 1
+            _, m, e = RoundingBound(0.0, order, spread).walk(line.root)
+            tol = 2 * (e + (6 + spread) * UNIT_ROUNDOFF * m)
+            assert_within([mpmath.mpf(v.real) for v in along(nd, d)], want, tol, d)
+
+
 # ---- the coefficient-major 1-D layout keeps the bits of the point-major one
 
 
@@ -456,9 +653,17 @@ class ComplexKernels:
             self.set(s, k, self.conv(k, ju, c, 1, k) / k)
             t = self.conv(k, ju, s, 1, k)
             self.set(c, k, (t if hyperbolic else -t) / k)
-        if func == "tan":
-            return self.div(s, c, what="tan")
         return c if func.startswith("cos") else s
+
+    def tan(self, u):
+        # t' = u' (1 + t^2), restated from the sin/cos quotient the lift used before
+        t0 = np.tan(self.c0(u))
+        t, p = self.const(t0), self.const(1.0 + t0 * t0)
+        ju = self.euler(u)
+        for k in range(1, self.order + 1):
+            self.set(t, k, self.conv(k, ju, p, 1, k) / k)
+            self.set(p, k, self.conv(k, t, t, 0, k))
+        return t
 
     def div(self, a, b, what="division"):
         b0 = self.c0(b)
@@ -493,7 +698,7 @@ class ComplexKernels:
             return self.neg(self.walk(node.operand))
         if isinstance(node, Call):
             u = self.walk(node.arg)
-            if node.func in ("exp", "log", "sqrt"):
+            if node.func in ("exp", "log", "sqrt", "tan"):
                 return getattr(self, node.func)(u)
             return self.trig(u, node.func)
         if node.op == "^":

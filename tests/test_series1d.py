@@ -16,6 +16,7 @@ from exptaylor.jet import _lift_1d_array, lift
 from exptaylor.operators import cascade_values, d_lambda_stirling, stirling_row
 from exptaylor.series1d import (
     LIFT_BLOCK,
+    SWEEP_BLOCK,
     GrowthReport,
     RemainderEstimate,
     _cascade_roundoff_scales,
@@ -106,7 +107,8 @@ def test_expm1_against_mpmath(log_mag, unit):
     a, b = u.real, u.imag
     terms = abs(math.expm1(a) * math.cos(b)) + 2.0 * math.sin(b / 2.0) ** 2 + abs(math.exp(a) * math.sin(b))
     assert abs(got - want) <= 8 * UNIT_ROUNDOFF * terms
-    assert isinstance(got, np.complex128)
+    # real in, real out: the real 1-D bounds form w without complex arithmetic
+    assert isinstance(got, np.complex128 if isinstance(u, complex) else np.float64)
 
 
 def test_expm1_overflow_is_inf_not_nan():
@@ -224,7 +226,8 @@ def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
     """The one-segment-at-a-time loop ``remainder_bounds`` ran before it lifted
     segments in blocks, frozen here as the oracle for the blocked one.  It pins
     the blocking, not the ``w`` or stage formulas: ``w`` comes from ``expm1`` and
-    each order's stage from ``stirling_row``."""
+    each order's stage from ``stirling_row``.  ``lam`` is made complex, so ``w``
+    and its powers take the complex path even where ``remainder_bounds`` is real."""
     lam = complex(lam)
     theta, weights = _quad_rule(quad_nodes)
     top = max(orders)
@@ -273,7 +276,7 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("grid, quad_nodes, lam", BLOCK_CASES)
 def test_blocked_bounds_equal_the_per_segment_loop_bit_for_bit(grid, quad_nodes, lam):
     ast, x0, orders = parse("exp(x)/(1.5-x)"), 0.05, [1, 4, 16, 33]
-    per = max(1, LIFT_BLOCK // (grid + quad_nodes))
+    per = max(1, SWEEP_BLOCK // (grid + quad_nodes))
     xs = list(np.linspace(-0.4, 0.45, 3 * per + 2))
     # the loop's estimates for a prefix of xs are a prefix of its estimates
     oracle = _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes)
@@ -295,22 +298,61 @@ def test_blocked_bounds_raise_at_the_first_non_finite_x_of_the_per_segment_loop(
     assert str(got.value) == str(want.value)
 
 
+REAL_LAMBDAS = st.tuples(st.floats(-300.0, math.log10(50.0)), st.sampled_from([-1.0, 1.0])).map(
+    lambda t: t[1] * 10.0 ** t[0]
+)
+
+
+def _bounds_or_message(bounds, *args):
+    try:
+        return bounds(*args)
+    except DomainError as err:
+        return str(err)
+
+
+# A real lambda forms the bounds in float64: w by the real expm1, its powers by
+# square-and-multiply.  The loop above forms them in complex arithmetic, so it
+# pins every bit of the real path, zeros' signs and overflow refusals included.
+@settings(max_examples=60, deadline=None)
+@given(
+    src=st.sampled_from(["exp(x)/(1.5-x)", "cos(2*pi*x)", "1/cos(x)+log(2+x)", "x"]),
+    lam=REAL_LAMBDAS,
+    x0=st.floats(-0.3, 0.3),
+    offsets=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=2),
+    orders=st.lists(st.integers(1, 64), min_size=1, max_size=3, unique=True),
+)
+@example(src="x", lam=-1e-300, x0=0.1, offsets=[0.5], orders=list(range(1, 65)))
+@example(src="exp(x)/(1.5-x)", lam=-50.0, x0=-0.3, offsets=[0.5, 0.0], orders=[2, 33, 64])
+@example(src="exp(x)/(1.5-x)", lam=50.0, x0=0.0, offsets=[0.0, 0.5], orders=[1, 64])
+def test_real_lambda_bounds_keep_the_complex_bits(src, lam, x0, offsets, orders):
+    ast = parse(src)
+    # x below x0, x0 itself and, with a second offset, x above it
+    xs = [x0 - offsets[0], x0] + [x0 + d for d in offsets[1:]]
+    got = _bounds_or_message(remainder_bounds, ast, lam, x0, xs, orders, 65, 64)
+    want = _bounds_or_message(_per_segment_bounds, ast, lam, x0, xs, orders, 65, 64)
+    assert got == want  # the same estimates, or the same refusal at the same x and order
+    if isinstance(got, list):
+        assert list(map(repr, got)) == list(map(repr, want))  # and the signs of zeros
+
+
 def test_remainder_bounds_memory_is_bounded_by_the_block():
     # one block at a time: the lifted jet and the walk's working jets each hold
-    # at most one (order+1) x LIFT_BLOCK array, and the Stirling row a few
-    # LIFT_BLOCK-long ones; the limit does not grow with len(xs)
-    ast, lam, order = parse("exp(x)"), 0.3 - 1.7j, 16
-    limit = 6 * (order + 1) * LIFT_BLOCK * 16
-    remainder_bounds(ast, lam, 0.05, [0.1], [order])  # imports and caches the Gauss rule
-    for n in (11, 1001):
-        xs = list(np.linspace(-0.3, 0.4, n))
-        tracemalloc.start()
-        try:
-            remainder_bounds(ast, lam, 0.05, xs, [order])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < limit, (n, peak, limit)
+    # at most one (order+1) x SWEEP_BLOCK array, and the Stirling row a few
+    # SWEEP_BLOCK-long ones; the limit does not grow with len(xs), and a real
+    # lambda's float64 bounds stay inside it too
+    ast, order = parse("exp(x)"), 16
+    limit = 6 * (order + 1) * SWEEP_BLOCK * 16
+    for lam in (0.3 - 1.7j, 1.0):
+        remainder_bounds(ast, lam, 0.05, [0.1], [order])  # imports and caches the Gauss rule
+        for n in (11, 1001):
+            xs = list(np.linspace(-0.3, 0.4, n))
+            tracemalloc.start()
+            try:
+                remainder_bounds(ast, lam, 0.05, xs, [order])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (lam, n, peak, limit)
 
 
 def test_quad_rule_is_cached_and_read_only():
@@ -341,6 +383,9 @@ def test_remainder_overflow_is_domain_error_without_warning():
             remainder_bound(parse("exp(x)"), 1.0, 0.0, 300.0, 64)
         with pytest.raises(DomainError, match="non-finite remainder"):
             remainder_bounds(parse("exp(x)"), 1.0, 0.0, [400.0], range(60, 65))
+        # finite quadrature terms whose sum overflows: -inf + 0i times lam forms inf * 0
+        with pytest.raises(DomainError, match="non-finite remainder"):
+            remainder_bound(parse("8e306*x"), 1.0, 0.0, 5.0, 2)
 
 
 def test_epsilon_closed_forms():
