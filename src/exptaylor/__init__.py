@@ -23,7 +23,7 @@ from .identities import (
     suite_names,
 )
 from .jet import Jet1D, JetND, lift, lift_nd
-from .operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor, stirling_row
+from .operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor, stirling_rows
 from .series1d import (
     ConvergenceReport,
     Expansion1D,
@@ -104,7 +104,7 @@ __all__ = [
     "stage_rows",
     "stage_tensor",
     "stirling_log2_series",
-    "stirling_row",
+    "stirling_rows",
     "suite_names",
     "to_source",
 ]

@@ -192,15 +192,19 @@ class _Algebra:
             c[k] = (1.0 / k) * (t if hyperbolic else -t)
         return c if func.startswith("cos") else s
 
-    def tan(self, u):
+    def tan(self, u, cot: bool = False):
         """``t = tan(u)`` by its own recurrence ``t' = u' (1 + t^2)`` (Griewank and Walther,
-        *Evaluating Derivatives*, 2nd ed., ch. 13), with ``p = 1 + t^2`` grown a part behind ``t``."""
+        *Evaluating Derivatives*, 2nd ed., ch. 13), with ``p = 1 + t^2`` grown a part behind ``t``;
+        with ``cot``, ``t = cot(u)`` by ``t' = -u' (1 + t^2)`` from the reciprocal of ``tan(u0)``."""
         t0 = self.elementary(np.tan, self.c0(u))
+        if cot:
+            _check_nonzero(t0, "division")  # cot lifts a quotient by tan, and keeps its message
+            t0 = 1.0 / t0
         u, degree = self.argument(u, t0)
         t, p = self.const(t0, degree), self.const(1.0 + t0 * t0, degree)
         ju = self.euler(u)
         for k in range(1, degree + 1):
-            t[k] = (1.0 / k) * self.conv(k, ju, p, 1, k)
+            t[k] = ((-1.0 if cot else 1.0) / k) * self.conv(k, ju, p, 1, k)
             if k < degree:
                 p[k] = self.conv(k, t, t, 0, k)
         return t
@@ -260,6 +264,10 @@ class _Algebra:
                     return self.ipow(base, n)
                 return self.exp(self.mul(self.walk(node.right), self.log(base, what="power base")))
             a = self.walk(node.left)
+            if node.op == "/" and isinstance(node.right, Call) and node.right.func == "tan":
+                # a / tan(u) as a * cot(u): tan's parts grow near its pole and the quotient's do not,
+                # so the division recurrence would cancel
+                return self.mul(a, self.tan(self.walk(node.right.arg), cot=True))
             b = self.walk(node.right)
             if node.op == "+":
                 return self.add(a, b)

@@ -34,19 +34,15 @@ import numpy as np
 from .errors import DiagnosticError, DomainError, ValidationError
 from .expr import ExprAst
 from .jet import MAX_ORDER, _lift_1d_array, lift
-from .operators import _check_lam, _inverse_powers, cascade_values, stirling_row
+from .operators import _check_lam, _inverse_powers, cascade_values, stirling_rows
 from .stirling import stage_matrix
 
 MAX_EXPANSION_ORDER = MAX_ORDER
-# points per lift in growth_diagnostic, which stages by the cascade: on a
-# 2-core Xeon, grid 20,001 at n_max 16 took 47.3 ms at 2,048, 63.9 ms at
-# 4,096 and 66.9 ms at 8,192 (median of 6 alternating rounds)
-LIFT_BLOCK = 2048
-# points per lift in remainder_bounds, in whole segments (7 at the default
-# 513 + 64); on the same host the curves1d benchmark ran 129.8 ops/s at
-# 4,096 against 116.2 at 2,048, and 135.9 at 8,192 but with its peak memory
-# up from 39.9 to 41.7 MB (medians of 3 alternating runs)
-SWEEP_BLOCK = 4096
+# points per lift: whole segments in remainder_bounds (7 at the default 513 + 64),
+# grid points in growth_diagnostic.  On a 2-core Xeon curves1d ran 129.8 ops/s at
+# 4,096 against 116.2 at 2,048 (135.9 at 8,192, with 1.8 MB more peak memory), and
+# growth at grid 20,001, lam = 2 pi i took 28-39 ms against 30-45 ms and 33-44 ms
+LIFT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -250,12 +246,12 @@ def remainder_bounds(
     Returns ``len(xs) * len(orders)`` estimates, x-major: entry
     ``i * len(orders) + k`` is for ``xs[i]`` after ``orders[k]`` terms.  Each
     segment from ``x0`` to ``x`` is lifted once, at ``max(orders)``, on its
-    ``grid`` sampling points and its quadrature nodes together; every order
-    ``N`` takes stage ``N`` alone from that one lift by its Stirling row, in
-    O(N) per point.  The row reads coefficients ``0..N`` only, which a higher
+    ``grid`` sampling points and its quadrature nodes together; one
+    ``stirling_rows`` call takes stage ``N`` of every order from that lift, in
+    O(N) per point.  Row ``N`` reads coefficients ``1..N`` only, which a higher
     order lift shares bit for bit with an order-``N`` lift, so the result does
     not depend on which other orders are requested.  Consecutive segments are
-    lifted and staged together, ``SWEEP_BLOCK`` points' worth at a time; the
+    lifted and staged together, ``LIFT_BLOCK`` points' worth at a time; the
     kernels and the row act point by point, so the blocks move no bit.  For
     a real ``lam`` the bounds are formed in float64 (see ``_block_bounds``),
     with the bits of the complex arithmetic.  Raises ``DomainError`` when a
@@ -275,7 +271,7 @@ def remainder_bounds(
     s = np.linspace(0.0, 1.0, grid)
     x0 = float(x0)
     xs = [float(x) for x in xs]
-    per = max(1, SWEEP_BLOCK // (grid + quad_nodes))
+    per = max(1, LIFT_BLOCK // (grid + quad_nodes))
     out: list[RemainderEstimate] = []
     for lo in range(0, len(xs), per):
         out += _block_bounds(ast, lam, x0, xs[lo : lo + per], orders, s, theta, weights)
@@ -283,8 +279,8 @@ def remainder_bounds(
 
 
 def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders: list[int], s, theta, weights):
-    """``remainder_bounds`` for one block of segments: one lift, then each order's Stirling
-    row, sups and quadrature sums as row-wise array operations, one row per segment.
+    """``remainder_bounds`` for one block of segments: one lift and one ``stirling_rows`` call, then
+    each order's sups and quadrature sums as row-wise array operations, one row per segment.
 
     For a real ``lam`` every factor is real: ``w`` is the real ``expm1`` of ``lam.real``
     times the offsets, the stage row is already real, and the sups and the quadrature
@@ -304,8 +300,7 @@ def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders
         w_grid = expm1(scale * (1.0 - s) * dx)
         w_nodes = expm1(scale * (1.0 - theta) * dx)
         columns = []
-        for order in orders:
-            v = stirling_row(jet, lam, order).reshape(points.shape)
+        for order, v in zip(orders, stirling_rows(jet, orders, lam).reshape((len(orders),) + points.shape)):
             tight = np.max(np.abs(v[:, :grid] * power(w_grid, order - 1)), axis=1)
             terms = (weights * v[:, grid:] * power(w_nodes, order - 1)).astype(np.complex128, copy=False)
             columns.append((tight, np.max(np.abs(v[:, :grid]), axis=1), np.sum(terms, axis=1)))
@@ -366,7 +361,8 @@ def epsilon_sup(lam: complex, r: float) -> float:
 
     Closed forms for purely real and purely imaginary ``lam`` (the
     imaginary case saturates at 2 once ``|lam| r >= pi``); otherwise a
-    1025-point grid scan refined by golden-section search.
+    1025-point grid scan refined by golden-section search.  A sup past the
+    largest double is ``inf``.
     """
     lam = complex(lam)
     r = float(r)
@@ -375,17 +371,24 @@ def epsilon_sup(lam: complex, r: float) -> float:
     if r == 0 or lam == 0:
         return 0.0
     a, b = lam.real, lam.imag
-    if b == 0:
-        return math.expm1(abs(a) * r)
     if a == 0:
         return 2.0 * math.sin(min(abs(b) * r / 2.0, math.pi / 2.0))
+    if b != 0:
+        zs = np.linspace(-r, r, 1025)
+        with np.errstate(all="ignore"):
+            hv = np.exp(2 * a * zs) - 2 * np.exp(a * zs) * np.cos(b * zs) + 1.0
+    if b == 0 or not np.all(np.isfinite(hv)):
+        # the real closed form; where the square overflows, |exp(lam z) - 1| lies
+        # within 1 of exp(|a| r) - 1 >= 1e154 at its sup, so the closed form holds too
+        try:
+            return math.expm1(abs(a) * r)
+        except OverflowError:
+            return math.inf
 
     def h(z: float) -> float:
         # |exp(lam z) - 1|^2, cheap and smooth
         return math.exp(2 * a * z) - 2 * math.exp(a * z) * math.cos(b * z) + 1.0
 
-    zs = np.linspace(-r, r, 1025)
-    hv = np.exp(2 * a * zs) - 2 * np.exp(a * zs) * np.cos(b * zs) + 1.0
     i = int(np.argmax(hv))
     best = float(hv[i])
     lo = float(zs[max(i - 1, 0)])
@@ -501,9 +504,9 @@ def growth_diagnostic(
     (by more than 1 percent) is reported, with ``c0`` the trailing-half
     level.  Inputs that fail ``a(0) == a(period)`` on the sample are flagged
     non-periodic; the diagnostic is still computed.  The grid is lifted and
-    staged ``LIFT_BLOCK`` points at a time, keeping a running max of each
-    stage's magnitude, so memory does not grow with ``grid``.  A stage value
-    that overflows on the grid raises ``DomainError``.
+    staged by ``stirling_rows`` ``LIFT_BLOCK`` points at a time, keeping a
+    running max of each stage's magnitude, so memory does not grow with
+    ``grid``.  A stage value that overflows on the grid raises ``DomainError``.
     """
     lam = _check_lam(lam)
     _check_1d(ast)
@@ -518,14 +521,15 @@ def growth_diagnostic(
     sups = np.zeros(n_max + 1)
     for lo in range(0, grid, LIFT_BLOCK):
         with np.errstate(all="ignore"):
-            stages = cascade_values(_lift_1d_array(ast, xs[lo : lo + LIFT_BLOCK], n_max), lam, n_max)
-        if not np.all(np.isfinite(stages)):
+            jet = _lift_1d_array(ast, xs[lo : lo + LIFT_BLOCK], n_max)
+            stages = (jet[None, ..., 0], stirling_rows(jet, range(1, n_max + 1), lam))  # stage 0 is c_0
+        if not all(np.all(np.isfinite(v)) for v in stages):
             raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
         if lo == 0:
-            first = stages[0, 0]
-        sups = np.maximum(sups, np.max(np.abs(stages), axis=0))
+            first = jet[0, 0]
+        sups = np.maximum(sups, np.concatenate([np.max(np.abs(v), axis=1) for v in stages]))
     sup_values = sups[1:]  # index N-1 <-> stage N
-    periodic = bool(abs(first - stages[-1, 0]) <= 1e-9 * (1.0 + float(sups[0])))
+    periodic = bool(abs(first - jet[-1, 0]) <= 1e-9 * (1.0 + float(sups[0])))
 
     half = max(n_max // 2, 1)
     k_fit, c0, bounded = 0, 0.0, False

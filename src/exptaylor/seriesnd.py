@@ -241,7 +241,7 @@ def remainder_bound_nd(
     sample points are made, lifted and staged ``POINT_CHUNK`` at a time, so
     the memory held, the points included, is bounded by the chunk, not by
     ``grid``.  Returns zero when ``x == center`` or the expression is flat
-    there.
+    there; a bound that is not finite raises ``DomainError``.
     """
     lam = _check_nd_args(ast, n, lam)
     _check_nd_order(order)
@@ -257,5 +257,12 @@ def remainder_bound_nd(
     total = 0.0
     for g, sup in zip(gammas, sups):
         total += order / multi_index_factorial(g) * float(sup)
-    eps = epsilon_sup(lam, h)
-    return abs(lam) * total * eps ** (order - 1) * h
+    try:
+        eps_power = epsilon_sup(lam, h) ** (order - 1)
+    except OverflowError:
+        eps_power = math.inf
+    bound = abs(lam) * total * eps_power * h
+    if not math.isfinite(bound):
+        # refused here, as in 1-D, so the bound is named even where the series overflows first
+        raise DomainError("non-finite value in bound")
+    return bound

@@ -229,32 +229,42 @@ def test_eval_domain_error_exits_2():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, what",
     [
         # the jet of 1/x at 1e-200 overflows from c[2] on
-        ("expand", "--fn", "1/x", "--lambda", "1", "--x0", "1e-200", "--order", "4"),
+        (("expand", "--fn", "1/x", "--lambda", "1", "--x0", "1e-200", "--order", "4"), "expansion coefficient"),
         # exp(800) overflows a double in the series value
-        ("eval", "--fn", "exp(x)", "--lambda", "1", "--x", "800", "--order", "64"),
+        (("eval", "--fn", "exp(x)", "--lambda", "1", "--x", "800", "--order", "64"), "exp overflows"),
         # (exp(300) - 1)^63 overflows in both remainder bounds
-        ("eval", "--fn", "exp(x)", "--lambda", "1", "--x", "300", "--order", "64"),
-        ("sweep", "--fn", "exp(x)", "--lambda", "1", "--x", "400", "--n-range", "60:64"),
+        (("eval", "--fn", "exp(x)", "--lambda", "1", "--x", "300", "--order", "64"), "remainder bound"),
+        (("sweep", "--fn", "exp(x)", "--lambda", "1", "--x", "400", "--n-range", "60:64"), "remainder bound"),
         # the bounds at x = 0.9 overflow and the segment to x = -0.1 meets log's
         # cut; one lift holds both segments, so the lift's error is the one printed
-        ("sweep", "--fn", "exp(800*x)+log(x)", "--lambda", "1", "--x0", "0.5", "--order", "4",
-         "--x-range", "0.9:-0.1:3"),
+        (("sweep", "--fn", "exp(800*x)+log(x)", "--lambda", "1", "--x0", "0.5", "--order", "4",
+          "--x-range", "0.9:-0.1:3"), "log"),
         # the jet of 1/x at 1e-200 overflows, and so do its stage values
-        ("radius", "--fn", "1/x", "--lambda", "1", "--x0", "1e-200"),
+        (("radius", "--fn", "1/x", "--lambda", "1", "--x0", "1e-200"), "stage value"),
+        # sup |exp(z) - 1| over |z| <= 800 overflows a double in the loose bound
+        (("eval", "--fn", "x", "--lambda", "1", "--x", "800", "--order", "2"), "remainder bound"),
+        # (exp(300) - 1)^3 overflows in the n-D bound; the series overflows too
+        (("nd", "--fn", "x1+x2", "--dims", "2", "--lambda", "1", "--x", "300,0", "--order", "4", "--grid", "3"),
+         "bound"),
+        # the general-lambda scan of |exp(lam z) - 1|^2 overflows, and so does the sup itself
+        (("nd", "--fn", "x1+x2", "--dims", "2", "--lambda", "0.3+1i", "--x", "3000,0", "--order", "2",
+          "--grid", "3"), "bound"),
     ],
     ids=["expand_nonfinite", "eval_overflow", "eval_remainder_overflow", "sweep_remainder_overflow",
-         "sweep_lift_error_after_an_overflow", "radius_nonfinite"],
+         "sweep_lift_error_after_an_overflow", "radius_nonfinite", "eval_epsilon_overflow",
+         "nd_epsilon_power_overflow", "nd_general_lambda_epsilon_overflow"],
 )
-def test_overflow_exits_2_with_one_line(argv):
+def test_overflow_exits_2_with_one_line(argv, what):
     p = run_cli(*argv, python_flags=STRICT)
     assert p.returncode == 2
     assert p.stdout == ""
     lines = p.stderr.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("domain error:")
+    assert what in lines[0]
 
 
 def test_nd_zero_divisor_past_the_first_chunk_exits_2():

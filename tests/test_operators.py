@@ -13,7 +13,8 @@ from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
 from exptaylor import seriesnd
 from exptaylor.jet import lift, lift_nd
-from exptaylor.operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor, stirling_row
+from exptaylor.operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor, stirling_rows
+from exptaylor.series1d import _cascade_roundoff_scales
 from exptaylor.seriesnd import POINT_CHUNK
 from exptaylor.stirling import build_table
 
@@ -136,11 +137,11 @@ def test_validation():
         cascade_values(jet.coeffs, 1.0, 5)  # count beyond jet order
     with pytest.raises(ValidationError):
         d_lambda_stirling(jet, 1.0, 5)
-    for order in (0, 5):
+    for orders in ([0], [5], [2, 5], []):
         with pytest.raises(ValidationError):
-            stirling_row(jet.coeffs, 1.0, order)
+            stirling_rows(jet.coeffs, orders, 1.0)
     with pytest.raises(ValidationError):
-        stirling_row(jet.coeffs, 0.0, 2)
+        stirling_rows(jet.coeffs, [2], 0.0)
 
 
 # ---- stage N alone: the Stirling row nested in 1/lam
@@ -180,7 +181,7 @@ def test_stirling_row_against_a_40_digit_sum_of_the_same_jet(jets, lam):
     # yardstick of _cascade_roundoff_scales, taken here in mpmath because its
     # float powers of |q| overflow for a tiny lam.
     order = jets.shape[-1] - 1
-    got = stirling_row(jets, lam, order)
+    got = stirling_rows(jets, [order], lam)[0]
     assert got.shape == jets.shape[:-1]
     assert np.iscomplexobj(got) == ((1 / complex(lam)).imag != 0)
     k = 9 * order + 2
@@ -192,6 +193,38 @@ def test_stirling_row_against_a_40_digit_sum_of_the_same_jet(jets, lam):
             terms = [row[m] * mpmath.mpf(c[m]) * q**m for m in range(1, order + 1)]
             want, yardstick = mpmath.fsum(terms), mpmath.fsum(abs(t) for t in terms)
             assert abs(mpmath.mpc(complex(value)) - want) <= gamma * yardstick, (order, lam)
+
+
+# a complex lam whose 1/lam has an imaginary part that underflows to zero
+REAL_INVERSE_LAMBDAS = st.floats(0.125, 8.0).map(lambda a: complex(a, 5e-324))
+
+
+@settings(max_examples=60, deadline=None)
+@given(jets=batched_jets(), lam=st.one_of(ROW_LAMBDAS, REAL_INVERSE_LAMBDAS), data=st.data())
+def test_stirling_rows_nest_every_order_by_itself_and_agree_with_the_cascade(jets, lam, data):
+    order = jets.shape[-1] - 1
+    # subsets, repeats and any order of 1..order
+    orders = data.draw(st.lists(st.integers(1, order), min_size=1, max_size=8))
+    got = stirling_rows(jets, orders, lam)
+    assert got.shape == (len(orders),) + jets.shape[:-1]
+    for r, n in enumerate(orders):
+        alone = stirling_rows(jets, [n], lam)[0]
+        assert got[r].dtype == alone.dtype
+        assert np.array_equal(got[r].view(np.uint64), alone.view(np.uint64)), (orders, r)
+    # row N reads c_1 .. c_N alone: a nan in the top order's coefficient reaches no lower row
+    poisoned = jets.copy()
+    poisoned[..., max(orders)] = np.nan
+    lower = [r for r, n in enumerate(orders) if n < max(orders)]
+    assert np.array_equal(stirling_rows(poisoned, orders, lam)[lower].view(np.uint64), got[lower].view(np.uint64))
+    # The row errs by at most gamma_(9N+2) times the yardstick of
+    # _cascade_roundoff_scales (the test above), the cascade by at most 11 N u
+    # of it (test_series1d's cascade-against-Stirling test): under 20 (N + 1) u
+    # together, and the factor 32 leaves room for second-order terms.
+    cascade = cascade_values(jets, lam, order)
+    for p, jet in enumerate(jets):
+        scales = _cascade_roundoff_scales(jet, lam, order)
+        for r, n in enumerate(orders):
+            assert abs(got[r][p] - cascade[p, n]) <= 32 * (n + 1) * UNIT_ROUNDOFF * scales[n], (orders, r, p)
 
 
 def test_nd_product_of_coordinates():

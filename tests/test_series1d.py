@@ -2,21 +2,23 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from exptaylor import series1d
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import eval_complex, parse
 from exptaylor.jet import _lift_1d_array, lift
-from exptaylor.operators import cascade_values, d_lambda_stirling, stirling_row
+from exptaylor.operators import cascade_values, d_lambda_stirling, stirling_rows
 from exptaylor.series1d import (
     LIFT_BLOCK,
-    SWEEP_BLOCK,
     GrowthReport,
     RemainderEstimate,
     _cascade_roundoff_scales,
@@ -185,12 +187,12 @@ def single_segment_integral(ast, lam, x0, x, order, quad_nodes=64):
     """The quadrature of the exact remainder on its own nodes alone, frozen here
     from the ``remainder_integral`` that ``remainder_bounds`` made redundant.
     It pins the shared lift, not the ``w`` or stage formulas: ``w`` comes from
-    ``expm1`` and stage ``order`` from ``stirling_row``."""
+    ``expm1`` and stage ``order`` from ``stirling_rows``."""
     lam = complex(lam)
     theta, weights = _quad_rule(quad_nodes)
     x0 = float(x0)
     dx = float(x) - x0
-    v_n = stirling_row(_lift_1d_array(ast, x0 + theta * dx, order), lam, order)
+    v_n = stirling_rows(_lift_1d_array(ast, x0 + theta * dx, order), [order], lam)[0]
     total = np.sum(weights * v_n * expm1(lam * (1.0 - theta) * dx) ** (order - 1))
     return complex(lam / math.factorial(order - 1) * dx * total)
 
@@ -226,7 +228,7 @@ def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
     """The one-segment-at-a-time loop ``remainder_bounds`` ran before it lifted
     segments in blocks, frozen here as the oracle for the blocked one.  It pins
     the blocking, not the ``w`` or stage formulas: ``w`` comes from ``expm1`` and
-    each order's stage from ``stirling_row``.  ``lam`` is made complex, so ``w``
+    each order's stage from ``stirling_rows``.  ``lam`` is made complex, so ``w``
     and its powers take the complex path even where ``remainder_bounds`` is real."""
     lam = complex(lam)
     theta, weights = _quad_rule(quad_nodes)
@@ -243,7 +245,7 @@ def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
             w_nodes = expm1(lam * (1.0 - theta) * dx)
             eps = epsilon_sup(lam, abs(dx))
             for order in orders:
-                stages = stirling_row(jet, lam, order)
+                stages = stirling_rows(jet, [order], lam)[0]
                 v_grid = stages[:grid]
                 prefix = abs(lam) / math.factorial(order - 1) * abs(dx)
                 bound_tight = prefix * float(np.max(np.abs(v_grid * w_grid ** (order - 1))))
@@ -276,7 +278,7 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("grid, quad_nodes, lam", BLOCK_CASES)
 def test_blocked_bounds_equal_the_per_segment_loop_bit_for_bit(grid, quad_nodes, lam):
     ast, x0, orders = parse("exp(x)/(1.5-x)"), 0.05, [1, 4, 16, 33]
-    per = max(1, SWEEP_BLOCK // (grid + quad_nodes))
+    per = max(1, LIFT_BLOCK // (grid + quad_nodes))
     xs = list(np.linspace(-0.4, 0.45, 3 * per + 2))
     # the loop's estimates for a prefix of xs are a prefix of its estimates
     oracle = _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes)
@@ -337,11 +339,11 @@ def test_real_lambda_bounds_keep_the_complex_bits(src, lam, x0, offsets, orders)
 
 def test_remainder_bounds_memory_is_bounded_by_the_block():
     # one block at a time: the lifted jet and the walk's working jets each hold
-    # at most one (order+1) x SWEEP_BLOCK array, and the Stirling row a few
-    # SWEEP_BLOCK-long ones; the limit does not grow with len(xs), and a real
+    # at most one (order+1) x LIFT_BLOCK array, and the Stirling row a few
+    # LIFT_BLOCK-long ones; the limit does not grow with len(xs), and a real
     # lambda's float64 bounds stay inside it too
     ast, order = parse("exp(x)"), 16
-    limit = 6 * (order + 1) * SWEEP_BLOCK * 16
+    limit = 6 * (order + 1) * LIFT_BLOCK * 16
     for lam in (0.3 - 1.7j, 1.0):
         remainder_bounds(ast, lam, 0.05, [0.1], [order])  # imports and caches the Gauss rule
         for n in (11, 1001):
@@ -404,6 +406,23 @@ def test_epsilon_general_complex_against_grid(lam, r):
     zs = np.linspace(-r, r, 100001)
     brute = float(np.abs(np.exp(lam * zs) - 1).max())
     assert epsilon_sup(lam, r) == pytest.approx(brute, rel=1e-8)
+
+
+@pytest.mark.parametrize("lam", [1.0, -0.3, 0.3 + 1j, -2 + 0.7j])
+@pytest.mark.parametrize("ar", [354.0, 360.0, 709.0, 709.9, 3000.0])
+def test_epsilon_past_the_squares_overflow_against_mpmath(lam, ar):
+    # |a| r = ar: from 354.9 on the scanned square overflows a double, from
+    # 709.8 on the sup itself does; the sup is exp(|a| r) within 1 of it
+    r = ar / abs(complex(lam).real)
+    got = epsilon_sup(lam, r)
+    with mpmath.workdps(30):
+        zs = [sign * r * mpmath.mpf(k) / 64 for sign in (-1, 1) for k in range(60, 65)]
+        want = max(abs(mpmath.expm1(mpmath.mpc(lam) * z)) for z in zs)
+        if want > sys.float_info.max:
+            assert got == math.inf
+        else:
+            # the scan and golden-section search below the overflow refine to about 1e-8
+            assert abs(got - want) <= 1e-8 * want
 
 
 def test_epsilon_monotone_in_r():
@@ -506,11 +525,13 @@ def test_growth_overflow_raises_domain_error():
 
 def whole_grid_growth(ast, lam, period, n_max, grid):
     """``growth_diagnostic`` as one lift of the whole grid, frozen here as the
-    oracle for the blocked one."""
+    oracle for the blocked one.  Each stage comes from its own ``stirling_rows``
+    call, so the oracle does not share the program's nest of every order."""
     lam = complex(lam)
     xs = np.linspace(0.0, period, grid)
     with np.errstate(all="ignore"):
-        stages = cascade_values(_lift_1d_array(ast, xs, n_max), lam, n_max)
+        jet = _lift_1d_array(ast, xs, n_max)
+        stages = np.column_stack([jet[:, 0]] + [stirling_rows(jet, [N], lam)[0] for N in range(1, n_max + 1)])
         sup_values = np.max(np.abs(stages), axis=0)[1:]
     if not np.all(np.isfinite(stages)):
         raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
@@ -536,17 +557,21 @@ def whole_grid_growth(ast, lam, period, n_max, grid):
 
 @pytest.mark.parametrize("src", ["1/(3+cos(2*pi*x))", "cos(2*pi*x)", "x", "exp(sin(3*x))/(2+x^2)"])
 @pytest.mark.parametrize("lam", [TWO_PI_I, 1.0, 0.3 - 1.7j], ids=["2pi_i", "1", "0.3-1.7i"])
-@pytest.mark.parametrize("grid", [257, LIFT_BLOCK, LIFT_BLOCK + 1, 2 * LIFT_BLOCK + 5])
-def test_blocked_growth_equals_the_whole_grid(src, lam, grid):
+@pytest.mark.parametrize("grid", [257, 2048, 2049, 2 * 2048 + 5])
+def test_blocked_growth_equals_the_whole_grid(monkeypatch, src, lam, grid):
+    # the grids cut a 2,048-point block at one block, one point past it and two
+    # blocks and 5 points; the default block is run too, which the last grid crosses
     ast = parse(src)
-    got = growth_diagnostic(ast, lam, 1.0, n_max=16, grid=grid)
     want = whole_grid_growth(ast, lam, 1.0, 16, grid)
-    for f in dataclasses.fields(GrowthReport):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "sup_values":
-            assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist()
-        else:
-            assert repr(a) == repr(b), f.name
+    for block in (LIFT_BLOCK, 2048):
+        monkeypatch.setattr(series1d, "LIFT_BLOCK", block)
+        got = growth_diagnostic(ast, lam, 1.0, n_max=16, grid=grid)
+        for f in dataclasses.fields(GrowthReport):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "sup_values":
+                assert a.view(np.uint64).tolist() == b.view(np.uint64).tolist(), block
+            else:
+                assert repr(a) == repr(b), (f.name, block)
 
 
 def test_growth_overflow_is_raised_at_any_block():
@@ -559,20 +584,21 @@ def test_growth_overflow_is_raised_at_any_block():
 
 
 def test_growth_memory_is_bounded_by_the_block():
-    # one block at a time: the walk's working jets and the cascade's
+    # one block at a time: the walk's working jets and the Stirling rows'
     # temporaries hold at most eight complex (n_max+1) x LIFT_BLOCK arrays,
     # next to the grid's own float64 x values; the whole grid lifted at once
-    # peaks near 70 MB here
+    # peaks near 70 MB here, and a real lambda's float64 rows stay inside it too
     ast, n_max, grid = parse("1/(3+cos(2*pi*x))"), 16, 50_001
     limit = 8 * grid + 8 * (n_max + 1) * LIFT_BLOCK * 16
-    growth_diagnostic(ast, TWO_PI_I, 1.0, n_max=n_max, grid=3)  # imports and caches
-    tracemalloc.start()
-    try:
-        growth_diagnostic(ast, TWO_PI_I, 1.0, n_max=n_max, grid=grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < limit, (peak, limit)
+    for lam in (TWO_PI_I, 1.0):
+        growth_diagnostic(ast, lam, 1.0, n_max=n_max, grid=3)  # imports and caches
+        tracemalloc.start()
+        try:
+            growth_diagnostic(ast, lam, 1.0, n_max=n_max, grid=grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, (lam, peak, limit)
 
 
 def test_growth_validation():
@@ -622,6 +648,7 @@ def test_remainder_bounds_do_not_depend_on_the_other_orders_or_xs(src, lam, data
 
 @settings(max_examples=40, deadline=None)
 @given(src=SMOOTH_EXPRS, lam=LAMBDAS, x0=st.floats(-0.5, 0.5), count=st.integers(1, 24))
+@example(src="cos((x-(2*x)/(2+(x)^2)))", lam=5 + 0j, x0=2.2250738585072014e-308, count=5)  # stage 5 underflows
 def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     with np.errstate(all="ignore"):  # a nested exp may overflow; such draws are rejected below
         jet = lift(parse(src), x0, count)
@@ -631,10 +658,14 @@ def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     # j-term, step multiple and subtraction u each); the Stirling form rounds
     # each term within (7N + 5)u of it (m divisions for lam^-m, the matrix
     # entry, two products, an (N+1)-term sum).  Together that is under
-    # 18 (N + 1) u; the factor 32 leaves room for second-order terms.
+    # 18 (N + 1) u; the factor 32 leaves room for second-order terms.  A
+    # rounding that underflows errs by up to half of 2^-1074 more, absolutely
+    # (Higham, 2.1), and an error in c_m reaches stage N at most |S[N, m]|
+    # |lam|^-m times: the same count of them, on the scales of a jet of ones.
     scales = _cascade_roundoff_scales(jet.coeffs, lam, count)
     assume(np.all(np.isfinite(scales)))
-    tol = 32 * (np.arange(count + 1) + 1) * UNIT_ROUNDOFF * scales
+    floor = 2.0**-1074 * _cascade_roundoff_scales(np.ones(count + 1), lam, count)
+    tol = 32 * (np.arange(count + 1) + 1) * (UNIT_ROUNDOFF * scales + floor)
     diff = np.abs(cascade_values(jet.coeffs, lam, count) - d_lambda_stirling(jet, lam, count))
     assert np.all(diff <= tol), (diff / np.where(scales > 0, scales, 1)).max()
 
