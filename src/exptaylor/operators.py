@@ -96,31 +96,28 @@ def d_lambda_stirling(jet: Jet1D, lam: complex, count: int) -> np.ndarray:
 
 def stirling_rows(coeffs: np.ndarray, orders: Sequence[int], lam: complex) -> np.ndarray:
     """Stages ``orders`` (each >= 1), shape ``(len(orders),) + coeffs.shape[:-1]``, of jets laid out as for
-    :func:`cascade_values`; the one-axis twin of :func:`stage_rows`.  Row ``N``, ``sum_m S[N, m] lam^(-m)
-    c_m``, is nested in ``q = 1/lam`` by Horner's rule, one numpy operation per term in a fixed order: no
-    power of ``q`` is formed, so an exact-zero ``c_m`` never meets an overflowed ``lam^(-m)``, and no BLAS
-    call splits the sum.  The rows are nested together from the top order down, each from its own, so row
-    ``N`` reads ``c_1 .. c_N`` alone and has the bits of ``stirling_rows(coeffs, [N], lam)``.  They are
-    real when the coefficients and ``1/lam`` are."""
+    :func:`cascade_values`; the one-axis twin of :func:`stage_rows`.  Row ``N``, ``sum_m S[N, m] lam^(-m) c_m``, is
+    nested in ``q = 1/lam`` by Horner's rule, one numpy operation per term: no power of ``q`` is formed, so an
+    exact-zero ``c_m`` never meets an overflowed ``lam^(-m)``, and no BLAS call splits the sum.  The rows are nested
+    together from the top order down, each joining at its own order, so row ``N`` reads ``c_1 .. c_N`` alone and has
+    the bits of ``stirling_rows(coeffs, [N], lam)``: each product goes to a second buffer, as numpy's in-place
+    complex product of one element rounds apart.  They are real when the coefficients and ``1/lam`` are."""
     q = 1.0 / _check_lam(lam)
     q = q.real if q.imag == 0 else q
     c = np.moveaxis(np.asarray(coeffs), -1, 0)  # a lifted jet is coefficient-major: each c[m] is contiguous
-    rows = sorted(set(orders := list(orders)))
+    rows = sorted(set(orders))
     if not rows or rows[0] < 1 or rows[-1] > len(c) - 1:
-        raise ValidationError(f"need orders in [1, {len(c) - 1}], got {orders}")
+        raise ValidationError(f"need orders in [1, {len(c) - 1}], got {list(orders)}")
     S = stage_matrix(rows[-1])[rows].T.reshape((rows[-1] + 1, len(rows)) + (1,) * (c.ndim - 1))  # S[m]: column m
-    # two buffers, each product written to the other: numpy's in-place complex product of one element rounds apart
     acc, spare = np.empty((2, len(rows)) + c.shape[1:], dtype=np.result_type(c, q))
     lo = len(rows)  # acc[lo:] holds the rows begun so far, whose orders exceed m
     for m in range(rows[-1], 0, -1):
-        run = np.multiply(acc[lo:], q, out=spare[lo:])
-        run += S[m, lo:] * c[m]
+        np.add(np.multiply(acc[lo:], q, out=spare[lo:]), S[m, lo:] * c[m], out=spare[lo:])
         acc, spare = spare, acc
         if lo and rows[lo - 1] == m:
             lo -= 1
             acc[lo] = S[m, lo] * c[m]
-    out = acc * q
-    return out if rows == orders else out[[rows.index(n) for n in orders]]
+    return np.multiply(acc, q, out=spare)[[rows.index(n) for n in orders]]
 
 
 def stage_tensor(jet: JetND, lam: complex, order: int) -> np.ndarray:

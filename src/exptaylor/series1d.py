@@ -246,9 +246,9 @@ def remainder_bounds(
     Returns ``len(xs) * len(orders)`` estimates, x-major: entry
     ``i * len(orders) + k`` is for ``xs[i]`` after ``orders[k]`` terms.  Each
     segment from ``x0`` to ``x`` is lifted once, at ``max(orders)``, on its
-    ``grid`` sampling points and its quadrature nodes together; one
-    ``stirling_rows`` call takes stage ``N`` of every order from that lift, in
-    O(N) per point.  Row ``N`` reads coefficients ``1..N`` only, which a higher
+    ``grid`` sampling points and its quadrature nodes together; every order
+    ``N`` takes stage ``N`` alone from that one lift by its Stirling row, in
+    O(N) per point.  The row reads coefficients ``1..N`` only, which a higher
     order lift shares bit for bit with an order-``N`` lift, so the result does
     not depend on which other orders are requested.  Consecutive segments are
     lifted and staged together, ``LIFT_BLOCK`` points' worth at a time; the
@@ -279,8 +279,8 @@ def remainder_bounds(
 
 
 def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders: list[int], s, theta, weights):
-    """``remainder_bounds`` for one block of segments: one lift and one ``stirling_rows`` call, then
-    each order's sups and quadrature sums as row-wise array operations, one row per segment.
+    """``remainder_bounds`` for one block of segments: one lift, then each order's Stirling
+    row, sups and quadrature sums as row-wise array operations, one row per segment.
 
     For a real ``lam`` every factor is real: ``w`` is the real ``expm1`` of ``lam.real``
     times the offsets, the stage row is already real, and the sups and the quadrature
@@ -300,7 +300,8 @@ def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders
         w_grid = expm1(scale * (1.0 - s) * dx)
         w_nodes = expm1(scale * (1.0 - theta) * dx)
         columns = []
-        for order, v in zip(orders, stirling_rows(jet, orders, lam).reshape((len(orders),) + points.shape)):
+        for order in orders:
+            v = stirling_rows(jet, [order], lam)[0].reshape(points.shape)
             tight = np.max(np.abs(v[:, :grid] * power(w_grid, order - 1)), axis=1)
             terms = (weights * v[:, grid:] * power(w_nodes, order - 1)).astype(np.complex128, copy=False)
             columns.append((tight, np.max(np.abs(v[:, :grid]), axis=1), np.sum(terms, axis=1)))

@@ -648,7 +648,11 @@ def test_remainder_bounds_do_not_depend_on_the_other_orders_or_xs(src, lam, data
 
 @settings(max_examples=40, deadline=None)
 @given(src=SMOOTH_EXPRS, lam=LAMBDAS, x0=st.floats(-0.5, 0.5), count=st.integers(1, 24))
-@example(src="cos((x-(2*x)/(2+(x)^2)))", lam=5 + 0j, x0=2.2250738585072014e-308, count=5)  # stage 5 underflows
+# Stage 5 of this draw underflows: the two paths differ by 5e-323 against a
+# tolerance of 1.5e-323, as the analysis below leaves out underflow.
+@example(src="cos((x-(2*x)/(2+(x)^2)))", lam=5 + 0j, x0=2.2250738585072014e-308, count=5).xfail(
+    raises=AssertionError, reason="the tolerance has no term for a rounding that underflows"
+)
 def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     with np.errstate(all="ignore"):  # a nested exp may overflow; such draws are rejected below
         jet = lift(parse(src), x0, count)
@@ -658,14 +662,10 @@ def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     # j-term, step multiple and subtraction u each); the Stirling form rounds
     # each term within (7N + 5)u of it (m divisions for lam^-m, the matrix
     # entry, two products, an (N+1)-term sum).  Together that is under
-    # 18 (N + 1) u; the factor 32 leaves room for second-order terms.  A
-    # rounding that underflows errs by up to half of 2^-1074 more, absolutely
-    # (Higham, 2.1), and an error in c_m reaches stage N at most |S[N, m]|
-    # |lam|^-m times: the same count of them, on the scales of a jet of ones.
+    # 18 (N + 1) u; the factor 32 leaves room for second-order terms.
     scales = _cascade_roundoff_scales(jet.coeffs, lam, count)
     assume(np.all(np.isfinite(scales)))
-    floor = 2.0**-1074 * _cascade_roundoff_scales(np.ones(count + 1), lam, count)
-    tol = 32 * (np.arange(count + 1) + 1) * (UNIT_ROUNDOFF * scales + floor)
+    tol = 32 * (np.arange(count + 1) + 1) * UNIT_ROUNDOFF * scales
     diff = np.abs(cascade_values(jet.coeffs, lam, count) - d_lambda_stirling(jet, lam, count))
     assert np.all(diff <= tol), (diff / np.where(scales > 0, scales, 1)).max()
 
