@@ -247,16 +247,17 @@ def remainder_bounds(
     ``i * len(orders) + k`` is for ``xs[i]`` after ``orders[k]`` terms.  Each
     segment from ``x0`` to ``x`` is lifted once, at ``max(orders)``, on its
     ``grid`` sampling points and its quadrature nodes together; every order
-    ``N`` takes stage ``N`` alone from that one lift by its Stirling row, in
-    O(N) per point.  The row reads coefficients ``1..N`` only, which a higher
-    order lift shares bit for bit with an order-``N`` lift, so the result does
-    not depend on which other orders are requested.  Consecutive segments are
-    lifted and staged together, ``LIFT_BLOCK`` points' worth at a time; the
-    kernels and the row act point by point, so the blocks move no bit.  For
-    a real ``lam`` the bounds are formed in float64 (see ``_block_bounds``),
-    with the bits of the complex arithmetic.  Raises ``DomainError`` when a
-    bound or the integral is not finite, checked in x-major order after each
-    block's lift.
+    ``N`` takes stage ``N`` from that one lift by its Stirling row, in O(N) per
+    point, one ``stirling_rows`` call serving as many orders as fit in a block
+    of values.  A row has the bits of its order's alone and reads coefficients
+    ``1..N`` only, which a higher order lift shares bit for bit with an
+    order-``N`` lift, so the result does not depend on which other orders are
+    requested.  Consecutive segments are lifted and staged together,
+    ``LIFT_BLOCK`` points' worth at a time; the kernels and the row act point
+    by point, so the blocks move no bit.  For a real ``lam`` the bounds are
+    formed in float64 (see ``_block_bounds``), with the bits of the complex
+    arithmetic.  Raises ``DomainError`` when a bound or the integral is not
+    finite, checked in x-major order after each block's lift.
     """
     lam = _check_lam(lam)
     _check_1d(ast)
@@ -300,11 +301,13 @@ def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders
         w_grid = expm1(scale * (1.0 - s) * dx)
         w_nodes = expm1(scale * (1.0 - theta) * dx)
         columns = []
-        for order in orders:
-            v = stirling_rows(jet, [order], lam)[0].reshape(points.shape)
-            tight = np.max(np.abs(v[:, :grid] * power(w_grid, order - 1)), axis=1)
-            terms = (weights * v[:, grid:] * power(w_nodes, order - 1)).astype(np.complex128, copy=False)
-            columns.append((tight, np.max(np.abs(v[:, :grid]), axis=1), np.sum(terms, axis=1)))
+        per = max(1, LIFT_BLOCK // points.size)  # orders per stirling_rows call, a block of values at most
+        for k in range(0, len(orders), per):
+            part = orders[k : k + per]
+            for order, v in zip(part, stirling_rows(jet, part, lam).reshape((len(part),) + points.shape)):
+                tight = np.max(np.abs(v[:, :grid] * power(w_grid, order - 1)), axis=1)
+                terms = (weights * v[:, grid:] * power(w_nodes, order - 1)).astype(np.complex128, copy=False)
+                columns.append((tight, np.max(np.abs(v[:, :grid]), axis=1), np.sum(terms, axis=1)))
     out: list[RemainderEstimate] = []
     # an overflowed row sum is inf + 0i, and its product with lam forms inf * 0
     with np.errstate(all="ignore"):

@@ -339,22 +339,26 @@ def test_real_lambda_bounds_keep_the_complex_bits(src, lam, x0, offsets, orders)
 
 def test_remainder_bounds_memory_is_bounded_by_the_block():
     # one block at a time: the lifted jet and the walk's working jets each hold
-    # at most one (order+1) x LIFT_BLOCK array, and the Stirling row a few
-    # LIFT_BLOCK-long ones; the limit does not grow with len(xs), and a real
+    # at most one (order+1) x LIFT_BLOCK array, and each stirling_rows call a
+    # few LIFT_BLOCK-long arrays, however many orders it serves; the limit does
+    # not grow with len(xs) or with the orders below the top one, and a real
     # lambda's float64 bounds stay inside it too
     ast, order = parse("exp(x)"), 16
     limit = 6 * (order + 1) * LIFT_BLOCK * 16
     for lam in (0.3 - 1.7j, 1.0):
         remainder_bounds(ast, lam, 0.05, [0.1], [order])  # imports and caches the Gauss rule
-        for n in (11, 1001):
+        # every order down from the top on one segment, whose rows share calls,
+        # and on 29 segments, four full blocks and one more
+        every = list(range(order, 0, -1))
+        for orders, n in ([order], 11), ([order], 1001), (every, 1), (every, 29):
             xs = list(np.linspace(-0.3, 0.4, n))
             tracemalloc.start()
             try:
-                remainder_bounds(ast, lam, 0.05, xs, [order])
+                remainder_bounds(ast, lam, 0.05, xs, orders)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < limit, (lam, n, peak, limit)
+            assert peak < limit, (lam, len(orders), n, peak, limit)
 
 
 def test_quad_rule_is_cached_and_read_only():
