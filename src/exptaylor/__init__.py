@@ -23,7 +23,7 @@ from .identities import (
     suite_names,
 )
 from .jet import Jet1D, JetND, lift, lift_nd
-from .operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor, stirling_rows
+from .operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from .series1d import (
     ConvergenceReport,
     Expansion1D,
@@ -78,7 +78,6 @@ __all__ = [
     "build_table",
     "cascade_values",
     "cosine_series",
-    "d_lambda_stirling",
     "epsilon_sup",
     "eval_complex",
     "eval_nd",

@@ -90,6 +90,19 @@ def _check_off_cut(u0: np.ndarray, what: str) -> None:
         raise DomainError(f"{what}: argument on the negative real axis at a lift point")
 
 
+def _square_multiply(u, n: int, mul):
+    """``u ** n`` for ``n >= 1`` with the product ``mul``, by square-and-multiply over the bits of ``n`` from the
+    low bit up."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = u if acc is None else mul(acc, u)
+        n >>= 1
+        if not n:
+            return acc
+        u = mul(u, u)
+
+
 # ---- jets over parts -------------------------------------------------------
 
 
@@ -230,14 +243,7 @@ class _Algebra:
             return self.const(1.0)
         if n < 0:
             return self.div(self.const(1.0), self.ipow(u, -n), what=what)
-        acc = None
-        while n:
-            if n & 1:
-                acc = u if acc is None else self.mul(acc, u)
-            n >>= 1
-            if n:
-                u = self.mul(u, u)
-        return acc
+        return _square_multiply(u, n, self.mul)
 
     def walk(self, node: Node):
         """Jet of the subexpression ``node``."""

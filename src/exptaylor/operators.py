@@ -12,11 +12,13 @@ Stirling numbers:
     stage N  =  sum_{m=1..N} s(N, m) * lam^(-m) * d^m/dx^m     (N >= 1)
 
 which is one lower-triangular matrix, ``stirling.stage_matrix``, applied
-to the jet scaled by ``lam^(-m)``.  Both forms are implemented; they must
-agree to rounding, which the test suite uses as a cross-check; one row of
-the matrix gives stage N alone (``stirling_rows``).  In n dimensions the
-cascade factorizes per axis, so the Stirling form is the same matrix
-applied along each axis.
+to the jet scaled by ``lam^(-m)``.  In n dimensions the cascade factorizes
+per axis, so the matrix is applied along each axis.  Every command stages
+through the matrix: ``stage_tensor`` gives every stage at one point in 1 to
+4 variables, and ``stirling_rows`` (1-D) and ``stage_rows`` (n-D) give
+chosen stages over a batch of points.  The recursion, ``cascade_values``,
+runs in no command; the test suite holds the matrix to it as the
+cross-check of the two forms.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .jet import Jet1D, JetND
 from .stirling import stage_matrix
 
 
@@ -81,22 +82,9 @@ def cascade_values(coeffs: np.ndarray, lam: complex, count: int) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def d_lambda_stirling(jet: Jet1D, lam: complex, count: int) -> np.ndarray:
-    """Cascade stages 0..count at the jet's center, via the signed-Stirling expansion.
-
-    Stage ``N`` is ``sum_m s(N, m) m! lam^(-m) c_m`` with ``c_m`` the
-    normalized jet coefficients: ``stage_matrix(count) @ (lam^(-m) c)``.
-    The recursion path is :func:`cascade_values` on ``jet.coeffs``.
-    """
-    lam = _check_lam(lam)
-    if count < 0 or count > jet.order:
-        raise ValidationError(f"need jet order >= {count}, have {jet.order}")
-    return stage_matrix(count) @ (_inverse_powers(lam, count) * jet.coeffs[: count + 1])
-
-
 def stirling_rows(coeffs: np.ndarray, orders: Sequence[int], lam: complex) -> np.ndarray:
-    """Stages ``orders`` (each >= 1), shape ``(len(orders),) + coeffs.shape[:-1]``, of jets laid out as for
-    :func:`cascade_values`; the one-axis twin of :func:`stage_rows`.  Row ``N``, ``sum_m S[N, m] lam^(-m) c_m``, is
+    """Stages ``orders`` (each >= 1), shape ``(len(orders),) + coeffs.shape[:-1]``, of jets whose last axis holds
+    ``c_0 .. c_K``; the one-axis twin of :func:`stage_rows`.  Row ``N``, ``sum_m S[N, m] lam^(-m) c_m``, is
     nested in ``q = 1/lam`` by Horner's rule, one numpy operation per term: no power of ``q`` is formed, so an
     exact-zero ``c_m`` never meets an overflowed ``lam^(-m)``, and no BLAS call splits the sum.  The rows are nested
     together from the top order down, each joining at its own order, so row ``N`` reads ``c_1 .. c_N`` alone and has
@@ -120,35 +108,31 @@ def stirling_rows(coeffs: np.ndarray, orders: Sequence[int], lam: complex) -> np
     return np.multiply(acc, q, out=spare)[[rows.index(n) for n in orders]]
 
 
-def stage_tensor(jet: JetND, lam: complex, order: int) -> np.ndarray:
-    """Cascade values ``out[g]`` for every multi-index ``g`` with ``|g| < order``.
+def stage_tensor(coeffs: np.ndarray, lam: complex) -> np.ndarray:
+    """Every stage ``out[g]`` of a dense ``(K+1,) * n`` array of normalized jet coefficients, ``n`` from 1 to 4.
 
-    The jet coefficients go into a dense tensor of shape ``(order,) * dims``,
-    each scaled by ``lam^(-|m|)``; ``stage_matrix(order - 1)`` is then applied
-    along every axis.  Entries with ``|g| >= order`` are zero.  Requires
-    ``jet.order >= order - 1``.
+    ``coeffs`` is a 1-D jet's coefficients, or the ``(order,) * n`` tensor of an n-D jet.  Each nonzero entry
+    ``m`` is scaled by ``lam^(-|m|)`` (only those, so an exact zero never meets an overflowed power) and
+    ``stage_matrix(K)`` is applied along every axis.  Stage ``g`` reads the entries ``m <= g`` alone, so it is
+    exact where the array holds all of them: ``|g| < order`` for a jet truncated at total degree ``order - 1``.
+    The stages are real when the coefficients are and ``1/lam`` has a zero imaginary part.
     """
     lam = _check_lam(lam)
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    if jet.order < order - 1:
-        raise ValidationError(f"need jet order >= {order - 1}, have {jet.order}")
-    inv = _inverse_powers(lam, order - 1)
-    out = np.zeros((order,) * jet.dims, dtype=np.complex128)
-    # only stored entries are scaled, so an absent (zero) one never meets an
-    # overflowed power of 1/lam
-    for m, c in jet.coeffs.items():
-        if sum(m) < order:
-            out[m] = c * inv[sum(m)]
-    # a stack of order-by-order products per axis: no single BLAS call is
+    c = np.asarray(coeffs)
+    if c.ndim < 1 or len(set(c.shape)) != 1:
+        raise ValidationError(f"need a (K+1,) * n coefficient array, got shape {c.shape}")
+    K = len(c) - 1
+    inv = _inverse_powers(lam, K * c.ndim)
+    inv = inv.real if (1.0 / lam).imag == 0 else inv.astype(np.complex128)  # K = 0 gives a real [1.0]
+    nz = np.nonzero(c)
+    stack = np.zeros((1,) + c.shape, dtype=np.result_type(c, inv))  # the unit axis keeps 1-D arrays a stack too
+    stack[(0,) + nz] = c[nz] * inv[sum(nz)]
+    # a stack of (K+1)-square products per axis: no single BLAS call is
     # large enough to be split across threads
-    S = stage_matrix(order - 1)
-    stack = out[None]  # the leading unit axis keeps 1-D jets a stack too
-    for axis in range(1, jet.dims + 1):
+    S = stage_matrix(K)
+    for axis in range(1, stack.ndim):
         stack = np.moveaxis(S @ np.moveaxis(stack, axis, -2), -2, axis)
-    out = stack[0]
-    out[np.indices(out.shape).sum(axis=0) >= order] = 0
-    return out
+    return stack[0]
 
 
 def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) -> np.ndarray:

@@ -4,8 +4,9 @@ A smooth function is expanded about ``x0`` in powers of
 
     w = exp(lam * (x - x0)) - 1
 
-with coefficients ``c[j] = (stage-j cascade value at x0) / j!``.  The
-truncation error after ``N`` terms has an exact integral form
+with coefficients ``c[j] = stage_j(x0) / j!``, every stage at ``x0`` from one
+Stirling-matrix product (``operators.stage_tensor``).  The truncation error
+after ``N`` terms has an exact integral form
 
     R_N = lam / (N-1)! * integral_0^1 of
           stage_N(a)((1-t) x0 + t x) * (exp(lam (1-t)(x - x0)) - 1)^(N-1)
@@ -14,11 +15,12 @@ truncation error after ``N`` terms has an exact integral form
 evaluated here by fixed-order Gauss-Legendre quadrature, together with two
 upper bounds: a tight one taking the supremum of the full integrand over
 the segment, and a loose one that factors the supremum of the stage-N
-values from the supremum of ``|exp(lam z) - 1|``.
+values from the supremum of ``|exp(lam z) - 1|``; the sampled stages come
+from their Stirling rows (``operators.stirling_rows``).
 
 Also here: the sup function ``epsilon_sup``, a ratio-test radius estimate
 for the coefficient sequence, and a heuristic factorial-growth diagnostic
-for cascade values over one period.
+for stage values over one period.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 
 from .errors import DiagnosticError, DomainError, ValidationError
 from .expr import ExprAst
-from .jet import MAX_ORDER, _lift_1d_array, lift
-from .operators import _check_lam, _inverse_powers, cascade_values, stirling_rows
+from .jet import MAX_ORDER, _lift_1d_array, _square_multiply, lift
+from .operators import _check_lam, _inverse_powers, stage_tensor, stirling_rows
 from .stirling import stage_matrix
 
 MAX_EXPANSION_ORDER = MAX_ORDER
@@ -150,7 +152,7 @@ def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
     facts = np.array([math.factorial(j) for j in range(order)], dtype=np.float64)
     with np.errstate(all="ignore"):
         # a reciprocal and a product: the complex division by facts + 0j rounded so
-        coeffs = cascade_values(lift(ast, float(x0), order - 1).coeffs, lam, order - 1) * (1.0 / facts)
+        coeffs = stage_tensor(lift(ast, float(x0), order - 1).coeffs, lam) * (1.0 / facts)
     if not np.all(np.isfinite(coeffs)):
         raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
     return Expansion1D(lam=lam, x0=float(x0), order=order, coeffs=coeffs)
@@ -185,8 +187,7 @@ def horner(coeffs, w):
 
 
 def _real_power(w: np.ndarray, n: int) -> np.ndarray:
-    """``w ** n`` for a float64 ``w`` and ``0 <= n < 100``, by square-and-multiply over the bits of ``n``
-    from the low bit up.
+    """``w ** n`` for a float64 ``w`` and ``0 <= n < 100``, by ``jet._square_multiply``.
 
     Not ``w ** n``: glibc's ``pow`` takes a slow path for a negative base, and half of a
     segment's ``w`` is negative.  Over 1,539 doubles ``(-w) ** 3`` took 229 us against 6.0 us
@@ -194,16 +195,7 @@ def _real_power(w: np.ndarray, n: int) -> np.ndarray:
     order numpy's complex power uses for ``|n| < 100``, and each real product rounds once, so
     the result has the bits of the complex power's real part (up to the sign of an exact zero).
     """
-    if n == 0:
-        return np.ones_like(w)
-    acc = None
-    while True:
-        if n & 1:
-            acc = w if acc is None else acc * w
-        n >>= 1
-        if not n:
-            return acc
-        w = w * w
+    return np.ones_like(w) if n == 0 else _square_multiply(w, n, operator.mul)
 
 
 def eval_series(expansion: Expansion1D, x: float | complex) -> complex:
@@ -305,8 +297,8 @@ def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders
         for k in range(0, len(orders), per):
             part = orders[k : k + per]
             for order, v in zip(part, stirling_rows(jet, part, lam).reshape((len(part),) + points.shape)):
-                tight = np.max(np.abs(v[:, :grid] * power(w_grid, order - 1)), axis=1)
-                terms = (weights * v[:, grid:] * power(w_nodes, order - 1)).astype(np.complex128, copy=False)
+                tight = np.max(np.abs(_zero_times(v[:, :grid], power(w_grid, order - 1))), axis=1)
+                terms = _zero_times(weights * v[:, grid:], power(w_nodes, order - 1)).astype(np.complex128, copy=False)
                 columns.append((tight, np.max(np.abs(v[:, :grid]), axis=1), np.sum(terms, axis=1)))
     out: list[RemainderEstimate] = []
     # an overflowed row sum is inf + 0i, and its product with lam forms inf * 0
@@ -317,11 +309,7 @@ def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders
             for order, (tight, sup, totals) in zip(orders, columns):
                 prefix = abs(lam) / math.factorial(order - 1) * abs(dx_i)
                 bound_tight = prefix * float(tight[i])
-                try:
-                    eps_power = eps ** (order - 1)
-                except OverflowError:
-                    eps_power = math.inf
-                bound_loose = prefix * float(sup[i]) * eps_power
+                bound_loose = _times_power(prefix * float(sup[i]), eps, order - 1)
                 integral = complex(lam / math.factorial(order - 1) * dx_i * totals[i])
                 if not all(map(math.isfinite, (bound_tight, bound_loose, integral.real, integral.imag))):
                     raise DomainError(
@@ -338,6 +326,21 @@ def _block_bounds(ast: ExprAst, lam: complex, x0: float, xs: list[float], orders
                     )
                 )
     return out
+
+
+def _zero_times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b``, 0 wherever ``a`` is an exact zero: a zero stage value times an overflowed power of ``w`` is 0."""
+    return np.where(a == 0, 0.0, a * b)
+
+
+def _times_power(scale: float, base: float, n: int) -> float:
+    """``scale * base ** n``: 0 for a zero ``scale`` whatever the power, ``inf`` where the power overflows."""
+    if scale == 0:
+        return 0.0
+    try:
+        return scale * base**n
+    except OverflowError:
+        return scale * math.inf
 
 
 def remainder_bound(
@@ -365,8 +368,11 @@ def epsilon_sup(lam: complex, r: float) -> float:
 
     Closed forms for purely real and purely imaginary ``lam`` (the
     imaginary case saturates at 2 once ``|lam| r >= pi``); otherwise a
-    1025-point grid scan refined by golden-section search.  A sup past the
-    largest double is ``inf``.
+    1025-point grid scan refined by golden-section search, both on
+    ``|exp(lam z) - 1|^2 = expm1(a z)^2 + 4 e^(a z) sin(b z / 2)^2``, the
+    squared modulus of :func:`expm1`'s parts: two terms that are never
+    negative, so nothing cancels near ``z = 0``.  A sup past the largest
+    double is ``inf``.
     """
     lam = complex(lam)
     r = float(r)
@@ -380,7 +386,8 @@ def epsilon_sup(lam: complex, r: float) -> float:
     if b != 0:
         zs = np.linspace(-r, r, 1025)
         with np.errstate(all="ignore"):
-            hv = np.exp(2 * a * zs) - 2 * np.exp(a * zs) * np.cos(b * zs) + 1.0
+            em = np.expm1(a * zs)
+            hv = em * em + 4.0 * (em + 1.0) * np.sin(b * zs / 2.0) ** 2
     if b == 0 or not np.all(np.isfinite(hv)):
         # the real closed form; where the square overflows, |exp(lam z) - 1| lies
         # within 1 of exp(|a| r) - 1 >= 1e154 at its sup, so the closed form holds too
@@ -390,8 +397,8 @@ def epsilon_sup(lam: complex, r: float) -> float:
             return math.inf
 
     def h(z: float) -> float:
-        # |exp(lam z) - 1|^2, cheap and smooth
-        return math.exp(2 * a * z) - 2 * math.exp(a * z) * math.cos(b * z) + 1.0
+        em = math.expm1(a * z)
+        return em * em + 4.0 * (em + 1.0) * math.sin(b * z / 2.0) ** 2
 
     i = int(np.argmax(hv))
     best = float(hv[i])
@@ -442,7 +449,7 @@ def radius_estimate(
     j_max: int = 48,
     window: int = 8,
 ) -> ConvergenceReport:
-    """Ratio-test estimate of the radius in ``w`` from cascade values at ``x0``.
+    """Ratio-test estimate of the radius in ``w`` from the stage values at ``x0``.
 
     Computes ``rho_j = j |v_j| / |v_{j+1}|`` for ``1 <= j < j_max`` wherever
     the denominator is non-negligible, takes the max over the trailing
@@ -455,14 +462,13 @@ def radius_estimate(
         raise ValidationError(f"need 4 <= window <= j_max <= {MAX_ORDER}, got window={window!r}, j_max={j_max!r}")
     with np.errstate(all="ignore"):
         jet = lift(ast, float(x0), j_max)
-        absv = np.abs(cascade_values(jet.coeffs, lam, j_max))
+        absv = np.abs(stage_tensor(jet.coeffs, lam))
     if not np.all(np.isfinite(absv)):
         raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")
     # A stage value counts as zero when it sits below the roundoff floor of
-    # its own Stirling-sum computation.  Terminating series produce exact
-    # zeros in that sum, but the float cascade leaves factorially amplified
-    # noise there; a single global threshold would mistake that noise for
-    # signal.
+    # its own Stirling sum: a terminating series is exactly zero there, but
+    # the float sum leaves roundoff of its terms, which grow factorially, so
+    # a single global threshold would mistake that noise for signal.
     thresh = RATIO_FLOOR * _cascade_roundoff_scales(jet.coeffs, lam, j_max)
     ratios: list[float] = []
     indices: list[int] = []

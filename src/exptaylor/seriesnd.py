@@ -29,7 +29,7 @@ from .errors import DomainError, ValidationError
 from .expr import ExprAst
 from .jet import _lift_nd_arrays, lift_nd
 from .operators import _check_lam, stage_rows, stage_tensor
-from .series1d import epsilon_sup, expm1, horner
+from .series1d import _times_power, epsilon_sup, expm1, horner
 
 MAX_ND_ORDER = 16
 MAX_ND_DIMS = 4
@@ -179,14 +179,21 @@ def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order
     pts = tuple(float(c) for c in center)
     if len(pts) != n:
         raise ValidationError(f"center has {len(pts)} coordinates, need {n}")
-    with np.errstate(all="ignore"):
-        stages = stage_tensor(lift_nd(ast, pts, order - 1), lam, order)
-    if not np.all(np.isfinite(stages)):
-        raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
     keys, index, factorials = _expansion_table(n, order)
-    # one complex division by g! + 0j per key, as the per-key quotient rounds
-    coeffs = dict(zip(keys, stages[index] / factorials))
-    return ExpansionND(lam=lam, center=pts, order=order, coeffs=coeffs)
+    with np.errstate(all="ignore"):
+        # the jet's degree is order - 1, so every stage of |g| < order reads stored coefficients alone;
+        # one complex division by g! + 0j per key, as the per-key quotient rounds
+        values = stage_tensor(_dense(lift_nd(ast, pts, order - 1).coeffs, order, n), lam)[index] / factorials
+    if not np.all(np.isfinite(values)):
+        raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
+    return ExpansionND(lam=lam, center=pts, order=order, coeffs=dict(zip(keys, values)))
+
+
+def _dense(coeffs: dict, order: int, dims: int) -> np.ndarray:
+    """The complex ``(order,) * dims`` tensor holding ``coeffs[g]`` at each key ``g`` and 0 elsewhere."""
+    out = np.zeros((order,) * dims, dtype=np.complex128)
+    out[tuple(np.array(list(coeffs), dtype=np.intp).reshape(-1, dims).T)] = list(coeffs.values())
+    return out
 
 
 def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> complex:
@@ -195,9 +202,7 @@ def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> c
     pts = np.array([complex(v) for v in x])
     if len(pts) != expansion.dims:
         raise ValidationError(f"point has {len(pts)} coordinates, need {expansion.dims}")
-    dense = np.zeros((expansion.order,) * expansion.dims, dtype=np.complex128)
-    index = np.array(list(expansion.coeffs), dtype=np.intp).reshape(-1, expansion.dims).T
-    dense[tuple(index)] = list(expansion.coeffs.values())
+    dense = _dense(expansion.coeffs, expansion.order, expansion.dims)
     for w in expm1(expansion.lam * (pts - np.array(expansion.center))):
         dense = horner(dense, w)
     return complex(dense)
@@ -257,11 +262,7 @@ def remainder_bound_nd(
     total = 0.0
     for g, sup in zip(gammas, sups):
         total += order / multi_index_factorial(g) * float(sup)
-    try:
-        eps_power = epsilon_sup(lam, h) ** (order - 1)
-    except OverflowError:
-        eps_power = math.inf
-    bound = abs(lam) * total * eps_power * h
+    bound = _times_power(abs(lam) * total, epsilon_sup(lam, h), order - 1) * h
     if not math.isfinite(bound):
         # refused here, as in 1-D, so the bound is named even where the series overflows first
         raise DomainError("non-finite value in bound")

@@ -202,6 +202,53 @@ def test_eval_with_a_tiny_lambda_keeps_the_series(capsys):
     assert json.loads(out)["abs_error"] <= 2.0**-53
 
 
+TINY_LAMBDA_COEFFS = [
+    "0 + 0i",
+    "9.999999999999999e+299 + 0i",
+    "-4.9999999999999995e+299 + 0i",
+    "3.3333333333333328e+299 + 0i",
+    "-2.4999999999999994e+299 + 0i",
+    "1.9999999999999997e+299 + 0i",
+]
+
+
+def test_a_tiny_lambda_keeps_the_finite_coefficients(capsys):
+    # lam^-m overflows from m = 2 on; only the nonzero coefficients (of x, or of
+    # x1 and x2) are scaled, so the exact zeros past them contribute 0, not nan
+    code, out, _ = run_main(capsys, "expand", "--fn", "x", "--lambda", "1e-300", "--order", "6")
+    assert code == 0
+    assert [line.split(" = ")[1] for line in out.splitlines() if line.startswith("c[")] == TINY_LAMBDA_COEFFS
+    code, out, _ = run_main(capsys, "nd", "--fn", "x1+x2", "--dims", "2", "--lambda", "1e-300", "--order", "6")
+    assert code == 0
+    coeffs = dict(line[2:].split("] = ") for line in out.splitlines() if line.startswith("c["))
+    assert len(coeffs) == 21
+    for key, value in coeffs.items():
+        g1, g2 = map(int, key.split(","))
+        assert value == (TINY_LAMBDA_COEFFS[g1 + g2] if 0 in (g1, g2) else "0 + 0i"), key
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every stage past 0 is an exact zero, and (e^400 - 1)^2 overflows in
+        # the tight, loose and quadrature products
+        ("eval", "--fn", "1+0*x", "--lambda", "1", "--x", "400", "--order", "3"),
+        # every stage of |g| = 4 is an exact zero, and eps^3 = (e^300 - 1)^3 overflows
+        ("nd", "--fn", "1+0*x1", "--dims", "2", "--lambda", "1", "--x", "300,0", "--order", "4", "--grid", "3"),
+    ],
+    ids=["eval", "nd"],
+)
+def test_an_exactly_zero_remainder_is_bounded_by_zero(capsys, argv):
+    code, out, err = run_main(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    if argv[0] == "eval":
+        assert record["remainder"] == {"re": 0.0, "im": 0.0}
+        assert record["bound_tight"] == record["bound_loose"] == record["abs_error"] == 0.0
+    else:
+        assert record["point"]["bound"] == record["point"]["abs_error"] == 0.0
+
+
 def test_eval_check_passes(capsys):
     p = run_main(
         capsys, "eval", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I,

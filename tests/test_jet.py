@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from exptaylor import series1d, seriesnd
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Var, int_exponent, parse
-from exptaylor.jet import Jet1D, JetND, _Dense, _lift_1d_array, _lift_nd_arrays, _Part, lift, lift_nd
+from exptaylor.jet import Jet1D, _Dense, _lift_1d_array, _lift_nd_arrays, _Part, lift, lift_nd
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import expand_1d, growth_diagnostic, radius_estimate, remainder_bound
 from exptaylor.seriesnd import remainder_bound_nd
@@ -874,6 +874,12 @@ def point_major_rows(coeffs, orders, lam):
     return np.array(rows)
 
 
+def point_major_stages(coeffs, lam):
+    # every stage of the complex point-major jet by the Stirling matrix: its complex form where 1/lam is
+    # complex, else the real form of its real parts, since numpy's real and complex matrix products round apart
+    return stage_tensor(coeffs.real if (1 / lam).imag == 0 else coeffs, lam)
+
+
 BIT_EXPRS = [
     "sin(x) + cos(2*pi*x)",
     "tan(x)",
@@ -949,10 +955,11 @@ def test_lift_and_cascade_keep_the_point_major_bits(P):
 
 @pytest.mark.parametrize("lam", LAMS, ids=str)
 def test_expansion_coefficients_keep_the_complex_quotients(lam):
-    # expand_1d multiplies by 1/j!, which is how numpy's complex division by
-    # j! + 0j rounds; that division turns a -0 real part into +0 and the
-    # product keeps it, so zeros are compared by value (no renderer prints
-    # their sign) and every other value by its bits
+    # expand_1d stages the real lift as point_major_stages stages the complex
+    # oracle's jet, then multiplies by 1/j!, which is how numpy's complex
+    # division by j! + 0j rounds; that division turns a -0 real part into +0
+    # and the product keeps it, so zeros are compared by value (no renderer
+    # prints their sign) and every other value by its bits
     for src in BIT_EXPRS:
         ast = parse(src)
         for x0 in (0.3, 1.1):
@@ -963,7 +970,7 @@ def test_expansion_coefficients_keep_the_complex_quotients(lam):
                         jet = PointMajor(np.array([x0]), order - 1).walk(ast.root)[0]
                     except DomainError:
                         break
-                    want = point_major_cascade(jet, lam, order - 1) / facts
+                    want = point_major_stages(jet, lam).astype(np.complex128) / facts
                 if not np.all(np.isfinite(want)):
                     with pytest.raises(DomainError, match="^non-finite expansion coefficient"):
                         expand_1d(ast, lam, x0, order)
@@ -1016,7 +1023,7 @@ def test_domain_and_overflow_errors_keep_their_messages(monkeypatch, src):
             lift_oracle = lambda ast, centers, order: PointMajor(centers, order).walk(ast.root)
             monkeypatch.setattr(series1d, "_lift_1d_array", lift_oracle)
             monkeypatch.setattr(series1d, "lift", lambda ast, x0, order: Jet1D(lift_oracle(ast, np.array([x0]), order)[0], x0))
-            monkeypatch.setattr(series1d, "cascade_values", point_major_cascade)
+            monkeypatch.setattr(series1d, "stage_tensor", point_major_stages)
             monkeypatch.setattr(series1d, "stirling_rows", point_major_rows)
         outcomes.append([])
         for call in calls:
@@ -1189,8 +1196,8 @@ def test_signed_zeros_the_real_lift_moves_never_reach_a_stage(n):
         for lam in (1.0, TWO_PI_I):
             assert np.array_equal(bits(stage_rows(got, gammas, lam)), bits(stage_rows(want, gammas, lam)))
             for p in range(len(centers)):
-                jets = [JetND(n, 8, {g: complex(v[p]) for g, v in lift.items()}, (0.0,) * n) for lift in (got, want)]
-                assert np.array_equal(*(bits(stage_tensor(jet, lam, 9)) for jet in jets))
+                dense = [seriesnd._dense({g: complex(v[p]) for g, v in lift.items()}, 9, n) for lift in (got, want)]
+                assert np.array_equal(*(bits(stage_tensor(t, lam)) for t in dense))
 
 
 @pytest.mark.parametrize(

@@ -13,9 +13,9 @@ from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
 from exptaylor import seriesnd
 from exptaylor.jet import lift, lift_nd
-from exptaylor.operators import cascade_values, d_lambda_stirling, stage_rows, stage_tensor, stirling_rows
+from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import _cascade_roundoff_scales
-from exptaylor.seriesnd import POINT_CHUNK
+from exptaylor.seriesnd import POINT_CHUNK, _dense
 from exptaylor.stirling import build_table
 
 TWO_PI_I = 2j * math.pi
@@ -25,7 +25,7 @@ def stages(src, lam, x0, count, path="recursive"):
     jet = lift(parse(src), x0, count)
     if path == "recursive":
         return cascade_values(jet.coeffs, lam, count)
-    return d_lambda_stirling(jet, lam, count)
+    return stage_tensor(jet.coeffs, lam)
 
 
 def test_cosine_stage_values():
@@ -60,7 +60,7 @@ def test_square_with_log2_lambda():
     lam = math.log(2.0)
     table = build_table(8)
     jet = lift(parse("x^2"), 0.0, 8)
-    got = d_lambda_stirling(jet, lam, 8)
+    got = stage_tensor(jet.coeffs, lam)
     assert got[0] == 0
     assert got[1] == 0  # first derivative of x^2 vanishes at 0
     for j in range(2, 9):
@@ -136,7 +136,7 @@ def test_validation():
     with pytest.raises(ValidationError):
         cascade_values(jet.coeffs, 1.0, 5)  # count beyond jet order
     with pytest.raises(ValidationError):
-        d_lambda_stirling(jet, 1.0, 5)
+        stage_tensor(jet.coeffs, 0.0)
     for orders in ([0], [5], [2, 5], []):
         with pytest.raises(ValidationError):
             stirling_rows(jet.coeffs, orders, 1.0)
@@ -227,21 +227,28 @@ def test_stirling_rows_nest_every_order_by_itself_and_agree_with_the_cascade(jet
             assert abs(got[r][p] - cascade[p, n]) <= 32 * (n + 1) * UNIT_ROUNDOFF * scales[n], (orders, r, p)
 
 
+def nd_field(jet, lam):
+    # every stage of |g| <= jet.order from the dense tensor of the jet, as expand_nd stages it
+    return stage_tensor(_dense(jet.coeffs, jet.order + 1, jet.dims), lam)
+
+
 def test_nd_product_of_coordinates():
-    jet = lift_nd(parse("x1*x2", 2), (0.0, 0.0), 4)
-    field = stage_tensor(jet, TWO_PI_I, 4)
+    jet = lift_nd(parse("x1*x2", 2), (0.0, 0.0), 3)
+    field = nd_field(jet, TWO_PI_I)
     want = 1 / TWO_PI_I**2
     assert field[1, 1] == pytest.approx(want)
     assert field[1, 1].real == pytest.approx(-1 / (4 * math.pi**2))
     assert field[0, 0] == 0
-    assert field[2, 3] == 0  # |g| >= order is not a stage of this field
+    # past the truncation a stage reads the stored coefficients alone, which
+    # here are all of them: S[2, 1] S[3, 1] lam^-2 = -1 * 2 * lam^-2
+    assert field[2, 3] == pytest.approx(-2 * want)
     with pytest.raises(IndexError):
         field[9, 9]  # outside the stored range
 
 
 def test_nd_constant_only_gamma_zero():
-    jet = lift_nd(parse("3 + 0*x1", 2), (0.5, 0.5), 3)
-    field = stage_tensor(jet, 1.0, 3)
+    jet = lift_nd(parse("3 + 0*x1", 2), (0.5, 0.5), 2)
+    field = nd_field(jet, 1.0)
     assert field[0, 0] == pytest.approx(3.0)
     for g, v in np.ndenumerate(field):
         if g != (0, 0):
@@ -250,25 +257,25 @@ def test_nd_constant_only_gamma_zero():
 
 def test_nd_separability_against_1d():
     lam = TWO_PI_I
-    jet2 = lift_nd(parse("cos(2*pi*x1)*cos(2*pi*x2)", 2), (0.0, 0.0), 6)
-    field = stage_tensor(jet2, lam, 6)
+    jet2 = lift_nd(parse("cos(2*pi*x1)*cos(2*pi*x2)", 2), (0.0, 0.0), 5)
+    field = nd_field(jet2, lam)
     one_d = stages("cos(2*pi*x)", lam, 0.0, 5)
     for (g1, g2), v in np.ndenumerate(field):
-        want = one_d[g1] * one_d[g2] if g1 + g2 < 6 else 0
-        assert v == pytest.approx(want, rel=1e-10, abs=1e-10)
+        if g1 + g2 < 6:
+            assert v == pytest.approx(one_d[g1] * one_d[g2], rel=1e-10, abs=1e-10)
 
 
 def test_nd_field_center_value():
-    jet = lift_nd(parse("exp(x1+x2)", 2), (0.1, 0.2), 3)
-    field = stage_tensor(jet, 1.0, 3)
+    jet = lift_nd(parse("exp(x1+x2)", 2), (0.1, 0.2), 2)
+    field = nd_field(jet, 1.0)
     assert field[0, 0] == pytest.approx(math.exp(0.3), rel=1e-13)
 
 
 def test_stage_rows_match_stage_tensor():
     # the batched row weights and the dense per-axis apply are two shapes
     # of the same map
-    jet = lift_nd(parse("sin(x1)*exp(x2)", 2), (0.3, -0.2), 5)
-    field = stage_tensor(jet, 1 + 1j, 5)
+    jet = lift_nd(parse("sin(x1)*exp(x2)", 2), (0.3, -0.2), 4)
+    field = nd_field(jet, 1 + 1j)
     gammas = [(0, 0), (2, 1), (1, 3), (4, 0)]
     arrays = {m: np.array([c]) for m, c in jet.coeffs.items()}
     block = stage_rows(arrays, gammas, 1 + 1j)
@@ -293,25 +300,26 @@ def test_stage_rows_chunks_cover_every_point(monkeypatch):
     assert [b.shape for b in blocks] == [(4, POINT_CHUNK), (4, 3)]
     rows = np.concatenate(blocks, axis=1)
     for p in (0, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 2):
-        field = stage_tensor(lift_nd(ast, centers[p], 3), TWO_PI_I, 4)
+        field = nd_field(lift_nd(ast, centers[p], 3), TWO_PI_I)
         for g, got in zip(gammas, rows[:, p]):
             assert got == pytest.approx(field[g], rel=1e-13)
     assert np.array_equal(sups, np.max(np.abs(rows), axis=1))
 
 
-def test_nd_requires_enough_jet_order():
-    jet = lift_nd(parse("x1+x2", 2), (0.0, 0.0), 2)
-    with pytest.raises(ValidationError):
-        stage_tensor(jet, 1.0, 4)
+def test_stage_tensor_takes_a_cube_of_coefficients():
+    # one stage matrix serves every axis, so every axis has its length
+    for shape in [(), (0,), (3, 4), (3, 3, 2)]:
+        with pytest.raises(ValidationError):
+            stage_tensor(np.ones(shape), 1.0)
+    for shape in [(5,), (1, 1), (3, 3, 3), (2, 2, 2, 2)]:
+        assert stage_tensor(np.ones(shape), 1.0).shape == shape
 
 
 def cascade_tensor(jet, lam):
     # the recursion path run along each axis of the dense jet tensor; the
     # result is exact for |g| <= jet.order, since stage g reads only m <= g
     K = jet.order
-    t = np.zeros((K + 1,) * jet.dims, dtype=np.complex128)
-    for m, c in jet.coeffs.items():
-        t[m] = c
+    t = _dense(jet.coeffs, K + 1, jet.dims)
     for axis in range(jet.dims):
         t = np.moveaxis(cascade_values(np.moveaxis(t, axis, -1), lam, K), -1, axis)
     return t
@@ -323,6 +331,6 @@ def test_nd_stirling_matches_cascade_per_axis(src, lam):
     K = 8
     jet = lift_nd(parse(src, 3), (0.2, -0.1, 0.3), K)
     a = cascade_tensor(jet, lam)
-    b = stage_tensor(jet, lam, K + 1)
+    b = nd_field(jet, lam)
     inside = np.indices(a.shape).sum(axis=0) <= K
     assert np.max(np.abs(a - b)[inside]) <= 1e-12 * np.max(np.abs(a[inside]))

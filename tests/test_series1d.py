@@ -16,7 +16,7 @@ from exptaylor import series1d
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import eval_complex, parse
 from exptaylor.jet import _lift_1d_array, lift
-from exptaylor.operators import cascade_values, d_lambda_stirling, stirling_rows
+from exptaylor.operators import cascade_values, stage_tensor, stirling_rows
 from exptaylor.series1d import (
     LIFT_BLOCK,
     GrowthReport,
@@ -412,6 +412,16 @@ def test_epsilon_general_complex_against_grid(lam, r):
     assert epsilon_sup(lam, r) == pytest.approx(brute, rel=1e-8)
 
 
+@pytest.mark.parametrize("lam", [0.3 + 1j, -2 + 0.7j])
+@pytest.mark.parametrize("r", [1e-10, 1e-8, 1e-6])
+def test_epsilon_general_complex_near_zero_against_an_expm1_grid(lam, r):
+    # |exp(lam z) - 1|^2 summed as e^{2az} - 2 e^{az} cos bz + 1 cancels to
+    # about u here, which would hold the sup at sqrt(u) = 1.49e-8 or more
+    zs = np.linspace(-r, r, 100001)
+    brute = float(np.max(np.abs(series1d.expm1(lam * zs))))
+    assert abs(epsilon_sup(lam, r) - brute) <= 1e-8 * brute
+
+
 @pytest.mark.parametrize("lam", [1.0, -0.3, 0.3 + 1j, -2 + 0.7j])
 @pytest.mark.parametrize("ar", [354.0, 360.0, 709.0, 709.9, 3000.0])
 def test_epsilon_past_the_squares_overflow_against_mpmath(lam, ar):
@@ -670,7 +680,7 @@ def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     scales = _cascade_roundoff_scales(jet.coeffs, lam, count)
     assume(np.all(np.isfinite(scales)))
     tol = 32 * (np.arange(count + 1) + 1) * UNIT_ROUNDOFF * scales
-    diff = np.abs(cascade_values(jet.coeffs, lam, count) - d_lambda_stirling(jet, lam, count))
+    diff = np.abs(cascade_values(jet.coeffs, lam, count) - stage_tensor(jet.coeffs, lam))
     assert np.all(diff <= tol), (diff / np.where(scales > 0, scales, 1)).max()
 
 

@@ -251,7 +251,7 @@ def test_coefficients_are_the_per_key_quotients(n):
         ast = parse(src, n)
         for order in range(1, 17):
             for lam in (1.0, LAM):
-                stages = stage_tensor(lift_nd(ast, (0.0,) * n, order - 1), lam, order)
+                stages = stage_tensor(seriesnd._dense(lift_nd(ast, (0.0,) * n, order - 1).coeffs, order, n), lam)
                 want = {g: stages[g] / multi_index_factorial(g) for g in multi_indices(n, order)}
                 got = expand_nd(ast, n, lam, (0.0,) * n, order).coeffs
                 assert list(got) == list(want)
