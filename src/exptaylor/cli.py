@@ -7,7 +7,7 @@ eval          truncated series value, exact remainder, and bounds at a point
 sweep         CSV error/bound curves over x (``--x-range``) or N (``--n-range``)
 radius        ratio-test radius estimate and x-region half-width
 growth        stage-sup growth diagnostic against factorial envelopes
-nd            multivariate coefficient table, optional remainder bound
+nd            multivariate coefficient table, optional remainder and bounds
 identities    numeric identity suite
 
 Exit codes: 0 success, 1 bad usage or validation failure (a non-finite
@@ -256,13 +256,17 @@ def _cmd_nd(args):
     if args.x is not None:
         series = complex(eval_nd(exp, args.x))  # checks the length of x
         true = complex(eval_complex(ast, args.x))
-        bound = remainder_bound_nd(ast, n, args.lam, center, args.x, args.order, grid=args.grid, seed=args.seed)
+        est = remainder_bound_nd(ast, n, args.lam, center, args.x, args.order, grid=args.grid)
+        remainder = complex(est.integral_value)
         point = [
             Field("x", args.x, "vector"),
             Field("series", series, "complex"),
             Field("true", true, "complex"),
             Field("abs_error", abs(true - series), "float"),
-            Field("bound", bound, "float"),
+            Field("remainder", remainder, "complex"),
+            Field("bound_tight", est.bound_tight, "float"),
+            Field("bound", est.bound_loose, "float"),
+            Field("recon_error", abs(series + remainder - true), "float"),
         ]
         record.append(Field("point", point, "group"))
     return record, EXIT_OK
@@ -349,15 +353,15 @@ COMMANDS = {
         _opt("--grid", "sampling grid (default 257)", type=int, default=257),
         *_output("text"),
     )),
-    "nd": (_cmd_nd, "multivariate coefficients and remainder bound", (
+    "nd": (_cmd_nd, "multivariate coefficients, remainder and bounds", (
         FN,
         _opt("--dims", "number of variables x1..xn", type=int, required=True),
         LAMBDA,
         _opt("--x0", "expansion center (default origin)", type=_vector, metavar="C1,..,CN"),
         _opt("--x", "evaluation point for the bound block", type=_vector, metavar="X1,..,XN"),
         _opt("--order", "total degree bound N (default 6)", type=int, default=6),
-        _opt("--grid", "box sampling grid per axis (default 33)", type=int, default=33),
-        _opt("--seed", "box sampling seed (default 0)", type=int, default=0),
+        _opt("--grid", "samples on the segment (default 33)", type=int, default=33),
+        _opt("--seed", "accepted, no effect", type=int, default=0),
         *_output("text"),
     )),
     "identities": (_cmd_identities, "run the numeric identity suite", (

@@ -6,14 +6,19 @@ starts (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).  The expansion about a
 center ``c`` sums ``coeff[g] * prod_i w_i^g_i`` with per-axis factors
 ``w_i = exp(lam (x_i - c_i)) - 1``.
 
-There is no exact integral remainder in several variables here; what is
-provided is the upper bound
+The remainder after total degree ``N`` is an exact integral along the
+segment ``xi(t) = c + t (x - c)``, as in one variable:
 
-    |R_N| <= |lam| * [ sum over |g| = N of N/g! * sup over Q |stage_g| ]
-             * eps(lam, h)^(N-1) * h,        h = max_i |x_i - c_i|
+    R_N = lam * integral_0^1 of sum over |g| = N-1 of
+          prod_i E_i(t)^g_i / g! * sum_k (x_k - c_k) stage_{g+e_k}(xi(t)) dt,
 
-with the supremum sampled over the axis-aligned box spanned by the center
-and the evaluation point.
+    E_i(t) = exp(lam (1-t)(x_i - c_i)) - 1,
+
+evaluated by Gauss-Legendre quadrature, with a tight bound (the sampled sup
+of the integrand) and a loose one,
+
+    |R_N| <= |lam| * [ sum over |g| = N of N/g! * sup over the segment |stage_g| ]
+             * eps(lam, h)^(N-1) * h,        h = max_i |x_i - c_i|.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,11 +34,11 @@ from .errors import DomainError, ValidationError
 from .expr import ExprAst
 from .jet import _lift_nd_arrays, lift_nd
 from .operators import _check_lam, stage_rows, stage_tensor
-from .series1d import _times_power, epsilon_sup, expm1, horner
+from .series1d import RemainderEstimate, _quad_rule, _times_power, _zero_times, epsilon_sup, expm1, horner
 
 MAX_ND_ORDER = 16
 MAX_ND_DIMS = 4
-# sample points per lift and stage product: memory is O(keys * chunk), not
+# segment points per lift and stage product: memory is O(keys * chunk), not
 # O(keys * points); 1024 keeps the BLAS column split that printed bounds pin
 POINT_CHUNK = 1024
 
@@ -94,38 +99,6 @@ def _expansion_table(n: int, order: int) -> tuple:
     for a in (*index, factorials):
         a.flags.writeable = False
     return keys, index, factorials
-
-
-# ---- sample box ------------------------------------------------------------
-
-
-def _box_points(lo: np.ndarray, hi: np.ndarray, per_axis: int, seed: int) -> Iterator[np.ndarray]:
-    """Sample points of the closed box ``[lo_i, hi_i]``, at most ``POINT_CHUNK`` rows at a time.
-
-    Up to three axes this is the full ``per_axis``-per-axis tensor grid in C
-    order; beyond that, where the grid blows up combinatorially, it is
-    ``10 * per_axis`` seeded uniform points with the corners ``lo`` and
-    ``hi`` pinned as the first two.  Only the chunk in hand is held.
-    """
-    if not isinstance(per_axis, int) or per_axis < 3:
-        raise ValidationError(f"grid must be an integer >= 3, got {per_axis!r}")
-    dims = len(lo)
-    if dims <= 3:
-        axes = [np.linspace(l, h, per_axis) for l, h in zip(lo, hi)]
-        total = per_axis**dims
-        for start in range(0, total, POINT_CHUNK):
-            # flat indices in C order: the rows of meshgrid(*axes, indexing="ij") raveled
-            index = np.unravel_index(np.arange(start, min(start + POINT_CHUNK, total)), (per_axis,) * dims)
-            yield np.stack([a[i] for a, i in zip(axes, index)], axis=-1)
-        return
-    count = 10 * per_axis
-    # one generator drawn chunk by chunk gives the doubles of one whole draw
-    rng = np.random.default_rng(seed)
-    for start in range(0, count, POINT_CHUNK):
-        out = lo + rng.uniform(size=(min(POINT_CHUNK, count - start), dims)) * (hi - lo)
-        if start == 0:
-            out[0], out[1] = lo, hi
-        yield out
 
 
 # ---- expansion -------------------------------------------------------------
@@ -208,24 +181,7 @@ def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> c
     return complex(dense)
 
 
-# ---- remainder bound -------------------------------------------------------
-
-
-def _stage_sups(ast: ExprAst, chunks: Iterable, order: int, gammas: list, lam: complex) -> np.ndarray:
-    """Sampled ``sup |stage_g|`` over the points in ``chunks`` for every ``g`` in ``gammas``.
-
-    Each chunk of points, ``(P, dims)`` with ``P <= POINT_CHUNK`` as
-    :func:`_box_points` yields them, is lifted to ``order`` and staged as it
-    comes, with a running maximum per multi-index, so no more than one chunk
-    is held.  Overflow is silent: a non-finite supremum is the caller's to
-    refuse.
-    """
-    sups = np.zeros(len(gammas))
-    with np.errstate(all="ignore"):
-        for points in chunks:
-            arrays = _lift_nd_arrays(ast, points, order)
-            sups = np.maximum(sups, np.max(np.abs(stage_rows(arrays, gammas, lam)), axis=1))
-    return sups
+# ---- remainder along the segment -------------------------------------------
 
 
 def remainder_bound_nd(
@@ -236,34 +192,73 @@ def remainder_bound_nd(
     x: Sequence[float],
     order: int,
     grid: int = 33,
-    seed: int = 0,
-) -> float:
-    """Upper bound on the truncation error after total degree ``order``.
+) -> RemainderEstimate:
+    """Remainder quadrature plus tight and loose upper bounds after total degree ``order``.
 
-    The stage suprema are sampled over the closed box spanned by ``center``
-    and ``x``: a full ``grid``-per-axis tensor grid for up to three axes,
-    ``10 * grid`` seeded uniform points (corners pinned) beyond that.  The
-    sample points are made, lifted and staged ``POINT_CHUNK`` at a time, so
-    the memory held, the points included, is bounded by the chunk, not by
-    ``grid``.  Returns zero when ``x == center`` or the expression is flat
-    there; a bound that is not finite raises ``DomainError``.
+    With ``d = x - c``, ``xi(t) = c + t d`` and ``E_j(t) = exp(lam (1-t) d_j) - 1``,
+    the remainder is ``lam * integral_0^1 I(t) dt`` with
+    ``I(t) = sum over |g| = N-1 of prod_j E_j^g_j / g! * sum_k d_k stage_{g+e_k}(xi(t))``,
+    the stages of degree ``N = order``.  The segment is lifted at ``grid``
+    equally spaced ``t`` and at the 64 Gauss-Legendre nodes, ``POINT_CHUNK``
+    points per lift, and staged once by ``stage_rows``.  ``integral_value``
+    is ``lam`` times the Gauss sum of ``I``, ``bound_tight`` the sampled
+    ``|lam| max |I|``, and ``bound_loose``
+    ``|lam| h eps(lam, h)^(N-1) sum over |g| = N of N/g! sup |stage_g|``
+    with ``h = max |d_k|`` and the sup sampled on the segment.  At ``n = 1``
+    these are the 1-D formulas.  A zero stage times an overflowed power of
+    ``E`` is 0; a bound or integral that is not finite raises ``DomainError``.
     """
     lam = _check_nd_args(ast, n, lam)
     _check_nd_order(order)
-    c = tuple(float(v) for v in center)
-    xv = tuple(float(v) for v in x)
+    c = np.array([float(v) for v in center])
+    xv = np.array([float(v) for v in x])
     if len(c) != n or len(xv) != n:
         raise ValidationError(f"center and x must have length {n}")
-    h = max(abs(a - b) for a, b in zip(xv, c))
-    # numpy returns its second argument on a tie, as min(c, x) returns c: -0.0 stays put
-    lo, hi = np.minimum(xv, c), np.maximum(xv, c)
-    gammas = multi_indices_of_degree(n, order)
-    sups = _stage_sups(ast, _box_points(lo, hi, grid, seed), order, gammas, lam)
+    if not isinstance(grid, int) or grid < 3:
+        raise ValidationError(f"grid must be an integer >= 3, got {grid!r}")
+    d = xv - c
+    h = float(np.max(np.abs(d)))
+    theta, weights = _quad_rule(64)
+    t = np.concatenate((np.linspace(0.0, 1.0, grid), theta))
+    gammas, lower = multi_indices_of_degree(n, order), multi_indices_of_degree(n, order - 1)
+    row = {g: i for i, g in enumerate(gammas)}
+    # per axis k, the row of g + e_k for each g of degree N - 1
+    shifts = [[row[g[:k] + (g[k] + 1,) + g[k + 1 :]] for g in lower] for k in range(n)]
+    G = np.array(lower, dtype=np.intp).reshape(len(lower), n)
+    facts = np.array([multi_index_factorial(g) for g in lower], dtype=np.float64)
+    sups, integrand = np.zeros(len(gammas)), []
+    with np.errstate(all="ignore"):
+        points = c + t[:, None] * d
+        E = expm1((lam.real if lam.imag == 0 else lam) * (1.0 - t) * d[:, None])  # (n, points)
+        for lo in range(0, len(t), POINT_CHUNK):
+            stages = stage_rows(_lift_nd_arrays(ast, points[lo : lo + POINT_CHUNK], order), gammas, lam)
+            sups = np.maximum(sups, np.max(np.abs(stages[:, : max(grid - lo, 0)]), axis=1, initial=0.0))
+            powers = [np.ones_like(E[:, lo : lo + POINT_CHUNK])]
+            for _ in range(1, order):
+                powers.append(powers[-1] * E[:, lo : lo + POINT_CHUNK])
+            powers = np.stack(powers, axis=1)  # (n, order, P): E_j^p
+            m = powers[0][G[:, 0]]
+            for j in range(1, n):
+                m = m * powers[j][G[:, j]]
+            J = d[0] * stages[shifts[0]]
+            for k in range(1, n):
+                J = J + d[k] * stages[shifts[k]]
+            terms = _zero_times(J, m / facts[:, None])
+            # row by row, so each point's sum over g adds in one order whatever the chunk's length
+            acc = terms[0]
+            for term in terms[1:]:
+                acc = acc + term
+            integrand.append(acc)
+        integrand = np.concatenate(integrand)
+        integral = complex(lam * np.sum(weights * integrand[grid:]))
+        bound_tight = abs(lam) * float(np.max(np.abs(integrand[:grid])))
     total = 0.0
     for g, sup in zip(gammas, sups):
         total += order / multi_index_factorial(g) * float(sup)
-    bound = _times_power(abs(lam) * total, epsilon_sup(lam, h), order - 1) * h
-    if not math.isfinite(bound):
+    bound_loose = _times_power(abs(lam) * total, epsilon_sup(lam, h), order - 1) * h
+    if not all(map(math.isfinite, (bound_tight, bound_loose, integral.real, integral.imag))):
         # refused here, as in 1-D, so the bound is named even where the series overflows first
         raise DomainError("non-finite value in bound")
-    return bound
+    return RemainderEstimate(
+        order=order, integral_value=integral, bound_tight=bound_tight, bound_loose=bound_loose, grid_points=grid
+    )

@@ -246,7 +246,9 @@ def test_an_exactly_zero_remainder_is_bounded_by_zero(capsys, argv):
         assert record["remainder"] == {"re": 0.0, "im": 0.0}
         assert record["bound_tight"] == record["bound_loose"] == record["abs_error"] == 0.0
     else:
-        assert record["point"]["bound"] == record["point"]["abs_error"] == 0.0
+        point = record["point"]
+        assert point["remainder"] == {"re": 0.0, "im": 0.0}
+        assert point["bound_tight"] == point["bound"] == point["abs_error"] == point["recon_error"] == 0.0
 
 
 def test_eval_check_passes(capsys):
@@ -315,10 +317,10 @@ def test_overflow_exits_2_with_one_line(argv, what):
 
 
 def test_nd_zero_divisor_past_the_first_chunk_exits_2():
-    # the divisor vanishes at x1 grid index 1 of the bound's 33^3 sample
-    # grid, points 1,089-2,177, so only a later chunk of the lift meets it
+    # the divisor vanishes at t = 0.75, sample 1,536 of the segment's 2,049,
+    # so only the second chunk of the lift meets it
     p = run_cli(
-        "nd", "--fn", "1/(x1-0.001953125)", "--dims", "3", "--lambda", "1", "--x", "0.0625,0.0625,0.0625",
+        "nd", "--fn", "1/(x1-0.75)", "--dims", "3", "--lambda", "1", "--x", "1,1,1", "--grid", "2049",
         python_flags=STRICT,
     )
     assert p.returncode == 2
@@ -525,7 +527,20 @@ def test_nd_json_with_point(capsys):
     assert coeffs[(1, 1)] == pytest.approx(-1.0 / (4 * math.pi**2), rel=1e-12)
     point = payload["point"]
     assert point["x"] == [0.05, 0.05]
-    assert point["abs_error"] <= 1.02 * point["bound"]
+    assert list(point) == [
+        "x", "series", "true", "abs_error", "remainder", "bound_tight", "bound", "recon_error"
+    ]
+    assert point["abs_error"] <= 1.02 * point["bound_tight"] <= 1.02 * point["bound"]
+    assert point["recon_error"] <= 1e-15
+
+
+def test_nd_seed_is_accepted_and_has_no_effect(capsys):
+    argv = ("nd", "--fn", "1/(4+x1+x2+x3+x4)", "--dims", "4", "--lambda", "1", "--x", "0.1,0.2,-0.1,0.05",
+            "--order", "5", "--grid", "9")
+    plain = run_main(capsys, *argv)
+    seeded = run_main(capsys, *argv, "--seed", "5")
+    assert plain.returncode == seeded.returncode == 0
+    assert plain.stdout == seeded.stdout
 
 
 def test_nd_csv_header(capsys):
@@ -746,8 +761,8 @@ def test_growth_overflow_exits_2_with_one_line():
 
 
 def test_sampled_nd_bound_overflow_exits_2_with_one_line():
-    # the expansion at the center is finite; the overflow is in the sampled
-    # box, whose lift and stages once wrote raw RuntimeWarnings
+    # the expansion at the center is finite; the overflow is on the segment,
+    # whose lift and stages once wrote raw RuntimeWarnings
     argv = ("nd", "--fn", "cosh(710*x1)+x2", "--dims", "2", "--lambda", "1", "--x", "1,0", "--order", "3", "--grid", "9")
     p = run_cli(*argv)
     assert p.returncode == 2

@@ -14,7 +14,7 @@ from exptaylor.expr import parse
 from exptaylor import seriesnd
 from exptaylor.jet import lift, lift_nd
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
-from exptaylor.series1d import _cascade_roundoff_scales
+from exptaylor.series1d import _cascade_roundoff_scales, _quad_rule
 from exptaylor.seriesnd import POINT_CHUNK, _dense
 from exptaylor.stirling import build_table
 
@@ -284,7 +284,8 @@ def test_stage_rows_match_stage_tensor():
 
 
 def test_stage_rows_chunks_cover_every_point(monkeypatch):
-    # the sampled sups lift and stage one chunk of points at a time
+    # the remainder along the segment lifts and stages one chunk of points at a time:
+    # 963 samples and 64 nodes make one chunk and three points more
     blocks = []
 
     def recording_stage_rows(arrays, gammas, lam):
@@ -292,18 +293,17 @@ def test_stage_rows_chunks_cover_every_point(monkeypatch):
         return blocks[-1]
 
     monkeypatch.setattr(seriesnd, "stage_rows", recording_stage_rows)
-    ast = parse("1/(3+x1-x2)", 2)
-    centers = np.stack([np.linspace(-0.5, 0.5, POINT_CHUNK + 3), np.linspace(0.4, -0.4, POINT_CHUNK + 3)], axis=1)
-    gammas = [(3, 0), (2, 1), (1, 2), (0, 3)]
-    chunks = (centers[lo : lo + POINT_CHUNK] for lo in range(0, len(centers), POINT_CHUNK))
-    sups = seriesnd._stage_sups(ast, chunks, 3, gammas, TWO_PI_I)
+    ast, grid = parse("1/(3+x1-x2)", 2), POINT_CHUNK + 3 - 64
+    c, d = np.array([-0.5, 0.4]), np.array([1.0, -0.8])
+    seriesnd.remainder_bound_nd(ast, 2, TWO_PI_I, tuple(c), tuple(c + d), 3, grid=grid)
     assert [b.shape for b in blocks] == [(4, POINT_CHUNK), (4, 3)]
     rows = np.concatenate(blocks, axis=1)
-    for p in (0, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 2):
-        field = nd_field(lift_nd(ast, centers[p], 3), TWO_PI_I)
+    t = np.concatenate((np.linspace(0.0, 1.0, grid), _quad_rule(64)[0]))
+    gammas = [(3, 0), (2, 1), (1, 2), (0, 3)]
+    for p in (0, grid - 1, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 2):
+        field = nd_field(lift_nd(ast, c + t[p] * d, 3), TWO_PI_I)
         for g, got in zip(gammas, rows[:, p]):
             assert got == pytest.approx(field[g], rel=1e-13)
-    assert np.array_equal(sups, np.max(np.abs(rows), axis=1))
 
 
 def test_stage_tensor_takes_a_cube_of_coefficients():

@@ -662,11 +662,9 @@ def test_remainder_bounds_do_not_depend_on_the_other_orders_or_xs(src, lam, data
 
 @settings(max_examples=40, deadline=None)
 @given(src=SMOOTH_EXPRS, lam=LAMBDAS, x0=st.floats(-0.5, 0.5), count=st.integers(1, 24))
-# Stage 5 of this draw underflows: the two paths differ by 5e-323 against a
-# tolerance of 1.5e-323, as the analysis below leaves out underflow.
-@example(src="cos((x-(2*x)/(2+(x)^2)))", lam=5 + 0j, x0=2.2250738585072014e-308, count=5).xfail(
-    raises=AssertionError, reason="the tolerance has no term for a rounding that underflows"
-)
+# Stage 5 of this draw underflows: the two paths differ by 5e-323, which
+# only the absolute underflow term below covers (1.04e-320; 1.5e-323 without it).
+@example(src="cos((x-(2*x)/(2+(x)^2)))", lam=5 + 0j, x0=2.2250738585072014e-308, count=5)
 def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     with np.errstate(all="ignore"):  # a nested exp may overflow; such draws are rejected below
         jet = lift(parse(src), x0, count)
@@ -677,9 +675,13 @@ def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     # each term within (7N + 5)u of it (m divisions for lam^-m, the matrix
     # entry, two products, an (N+1)-term sum).  Together that is under
     # 18 (N + 1) u; the factor 32 leaves room for second-order terms.
+    # A rounding that underflows errs by up to half of 2^-1074 absolutely, not
+    # relatively; each reaches stage N scaled by at most |S[N, m]| |lam|^-m,
+    # so they add the same count times the scales of a jet of ones times 2^-1074.
     scales = _cascade_roundoff_scales(jet.coeffs, lam, count)
     assume(np.all(np.isfinite(scales)))
-    tol = 32 * (np.arange(count + 1) + 1) * UNIT_ROUNDOFF * scales
+    steps = 32 * (np.arange(count + 1) + 1)
+    tol = steps * (UNIT_ROUNDOFF * scales + _cascade_roundoff_scales(np.ones(count + 1), lam, count) * 2.0**-1074)
     diff = np.abs(cascade_values(jet.coeffs, lam, count) - stage_tensor(jet.coeffs, lam))
     assert np.all(diff <= tol), (diff / np.where(scales > 0, scales, 1)).max()
 

@@ -1,19 +1,25 @@
-"""Tests for multivariate expansions and their sampled bounds."""
+"""Tests for multivariate expansions, their remainder along the segment and its bounds."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exptaylor import seriesnd
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import _lift_nd_arrays, lift_nd
+from exptaylor.jet import _lift_1d_array, _lift_nd_arrays, lift_nd
 from exptaylor.operators import stage_rows, stage_tensor
-from exptaylor.series1d import eval_series, expand_1d, remainder_bound
+from exptaylor.series1d import (
+    _quad_rule,
+    epsilon_sup,
+    eval_series,
+    expand_1d,
+    remainder_bound,
+)
 from exptaylor.seriesnd import (
     POINT_CHUNK,
     eval_nd,
@@ -71,134 +77,46 @@ def test_multi_index_factorial():
     assert multi_index_factorial((5,)) == 120
 
 
-# ---- sample box ---------------------------------------------------------------
+# ---- the segment ---------------------------------------------------------------
 
 
-def frozen_grid_points(lo, hi, per_axis):
-    """The whole tensor grid as ``BoxDomain.grid_points`` built it, frozen here
-    as the oracle for the streamed one."""
-    axes = [np.linspace(l, h, per_axis) for l, h in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def spy_lifts(monkeypatch):
+    """Record the points that ``remainder_bound_nd`` hands to each lift."""
+    batches = []
+
+    def recording(ast, centers, order):
+        batches.append(np.array(centers))
+        return _lift_nd_arrays(ast, centers, order)
+
+    monkeypatch.setattr(seriesnd, "_lift_nd_arrays", recording)
+    return batches
 
 
-def frozen_random_points(lo, hi, count, seed):
-    """The whole uniform draw as ``BoxDomain.random_points`` made it."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(size=(count, len(lo)))
-    lo, hi = np.array(lo), np.array(hi)
-    out = lo + pts * (hi - lo)
-    out[0] = lo
-    out[1] = hi
-    return out
+def test_segment_runs_from_center_to_x(monkeypatch):
+    # the grid's samples in t order, then the Gauss-Legendre nodes, all on c + t (x - c)
+    batches = spy_lifts(monkeypatch)
+    c, x = np.array([0.2, -0.1]), np.array([-0.3, 0.4])
+    remainder_bound_nd(product_cosine(), 2, LAM, tuple(c), tuple(x), 3, grid=5)
+    (points,) = batches
+    theta, _ = _quad_rule(64)
+    t = np.concatenate((np.linspace(0.0, 1.0, 5), theta))
+    assert np.array_equal(points, c + t[:, None] * (x - c))
+    assert np.array_equal(points[0], c)
+    assert np.allclose(points[4], x, rtol=0, atol=1e-16)
 
 
-def box_points(lo, hi, per_axis, seed=0):
-    return np.concatenate(list(seriesnd._box_points(np.array(lo), np.array(hi), per_axis, seed)))
-
-
-def spy_box(monkeypatch):
-    """Record the corners that the public functions hand to ``_box_points``."""
-    corners, points = [], seriesnd._box_points
-
-    def recording(lo, hi, per_axis, seed):
-        corners.append((tuple(lo), tuple(hi)))
-        return points(lo, hi, per_axis, seed)
-
-    monkeypatch.setattr(seriesnd, "_box_points", recording)
-    return corners
-
-
-CORNERS = [0.3, -0.2, 0.0, 1.5], [-0.1, 0.4, -0.0, 1.5]
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    dims=st.integers(1, 4),
-    per_axis=st.integers(3, 40),
-    a=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-    b=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-    seed=st.integers(0, 2**32 - 1),
-)
-# one chunk, one chunk + 1 and several chunks, on the grid and on the draw
-@example(1, 1024, *CORNERS, 0)
-@example(1, 1025, *CORNERS, 0)
-@example(2, 32, *CORNERS, 0)
-@example(3, 40, *CORNERS, 0)
-@example(4, 103, *CORNERS, 5)
-@example(4, 205, *CORNERS, 5)
-def test_streamed_box_points_equal_the_whole_box(dims, per_axis, a, b, seed):
-    # the corners come in either order, as the sorted pair of a center and a point
-    lo, hi = np.minimum(a[:dims], b[:dims]), np.maximum(a[:dims], b[:dims])
-    chunks = list(seriesnd._box_points(lo, hi, per_axis, seed))
-    assert all(0 < len(c) <= POINT_CHUNK for c in chunks)
-    got = np.concatenate(chunks)
-    if dims <= 3:
-        want = frozen_grid_points(lo, hi, per_axis)
-    else:
-        want = frozen_random_points(lo, hi, 10 * per_axis, seed)
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_box_from_points_sorts_coordinates(monkeypatch):
-    corners = spy_box(monkeypatch)
-    remainder_bound_nd(product_cosine(), 2, LAM, (0.2, -0.1), (-0.3, 0.4), 3, grid=3)
-    assert corners == [((-0.3, -0.1), (0.2, 0.4))]
-
-
-def test_box_grid_points_one_dim():
-    g = box_points((-0.5,), (0.5,), 5)
-    assert np.allclose(g.ravel(), [-0.5, -0.25, 0.0, 0.25, 0.5])
-
-
-def test_box_grid_points_shape():
-    g = box_points((-0.1,) * 3, (0.1,) * 3, 4)
-    assert g.shape == (64, 3)
-
-
-def test_box_random_points_pins_corners():
-    lo, hi = (-0.3, -0.1, 0.0, -1.0), (0.2, 0.4, 0.5, 1.0)
-    pts = box_points(lo, hi, 4, seed=7)  # beyond three axes: 10 * 4 uniform points
-    assert pts.shape == (40, 4)
-    assert np.array_equal(pts[0], lo)
-    assert np.array_equal(pts[1], hi)
-    assert np.all(pts >= np.array(lo) - 1e-15)
-    assert np.all(pts <= np.array(hi) + 1e-15)
-
-
-def test_box_random_points_seed_deterministic():
-    lo, hi = (-1.0,) * 4, (1.0,) * 4
-    assert np.array_equal(box_points(lo, hi, 4, seed=3), box_points(lo, hi, 4, seed=3))
-
-
-def test_box_validation():
+def test_segment_validation():
     ast = product_cosine()
     with pytest.raises(ValidationError, match="center and x must have length 2"):
         remainder_bound_nd(ast, 2, LAM, (0.0,), (1.0, 2.0), 3)
+    with pytest.raises(ValidationError, match="center and x must have length 2"):
+        remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (1.0, 2.0, 3.0), 3)
+    for grid in (0, 2, 5.0):
+        with pytest.raises(ValidationError, match=f"grid must be an integer >= 3, got {grid!r}"):
+            remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1, 0.1), 3, grid=grid)
+    # four axes take the same segment, and the same grid check
     with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
-        box_points((-1.0,), (1.0,), 2)
-    with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
-        remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1, 0.1), 3, grid=2)
-    with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 0"):
-        box_points((-1.0,) * 4, (1.0,) * 4, 0)
-    # four axes take random points, and the same grid check
-    with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
-        box_points((-1.0,) * 4, (1.0,) * 4, 2)
-
-
-def test_first_box_chunk_is_bounded_by_the_chunk():
-    # a 3-D grid of 129 is 2,146,689 points: the whole grid and its meshgrid
-    # peak near 98 MB, one chunk of them holds 24 KB
-    points = seriesnd._box_points(np.zeros(3), np.full(3, 0.1), 129, 0)
-    tracemalloc.start()
-    try:
-        first = next(points)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert first.shape == (POINT_CHUNK, 3)
-    assert peak < 1_000_000, peak
+        remainder_bound_nd(parse("x1*x4", 4), 4, LAM, (0.0,) * 4, (0.1,) * 4, 3, grid=2)
 
 
 # ---- expansion coefficients ---------------------------------------------------
@@ -337,30 +255,106 @@ def test_eval_against_an_mpmath_sum_of_the_same_coefficients(src, n, lam, center
     assert abs(eval_nd(e, x) - want) <= tol
 
 
-# ---- remainder bound ------------------------------------------------------------
+# ---- remainder along the segment ------------------------------------------------
+
+
+def bits(est):
+    """The estimate's numbers as raw bits, so signed zeros and NaNs compare too."""
+    values = [est.integral_value.real, est.integral_value.imag, est.bound_tight, est.bound_loose]
+    return np.array(values).view(np.uint64).tolist() + [est.order, est.grid_points]
 
 
 def test_bound_zero_at_center():
-    assert remainder_bound_nd(product_cosine(), 2, LAM, (0.1, 0.1), (0.1, 0.1), 4) == 0.0
+    est = remainder_bound_nd(product_cosine(), 2, LAM, (0.1, 0.1), (0.1, 0.1), 4)
+    assert (est.integral_value, est.bound_tight, est.bound_loose) == (0, 0.0, 0.0)
 
 
 def test_bound_zero_for_constant():
-    assert remainder_bound_nd(parse("3", 2), 2, LAM, (0.0, 0.0), (0.3, 0.2), 4) == 0.0
+    est = remainder_bound_nd(parse("3", 2), 2, LAM, (0.0, 0.0), (0.3, 0.2), 4)
+    assert (est.integral_value, est.bound_tight, est.bound_loose) == (0, 0.0, 0.0)
 
 
 def test_bound_dominates_measured_error():
     ast = product_cosine()
     e = expand_nd(ast, 2, LAM, (0.0, 0.0), 8)
-    measured = abs(eval_nd(e, (0.05, 0.05)) - math.cos(0.1 * math.pi) ** 2)
-    bound = remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.05, 0.05), 8, grid=33)
-    assert measured <= 1.02 * bound
+    true = math.cos(0.1 * math.pi) ** 2
+    series = eval_nd(e, (0.05, 0.05))
+    est = remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.05, 0.05), 8, grid=33)
+    assert abs(series - true) <= 1.02 * est.bound_tight <= 1.02 * est.bound_loose
+    assert abs(series + est.integral_value - true) <= 1e-15
+
+
+def roundoff_scales(arrays, gammas, lam):
+    """Per stage and point, ``sum_m |W[g, m]| |lam|^-|m| |c_m|``: the terms each stage rounds.
+
+    Row ``g`` of ``W`` has the sign ``(-1)^(|g| - |m|)``, so staging ``|c|``
+    at ``-|lam|`` gives every term the sign ``(-1)^|g|``, and no term cancels.
+    """
+    out = stage_rows({m: np.abs(v) for m, v in arrays.items()}, gammas, -abs(lam)).real
+    return out * np.array([(-1.0) ** sum(g) for g in gammas])[:, None]
+
+
+def one_dim_tolerances(ast, lam, x0, x, N, grid):
+    """How far the segment loop may round from the 1-D remainder: integral, tight and loose bound.
+
+    Both paths form stage N from the terms S[N, m] lam^-m c_m, each within
+    (7N + 5)u of sigma, their absolute sum (as in
+    test_cascade_agrees_with_stirling_within_roundoff); the powers E^(N-1) by
+    repeated products against binary powering, within 2(N - 1)u relative each;
+    the products by d, lam, the weights and the factorials and the 64-term sum
+    add under 16u.  That is under 32 (N + 1) u of sigma |d| |E|^(N-1) / (N-1)!
+    per point, summed with the weights or maximized over the grid.
+    """
+    theta, weights = _quad_rule(64)
+    s, dx = np.linspace(0.0, 1.0, grid), x - x0
+    scale = abs(lam) * abs(dx) / math.factorial(N - 1) * 32 * (N + 1) * 2.0**-53
+    sigma_nodes, sigma_grid = (
+        roundoff_scales(_lift_nd_arrays(ast, (x0 + t * dx)[:, None], N), [(N,)], lam)[0] for t in (theta, s)
+    )
+    on_nodes = sigma_nodes * np.abs(np.expm1(lam * (1 - theta) * dx)) ** (N - 1)
+    on_grid = sigma_grid * np.abs(np.expm1(lam * (1 - s) * dx)) ** (N - 1)
+    eps = epsilon_sup(lam, abs(dx)) ** (N - 1)
+    return scale * np.sum(weights * on_nodes), scale * np.max(on_grid), scale * eps * np.max(sigma_grid)
+
+
+ONE_DIM_CASES = [
+    ("cos(2*pi*x)", LAM, 0.1, 0.25, 6, 513),
+    ("exp(x)/(2+x)", 1.0, 0.1, 0.4, 8, 33),
+    ("sin(3*x)*log(2+x)", -1.0, 0.2, -0.1, 10, 65),
+    ("1/(3+x)", 0.3 + 1j, 0.0, 0.5, 5, 33),
+]
 
 
 def test_bound_one_dim_matches_loose_bound():
+    # at n = 1 the segment loop is the 1-D remainder: the same points, lifted to
+    # the same bits (checked), staged by stage_rows where the 1-D path nests stirling_rows
+    for src, lam, x0, x, N, grid in ONE_DIM_CASES:
+        ast = parse(src)
+        got = remainder_bound_nd(ast, 1, lam, (x0,), (x,), N, grid=grid)
+        want = remainder_bound(ast, lam, x0, x, N, grid=grid, quad_nodes=64)
+        points = np.concatenate((np.linspace(0.0, 1.0, grid), _quad_rule(64)[0])) * (x - x0) + x0
+        jets = _lift_1d_array(ast, points, N)
+        assert all(np.array_equal(v, jets[:, m]) for (m,), v in _lift_nd_arrays(ast, points[:, None], N).items())
+        tol_integral, tol_tight, tol_loose = one_dim_tolerances(ast, lam, x0, x, N, grid)
+        assert abs(got.integral_value - want.integral_value) <= tol_integral, src
+        assert abs(got.bound_tight - want.bound_tight) <= tol_tight, src
+        assert abs(got.bound_loose - want.bound_loose) <= tol_loose, src
+        assert got.grid_points == want.grid_points == grid
+
+
+@pytest.mark.parametrize("lam", [LAM, 1.0], ids=["imaginary", "real"])
+def test_axis_parallel_segment_is_the_one_dim_remainder(lam):
+    # along x1 at x2 = c2, E_2 = 0 and only g = (N-1, 0) is left of the integrand,
+    # so the remainder of cos(2 pi x1) exp(x2) is exp(c2) times that of cos(2 pi x);
+    # the lift's products by exp(c2) add a rounding of u, inside the 1-D tolerances
+    c2, N, grid = 0.3, 7, 65
+    got = remainder_bound_nd(parse("cos(2*pi*x1) * exp(x2)", 2), 2, lam, (0.1, c2), (0.25, c2), N, grid=grid)
     ast = parse("cos(2*pi*x)")
-    bound_nd = remainder_bound_nd(ast, 1, LAM, (0.1,), (0.25,), 6, grid=513)
-    bound_1d = remainder_bound(ast, LAM, 0.1, 0.25, 6, grid=513).bound_loose
-    assert bound_nd == pytest.approx(bound_1d, rel=1e-12)
+    want = remainder_bound(ast, lam, 0.1, 0.25, N, grid=grid, quad_nodes=64)
+    tol_integral, tol_tight, _ = one_dim_tolerances(ast, lam, 0.1, 0.25, N, grid)
+    k = math.exp(c2)
+    assert abs(got.integral_value - k * want.integral_value) <= k * tol_integral
+    assert abs(got.bound_tight - k * want.bound_tight) <= k * tol_tight
 
 
 def test_measured_remainder_decays_geometrically():
@@ -375,76 +369,152 @@ def test_measured_remainder_decays_geometrically():
 
 
 def test_bound_four_dims_random_sampling():
+    # both bounds dominate the measured error at 20 seeded random points of [-0.05, 0.05]^4
     src = "cos(2*pi*x1) * cos(2*pi*x2) * cos(2*pi*x3) * cos(2*pi*x4)"
     ast = parse(src, 4)
-    x = (0.03, 0.02, -0.02, 0.01)
     e = expand_nd(ast, 4, LAM, (0.0,) * 4, 3)
-    true = math.prod(math.cos(2 * math.pi * xi) for xi in x)
-    measured = abs(eval_nd(e, x) - true)
-    bound = remainder_bound_nd(ast, 4, LAM, (0.0,) * 4, x, 3, grid=9, seed=1)
-    assert measured <= 1.02 * bound
+    for x in np.random.default_rng(1).uniform(-0.05, 0.05, size=(20, 4)):
+        x = tuple(map(float, x))
+        measured = abs(eval_nd(e, x) - math.prod(math.cos(2 * math.pi * xi) for xi in x))
+        est = remainder_bound_nd(ast, 4, LAM, (0.0,) * 4, x, 3, grid=9)
+        assert measured <= 1.02 * est.bound_tight <= 1.02 * est.bound_loose
 
 
-def whole_batch_stage_sups(ast, chunks, order, gammas, lam):
-    """The sampled sups as one lift of every point, staged 1024 points at a time."""
-    points = np.concatenate(list(chunks))
-    arrays = _lift_nd_arrays(ast, points, order)
-    sups = np.zeros(len(gammas))
-    for lo in range(0, len(points), 1024):
-        chunk = {m: v[lo : lo + 1024] for m, v in arrays.items()}
-        sups = np.maximum(sups, np.max(np.abs(stage_rows(chunk, gammas, lam)), axis=1))
-    return sups
+def stage_by_chunk(arrays, gammas, lam):
+    """``stage_rows`` over POINT_CHUNK columns at a time: a longer BLAS product may split its columns otherwise."""
+    size = len(next(iter(arrays.values())))
+    parts = [{m: v[lo : lo + POINT_CHUNK] for m, v in arrays.items()} for lo in range(0, size, POINT_CHUNK)]
+    return np.concatenate([stage_rows(part, gammas, lam) for part in parts], axis=1)
 
 
 def whole_batch(monkeypatch, fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with the sampled sups taken from one whole-batch lift."""
-    calls = []
-
-    def reference(ast, chunks, *a):
-        chunks = list(chunks)
-        calls.append(sum(map(len, chunks)))
-        return whole_batch_stage_sups(ast, chunks, *a)
-
+    """``fn(*args, **kwargs)`` with one lift of every segment point and one pass of the chunk loop."""
     with monkeypatch.context() as m:
-        m.setattr(seriesnd, "_stage_sups", reference)
+        batches = spy_lifts(m)
+        m.setattr(seriesnd, "POINT_CHUNK", 2**62)
+        m.setattr(seriesnd, "stage_rows", stage_by_chunk)
         out = fn(*args, **kwargs)
-    assert calls and calls[0] > POINT_CHUNK  # the reference ran, over more than one chunk
+    assert len(batches) == 1 and len(batches[0]) > POINT_CHUNK  # the reference ran, over more than one chunk
     return out
 
 
 @pytest.mark.parametrize(
     "src, n, grid, lam",
     [
-        ("exp(x1)/(3+x1-x2) + sin(x1*x2)", 2, 33, LAM),  # 1,089 grid points
-        ("exp(x1*x2) + x3^2 + 1/(4+x1+x2+x3)", 3, 13, 1.0),  # 2,197 grid points
-        ("exp(x1*x2) + x3^2*x4 + 1/(4+x1+x2+x3+x4)", 4, 103, 0.5 - 2j),  # 1,030 random points
+        ("exp(x1)/(3+x1-x2) + sin(x1*x2)", 2, 1100, LAM),  # 1,164 points: 1,024 + 140
+        ("exp(x1*x2) + x3^2 + 1/(4+x1+x2+x3)", 3, 2049, 1.0),  # 2,113 points: 2 * 1,024 + 65
+        ("exp(x1*x2) + x3^2*x4 + 1/(4+x1+x2+x3+x4)", 4, 1985, 0.5 - 2j),  # 2,049 points: a 1-point chunk last
     ],
-    ids=["2d_grid33", "3d_grid13", "4d_random1030"],
+    ids=["2d_grid1100", "3d_grid2049", "4d_grid1985_one_point_tail"],
 )
 def test_streamed_bound_equals_whole_batch_bound(monkeypatch, src, n, grid, lam):
     ast = parse(src, n)
     args = (ast, n, lam, (0.0,) * n, tuple(0.05 * (i + 1) for i in range(n)), 8)
-    streamed = remainder_bound_nd(*args, grid=grid, seed=3)
-    assert streamed > 0
-    assert streamed == whole_batch(monkeypatch, remainder_bound_nd, *args, grid=grid, seed=3)
+    streamed = remainder_bound_nd(*args, grid=grid)
+    assert streamed.bound_tight > 0 and streamed.integral_value != 0
+    assert bits(streamed) == bits(whole_batch(monkeypatch, remainder_bound_nd, *args, grid=grid))
 
 
-def test_sampled_bound_memory_is_bounded_by_the_chunk():
-    # 35,937 grid points at order 8 in 3 variables.  Per chunk the lifted
-    # jet, the working jets of the walk, the scaled copy that stage_rows
-    # multiplies and its product each hold at most `keys` complex rows of
-    # POINT_CHUNK values: four rows of that size.  The sample points come one
-    # chunk at a time too.
-    ast, order = parse("1/(4+x1+x2+x3)", 3), 8
+def test_sampled_bound_memory_is_bounded_by_the_chunk(monkeypatch):
+    # 4,097 samples and 64 nodes at order 8 in 3 variables.  Per chunk the
+    # lifted jet, the working jets of the walk, the scaled copy that
+    # stage_rows multiplies and its product each hold at most `keys` complex
+    # rows of POINT_CHUNK values: four rows of that size.  Across the chunks
+    # only the points, E and the integrand are held, O(n) values per point.
+    batches = spy_lifts(monkeypatch)
+    ast, order, grid = parse("1/(4+x1+x2+x3)", 3), 8, 4097
     keys = math.comb(order + 3, 3)
     limit = 4 * keys * POINT_CHUNK * 16
     tracemalloc.start()
     try:
-        remainder_bound_nd(ast, 3, 1.0, (0.0,) * 3, (0.1,) * 3, order)
+        est = remainder_bound_nd(ast, 3, 1.0, (0.0,) * 3, (0.1,) * 3, order, grid=grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert est.grid_points == grid
+    assert [len(b) for b in batches] == [POINT_CHUNK] * 4 + [grid + 64 - 4 * POINT_CHUNK]
     assert peak < limit, (peak, limit)
+
+
+# Functions of n variables with their 40-digit values and their distance to
+# the nearest complex singularity from a real point: the reciprocal's
+# hyperplane sum z = -a, the quotient's z1 = -a, none for the entire one.
+ND_FUNCTIONS = {
+    "reciprocal": (
+        lambda n, a: "1/(" + " + ".join([repr(a)] + [f"x{i}" for i in range(1, n + 1)]) + ")",
+        lambda mp, p, a: 1 / (a + mp.fsum(p)),
+        lambda p, a: abs(a + sum(p)) / math.sqrt(len(p)),
+    ),
+    "entire": (
+        lambda n, a: f"exp(x1*x2)*cos(x{n})",
+        lambda mp, p, a: mp.exp(p[0] * p[1]) * mp.cos(p[-1]),
+        lambda p, a: math.inf,
+    ),
+    "quotient": (
+        lambda n, a: f"exp(x1)*sin(x2) + x{n}^2/({a!r} + x1)",
+        lambda mp, p, a: mp.exp(p[0]) * mp.sin(p[1]) + p[-1] ** 2 / (a + p[0]),
+        lambda p, a: abs(a + p[0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@settings(max_examples=20, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(ND_FUNCTIONS)),
+    a=st.floats(1.5, 3.0),
+    lam=st.sampled_from([1.0, LAM, 0.3 + 1j, -1.0]),
+    order=st.integers(3, 10),
+    c=st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4),
+    d=st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4),
+)
+def test_remainder_matches_mpmath_and_both_bounds_dominate(n, kind, a, lam, order, c, d):
+    mpmath = pytest.importorskip("mpmath")
+    source, value, distance = ND_FUNCTIONS[kind]
+    c, d = c[:n], d[:n]
+    x = [ci + di for ci, di in zip(c, d)]
+    length = math.hypot(*d)
+    # the singular sets are hyperplanes, so the distance along the segment is least at an end
+    assume(min(distance(c, a), distance(x, a)) >= 2 * length)
+    ast, N = parse(source(n, a), n), order
+    est = remainder_bound_nd(ast, n, lam, c, x, N)
+    e = expand_nd(ast, n, lam, c, N)
+    with mpmath.workdps(40):
+        mlam = mpmath.mpc(lam)
+        w = [mpmath.expm1(mlam * (mpmath.mpf(xi) - mpmath.mpf(ci))) for xi, ci in zip(x, c)]
+        series = mpmath.fsum(mpmath.mpc(coeff) * mpmath.fprod(wi**gi for wi, gi in zip(w, g)) for g, coeff in e.coeffs.items())
+        error = complex(value(mpmath, [mpmath.mpf(xi) for xi in x], mpmath.mpf(a)) - series)
+    # Quadrature: the integrand is analytic within 1 of [0, 1] in t (half the
+    # distance allowed), whose Bernstein ellipse has rho = 2 + sqrt(5), so the
+    # 64-node rule errs by about rho^-128 < 1e-80 of the integrand's size
+    # there: nothing next to the rounding.  Rounding, with u = 2^-53:
+    # - each stage rounds within (7N + 5)u per axis of its terms' absolute
+    #   sum sigma (as test_cascade_agrees_with_stirling_within_roundoff argues
+    #   in 1-D), the powers of E within 2(N - 1)u, and the products by d, 1/g!
+    #   and the weights and the two sums (over g and the nodes) within
+    #   (n + 16)u: under 16 n (N + 1) u of |lam| sum_i w_i A(theta_i),
+    #   A = sum over |g| = N-1 of |E|^g / g! sum_k |d_k| sigma_{g+e_k};
+    # - the printed coefficients carry the same stage rounding, divided by g!,
+    #   into the reference f(x) - series: B = sum over |g| < N of sigma_g(c) |w|^g / g!.
+    # The factor 64 n (N + 1) u leaves room for second-order terms.
+    theta, weights = _quad_rule(64)
+    gammas, lower = multi_indices_of_degree(n, N), multi_indices_of_degree(n, N - 1)
+    points = np.array(c) + theta[:, None] * np.array(d)
+    sigma = dict(zip(gammas, roundoff_scales(_lift_nd_arrays(ast, points, N), gammas, lam)))
+    E = np.abs(np.expm1(lam * (1 - theta)[:, None] * np.array(d)))
+    A = sum(
+        np.prod(E**g, axis=1) / multi_index_factorial(g) * abs(d[k]) * sigma[g[:k] + (g[k] + 1,) + g[k + 1 :]]
+        for g in lower
+        for k in range(n)
+    )
+    keys = multi_indices(n, N)
+    sigma_c = roundoff_scales(_lift_nd_arrays(ast, np.array([c]), N - 1), keys, lam)[:, 0]
+    wabs = np.abs([complex(wi) for wi in w])
+    B = sum(s * np.prod(wabs**g) / multi_index_factorial(g) for g, s in zip(keys, sigma_c))
+    tol = 64 * n * (N + 1) * 2.0**-53 * (abs(lam) * np.sum(weights * A) + B)
+    assert abs(est.integral_value - error) <= tol, (abs(est.integral_value - error), tol, abs(error))
+    assert abs(error) <= est.bound_tight + tol
+    assert abs(error) <= est.bound_loose + tol
 
 
 # ---- validation -------------------------------------------------------------------
