@@ -1,46 +1,38 @@
 """Truncated Taylor jets of expression trees.
 
 A 1-D jet of order ``K`` about a real center ``x0`` stores the normalized
-coefficients ``c[j] = f^(j)(x0) / j!`` for ``j <= K``.  Arithmetic is the
-usual truncated power-series algebra: products are convolutions, quotients
-solve the convolution, and the elementary functions use their first-order
-ODE recurrences.  A whole batch of centers (quadrature nodes, grid points)
-is lifted in one pass.
+coefficients ``c[j] = f^(j)(x0) / j!`` for ``j <= K``; an n-D jet stores
+``c[g] = D^g f(center) / g!`` for ``|g| <= K``.  Products are convolutions,
+quotients solve the convolution, and the elementary functions use their
+first-order ODE recurrences, which hold in n-D with "coefficient k" read as
+the homogeneous part of degree k, since the Euler operator ``sum_i x_i
+d/dx_i`` multiplies that part by k (Neidinger, Math. Comp. 74, 2005).  So
+the kernels and the expression walk are written once over a part algebra,
+lifting a whole batch of centers in one pass.  In 1-D part k is row k of a
+coefficient-major array, stored up to the degree the expression fixes, and
+the convolution adds in the pairwise order of ``np.sum`` over one point's
+complex terms, to which the printed digits are pinned.  In n-D part k is the
+stored rows of the graded-lex array of every multi-index of degree k, and a
+product finds the row of each pair's sum through a rank table.
 
-An n-D jet stores ``c[g] = D^g f(center) / g!`` for multi-indices with
-total degree ``|g| <= K``.  The same recurrences hold there with
-"coefficient k" read as the homogeneous part of degree k, since the Euler
-operator ``sum_i x_i d/dx_i`` multiplies that part by k (Neidinger, Math.
-Comp. 74, 2005).  So the kernels and the expression walk are written once,
-over a part algebra with two implementations: in 1-D part k is row k of a
-coefficient-major array, so every kernel step runs over a contiguous row of
-points; in n-D a sparse map from multi-indices of degree k to values.  The
-1-D convolution adds in the order of ``np.sum`` over one point's contiguous
-complex terms, the order the printed digits are pinned to.  A 1-D jet is
-stored only up to its degree, the highest part the expression lets be
-nonzero, so products and convolutions skip every term past it, a product
-with a zero part: a kernel of an affine argument takes one term per part.
-Where three or more terms remain, the pairwise lanes run over the whole
-window with the skipped terms as zeros, so they keep their bits.
-
-Jets are real (float64): the grammar has no imaginary literal, and
-``log`` and ``sqrt`` reject the negative real axis.  They keep the bits of
-the complex jets they replaced.  Constant terms of the elementary functions
-are the real parts of numpy's complex functions (its real ones round
-differently in the last bit), and a division by constant terms or by k is
-a reciprocal and a product, which is how numpy divides by a complex number
-with zero imaginary part (Smith's method).  Only the sign of an exact zero
-can differ (a real ``2 * -0`` is -0, the complex product was +0), and no
-output prints that sign.
-
-Orders are capped at 64: coefficients are factorially scaled and double
-precision runs out of headroom not far beyond that.
+Jets are real (float64): the grammar has no imaginary literal, and ``log``
+and ``sqrt`` reject the negative real axis.  They keep the bits of the
+complex jets they replaced: constant terms of the elementary functions are
+the real parts of numpy's complex functions (its real ones round
+differently in the last bit), and a division by constant terms or by k is a
+reciprocal and a product, as numpy divides by a complex number with zero
+imaginary part (Smith's method).  Only the sign of an exact zero can differ
+(a real ``2 * -0`` is -0, the complex product was +0), and no output prints
+that sign.  Orders are capped at 64: coefficients are factorially scaled and
+double precision runs out of headroom not far beyond that.
 """
 
 from __future__ import annotations
 
-import operator
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -109,17 +101,12 @@ def _square_multiply(u, n: int, mul):
 class _Algebra:
     """The jet kernels and the expression walk, written once over parts.
 
-    A subclass implements the part algebra over float64 values: part k of a
-    jet ``u`` is ``u[k]`` up to its degree ``len(u) - 1`` and zero past it,
-    ``const(c0, degree)`` makes a jet of that degree with constant term
-    ``c0`` (values over the batch) for a kernel to fill and ``c0`` reads it
-    back, ``euler`` scales part k by k, ``add``/``neg``/``mul`` are the
-    truncated jet ring, and ``conv(k, a, b, lo, hi) = sum_{j=lo..hi} a_j *
-    b_{k-j}``.  Parts support ``+``, ``-`` and a product with a number or
-    with constant terms on the left, which is how every division is written.
-    Each kernel keeps the operation order of its scalar recurrence, and
-    ``conv`` the order of its sum, so the printed digits stay those of the
-    complex lift.
+    A subclass implements the part algebra over float64 values: part k of a jet ``u`` is ``u[k]`` up to its
+    degree ``len(u) - 1`` and zero past it, ``const(c0, degree)`` makes a jet of that degree with constant term
+    ``c0`` for a kernel to fill and ``c0`` reads it back, ``euler`` scales part k by k, ``add``/``neg``/``mul``
+    are the truncated jet ring, and ``conv(k, a, b, lo, hi) = sum_{j=lo..hi} a_j * b_{k-j}``.  Parts support
+    ``+``, ``-`` and a product with a number or with constant terms on the left, which is how every division is
+    written.  Each kernel keeps the operation order of its scalar recurrence, and ``conv`` that of its sum.
     """
 
     def __init__(self, centers: np.ndarray, order: int):
@@ -143,14 +130,10 @@ class _Algebra:
         return u if self.degree(u) == self.order else self.add(self.const(0.0, self.order), u)
 
     def argument(self, u, *values):
-        """``u`` as an elementary function's recurrence reads it, and the function's degree.
-
-        A function of a constant has degree 0, of anything else the order.
-        A constant whose function ``values`` are not finite is read padded to
-        the order: the recurrence then forms its ``0 * inf`` terms, which make
-        every later part nan, so no later ``1/inf = 0`` turns the overflow
-        into a printed number.
-        """
+        """``u`` as an elementary function's recurrence reads it, and the function's degree: 0 for a constant, else
+        the order.  A constant whose function ``values`` are not finite is read padded to the order: the recurrence
+        then forms its ``0 * inf`` terms, which make every later part nan, so no later ``1/inf = 0`` turns the
+        overflow into a printed number."""
         if self.degree(u) > 0:
             return u, self.order
         if all(np.isfinite(v).all() for v in values):
@@ -288,31 +271,21 @@ class _Algebra:
 class _Dense(_Algebra):
     """1-D jets: part k is row k of a ``(d+1,) + centers.shape`` array.
 
-    A jet stores its parts only up to its degree ``d``, which the expression
-    fixes: 0 for a constant, 1 for ``x``, the larger of two for a sum, their
-    total (capped at the order) for a product, the numerator's for a
-    quotient by a constant, 0 for a function of a constant and the order for
-    any other kernel output.  ``_lift_1d_array`` pads the result once.  So
-    ``mul`` and ``conv`` skip every term with a part past its jet's degree,
-    which is a product with a +-0 part, and an elementary function of an
-    affine argument takes one term per part.  A product, quotient or
-    function of a constant whose constant term is not finite is formed on
-    operands padded to the order: its ``0 * inf`` terms then make the later
-    parts nan, as in a jet stored in full, so an overflow is refused
-    wherever such a jet would refuse it.
+    A jet stores its parts only up to its degree ``d``, which the expression fixes: 0 for a constant, 1 for
+    ``x``, the larger of two for a sum, their total (capped at the order) for a product, the numerator's for a
+    quotient by a constant, 0 for a function of a constant and the order for any other kernel output;
+    ``_lift_1d_array`` pads the result once.  So ``mul`` and ``conv`` skip every term with a part past its jet's
+    degree, and a kernel of an affine argument takes one term per part.  A product, quotient or function of a
+    constant whose constant term is not finite is formed on operands padded to the order, so its ``0 * inf``
+    terms make the later parts nan and an overflow is refused wherever a jet stored in full would refuse it.
 
-    Coefficient-major storage makes every kernel step one operation on
-    contiguous rows over all points.  ``conv`` is the one reduction over
-    parts.  Summed row by row it would round differently from ``np.sum``
-    over one point's contiguous complex terms, the order the printed digits
-    are pinned to, so it adds in that order, numpy's pairwise one for at
-    most 64 terms: four interleaved lanes combined as ``(l0 + l1) + (l2 +
-    l3)``, then the ``n % 4`` trailing terms in turn; fewer than four terms
-    are one sequential sum.  (A float64 ``np.sum`` would use eight lanes.)
-    Where three or more terms are within the degrees, the lanes run over
-    the whole window, the skipped terms as +0, so no term changes lane; one
-    or two terms need no lanes, since zeros move no bit of a value or of
-    the rounded sum of two.  Only the sign of an exact zero can differ.
+    Every kernel step is one operation on contiguous rows over all points.  ``conv`` adds in the order of
+    ``np.sum`` over one point's complex terms, the order the printed digits are pinned to: numpy's pairwise one
+    for at most 64 terms, four interleaved lanes combined as ``(l0 + l1) + (l2 + l3)``, then the ``n % 4``
+    trailing terms in turn; fewer than four terms are one sequential sum.  (A float64 ``np.sum`` would use eight
+    lanes.)  Where three or more terms are within the degrees, the lanes run over the whole window, the skipped
+    terms as +0, so no term changes lane; one or two terms need no lanes, since zeros move no bit of a value or
+    of the rounded sum of two.  Only the sign of an exact zero can differ.
     """
 
     neg = staticmethod(np.negative)
@@ -378,85 +351,175 @@ class _Dense(_Algebra):
         return out
 
 
-class _Part(dict):
-    """Part k of an n-D jet: each stored multi-index of degree k to its values."""
+class _Flat:
+    """Part k of an n-D jet: the ``rows`` it stores, sorted, of the ``(C(k+n-1, n-1), P)`` array of degree k in
+    graded-lex order, and their ``values``, ``(len(rows), P)``; an empty part has neither (``None``).  Every row
+    it does not store is +0.  The operations give what a map from the stored multi-indices to values would, signed
+    zeros included: a row that one operand of ``+`` or ``-`` stores alone keeps that operand's value (negated on
+    the right of ``-``), and a negation or a product touches the stored rows alone."""
 
+    __slots__ = ("values", "rows")
     __array_ufunc__ = None  # so ``array * part`` reaches ``__rmul__``
 
-    def __add__(self, other: _Part) -> _Part:
-        out = _Part(self)
-        for g, v in other.items():
-            cur = out.get(g)
-            out[g] = v if cur is None else cur + v
-        return out
+    def __init__(self, values: np.ndarray | None = None, rows: np.ndarray | None = None):
+        self.values, self.rows = values, rows
 
-    def __neg__(self) -> _Part:
-        return _Part({g: -v for g, v in self.items()})
+    def __neg__(self) -> _Flat:
+        return self if self.rows is None else _Flat(-self.values, self.rows)
 
-    def __sub__(self, other: _Part) -> _Part:
-        # x - y is x + (-y) bit for bit, signed zeros included, in one pass
-        out = _Part(self)
-        for g, v in other.items():
-            cur = out.get(g)
-            out[g] = -v if cur is None else cur - v
-        return out
+    def __rmul__(self, s) -> _Flat:
+        return self if self.rows is None else _Flat(s * self.values, self.rows)
 
-    def __rmul__(self, s) -> _Part:
-        return _Part({g: s * v for g, v in self.items()})
+    def __add__(self, other: _Flat) -> _Flat:
+        return self._join(other, np.add)
+
+    def __sub__(self, other: _Flat) -> _Flat:
+        return self._join(other, np.subtract)  # x - y is x + (-y) bit for bit, signed zeros included
+
+    def _join(self, other: _Flat, op) -> _Flat:
+        if other.rows is None or self.rows is None:
+            return self if other.rows is None else other if op is np.add else -other
+        mine, theirs = self.rows, other.rows
+        if mine is theirs or (len(mine) == len(theirs) and (mine == theirs).all()):
+            return _Flat(op(self.values, other.values), mine)
+        size = max(mine[-1], theirs[-1]) + 1
+        out, stored = np.full((size, self.values.shape[1]), -0.0), np.zeros(size, dtype=bool)
+        stored[mine] = stored[theirs] = True
+        # -0 + v is v and -0 - v is -v: a row one side stores alone takes that side's value
+        out[mine] = self.values
+        out[theirs] = op(out[theirs], other.values)
+        rows = np.flatnonzero(stored)
+        return _Flat(out[rows], rows)
+
+
+@lru_cache(maxsize=None)
+def _graded(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The multi-indices of ``n`` variables with ``|g| = degree`` in graded-lex order, the one order of n-D keys:
+    ``g_0`` from ``degree`` down, then the rest in that order."""
+    if n == 1:
+        return ((degree,),)
+    return tuple((first,) + rest for first in range(degree, -1, -1) for rest in _graded(n - 1, degree - first))
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, base: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """``(codes, ranks)`` for ``n`` variables and degrees below ``base``, read-only: ``codes[k][r] = sum_i s_i
+    base^(i-1)`` over the suffix sums ``s_i = g_i + ... + g_(n-1)``, ``i >= 1``, of row ``r`` of ``_graded(n, k)``.
+    No digit reaches ``base``, so the code of ``g + h`` is the sum of theirs.  ``ranks[code]`` is the row,
+    ``sum_i C(s_i + n - i - 1, n - i)``: for each ``i``, the multi-indices of the degree that tie with ``g``
+    before ``i - 1`` and are larger there."""
+    weights = base ** np.arange(n - 1)
+    codes = [np.cumsum(np.array(_graded(n, k))[:, ::-1], axis=1)[:, -2::-1] @ weights for k in range(base)]
+    digits, ranks = np.arange(base ** (n - 1)), np.zeros(base ** (n - 1), dtype=np.intp)
+    for i in range(1, n):
+        ranks += np.array([math.comb(s + n - i - 1, n - i) for s in range(base)])[digits // weights[i - 1] % base]
+    for a in (*codes, ranks):
+        a.flags.writeable = False
+    return codes, ranks
 
 
 class _Sparse(_Algebra):
-    """n-D jets: a list of K+1 parts over centers of shape ``(P, n)``.
+    """n-D jets: a list of K+1 flat parts (``_Flat``) over centers of shape ``(P, n)``.
 
-    Every jet has degree K; an empty part costs ``conv`` nothing.  Real
-    products commute, so ``rec * v`` has the bits of the complex ``v * rec``.
+    Every jet has degree K; an empty part costs the products nothing.  A product finds the row of each pair of
+    stored rows' sum of multi-indices through ``_layout`` and adds the pair's product there, in ``conv``'s order:
+    ``j``, then ``a``'s row, then ``b``'s row.  It runs in slices, one row of the side with fewer rows against the
+    rows of the other it meets, so a slice reaches no row twice; the pairs of one sum run over ``a``'s rows in one
+    order and ``b``'s in the other, so ``b``'s slices go from the last.  Sums start from -0, which keeps each first
+    term as a map's would.  Real products commute, so ``rec * v`` has the bits of the complex ``v * rec``.
     """
 
-    def const(self, c0, degree: int = 0) -> list[_Part]:
-        zero = (0,) * self.centers.shape[1]
-        first = _Part({zero: np.full(len(self.centers), c0, dtype=np.float64)})
-        return [first] + [_Part() for _ in range(self.order)]
+    def __init__(self, centers: np.ndarray, order: int):
+        super().__init__(centers, order)
+        self.codes, self.ranks = _layout(centers.shape[1], order + 1)
+        self.starts = np.cumsum([0] + [len(c) for c in self.codes])  # part k is rows starts[k]: of a whole jet
+        self.first = np.zeros(1, dtype=np.intp)  # the one row of part 0, shared so that sums of it match at once
 
-    def var(self, index: int) -> list[_Part]:
+    def const(self, c0, degree: int = 0) -> list[_Flat]:
+        first = _Flat(np.full((1, len(self.centers)), c0, dtype=np.float64), self.first)
+        return [first] + [_Flat() for _ in range(self.order)]
+
+    def var(self, index: int) -> list[_Flat]:
         out = self.const(self.centers[:, index])
         if self.order >= 1:
-            unit = tuple(int(i == index) for i in range(self.centers.shape[1]))
-            out[1] = _Part({unit: np.ones(len(self.centers))})
+            out[1] = _Flat(np.ones((1, len(self.centers))), np.array([index]))  # row i of degree 1 is e_i
         return out
 
-    def c0(self, u: list[_Part]) -> np.ndarray:
-        (values,) = u[0].values()  # part 0 holds only the zero multi-index
-        return values
+    def c0(self, u: list[_Flat]) -> np.ndarray:
+        return u[0].values[0]
 
-    def add(self, a: list[_Part], b: list[_Part]) -> list[_Part]:
+    def add(self, a: list[_Flat], b: list[_Flat]) -> list[_Flat]:
         return [x + y for x, y in zip(a, b)]
 
-    def neg(self, a: list[_Part]) -> list[_Part]:
+    def neg(self, a: list[_Flat]) -> list[_Flat]:
         return [-x for x in a]
 
-    def euler(self, u: list[_Part]) -> list[_Part]:
+    def euler(self, u: list[_Flat]) -> list[_Flat]:
         return [k * p for k, p in enumerate(u)]
 
-    def mul(self, a: list[_Part], b: list[_Part]) -> list[_Part]:
-        return [self.conv(k, a, b, 0, k) for k in range(self.order + 1)]
+    def _sums(self, size: int, slices) -> tuple[np.ndarray, np.ndarray]:
+        """The rows below ``size`` that ``slices`` of ``(rows, values)``, no row twice in one, reach, and their sums."""
+        acc, stored = np.full((size, len(self.centers)), -0.0), np.zeros(size, dtype=bool)
+        for rows, values in slices:
+            acc[rows] += values
+            stored[rows] = True
+        rows = np.flatnonzero(stored)
+        return rows, acc[rows]
 
-    def conv(self, k: int, a: list[_Part], b: list[_Part], lo: int, hi: int) -> _Part:
-        out = _Part()
-        for j in range(lo, hi + 1):
-            for ga, va in a[j].items():
-                for gb, vb in b[k - j].items():
-                    g = tuple(map(operator.add, ga, gb))
-                    cur = out.get(g)
-                    out[g] = va * vb if cur is None else cur + va * vb
-        return out
+    def conv(self, k: int, a: list[_Flat], b: list[_Flat], lo: int, hi: int) -> _Flat:
+        terms = [
+            (x.values, self.codes[j][x.rows], y.values, self.codes[k - j][y.rows])
+            for j in range(lo, hi + 1)
+            if (x := a[j]).rows is not None and (y := b[k - j]).rows is not None
+        ]
+        if len(terms) == 1 and 1 in (len(terms[0][1]), len(terms[0][3])):
+            x, cx, y, cy = terms[0]
+            return _Flat(x * y, self.ranks[cx + cy])  # a shift keeps the rows in order
+        slices = (
+            (self.ranks[cx[i] + cy], x[i] * y) if len(cx) <= len(cy) else (self.ranks[cx + cy[i]], x * y[i])
+            for x, cx, y, cy in terms
+            for i in (range(len(cx)) if len(cx) <= len(cy) else range(len(cy) - 1, -1, -1))
+        )
+        return _Flat(*self._sums(len(self.codes[k]), slices)[::-1]) if terms else _Flat()
+
+    def _stack(self, u: list[_Flat]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The codes, values and degrees of the stored rows of ``u``, in increasing degree."""
+        parts = [(k, p) for k, p in enumerate(u) if p.rows is not None]
+        codes = np.concatenate([self.codes[k][p.rows] for k, p in parts])
+        return codes, np.concatenate([p.values for _, p in parts]), [k for k, p in parts for _ in p.rows]
+
+    def mul(self, a: list[_Flat], b: list[_Flat]) -> list[_Flat]:
+        if all(p.rows is None for p in a[1:]):  # a constant scales every part
+            return [a[0].values[0] * p for p in b]
+        if all(p.rows is None for p in b[2:]):  # each part is one term of conv, then a scaling, in conv's order
+            b0 = b[0].values[0]
+            return [b0 * a[0]] + [self.conv(k, a, b, k - 1, k - 1) + b0 * a[k] for k in range(1, len(a))]
+        (ca, A, da), (cb, B, db) = self._stack(a), self._stack(b)
+        top = min(self.order, da[-1] + db[-1])
+        # the rows of a and of b in increasing degree: a row of degree i meets the leading rows up to degree top - i
+        if len(A) <= len(B):
+            degrees = np.array(db)
+            slices = (
+                (self.starts[i + degrees[:n]] + self.ranks[ca[r] + cb[:n]], A[r] * B[:n])
+                for r, i in enumerate(da)
+                for n in [bisect_right(db, top - i)]
+            )
+        else:
+            degrees = np.array(da)
+            slices = (
+                (self.starts[degrees[:n] + d] + self.ranks[ca[:n] + cb[r]], A[:n] * B[r])
+                for r, d in reversed(list(enumerate(db)))
+                for n in [bisect_right(da, top - d)]
+            )
+        rows, values = self._sums(int(self.starts[top + 1]), slices)
+        ends = np.searchsorted(rows, self.starts[1 : top + 2]).tolist()
+        out = [_Flat(values[lo:hi], rows[lo:hi] - start) for lo, hi, start in zip([0, *ends], ends, self.starts)]
+        return [p if len(p.rows) else _Flat() for p in out] + [_Flat() for _ in range(self.order - top)]
 
 
 def _lift_1d_array(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
-    """Lift at every real center in ``centers``; returns shape ``centers.shape + (order+1,)``.
-
-    The result is a view of the coefficient-major jet, padded with zeros
-    past its degree.
-    """
+    """Lift at every real center in ``centers``: shape ``centers.shape + (order+1,)``, a view of the
+    coefficient-major jet padded with zeros past its degree."""
     jet = _Dense(centers, order).walk(ast.root)
     if len(jet) <= order:
         jet = np.concatenate((jet, np.zeros((order + 1 - len(jet),) + centers.shape)))
@@ -464,13 +527,24 @@ def _lift_1d_array(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
 
 
 def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> dict:
-    """Lift at a batch of centers, shape (P, n); values in the dict are float64, shape (P,).
+    """Lift at a batch of centers, shape (P, n): the multi-indices some term of the expression reaches, in
+    graded-lex order, to float64 values of shape (P,); an absent key is zero."""
+    n, out = centers.shape[1], {}
+    for k, part in enumerate(_Sparse(centers, order).walk(ast.root)):
+        if part.rows is not None:
+            out.update(zip(map(_graded(n, k).__getitem__, part.rows.tolist()), part.values))
+    return out
 
-    Keys are the multi-indices some term of the expression reaches; an
-    absent key is zero.
-    """
-    parts = _Sparse(centers, order).walk(ast.root)
-    return {g: v for part in parts for g, v in part.items()}
+
+def _lift_nd_graded(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
+    """Lift at a batch of centers, shape (P, n): row ``r`` of the ``(C(order + n, n), P)`` result holds the
+    ``r``-th multi-index of ``|g| <= order`` in graded-lex order, +0 where no term of the expression reaches it."""
+    sparse = _Sparse(centers, order)
+    out = np.zeros((sparse.starts[-1], len(centers)))
+    for part, start in zip(sparse.walk(ast.root), sparse.starts):
+        if part.rows is not None:
+            out[start + part.rows] = part.values
+    return out
 
 
 # ---- public surface --------------------------------------------------------
@@ -482,28 +556,9 @@ def _validate_order(order: int) -> None:
 
 
 def lift(ast: ExprAst, center: Sequence[float] | float, order: int) -> Jet1D | JetND:
-    """Jet of the expression about a real center.
-
-    Parameters
-    ----------
-    ast : ExprAst
-        Parsed expression.
-    center : float or sequence of float
-        Expansion point; length must equal ``ast.dims``.
-    order : int
-        Truncation order ``K``, ``0 <= K <= 64``.
-
-    Returns
-    -------
-    Jet1D when ``ast.dims == 1``, otherwise JetND.
-
-    Raises
-    ------
-    DomainError
-        If any intermediate constant term leaves an elementary function's
-        domain (division by zero, log/sqrt at zero or on the negative real
-        axis).
-    """
+    """Jet of order ``0 <= order <= 64`` of the expression about a real ``center`` of ``ast.dims`` coordinates:
+    a Jet1D in one variable, else a JetND.  Raises DomainError if an intermediate constant term leaves an
+    elementary function's domain (division by zero, log/sqrt at zero or on the negative real axis)."""
     _validate_order(order)
     if ast.dims == 1:
         x0 = _scalar_center(center)

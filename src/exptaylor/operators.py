@@ -4,21 +4,17 @@ For nonzero complex ``lam`` the cascade starts at the identity and steps by
 
     next = (1/lam) * d/dx (current) - j * (current)        (j = 0, 1, ...)
 
-so stage ``j`` applied to ``exp(m*lam*x)`` multiplies it by the falling
-factorial ``m (m-1) ... (m-j+1)``; stages beyond ``m`` annihilate it.  The
-same operator expands over plain derivatives with signed first-kind
-Stirling numbers:
+so stage ``j`` multiplies ``exp(m*lam*x)`` by ``m (m-1) ... (m-j+1)``.  Over
+plain derivatives, with signed first-kind Stirling numbers:
 
     stage N  =  sum_{m=1..N} s(N, m) * lam^(-m) * d^m/dx^m     (N >= 1)
 
-which is one lower-triangular matrix, ``stirling.stage_matrix``, applied
-to the jet scaled by ``lam^(-m)``.  In n dimensions the cascade factorizes
-per axis, so the matrix is applied along each axis.  Every command stages
-through the matrix: ``stage_tensor`` gives every stage at one point in 1 to
-4 variables, and ``stirling_rows`` (1-D) and ``stage_rows`` (n-D) give
-chosen stages over a batch of points.  The recursion, ``cascade_values``,
-runs in no command; the test suite holds the matrix to it as the
-cross-check of the two forms.
+one lower-triangular matrix, ``stirling.stage_matrix``, applied to the jet
+scaled by ``lam^(-m)``, and along each axis in n dimensions.  Every command
+stages through it: ``stage_tensor`` gives every stage at one point in 1 to 4
+variables, ``stirling_rows`` (1-D) and ``stage_rows`` (n-D) chosen stages
+over a batch.  The recursion, ``cascade_values``, runs in no command; the
+tests hold the matrix to it as the cross-check of the two forms.
 """
 
 from __future__ import annotations
@@ -48,19 +44,12 @@ def _inverse_powers(lam: complex, k: int) -> np.ndarray:
 
 
 def cascade_values(coeffs: np.ndarray, lam: complex, count: int) -> np.ndarray:
-    """Stage values 0..count from normalized jet coefficients, batched.
-
-    ``coeffs[..., j]`` is ``f^(j)(x)/j!``; the last axis must have length
-    at least ``count + 1``.  Returns an array of shape ``(..., count+1)``
-    whose entry ``[..., j]`` is the stage-``j`` cascade value at the jet's
-    center.  This is the recursion path: each step differentiates the
-    running jet (dropping one order) and subtracts ``j`` times it.  The steps
-    run coefficient-major and the result is a view of that array.
-
-    The stages are real when the coefficients are and ``1/lam`` has a zero
-    imaginary part, and complex otherwise; a real stage has the bits of the
-    complex one's real part, up to the sign of an exact zero.
-    """
+    """Stage values 0..count from normalized jet coefficients ``coeffs[..., j] = f^(j)(x)/j!``, batched; the last
+    axis must have length at least ``count + 1``, and entry ``[..., j]`` of the result is the stage-``j`` value.
+    This is the recursion path: each step differentiates the running jet (dropping one order) and subtracts ``j``
+    times it, coefficient-major, and the result is a view of that array.  The stages are real when the
+    coefficients are and ``1/lam`` has a zero imaginary part, with the bits of the complex ones' real parts up to
+    the sign of an exact zero."""
     inv = 1.0 / _check_lam(lam)
     inv = inv.real if inv.imag == 0 else inv
     L = coeffs.shape[-1]
@@ -136,16 +125,12 @@ def stage_tensor(coeffs: np.ndarray, lam: complex) -> np.ndarray:
 
 
 def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) -> np.ndarray:
-    """Cascade values for the multi-indices ``gammas`` over a batch of points.
+    """Cascade values, shape ``(len(gammas), P)``, for the multi-indices ``gammas`` over a batch of points.
 
-    ``arrays`` maps multi-indices to normalized jet coefficients, each of
-    shape ``(P,)``, as the batched n-D lift returns them; it must hold every
-    ``m`` with ``|m| <= max |g|`` that is nonzero.  The stored coefficients
-    are scaled by ``lam^(-|m|)`` and multiplied by the row weights
-    ``W[g, m] = prod_i S[g_i, m_i]``: the result has shape
-    ``(len(gammas), P)`` and its row ``r`` holds stage ``gammas[r]``.  The
-    caller bounds ``P`` (``seriesnd.POINT_CHUNK``), since the scaled copy
-    holds every stored coefficient of every point.
+    ``arrays`` maps multi-indices to normalized jet coefficients of shape ``(P,)``, in graded-lex order as the
+    batched n-D lift returns them, and holds every nonzero ``m`` with ``|m| <= max |g|``.  They are scaled by
+    ``lam^(-|m|)`` and multiplied by the row weights ``W[g, m] = prod_i S[g_i, m_i]``.  The caller bounds ``P``
+    (``seriesnd.POINT_CHUNK``), since the scaled copy holds every stored coefficient of every point.
     """
     lam = _check_lam(lam)
     top = max(sum(g) for g in gammas)
@@ -153,9 +138,10 @@ def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) ->
     S = stage_matrix(top)
     G = np.array(gammas, dtype=np.intp).reshape(len(gammas), -1)
     M = np.array(keys, dtype=np.intp).reshape(len(keys), G.shape[1])
-    W = np.ones((len(gammas), len(keys)))
-    for axis in range(G.shape[1]):
-        W *= S[G[:, axis, None], M[None, :, axis]]
+    # one row gather and one column gather per axis: a 2-D fancy index costs more than both
+    W = S[G[:, 0]][:, M[:, 0]]
+    for axis in range(1, G.shape[1]):
+        W *= S[G[:, axis]][:, M[:, axis]]
     scale = _inverse_powers(lam, top)[M.sum(axis=1)]
     values = np.array([arrays[m] for m in keys], dtype=np.complex128)
     values *= scale[:, None]

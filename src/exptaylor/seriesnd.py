@@ -1,10 +1,9 @@
 """Exponential Taylor expansions in several variables.
 
-Multi-indices are ordered graded-lexicographically: by total degree, and
-within a degree with earlier axes dominant, so for two variables the order
-starts (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).  The expansion about a
-center ``c`` sums ``coeff[g] * prod_i w_i^g_i`` with per-axis factors
-``w_i = exp(lam (x_i - c_i)) - 1``.
+Multi-indices are ordered graded-lexicographically (``jet._graded``): by total
+degree, and within a degree with earlier axes dominant, so for two variables
+(0,0), (1,0), (0,1), (2,0), (1,1), (0,2).  The expansion about ``c`` sums
+``coeff[g] * prod_i w_i^g_i`` with ``w_i = exp(lam (x_i - c_i)) - 1``.
 
 The remainder after total degree ``N`` is an exact integral along the
 segment ``xi(t) = c + t (x - c)``, as in one variable:
@@ -26,13 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .expr import ExprAst
-from .jet import _lift_nd_arrays, lift_nd
+from .jet import _graded, _lift_nd_arrays, _lift_nd_graded
 from .operators import _check_lam, stage_rows, stage_tensor
 from .series1d import RemainderEstimate, _quad_rule, _times_power, _zero_times, epsilon_sup, expm1, horner
 
@@ -46,25 +45,13 @@ POINT_CHUNK = 1024
 # ---- multi-indices ---------------------------------------------------------
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
-    """All multi-indices with ``|g| < order`` in graded-lex order.
-
-    The list has ``comb(order - 1 + n, n)`` entries.
-    """
+    """All ``comb(order - 1 + n, n)`` multi-indices with ``|g| < order`` in graded-lex order."""
     if not isinstance(n, int) or n < 1:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if not isinstance(order, int) or order < 1:
         raise ValidationError(f"order must be a positive integer, got {order!r}")
-    return [g for d in range(order) for g in _compositions(d, n)]
+    return [g for d in range(order) for g in _graded(n, d)]
 
 
 def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -73,26 +60,18 @@ def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if not isinstance(degree, int) or degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree!r}")
-    return list(_compositions(degree, n))
+    return list(_graded(n, degree))
 
 
 def multi_index_factorial(gamma: Sequence[int]) -> int:
     """``g! = prod_i g_i!``."""
-    out = 1
-    for g in gamma:
-        out *= math.factorial(g)
-    return out
+    return math.prod(map(math.factorial, gamma))
 
 
 @lru_cache(maxsize=None)
 def _expansion_table(n: int, order: int) -> tuple:
-    """``(keys, index, factorials)`` for ``multi_indices(n, order)``; read-only.
-
-    ``keys`` is a tuple of the multi-indices, ``index`` a tuple of one
-    index array per axis, so ``stages[index]`` lists the stages in key
-    order, and ``factorials`` holds ``g!`` as float64, exact below 2^53
-    (``|g| <= 15`` gives at most 15!).
-    """
+    """``(keys, index, factorials)`` for ``multi_indices(n, order)``, read-only: ``stages[index]`` lists the
+    stages in key order, and ``g!`` is exact in float64 (``|g| <= 15`` gives at most 15!)."""
     keys = tuple(multi_indices(n, order))
     index = tuple(np.array(keys, dtype=np.intp).T)
     factorials = np.array([multi_index_factorial(g) for g in keys], dtype=np.float64)
@@ -132,34 +111,23 @@ def _check_nd_order(order: int) -> None:
 
 
 def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order: int) -> ExpansionND:
-    """Expansion coefficients for all ``|g| < order`` about ``center``.
-
-    Parameters
-    ----------
-    ast : ExprAst
-        Expression in ``n`` variables.
-    n : int
-        Number of variables, ``1 <= n <= 4`` (checked against the AST).
-    lam : complex
-        Nonzero scale shared by every axis.
-    center : sequence of float
-        Real expansion center of length ``n``.
-    order : int
-        Total-degree truncation, ``1 <= order <= 16``.
-    """
+    """Expansion coefficients for all ``|g| < order`` (``1 <= order <= 16``) about the real ``center`` of an
+    expression in ``1 <= n <= 4`` variables (checked against the AST), with the nonzero ``lam`` of every axis."""
     lam = _check_nd_args(ast, n, lam)
     _check_nd_order(order)
     pts = tuple(float(c) for c in center)
     if len(pts) != n:
         raise ValidationError(f"center has {len(pts)} coordinates, need {n}")
     keys, index, factorials = _expansion_table(n, order)
+    dense = np.zeros((order,) * n, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        # the jet's degree is order - 1, so every stage of |g| < order reads stored coefficients alone;
+        # the jet's degree is order - 1, so every stage of |g| < order reads stored coefficients alone
+        dense[index] = _lift_nd_graded(ast, np.array([pts]), order - 1)[:, 0]  # its rows run in the keys' order
         # one complex division by g! + 0j per key, as the per-key quotient rounds
-        values = stage_tensor(_dense(lift_nd(ast, pts, order - 1).coeffs, order, n), lam)[index] / factorials
+        values = stage_tensor(dense, lam)[index] / factorials
     if not np.all(np.isfinite(values)):
         raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
-    return ExpansionND(lam=lam, center=pts, order=order, coeffs=dict(zip(keys, values)))
+    return ExpansionND(lam=lam, center=pts, order=order, coeffs=dict(zip(keys, values.tolist())))
 
 
 def _dense(coeffs: dict, order: int, dims: int) -> np.ndarray:
@@ -193,21 +161,12 @@ def remainder_bound_nd(
     order: int,
     grid: int = 33,
 ) -> RemainderEstimate:
-    """Remainder quadrature plus tight and loose upper bounds after total degree ``order``.
-
-    With ``d = x - c``, ``xi(t) = c + t d`` and ``E_j(t) = exp(lam (1-t) d_j) - 1``,
-    the remainder is ``lam * integral_0^1 I(t) dt`` with
-    ``I(t) = sum over |g| = N-1 of prod_j E_j^g_j / g! * sum_k d_k stage_{g+e_k}(xi(t))``,
-    the stages of degree ``N = order``.  The segment is lifted at ``grid``
-    equally spaced ``t`` and at the 64 Gauss-Legendre nodes, ``POINT_CHUNK``
-    points per lift, and staged once by ``stage_rows``.  ``integral_value``
-    is ``lam`` times the Gauss sum of ``I``, ``bound_tight`` the sampled
-    ``|lam| max |I|``, and ``bound_loose``
-    ``|lam| h eps(lam, h)^(N-1) sum over |g| = N of N/g! sup |stage_g|``
-    with ``h = max |d_k|`` and the sup sampled on the segment.  At ``n = 1``
-    these are the 1-D formulas.  A zero stage times an overflowed power of
-    ``E`` is 0; a bound or integral that is not finite raises ``DomainError``.
-    """
+    """Remainder quadrature plus tight and loose upper bounds after total degree ``N = order``, as in the module
+    docstring with ``I(t)`` the integrand: the segment is lifted at ``grid`` equally spaced ``t`` and at the 64
+    Gauss-Legendre nodes, ``POINT_CHUNK`` points per lift, and staged by ``stage_rows``.  ``integral_value`` is
+    ``lam`` times the Gauss sum of ``I``, ``bound_tight`` the sampled ``|lam| max |I|``, and ``bound_loose`` the
+    loose bound with the sup sampled on the segment; at ``n = 1`` these are the 1-D formulas.  A zero stage times
+    an overflowed power of ``E`` is 0; a bound or integral that is not finite raises ``DomainError``."""
     lam = _check_nd_args(ast, n, lam)
     _check_nd_order(order)
     c = np.array([float(v) for v in center])

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from exptaylor import series1d, seriesnd
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Var, int_exponent, parse
-from exptaylor.jet import Jet1D, _Dense, _lift_1d_array, _lift_nd_arrays, _Part, lift, lift_nd
+from exptaylor.jet import (
+    Jet1D, _Dense, _Flat, _graded, _layout, _lift_1d_array, _lift_nd_arrays, _Sparse, lift, lift_nd,
+)
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import expand_1d, growth_diagnostic, radius_estimate, remainder_bound
 from exptaylor.seriesnd import remainder_bound_nd
@@ -217,16 +219,107 @@ def test_nd_zero_power():
 
 
 def test_part_subtraction_is_addition_of_the_negation():
-    # the fused a - b must keep the bits of a + -b, signed zeros included
-    vals = np.array([complex(re, im) for re in (0.0, -0.0, 1.5) for im in (0.0, -0.0, -2.0)])
+    # the fused a - b must keep the bits of a + -b, signed zeros included, on shared rows and on rows one side
+    # stores alone; degree 2 in two variables has the rows (2,0), (1,1), (0,2)
+    vals = np.array([0.0, -0.0, 1.5, -2.0])
     x, y = np.repeat(vals, len(vals)), np.tile(vals, len(vals))  # every pair of values
-    a = _Part({(1, 0): x, (0, 1): y})
-    b = _Part({(1, 0): y, (2, 0): x})
-    for x, y in ((a, b), (b, a), (a, a), (_Part(), b)):
+    a = _Flat(np.array([x, y]), np.array([0, 1]))
+    b = _Flat(np.array([y, x]), np.array([0, 2]))
+    for x, y in ((a, b), (b, a), (a, a), (_Flat(), b)):
         fused, negated = x - y, x + -y
-        assert fused.keys() == negated.keys()
-        for g in fused:
-            assert np.array_equal(fused[g].view(np.uint64), negated[g].view(np.uint64)), g
+        assert np.array_equal(fused.rows, negated.rows)
+        assert np.array_equal(fused.values.view(np.uint64), negated.values.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_and_key_round_trip(n):
+    # the part layout's keys are multi_indices_of_degree's, and _layout ranks each one back to its row
+    codes, ranks = _layout(n, 17)
+    for degree in range(17):
+        keys = seriesnd.multi_indices_of_degree(n, degree)
+        assert list(_graded(n, degree)) == keys
+        for row, g in enumerate(keys):
+            suffix = [sum(g[i:]) for i in range(1, n)]
+            assert codes[degree][row] == sum(s * 17**i for i, s in enumerate(suffix))
+            assert ranks[codes[degree][row]] == row
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.25, 1e300, 5e-324]
+
+
+def same_bits(a, b):
+    """Bit for bit, but any nan equals any nan: no output shows a nan's sign or payload."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and bool(np.all((bits(a) == bits(b)) | (np.isnan(a) & np.isnan(b))))
+
+
+@st.composite
+def flat_jets(draw):
+    """Two n-D jets of random sparse parts, part 0 always stored, and values that include +-0, +-inf and nan."""
+    n, K, P = draw(st.integers(2, 4)), draw(st.integers(1, 4)), draw(st.sampled_from([1, 3]))
+    finite = st.floats(-4.0, 4.0, allow_subnormal=False)  # so that sums of three or more round by their order
+    value = st.one_of(finite, finite, finite, st.sampled_from(SPECIAL))
+    jets = []
+    for _ in range(2):
+        jet = []
+        for k in range(K + 1):
+            size = math.comb(k + n - 1, n - 1)
+            rows = sorted(draw(st.sets(st.integers(0, size - 1), min_size=int(k == 0), max_size=size)))
+            values = draw(st.lists(value, min_size=len(rows) * P, max_size=len(rows) * P))
+            values = np.array(values, dtype=np.float64).reshape(len(rows), P)
+            jet.append(_Flat(values, np.array(rows, dtype=np.intp)) if rows else _Flat())
+        jets.append(jet)
+    scale = draw(st.sampled_from(SPECIAL + ["points"]))
+    scale = np.array(draw(st.lists(value, min_size=P, max_size=P))) if scale == "points" else scale
+    return n, K, P, jets, scale
+
+
+def as_map(part, n, k):
+    """A flat part as the map from its stored multi-indices to values that parts used to be."""
+    return {} if part.rows is None else {_graded(n, k)[r]: v for r, v in zip(part.rows.tolist(), part.values)}
+
+
+def map_conv(k, a, b, lo, hi):
+    """The map-based sum: j, then a's keys in graded-lex order, then b's; each key's sum from its first term."""
+    out = {}
+    for j in range(lo, hi + 1):
+        for ga, va in sorted(a[j].items(), reverse=True):
+            for gb, vb in sorted(b[k - j].items(), reverse=True):
+                g = tuple(map(operator.add, ga, gb))
+                out[g] = va * vb if g not in out else out[g] + va * vb
+    return out
+
+
+def assert_part_is(part, want, n, k):
+    got = as_map(part, n, k)
+    assert list(got) == sorted(want, reverse=True), (k, list(got), list(want))
+    for g, v in want.items():
+        assert same_bits(got[g], v), (k, g, got[g], v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=flat_jets())
+def test_flat_parts_match_the_map_algebra(case):
+    n, K, P, (a, b), scale = case
+    sparse = _Sparse(np.zeros((P, n)), K)
+    maps = [[as_map(p, n, k) for k, p in enumerate(jet)] for jet in (a, b)]
+    with np.errstate(all="ignore"):
+        for k in range(K + 1):
+            x, y = maps[0][k], maps[1][k]
+            assert_part_is(a[k] + b[k], {**x, **{g: x[g] + v if g in x else v for g, v in y.items()}}, n, k)
+            assert_part_is(a[k] - b[k], {**x, **{g: x[g] - v if g in x else -v for g, v in y.items()}}, n, k)
+            # a scaled part keeps its rows: an unstored row stays +0, so no 0 * inf reaches a later sum
+            scaled = scale * a[k]
+            assert_part_is(scaled, {g: scale * v for g, v in x.items()}, n, k)
+            dense = np.zeros((math.comb(k + n - 1, n - 1), P))
+            if scaled.rows is not None:
+                dense[scaled.rows] = scaled.values
+            unstored = np.setdiff1d(np.arange(len(dense)), [] if a[k].rows is None else a[k].rows)
+            assert np.all(bits(dense[unstored]) == 0)
+            for lo, hi in ((0, k), (1, k), (0, k - 1)):
+                assert_part_is(sparse.conv(k, a, b, lo, hi), map_conv(k, *maps, lo, hi), n, k)
+        for k, part in enumerate(sparse.mul(a, b)):
+            assert_part_is(part, map_conv(k, *maps, 0, k), n, k)
 
 
 def test_nd_jet_separable_product():
@@ -1107,7 +1200,7 @@ class ComplexSparse(ComplexKernels):
     def conv(self, k, a, b, lo, hi):
         out = ComplexPart()
         for j in range(lo, hi + 1):
-            for ga, va in a[j].items():
+            for ga, va in graded(a[j]):
                 for gb, vb in b[k - j].items():
                     g = tuple(map(operator.add, ga, gb))
                     cur = out.get(g)
@@ -1115,8 +1208,13 @@ class ComplexSparse(ComplexKernels):
         return out
 
 
+def graded(part):
+    """A part's items in graded-lex order, which within a degree is descending lexicographic order."""
+    return sorted(part.items(), reverse=True)
+
+
 def complex_lift(ast, centers, order):
-    return {g: v for part in ComplexSparse(centers, order).walk(ast.root) for g, v in part.items()}
+    return {g: v for part in ComplexSparse(centers, order).walk(ast.root) for g, v in graded(part)}
 
 
 # (expression, dims, top order): the dense 3-D and 4-D quotients stop early,
