@@ -33,6 +33,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -393,46 +394,53 @@ class _Flat:
 
 
 @lru_cache(maxsize=None)
-def _graded(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """The multi-indices of ``n`` variables with ``|g| = degree`` in graded-lex order, the one order of n-D keys:
-    ``g_0`` from ``degree`` down, then the rest in that order."""
-    if n == 1:
-        return ((degree,),)
-    return tuple((first,) + rest for first in range(degree, -1, -1) for rest in _graded(n - 1, degree - first))
-
-
-@lru_cache(maxsize=None)
-def _layout(n: int, base: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """``(codes, ranks)`` for ``n`` variables and degrees below ``base``, read-only: ``codes[k][r] = sum_i s_i
-    base^(i-1)`` over the suffix sums ``s_i = g_i + ... + g_(n-1)``, ``i >= 1``, of row ``r`` of ``_graded(n, k)``.
-    No digit reaches ``base``, so the code of ``g + h`` is the sum of theirs.  ``ranks[code]`` is the row,
-    ``sum_i C(s_i + n - i - 1, n - i)``: for each ``i``, the multi-indices of the degree that tie with ``g``
-    before ``i - 1`` and are larger there."""
-    weights = base ** np.arange(n - 1)
-    codes = [np.cumsum(np.array(_graded(n, k))[:, ::-1], axis=1)[:, -2::-1] @ weights for k in range(base)]
-    digits, ranks = np.arange(base ** (n - 1)), np.zeros(base ** (n - 1), dtype=np.intp)
-    for i in range(1, n):
-        ranks += np.array([math.comb(s + n - i - 1, n - i) for s in range(base)])[digits // weights[i - 1] % base]
-    for a in (*codes, ranks):
+def _layout(n: int, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sums, starts)`` for ``n`` variables and degrees below ``base``, read-only.  Row ``r`` of degree ``k`` is the
+    ``r``-th multi-index of ``|g| = k`` in graded-lex order, the one order of n-D keys (``g_0`` from ``k`` down,
+    then the rest in that order), and row ``starts[k] + r`` of all degrees below ``base``.  ``sums[r]`` holds its
+    suffix sums ``s_i = g_i + ... + g_(n-1)``, ``1 <= i < n``.  They do not read ``g_0``, so those of degree ``k``
+    are the first ``C(k+n-1, n-1)`` rows of one array: those of degree ``k - 1``, then those with ``s_1 = k``."""
+    sums = np.zeros((1, 0), dtype=np.intp)
+    for m in range(1, n):  # the suffix sums of the last m variables, from those of the last m - 1
+        counts = [math.comb(d + m - 1, m - 1) for d in range(base)]  # s_1 = d, then the first counts[d] rows
+        firsts = np.repeat([math.comb(d + m - 1, m) for d in range(base)], counts)  # the row where s_1 = d starts
+        tails = sums[np.arange(len(firsts)) - firsts]
+        sums = np.empty((len(firsts), m), dtype=np.intp)
+        sums[:, 0], sums[:, 1:] = np.repeat(np.arange(base), counts), tails
+    starts = np.array([math.comb(k + n - 1, n) for k in range(base + 1)])
+    for a in (sums, starts):
         a.flags.writeable = False
-    return codes, ranks
+    return sums, starts
+
+
+def _keys(n: int, base: int, rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The multi-indices of the rows ``rows`` of all degrees below ``base`` (``_layout``)."""
+    sums, starts = _layout(n, base)
+    degrees = np.searchsorted(starts, rows, side="right") - 1
+    full = np.zeros((len(rows), n + 1), dtype=np.intp)  # s_0 = |g|, then s_1 .. s_(n-1), then s_n = 0
+    full[:, 0], full[:, 1:n] = degrees, sums[rows - starts[degrees]]
+    return list(map(tuple, (full[:, :-1] - full[:, 1:]).tolist()))
 
 
 class _Sparse(_Algebra):
     """n-D jets: a list of K+1 flat parts (``_Flat``) over centers of shape ``(P, n)``.
 
     Every jet has degree K; an empty part costs the products nothing.  A product finds the row of each pair of
-    stored rows' sum of multi-indices through ``_layout`` and adds the pair's product there, in ``conv``'s order:
-    ``j``, then ``a``'s row, then ``b``'s row.  It runs in slices, one row of the side with fewer rows against the
-    rows of the other it meets, so a slice reaches no row twice; the pairs of one sum run over ``a``'s rows in one
-    order and ``b``'s in the other, so ``b``'s slices go from the last.  Sums start from -0, which keeps each first
-    term as a map's would.  Real products commute, so ``rec * v`` has the bits of the complex ``v * rec``.
+    stored rows' sum of multi-indices as the rank of the sum of their codes, and adds the pair's product there, in
+    ``conv``'s order: ``j``, then ``a``'s row, then ``b``'s row.  It runs in slices, one row of the side with fewer
+    rows against the rows of the other it meets, so a slice reaches no row twice; the pairs of one sum run over
+    ``a``'s rows in one order and ``b``'s in the other, so ``b``'s slices go from the last.  Sums start from -0,
+    which keeps each first term as a map's would.  Real products commute, so ``rec * v`` has the bits of the
+    complex ``v * rec``.
     """
 
     def __init__(self, centers: np.ndarray, order: int):
         super().__init__(centers, order)
-        self.codes, self.ranks = _layout(centers.shape[1], order + 1)
-        self.starts = np.cumsum([0] + [len(c) for c in self.codes])  # part k is rows starts[k]: of a whole jet
+        sums, self.starts = _layout(centers.shape[1], order + 1)
+        # codes sum_i s_i (K+1)^(i-1) add when multi-indices add, as no digit reaches K+1; ranks[code] is the row
+        self.codes = sums @ (order + 1) ** np.arange(sums.shape[1])
+        self.ranks = np.zeros((order + 1) ** sums.shape[1], dtype=np.intp)
+        self.ranks[self.codes] = np.arange(len(sums))
         self.first = np.zeros(1, dtype=np.intp)  # the one row of part 0, shared so that sums of it match at once
 
     def const(self, c0, degree: int = 0) -> list[_Flat]:
@@ -458,9 +466,14 @@ class _Sparse(_Algebra):
         return [k * p for k, p in enumerate(u)]
 
     def _sums(self, size: int, slices) -> tuple[np.ndarray, np.ndarray]:
-        """The rows below ``size`` that ``slices`` of ``(rows, values)``, no row twice in one, reach, and their sums."""
+        """The rows below ``size`` that ``slices`` of ``(rows, values)`` reach, and their sums.  A slice reaches no
+        row twice, in increasing order, so one slice is its own sum: ``-0 + v`` is ``v``."""
+        slices = iter(slices)
+        first, second = next(slices), next(slices, None)
+        if second is None:
+            return first
         acc, stored = np.full((size, len(self.centers)), -0.0), np.zeros(size, dtype=bool)
-        for rows, values in slices:
+        for rows, values in chain((first, second), slices):
             acc[rows] += values
             stored[rows] = True
         rows = np.flatnonzero(stored)
@@ -468,32 +481,24 @@ class _Sparse(_Algebra):
 
     def conv(self, k: int, a: list[_Flat], b: list[_Flat], lo: int, hi: int) -> _Flat:
         terms = [
-            (x.values, self.codes[j][x.rows], y.values, self.codes[k - j][y.rows])
+            (x.values, self.codes[x.rows], y.values, self.codes[y.rows])
             for j in range(lo, hi + 1)
             if (x := a[j]).rows is not None and (y := b[k - j]).rows is not None
         ]
-        if len(terms) == 1 and 1 in (len(terms[0][1]), len(terms[0][3])):
-            x, cx, y, cy = terms[0]
-            return _Flat(x * y, self.ranks[cx + cy])  # a shift keeps the rows in order
         slices = (
             (self.ranks[cx[i] + cy], x[i] * y) if len(cx) <= len(cy) else (self.ranks[cx + cy[i]], x * y[i])
             for x, cx, y, cy in terms
             for i in (range(len(cx)) if len(cx) <= len(cy) else range(len(cy) - 1, -1, -1))
         )
-        return _Flat(*self._sums(len(self.codes[k]), slices)[::-1]) if terms else _Flat()
+        return _Flat(*self._sums(self.starts[k + 1] - self.starts[k], slices)[::-1]) if terms else _Flat()
 
     def _stack(self, u: list[_Flat]) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """The codes, values and degrees of the stored rows of ``u``, in increasing degree."""
         parts = [(k, p) for k, p in enumerate(u) if p.rows is not None]
-        codes = np.concatenate([self.codes[k][p.rows] for k, p in parts])
+        codes = np.concatenate([self.codes[p.rows] for _, p in parts])
         return codes, np.concatenate([p.values for _, p in parts]), [k for k, p in parts for _ in p.rows]
 
     def mul(self, a: list[_Flat], b: list[_Flat]) -> list[_Flat]:
-        if all(p.rows is None for p in a[1:]):  # a constant scales every part
-            return [a[0].values[0] * p for p in b]
-        if all(p.rows is None for p in b[2:]):  # each part is one term of conv, then a scaling, in conv's order
-            b0 = b[0].values[0]
-            return [b0 * a[0]] + [self.conv(k, a, b, k - 1, k - 1) + b0 * a[k] for k in range(1, len(a))]
         (ca, A, da), (cb, B, db) = self._stack(a), self._stack(b)
         top = min(self.order, da[-1] + db[-1])
         # the rows of a and of b in increasing degree: a row of degree i meets the leading rows up to degree top - i
@@ -526,25 +531,19 @@ def _lift_1d_array(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
     return np.moveaxis(jet, 0, -1)
 
 
+def _lift_nd_rows(ast: ExprAst, centers: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lift at a batch of centers, shape (P, n): the rows of ``_layout(n, order + 1)`` that some term of the
+    expression reaches, increasing, and their float64 values, shape (rows, P); every other coefficient is +0."""
+    sparse = _Sparse(centers, order)
+    parts = [(start, p) for start, p in zip(sparse.starts, sparse.walk(ast.root)) if p.rows is not None]
+    return np.concatenate([start + p.rows for start, p in parts]), np.concatenate([p.values for _, p in parts])
+
+
 def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> dict:
     """Lift at a batch of centers, shape (P, n): the multi-indices some term of the expression reaches, in
     graded-lex order, to float64 values of shape (P,); an absent key is zero."""
-    n, out = centers.shape[1], {}
-    for k, part in enumerate(_Sparse(centers, order).walk(ast.root)):
-        if part.rows is not None:
-            out.update(zip(map(_graded(n, k).__getitem__, part.rows.tolist()), part.values))
-    return out
-
-
-def _lift_nd_graded(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
-    """Lift at a batch of centers, shape (P, n): row ``r`` of the ``(C(order + n, n), P)`` result holds the
-    ``r``-th multi-index of ``|g| <= order`` in graded-lex order, +0 where no term of the expression reaches it."""
-    sparse = _Sparse(centers, order)
-    out = np.zeros((sparse.starts[-1], len(centers)))
-    for part, start in zip(sparse.walk(ast.root), sparse.starts):
-        if part.rows is not None:
-            out[start + part.rows] = part.values
-    return out
+    rows, values = _lift_nd_rows(ast, centers, order)
+    return dict(zip(_keys(centers.shape[1], order + 1, rows), values))
 
 
 # ---- public surface --------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exponential Taylor expansions in several variables.
 
-Multi-indices are ordered graded-lexicographically (``jet._graded``): by total
+Multi-indices are ordered graded-lexicographically (``jet._layout``): by total
 degree, and within a degree with earlier axes dominant, so for two variables
 (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).  The expansion about ``c`` sums
 ``coeff[g] * prod_i w_i^g_i`` with ``w_i = exp(lam (x_i - c_i)) - 1``.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 from .expr import ExprAst
-from .jet import _graded, _lift_nd_arrays, _lift_nd_graded
+from .jet import _keys, _lift_nd_arrays, _lift_nd_rows
 from .operators import _check_lam, stage_rows, stage_tensor
 from .series1d import RemainderEstimate, _quad_rule, _times_power, _zero_times, epsilon_sup, expm1, horner
 
@@ -51,7 +51,7 @@ def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if not isinstance(order, int) or order < 1:
         raise ValidationError(f"order must be a positive integer, got {order!r}")
-    return [g for d in range(order) for g in _graded(n, d)]
+    return _keys(n, order, np.arange(math.comb(order - 1 + n, n)))
 
 
 def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -60,7 +60,7 @@ def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
         raise ValidationError(f"n must be a positive integer, got {n!r}")
     if not isinstance(degree, int) or degree < 0:
         raise ValidationError(f"degree must be >= 0, got {degree!r}")
-    return list(_graded(n, degree))
+    return _keys(n, degree + 1, np.arange(math.comb(degree - 1 + n, n), math.comb(degree + n, n)))
 
 
 def multi_index_factorial(gamma: Sequence[int]) -> int:
@@ -122,7 +122,8 @@ def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order
     dense = np.zeros((order,) * n, dtype=np.complex128)
     with np.errstate(all="ignore"):
         # the jet's degree is order - 1, so every stage of |g| < order reads stored coefficients alone
-        dense[index] = _lift_nd_graded(ast, np.array([pts]), order - 1)[:, 0]  # its rows run in the keys' order
+        rows, jet = _lift_nd_rows(ast, np.array([pts]), order - 1)  # its rows are those of the keys
+        dense[tuple(axis[rows] for axis in index)] = jet[:, 0]
         # one complex division by g! + 0j per key, as the per-key quotient rounds
         values = stage_tensor(dense, lam)[index] / factorials
     if not np.all(np.isfinite(values)):

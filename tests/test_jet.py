@@ -14,7 +14,7 @@ from exptaylor import series1d, seriesnd
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Var, int_exponent, parse
 from exptaylor.jet import (
-    Jet1D, _Dense, _Flat, _graded, _layout, _lift_1d_array, _lift_nd_arrays, _Sparse, lift, lift_nd,
+    Jet1D, _Dense, _Flat, _keys, _layout, _lift_1d_array, _lift_nd_arrays, _Sparse, lift, lift_nd,
 )
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import expand_1d, growth_diagnostic, radius_estimate, remainder_bound
@@ -231,17 +231,24 @@ def test_part_subtraction_is_addition_of_the_negation():
         assert np.array_equal(fused.values.view(np.uint64), negated.values.view(np.uint64))
 
 
+def compositions(degree, n):
+    return [(degree,)] if n == 1 else [(g,) + h for g in range(degree + 1) for h in compositions(degree - g, n - 1)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rank_and_key_round_trip(n):
-    # the part layout's keys are multi_indices_of_degree's, and _layout ranks each one back to its row
-    codes, ranks = _layout(n, 17)
+    # the rows of a part of degree k are multi_indices_of_degree(n, k), which within a degree is descending
+    # lexicographic order, and a product's code of each key ranks it back to its row
+    sparse = _Sparse(np.zeros((1, n)), 16)
+    assert np.array_equal(_layout(n, 17)[1], sparse.starts)
     for degree in range(17):
         keys = seriesnd.multi_indices_of_degree(n, degree)
-        assert list(_graded(n, degree)) == keys
+        assert keys == sorted(compositions(degree, n), reverse=True)
+        assert _keys(n, 17, np.arange(sparse.starts[degree], sparse.starts[degree + 1])) == keys
         for row, g in enumerate(keys):
-            suffix = [sum(g[i:]) for i in range(1, n)]
-            assert codes[degree][row] == sum(s * 17**i for i, s in enumerate(suffix))
-            assert ranks[codes[degree][row]] == row
+            code = sum(sum(g[i:]) * 17 ** (i - 1) for i in range(1, n))
+            assert sparse.codes[row] == code
+            assert sparse.ranks[code] == row
 
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.25, 1e300, 5e-324]
@@ -276,7 +283,9 @@ def flat_jets(draw):
 
 def as_map(part, n, k):
     """A flat part as the map from its stored multi-indices to values that parts used to be."""
-    return {} if part.rows is None else {_graded(n, k)[r]: v for r, v in zip(part.rows.tolist(), part.values)}
+    if part.rows is None:
+        return {}
+    return dict(zip(_keys(n, k + 1, math.comb(k - 1 + n, n) + part.rows), part.values))
 
 
 def map_conv(k, a, b, lo, hi):
