@@ -13,7 +13,9 @@ coefficient-major array, stored up to the degree the expression fixes, and
 the convolution adds in the pairwise order of ``np.sum`` over one point's
 complex terms, to which the printed digits are pinned.  In n-D part k is the
 stored rows of the graded-lex array of every multi-index of degree k, and a
-product finds the row of each pair's sum through a rank table.
+product finds the row of each pair's sum through a rank table.  This layout
+(``_layout``) carries n-D multi-indices from the lift to the stages, as rows and
+their digits in integer arrays; tuples are made only for the public surface.
 
 Jets are real (float64): the grammar has no imaginary literal, and ``log``
 and ``sqrt`` reject the negative real axis.  They keep the bits of the
@@ -394,12 +396,13 @@ class _Flat:
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(sums, starts)`` for ``n`` variables and degrees below ``base``, read-only.  Row ``r`` of degree ``k`` is the
-    ``r``-th multi-index of ``|g| = k`` in graded-lex order, the one order of n-D keys (``g_0`` from ``k`` down,
-    then the rest in that order), and row ``starts[k] + r`` of all degrees below ``base``.  ``sums[r]`` holds its
-    suffix sums ``s_i = g_i + ... + g_(n-1)``, ``1 <= i < n``.  They do not read ``g_0``, so those of degree ``k``
-    are the first ``C(k+n-1, n-1)`` rows of one array: those of degree ``k - 1``, then those with ``s_1 = k``."""
+def _layout(n: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(sums, starts, codes, ranks)`` for ``n`` variables and degrees below ``base``, built once and read-only.  Row
+    ``r`` of degree ``k`` is the ``r``-th multi-index of ``|g| = k`` in graded-lex order (``g_0`` from ``k`` down, then
+    the rest in that order), and row ``starts[k] + r`` of all degrees below ``base``.  ``sums[r]`` holds its suffix
+    sums ``s_i = g_i + ... + g_(n-1)``, ``1 <= i < n``, which do not read ``g_0``: those of degree ``k`` are the first
+    ``C(k+n-1, n-1)`` rows of one array.  Codes ``sum_i s_i base^(i-1)`` add when multi-indices add, as no suffix sum
+    reaches ``base``, and ``ranks[codes[r]] = r``: so ``g + e_k`` is row ``ranks[codes[r] + sum_(i<k) base^i]``."""
     sums = np.zeros((1, 0), dtype=np.intp)
     for m in range(1, n):  # the suffix sums of the last m variables, from those of the last m - 1
         counts = [math.comb(d + m - 1, m - 1) for d in range(base)]  # s_1 = d, then the first counts[d] rows
@@ -408,25 +411,33 @@ def _layout(n: int, base: int) -> tuple[np.ndarray, np.ndarray]:
         sums = np.empty((len(firsts), m), dtype=np.intp)
         sums[:, 0], sums[:, 1:] = np.repeat(np.arange(base), counts), tails
     starts = np.array([math.comb(k + n - 1, n) for k in range(base + 1)])
-    for a in (sums, starts):
+    codes = sums @ base ** np.arange(n - 1)
+    ranks = np.zeros(base ** (n - 1), dtype=np.intp)
+    ranks[codes] = np.arange(len(sums))
+    for a in (sums, starts, codes, ranks):
         a.flags.writeable = False
-    return sums, starts
+    return sums, starts, codes, ranks
 
 
-def _keys(n: int, base: int, rows: np.ndarray) -> list[tuple[int, ...]]:
-    """The multi-indices of the rows ``rows`` of all degrees below ``base`` (``_layout``)."""
-    sums, starts = _layout(n, base)
+def _digits(n: int, base: int, rows: np.ndarray) -> np.ndarray:
+    """The multi-indices of the rows ``rows`` of all degrees below ``base`` (``_layout``), shape ``(len(rows), n)``."""
+    sums, starts = _layout(n, base)[:2]
     degrees = np.searchsorted(starts, rows, side="right") - 1
     full = np.zeros((len(rows), n + 1), dtype=np.intp)  # s_0 = |g|, then s_1 .. s_(n-1), then s_n = 0
     full[:, 0], full[:, 1:n] = degrees, sums[rows - starts[degrees]]
-    return list(map(tuple, (full[:, :-1] - full[:, 1:]).tolist()))
+    return full[:, :-1] - full[:, 1:]
+
+
+def _keys(n: int, base: int, rows: np.ndarray) -> list[tuple[int, ...]]:
+    """``_digits`` as tuples, for the public surface."""
+    return list(map(tuple, _digits(n, base, rows).tolist()))
 
 
 class _Sparse(_Algebra):
     """n-D jets: a list of K+1 flat parts (``_Flat``) over centers of shape ``(P, n)``.
 
     Every jet has degree K; an empty part costs the products nothing.  A product finds the row of each pair of
-    stored rows' sum of multi-indices as the rank of the sum of their codes, and adds the pair's product there, in
+    stored rows' sum of multi-indices as the rank of the sum of their codes (``_layout``), and adds it there, in
     ``conv``'s order: ``j``, then ``a``'s row, then ``b``'s row.  It runs in slices, one row of the side with fewer
     rows against the rows of the other it meets, so a slice reaches no row twice; the pairs of one sum run over
     ``a``'s rows in one order and ``b``'s in the other, so ``b``'s slices go from the last.  Sums start from -0,
@@ -436,11 +447,7 @@ class _Sparse(_Algebra):
 
     def __init__(self, centers: np.ndarray, order: int):
         super().__init__(centers, order)
-        sums, self.starts = _layout(centers.shape[1], order + 1)
-        # codes sum_i s_i (K+1)^(i-1) add when multi-indices add, as no digit reaches K+1; ranks[code] is the row
-        self.codes = sums @ (order + 1) ** np.arange(sums.shape[1])
-        self.ranks = np.zeros((order + 1) ** sums.shape[1], dtype=np.intp)
-        self.ranks[self.codes] = np.arange(len(sums))
+        _, self.starts, self.codes, self.ranks = _layout(centers.shape[1], order + 1)
         self.first = np.zeros(1, dtype=np.intp)  # the one row of part 0, shared so that sums of it match at once
 
     def const(self, c0, degree: int = 0) -> list[_Flat]:
@@ -531,19 +538,12 @@ def _lift_1d_array(ast: ExprAst, centers: np.ndarray, order: int) -> np.ndarray:
     return np.moveaxis(jet, 0, -1)
 
 
-def _lift_nd_rows(ast: ExprAst, centers: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Lift at a batch of centers, shape (P, n): the rows of ``_layout(n, order + 1)`` that some term of the
     expression reaches, increasing, and their float64 values, shape (rows, P); every other coefficient is +0."""
     sparse = _Sparse(centers, order)
     parts = [(start, p) for start, p in zip(sparse.starts, sparse.walk(ast.root)) if p.rows is not None]
     return np.concatenate([start + p.rows for start, p in parts]), np.concatenate([p.values for _, p in parts])
-
-
-def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> dict:
-    """Lift at a batch of centers, shape (P, n): the multi-indices some term of the expression reaches, in
-    graded-lex order, to float64 values of shape (P,); an absent key is zero."""
-    rows, values = _lift_nd_rows(ast, centers, order)
-    return dict(zip(_keys(centers.shape[1], order + 1, rows), values))
 
 
 # ---- public surface --------------------------------------------------------
@@ -574,8 +574,8 @@ def lift_nd(ast: ExprAst, center: Sequence[float] | float, order: int) -> JetND:
     pts = tuple(float(c) for c in center)
     if len(pts) != ast.dims:
         raise ValidationError(f"center has {len(pts)} coordinates, expression has {ast.dims}")
-    arrays = _lift_nd_arrays(ast, np.array([pts]), order)
-    coeffs = {k: complex(v[0]) for k, v in sorted(arrays.items())}
+    rows, values = _lift_nd_arrays(ast, np.array([pts]), order)
+    coeffs = dict(sorted(zip(_keys(ast.dims, order + 1, rows), map(complex, values[:, 0]))))
     return JetND(dims=ast.dims, order=order, coeffs=coeffs, center=pts)
 
 

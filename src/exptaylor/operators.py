@@ -124,26 +124,29 @@ def stage_tensor(coeffs: np.ndarray, lam: complex) -> np.ndarray:
     return stack[0]
 
 
-def stage_rows(arrays: dict, gammas: Sequence[tuple[int, ...]], lam: complex) -> np.ndarray:
+def stage_rows(keys: np.ndarray, values: np.ndarray, gammas: np.ndarray, lam: complex) -> np.ndarray:
     """Cascade values, shape ``(len(gammas), P)``, for the multi-indices ``gammas`` over a batch of points.
 
-    ``arrays`` maps multi-indices to normalized jet coefficients of shape ``(P,)``, in graded-lex order as the
-    batched n-D lift returns them, and holds every nonzero ``m`` with ``|m| <= max |g|``.  They are scaled by
-    ``lam^(-|m|)`` and multiplied by the row weights ``W[g, m] = prod_i S[g_i, m_i]``.  The caller bounds ``P``
-    (``seriesnd.POINT_CHUNK``), since the scaled copy holds every stored coefficient of every point.
+    ``keys``, ``(k, n)`` integers, are the multi-indices of the ``(k, P)`` normalized jet coefficients ``values``,
+    as ``jet._digits`` gives the n-D lift's rows.  They hold every nonzero ``m`` with ``|m| <= max |g|``, and keys
+    past that degree are dropped.  The rest are scaled by ``lam^(-|m|)`` and multiplied by the row weights
+    ``W[g, m] = prod_i S[g_i, m_i]``.  The caller bounds ``P`` (``seriesnd.POINT_CHUNK``): the scaled copy is k by P.
     """
     lam = _check_lam(lam)
-    top = max(sum(g) for g in gammas)
-    keys = [m for m in arrays if sum(m) <= top]
+    G, M = np.asarray(gammas, dtype=np.intp), np.asarray(keys, dtype=np.intp)
+    if G.ndim != 2 or not len(G) or M.shape != (len(values), G.shape[1]):
+        shapes = f"keys {M.shape}, values {np.shape(values)} and gammas {G.shape}"
+        raise ValidationError(f"need keys (k, n), values (k, P) and gammas (at least 1, n), got {shapes}")
+    top = int(G.sum(axis=1).max())
+    keep = M.sum(axis=1) <= top
+    if not keep.all():
+        M, values = M[keep], np.asarray(values)[keep]
     S = stage_matrix(top)
-    G = np.array(gammas, dtype=np.intp).reshape(len(gammas), -1)
-    M = np.array(keys, dtype=np.intp).reshape(len(keys), G.shape[1])
     # one row gather and one column gather per axis: a 2-D fancy index costs more than both
     W = S[G[:, 0]][:, M[:, 0]]
     for axis in range(1, G.shape[1]):
         W *= S[G[:, axis]][:, M[:, axis]]
-    scale = _inverse_powers(lam, top)[M.sum(axis=1)]
-    values = np.array([arrays[m] for m in keys], dtype=np.complex128)
-    values *= scale[:, None]
+    values = np.array(values, dtype=np.complex128)
+    values *= _inverse_powers(lam, top)[M.sum(axis=1)][:, None]
     # a real matrix times complex columns: one real product on the interleaved parts
     return (W @ values.view(np.float64)).view(np.complex128)

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
 from .expr import ExprAst
-from .jet import _keys, _lift_nd_arrays, _lift_nd_rows
+from .jet import _digits, _keys, _layout, _lift_nd_arrays
 from .operators import _check_lam, stage_rows, stage_tensor
 from .series1d import RemainderEstimate, _quad_rule, _times_power, _zero_times, epsilon_sup, expm1, horner
 
@@ -68,13 +68,17 @@ def multi_index_factorial(gamma: Sequence[int]) -> int:
     return math.prod(map(math.factorial, gamma))
 
 
+def _factorials(digits: np.ndarray) -> np.ndarray:
+    """``g!`` for each row ``g`` of ``digits``, exact in float64: every partial product divides ``|g|! <= 16!``."""
+    return np.cumprod([1.0, *range(1, MAX_ND_ORDER + 1)])[digits].prod(axis=1)
+
+
 @lru_cache(maxsize=None)
 def _expansion_table(n: int, order: int) -> tuple:
     """``(keys, index, factorials)`` for ``multi_indices(n, order)``, read-only: ``stages[index]`` lists the
-    stages in key order, and ``g!`` is exact in float64 (``|g| <= 15`` gives at most 15!)."""
-    keys = tuple(multi_indices(n, order))
-    index = tuple(np.array(keys, dtype=np.intp).T)
-    factorials = np.array([multi_index_factorial(g) for g in keys], dtype=np.float64)
+    stages in key order, and ``factorials`` their ``g!``."""
+    digits = _digits(n, order, np.arange(math.comb(order - 1 + n, n)))
+    keys, index, factorials = tuple(map(tuple, digits.tolist())), tuple(digits.T), _factorials(digits)
     for a in (*index, factorials):
         a.flags.writeable = False
     return keys, index, factorials
@@ -122,7 +126,7 @@ def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order
     dense = np.zeros((order,) * n, dtype=np.complex128)
     with np.errstate(all="ignore"):
         # the jet's degree is order - 1, so every stage of |g| < order reads stored coefficients alone
-        rows, jet = _lift_nd_rows(ast, np.array([pts]), order - 1)  # its rows are those of the keys
+        rows, jet = _lift_nd_arrays(ast, np.array([pts]), order - 1)  # its rows are those of the keys
         dense[tuple(axis[rows] for axis in index)] = jet[:, 0]
         # one complex division by g! + 0j per key, as the per-key quotient rounds
         values = stage_tensor(dense, lam)[index] / factorials
@@ -164,14 +168,15 @@ def remainder_bound_nd(
 ) -> RemainderEstimate:
     """Remainder quadrature plus tight and loose upper bounds after total degree ``N = order``, as in the module
     docstring with ``I(t)`` the integrand: the segment is lifted at ``grid`` equally spaced ``t`` and at the 64
-    Gauss-Legendre nodes, ``POINT_CHUNK`` points per lift, and staged by ``stage_rows``.  ``integral_value`` is
-    ``lam`` times the Gauss sum of ``I``, ``bound_tight`` the sampled ``|lam| max |I|``, and ``bound_loose`` the
-    loose bound with the sup sampled on the segment; at ``n = 1`` these are the 1-D formulas.  A zero stage times
-    an overflowed power of ``E`` is 0; a bound or integral that is not finite raises ``DomainError``."""
+    Gauss-Legendre nodes, ``POINT_CHUNK`` points per lift, and staged by ``stage_rows``.  The lift's layout
+    (``jet._layout``) gives, as arrays, the ``g`` of degree ``N`` (the stages) and ``N - 1`` (the sum in ``I``), the
+    row of each ``g + e_k`` and each ``g!``.  ``integral_value`` is ``lam`` times the Gauss sum of ``I``,
+    ``bound_tight`` the sampled ``|lam| max |I|``, and ``bound_loose`` the loose bound with the sup sampled on the
+    segment; at ``n = 1`` these are the 1-D formulas.  A zero stage times an overflowed power of ``E`` is 0; a bound
+    or integral that is not finite raises ``DomainError``."""
     lam = _check_nd_args(ast, n, lam)
     _check_nd_order(order)
-    c = np.array([float(v) for v in center])
-    xv = np.array([float(v) for v in x])
+    c, xv = (np.array([float(v) for v in p]) for p in (center, x))
     if len(c) != n or len(xv) != n:
         raise ValidationError(f"center and x must have length {n}")
     if not isinstance(grid, int) or grid < 3:
@@ -180,41 +185,33 @@ def remainder_bound_nd(
     h = float(np.max(np.abs(d)))
     theta, weights = _quad_rule(64)
     t = np.concatenate((np.linspace(0.0, 1.0, grid), theta))
-    gammas, lower = multi_indices_of_degree(n, order), multi_indices_of_degree(n, order - 1)
-    row = {g: i for i, g in enumerate(gammas)}
-    # per axis k, the row of g + e_k for each g of degree N - 1
-    shifts = [[row[g[:k] + (g[k] + 1,) + g[k + 1 :]] for g in lower] for k in range(n)]
-    G = np.array(lower, dtype=np.intp).reshape(len(lower), n)
-    facts = np.array([multi_index_factorial(g) for g in lower], dtype=np.float64)
+    _, starts, codes, ranks = _layout(n, order + 1)
+    gammas, G = (_digits(n, order + 1, np.arange(starts[k], starts[k + 1])) for k in (order, order - 1))
+    shifts = ranks[codes[: len(G), None] + np.cumsum([0] + [(order + 1) ** i for i in range(n - 1)])].T
+    facts = _factorials(G)
     sups, integrand = np.zeros(len(gammas)), []
     with np.errstate(all="ignore"):
         points = c + t[:, None] * d
         E = expm1((lam.real if lam.imag == 0 else lam) * (1.0 - t) * d[:, None])  # (n, points)
         for lo in range(0, len(t), POINT_CHUNK):
-            stages = stage_rows(_lift_nd_arrays(ast, points[lo : lo + POINT_CHUNK], order), gammas, lam)
+            rows, values = _lift_nd_arrays(ast, points[lo : lo + POINT_CHUNK], order)
+            stages = stage_rows(_digits(n, order + 1, rows), values, gammas, lam)
             sups = np.maximum(sups, np.max(np.abs(stages[:, : max(grid - lo, 0)]), axis=1, initial=0.0))
             powers = [np.ones_like(E[:, lo : lo + POINT_CHUNK])]
             for _ in range(1, order):
                 powers.append(powers[-1] * E[:, lo : lo + POINT_CHUNK])
             powers = np.stack(powers, axis=1)  # (n, order, P): E_j^p
-            m = powers[0][G[:, 0]]
-            for j in range(1, n):
-                m = m * powers[j][G[:, j]]
-            J = d[0] * stages[shifts[0]]
-            for k in range(1, n):
-                J = J + d[k] * stages[shifts[k]]
+            m = reduce(np.multiply, (powers[j][G[:, j]] for j in range(n)))
+            J = reduce(np.add, (d[k] * stages[shifts[k]] for k in range(n)))
             terms = _zero_times(J, m / facts[:, None])
             # row by row, so each point's sum over g adds in one order whatever the chunk's length
-            acc = terms[0]
-            for term in terms[1:]:
-                acc = acc + term
-            integrand.append(acc)
+            integrand.append(reduce(np.add, terms))
         integrand = np.concatenate(integrand)
         integral = complex(lam * np.sum(weights * integrand[grid:]))
         bound_tight = abs(lam) * float(np.max(np.abs(integrand[:grid])))
     total = 0.0
-    for g, sup in zip(gammas, sups):
-        total += order / multi_index_factorial(g) * float(sup)
+    for f, sup in zip(_factorials(gammas).tolist(), sups.tolist()):
+        total += order / f * sup
     bound_loose = _times_power(abs(lam) * total, epsilon_sup(lam, h), order - 1) * h
     if not all(map(math.isfinite, (bound_tight, bound_loose, integral.real, integral.imag))):
         # refused here, as in 1-D, so the bound is named even where the series overflows first

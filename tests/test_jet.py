@@ -14,7 +14,7 @@ from exptaylor import series1d, seriesnd
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Var, int_exponent, parse
 from exptaylor.jet import (
-    Jet1D, _Dense, _Flat, _keys, _layout, _lift_1d_array, _lift_nd_arrays, _Sparse, lift, lift_nd,
+    Jet1D, _Dense, _digits, _Flat, _keys, _layout, _lift_1d_array, _lift_nd_arrays, _Sparse, lift, lift_nd,
 )
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import expand_1d, growth_diagnostic, radius_estimate, remainder_bound
@@ -238,17 +238,26 @@ def compositions(degree, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rank_and_key_round_trip(n):
     # the rows of a part of degree k are multi_indices_of_degree(n, k), which within a degree is descending
-    # lexicographic order, and a product's code of each key ranks it back to its row
+    # lexicographic order, and a product's code of each key ranks it back to its row; the cached tables are the
+    # lift's, and shifting a code ranks g + e_k
+    _, starts, codes, ranks = _layout(n, 17)
     sparse = _Sparse(np.zeros((1, n)), 16)
-    assert np.array_equal(_layout(n, 17)[1], sparse.starts)
+    assert sparse.starts is starts and sparse.codes is codes and sparse.ranks is ranks  # built once, not per lift
     for degree in range(17):
         keys = seriesnd.multi_indices_of_degree(n, degree)
         assert keys == sorted(compositions(degree, n), reverse=True)
-        assert _keys(n, 17, np.arange(sparse.starts[degree], sparse.starts[degree + 1])) == keys
+        rows = np.arange(starts[degree], starts[degree + 1])
+        assert _keys(n, 17, rows) == keys
+        assert np.array_equal(_digits(n, 17, rows), np.array(keys, dtype=np.intp).reshape(len(keys), n))
+        above = {g: row for row, g in enumerate(seriesnd.multi_indices_of_degree(n, degree + 1))}
         for row, g in enumerate(keys):
             code = sum(sum(g[i:]) * 17 ** (i - 1) for i in range(1, n))
-            assert sparse.codes[row] == code
-            assert sparse.ranks[code] == row
+            assert codes[row] == code
+            assert ranks[code] == row
+            if degree < 16:
+                for k in range(n):
+                    shift = sum(17 ** (i - 1) for i in range(1, k + 1))
+                    assert ranks[code + shift] == above[g[:k] + (g[k] + 1,) + g[k + 1 :]]
 
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.25, 1e300, 5e-324]
@@ -1223,7 +1232,11 @@ def graded(part):
 
 
 def complex_lift(ast, centers, order):
-    return {g: v for part in ComplexSparse(centers, order).walk(ast.root) for g, v in graded(part)}
+    """The complex lift in the real lift's format: the rows of ``_layout`` that its keys take, and their values."""
+    lifted = {g: v for part in ComplexSparse(centers, order).walk(ast.root) for g, v in graded(part)}
+    n = centers.shape[1]
+    row = {g: r for r, g in enumerate(_keys(n, order + 1, np.arange(math.comb(order + n, n))))}
+    return np.array([row[g] for g in lifted], dtype=np.intp), np.array(list(lifted.values()))
 
 
 # (expression, dims, top order): the dense 3-D and 4-D quotients stop early,
@@ -1266,11 +1279,10 @@ def same_as_the_complex_lift(ast, centers, order):
                 _lift_nd_arrays(ast, centers, order)
             return None
         got = _lift_nd_arrays(ast, centers, order)
-    assert list(got) == list(want)
-    for g, v in want.items():
-        assert np.all(v.imag == 0), g
-        assert got[g].dtype == np.float64
-        assert np.array_equal(bits(got[g]), bits(v.real)), g
+    assert np.array_equal(got[0], want[0])
+    assert np.all(want[1].imag == 0)
+    assert got[1].dtype == np.float64
+    assert np.array_equal(bits(got[1]), bits(want[1].real))
     return got, want
 
 
@@ -1294,16 +1306,15 @@ def test_signed_zeros_the_real_lift_moves_never_reach_a_stage(n):
     centers[2:, 0] = 0.25
     for src in srcs:
         ast = parse(src, n)
-        got = _lift_nd_arrays(ast, centers, 8)
-        want = complex_lift(ast, centers, 8)
-        assert list(got) == list(want)
-        for g, v in want.items():
-            assert np.array_equal(got[g], v.real), g  # equal values; zeros may differ in sign
-        gammas = seriesnd.multi_indices(n, 9)
+        (rows, got), (want_rows, want) = _lift_nd_arrays(ast, centers, 8), complex_lift(ast, centers, 8)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(got, want.real)  # equal values; zeros may differ in sign
+        keys, gammas = _digits(n, 9, rows), seriesnd.multi_indices(n, 9)
         for lam in (1.0, TWO_PI_I):
-            assert np.array_equal(bits(stage_rows(got, gammas, lam)), bits(stage_rows(want, gammas, lam)))
+            assert np.array_equal(*(bits(stage_rows(keys, values, gammas, lam)) for values in (got, want)))
             for p in range(len(centers)):
-                dense = [seriesnd._dense({g: complex(v[p]) for g, v in lift.items()}, 9, n) for lift in (got, want)]
+                maps = [dict(zip(_keys(n, 9, rows), map(complex, values[:, p]))) for values in (got, want)]
+                dense = [seriesnd._dense(coeffs, 9, n) for coeffs in maps]
                 assert np.array_equal(*(bits(stage_tensor(t, lam)) for t in dense))
 
 

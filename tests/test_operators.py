@@ -271,16 +271,44 @@ def test_nd_field_center_value():
     assert field[0, 0] == pytest.approx(math.exp(0.3), rel=1e-13)
 
 
-def test_stage_rows_match_stage_tensor():
+STAGE_ROW_CASES = {
+    1: ("sin(x)*exp(x)", (0.3,), [(0,), (2,), (1,), (4,)]),
+    2: ("sin(x1)*exp(x2)", (0.3, -0.2), [(0, 0), (2, 1), (1, 3), (4, 0)]),
+    3: ("sin(x1)*exp(x2)/(3 + x3)", (0.3, -0.2, 0.1), [(0, 0, 0), (2, 1, 1), (1, 0, 3), (0, 4, 0)]),
+    4: (
+        "sin(x1 - x4)*exp(x2)*cos(x3)",
+        (0.3, -0.2, 0.1, 0.2),
+        [(0, 0, 0, 0), (1, 1, 1, 1), (0, 3, 0, 1), (4, 0, 0, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(STAGE_ROW_CASES))
+def test_stage_rows_match_stage_tensor(n):
     # the batched row weights and the dense per-axis apply are two shapes
     # of the same map
-    jet = lift_nd(parse("sin(x1)*exp(x2)", 2), (0.3, -0.2), 4)
+    src, center, gammas = STAGE_ROW_CASES[n]
+    jet = lift_nd(parse(src, n), center, 4)
     field = nd_field(jet, 1 + 1j)
-    gammas = [(0, 0), (2, 1), (1, 3), (4, 0)]
-    arrays = {m: np.array([c]) for m, c in jet.coeffs.items()}
-    block = stage_rows(arrays, gammas, 1 + 1j)
+    keys, values = np.array(list(jet.coeffs)), np.array(list(jet.coeffs.values()))[:, None]
+    block = stage_rows(keys, values, gammas, 1 + 1j)
     for g, direct in zip(gammas, block[:, 0]):
         assert direct == pytest.approx(field[g], rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "gammas, values, shapes",
+    [
+        ([], [[1.0], [2.0]], "keys (2, 2), values (2, 1) and gammas (0,)"),
+        ([(1, 0, 0)], [[1.0], [2.0]], "keys (2, 2), values (2, 1) and gammas (1, 3)"),
+        ([(1, 0)], [[1.0]], "keys (2, 2), values (1, 1) and gammas (1, 2)"),
+    ],
+    ids=["no_gammas", "columns_differ", "rows_differ"],
+)
+def test_stage_rows_refuses_arrays_that_do_not_match(gammas, values, shapes):
+    with pytest.raises(ValidationError) as err:
+        stage_rows(np.array([(0, 0), (1, 0)]), np.array(values), gammas, 1.0)
+    assert str(err.value) == f"need keys (k, n), values (k, P) and gammas (at least 1, n), got {shapes}"
 
 
 def test_stage_rows_chunks_cover_every_point(monkeypatch):
@@ -288,8 +316,8 @@ def test_stage_rows_chunks_cover_every_point(monkeypatch):
     # 963 samples and 64 nodes make one chunk and three points more
     blocks = []
 
-    def recording_stage_rows(arrays, gammas, lam):
-        blocks.append(stage_rows(arrays, gammas, lam))
+    def recording_stage_rows(keys, values, gammas, lam):
+        blocks.append(stage_rows(keys, values, gammas, lam))
         return blocks[-1]
 
     monkeypatch.setattr(seriesnd, "stage_rows", recording_stage_rows)
