@@ -99,6 +99,8 @@ def _x_range(text: str) -> tuple[float, float, int]:
         raise ValidationError(f"--x-range expects lo:hi:steps, got {text!r}") from None
     if steps < 1:
         raise ValidationError("--x-range needs steps >= 1")
+    if not math.isfinite(hi - lo):
+        raise ValidationError(f"--x-range needs a finite span hi - lo, got {text!r}")
     return lo, hi, steps
 
 
@@ -313,7 +315,7 @@ LAMBDA = _opt("--lambda", "complex literal, e.g. 0+6.283185307179586i or 1",
               type=parse_complex_literal, required=True, dest="lam", metavar="A+BI")
 X0 = _opt("--x0", "expansion point (default 0)", type=_float, default=0.0)
 QUAD_NODES = _opt("--quad-nodes", "Gauss-Legendre nodes (default 64)", type=int, default=64)
-GRID = _opt("--grid", "bound sampling grid (default 513)", type=int, default=513)
+GRID = _opt("--grid", "bound sampling grid, odd and >= 3 (default 513)", type=int, default=513)
 
 # subcommand -> (handler, help, options as add_argument keywords)
 COMMANDS = {
@@ -350,7 +352,7 @@ COMMANDS = {
         FN, LAMBDA,
         _opt("--period", "grid interval [0, T] (default 1)", type=_float, default=1.0),
         _opt("--n-max", "stages examined (default 16)", type=int, default=16),
-        _opt("--grid", "sampling grid (default 257)", type=int, default=257),
+        _opt("--grid", "sampling grid, >= 2 (default 257)", type=int, default=257),
         *_output("text"),
     )),
     "nd": (_cmd_nd, "multivariate coefficients, remainder and bounds", (
@@ -360,7 +362,7 @@ COMMANDS = {
         _opt("--x0", "expansion center (default origin)", type=_vector, metavar="C1,..,CN"),
         _opt("--x", "evaluation point for the bound block", type=_vector, metavar="X1,..,XN"),
         _opt("--order", "total degree bound N (default 6)", type=int, default=6),
-        _opt("--grid", "samples on the segment (default 33)", type=int, default=33),
+        _opt("--grid", "samples on the segment, >= 3 (default 33)", type=int, default=33),
         _opt("--seed", "accepted, no effect", type=int, default=0),
         *_output("text"),
     )),

@@ -1,7 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one integer-argument check.
 
 The command-line tool maps these onto process exit codes, so library code
 should raise the most specific type that applies rather than bare ValueError.
+Every public entry point checks its integer arguments with ``check_int``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,14 @@ class ExpTaylorError(Exception):
 
 class ValidationError(ExpTaylorError):
     """An argument is outside its documented range (bad order, size cap, ...)."""
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise ValidationError unless ``value`` is an ``int`` (a ``bool`` is one, a numpy integer is not) in
+    ``[lo, hi]``, or at least ``lo`` when ``hi`` is None."""
+    if not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValidationError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 class DomainError(ExpTaylorError):

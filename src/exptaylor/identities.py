@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .stirling import StirlingRatioRow, ratio_rows
 
 TOL_FLOOR = 1e-12
@@ -74,18 +74,13 @@ def _result(name, computed, target, terms, tol, variant=None) -> IdentityResult:
     )
 
 
-def _check_terms(J: int, lo: int) -> None:
-    if not isinstance(J, int) or J < lo or J > MAX_TERMS:
-        raise ValidationError(f"J must be an integer in [{lo}, {MAX_TERMS}], got {J!r}")
-
-
 # ---- the four identities ---------------------------------------------------
 
 
 def cosine_series(x: float, J: int) -> IdentityResult:
     """Partial sum of the cosine expansion at real ``x``, ``|x| < 1/6``."""
     x = float(x)
-    _check_terms(J, 2)
+    check_int("J", J, 2, MAX_TERMS)
     if abs(x) >= 1.0 / 6.0:
         raise ValidationError(f"|x| must be < 1/6 for guaranteed convergence, got {x!r}")
     w = cmath.exp(TWO_PI_I * x) - 1.0
@@ -102,7 +97,7 @@ def cosine_series(x: float, J: int) -> IdentityResult:
 def linear_series(x: float, J: int) -> IdentityResult:
     """Partial sum of the identity-map expansion, valid on closed ``|x| <= 1/6``."""
     x = float(x)
-    _check_terms(J, 1)
+    check_int("J", J, 1, MAX_TERMS)
     if abs(x) > 1.0 / 6.0:
         raise ValidationError(f"|x| must be <= 1/6 for guaranteed convergence, got {x!r}")
     w = cmath.exp(TWO_PI_I * x) - 1.0
@@ -123,9 +118,8 @@ def linear_series(x: float, J: int) -> IdentityResult:
 
 def log_series(k: int, J: int) -> IdentityResult:
     """Partial sum of ``sum (1/j) ((k-1)/k)^j`` against ``log k``."""
-    if not isinstance(k, int) or k < 2:
-        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
-    _check_terms(J, 1)
+    check_int("k", k, 2)
+    check_int("J", J, 1, MAX_TERMS)
     q = (k - 1.0) / k
     acc = 0.0
     qj = 1.0
@@ -165,9 +159,8 @@ def stirling_log2_series(
     ``row`` may supply the precomputed row for this ``k`` from
     :func:`~exptaylor.stirling.ratio_rows`, covering ``j <= J + 1``.
     """
-    if not isinstance(k, int) or k < 1 or k > MAX_STIRLING_K:
-        raise ValidationError(f"k must be an integer in [1, {MAX_STIRLING_K}], got {k!r}")
-    _check_terms(J, k)
+    check_int("k", k, 1, MAX_STIRLING_K)
+    check_int("J", J, k, MAX_TERMS)
     if variant not in (None, "signed", "unsigned"):
         raise ValidationError(f"variant must be 'signed', 'unsigned', or None, got {variant!r}")
     if row is None:

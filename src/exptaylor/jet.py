@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_int
 from .expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Node, Var, int_exponent
 
 MAX_ORDER = 64
@@ -374,25 +374,32 @@ class _Flat:
         return self if self.rows is None else _Flat(s * self.values, self.rows)
 
     def __add__(self, other: _Flat) -> _Flat:
-        return self._join(other, np.add)
-
-    def __sub__(self, other: _Flat) -> _Flat:
-        return self._join(other, np.subtract)  # x - y is x + (-y) bit for bit, signed zeros included
-
-    def _join(self, other: _Flat, op) -> _Flat:
         if other.rows is None or self.rows is None:
-            return self if other.rows is None else other if op is np.add else -other
+            return self if other.rows is None else other
         mine, theirs = self.rows, other.rows
         if mine is theirs or (len(mine) == len(theirs) and (mine == theirs).all()):
-            return _Flat(op(self.values, other.values), mine)
-        size = max(mine[-1], theirs[-1]) + 1
-        out, stored = np.full((size, self.values.shape[1]), -0.0), np.zeros(size, dtype=bool)
-        stored[mine] = stored[theirs] = True
-        # -0 + v is v and -0 - v is -v: a row one side stores alone takes that side's value
-        out[mine] = self.values
-        out[theirs] = op(out[theirs], other.values)
-        rows = np.flatnonzero(stored)
-        return _Flat(out[rows], rows)
+            return _Flat(self.values + other.values, mine)
+        rows, values = _accumulate(max(mine[-1], theirs[-1]) + 1, [(mine, self.values), (theirs, other.values)])
+        return _Flat(values, rows)
+
+    def __sub__(self, other: _Flat) -> _Flat:
+        return self + -other  # x - y is x + (-y) bit for bit, signed zeros included
+
+
+def _accumulate(size: int, slices) -> tuple[np.ndarray, np.ndarray]:
+    """The rows below ``size`` that ``slices`` of ``(rows, values)`` reach, increasing, and their sums, each from -0
+    and slice by slice.  A slice reaches no row twice, in increasing order, so one slice is its own sum: ``-0 + v``
+    is ``v``, which keeps a first term as a map's would."""
+    slices = iter(slices)
+    first, second = next(slices), next(slices, None)
+    if second is None:
+        return first
+    acc, stored = np.full((size,) + first[1].shape[1:], -0.0), np.zeros(size, dtype=bool)
+    for rows, values in chain((first, second), slices):
+        acc[rows] += values
+        stored[rows] = True
+    rows = np.flatnonzero(stored)
+    return rows, acc[rows]
 
 
 @lru_cache(maxsize=None)
@@ -440,9 +447,9 @@ class _Sparse(_Algebra):
     stored rows' sum of multi-indices as the rank of the sum of their codes (``_layout``), and adds it there, in
     ``conv``'s order: ``j``, then ``a``'s row, then ``b``'s row.  It runs in slices, one row of the side with fewer
     rows against the rows of the other it meets, so a slice reaches no row twice; the pairs of one sum run over
-    ``a``'s rows in one order and ``b``'s in the other, so ``b``'s slices go from the last.  Sums start from -0,
-    which keeps each first term as a map's would.  Real products commute, so ``rec * v`` has the bits of the
-    complex ``v * rec``.
+    ``a``'s rows in one order and ``b``'s in the other, so ``b``'s slices go from the last.  Sums start from -0
+    (``_accumulate``).  Real products commute, so a slice may put either side's row first, and ``rec * v`` has the
+    bits of the complex ``v * rec``.
     """
 
     def __init__(self, centers: np.ndarray, order: int):
@@ -472,20 +479,6 @@ class _Sparse(_Algebra):
     def euler(self, u: list[_Flat]) -> list[_Flat]:
         return [k * p for k, p in enumerate(u)]
 
-    def _sums(self, size: int, slices) -> tuple[np.ndarray, np.ndarray]:
-        """The rows below ``size`` that ``slices`` of ``(rows, values)`` reach, and their sums.  A slice reaches no
-        row twice, in increasing order, so one slice is its own sum: ``-0 + v`` is ``v``."""
-        slices = iter(slices)
-        first, second = next(slices), next(slices, None)
-        if second is None:
-            return first
-        acc, stored = np.full((size, len(self.centers)), -0.0), np.zeros(size, dtype=bool)
-        for rows, values in chain((first, second), slices):
-            acc[rows] += values
-            stored[rows] = True
-        rows = np.flatnonzero(stored)
-        return rows, acc[rows]
-
     def conv(self, k: int, a: list[_Flat], b: list[_Flat], lo: int, hi: int) -> _Flat:
         terms = [
             (x.values, self.codes[x.rows], y.values, self.codes[y.rows])
@@ -497,7 +490,7 @@ class _Sparse(_Algebra):
             for x, cx, y, cy in terms
             for i in (range(len(cx)) if len(cx) <= len(cy) else range(len(cy) - 1, -1, -1))
         )
-        return _Flat(*self._sums(self.starts[k + 1] - self.starts[k], slices)[::-1]) if terms else _Flat()
+        return _Flat(*_accumulate(self.starts[k + 1] - self.starts[k], slices)[::-1]) if terms else _Flat()
 
     def _stack(self, u: list[_Flat]) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """The codes, values and degrees of the stored rows of ``u``, in increasing degree."""
@@ -506,24 +499,19 @@ class _Sparse(_Algebra):
         return codes, np.concatenate([p.values for _, p in parts]), [k for k, p in parts for _ in p.rows]
 
     def mul(self, a: list[_Flat], b: list[_Flat]) -> list[_Flat]:
-        (ca, A, da), (cb, B, db) = self._stack(a), self._stack(b)
-        top = min(self.order, da[-1] + db[-1])
-        # the rows of a and of b in increasing degree: a row of degree i meets the leading rows up to degree top - i
-        if len(A) <= len(B):
-            degrees = np.array(db)
-            slices = (
-                (self.starts[i + degrees[:n]] + self.ranks[ca[r] + cb[:n]], A[r] * B[:n])
-                for r, i in enumerate(da)
-                for n in [bisect_right(db, top - i)]
-            )
-        else:
-            degrees = np.array(da)
-            slices = (
-                (self.starts[degrees[:n] + d] + self.ranks[ca[:n] + cb[r]], A[:n] * B[r])
-                for r, d in reversed(list(enumerate(db)))
-                for n in [bisect_right(da, top - d)]
-            )
-        rows, values = self._sums(int(self.starts[top + 1]), slices)
+        sa, sb = self._stack(a), self._stack(b)
+        swap = len(sa[1]) > len(sb[1])
+        (cs, S, ds), (cl, L, dl) = (sb, sa) if swap else (sa, sb)
+        top = min(self.order, ds[-1] + dl[-1])
+        # the rows of the side with fewer, from the first if it is a and from the last if it is b, each against the
+        # other side's rows in increasing degree: a row of degree i meets the leading rows up to degree top - i
+        degrees = np.array(dl)
+        slices = (
+            (self.starts[ds[r] + degrees[:n]] + self.ranks[cs[r] + cl[:n]], S[r] * L[:n])
+            for r in (reversed(range(len(ds))) if swap else range(len(ds)))
+            for n in [bisect_right(dl, top - ds[r])]
+        )
+        rows, values = _accumulate(int(self.starts[top + 1]), slices)
         ends = np.searchsorted(rows, self.starts[1 : top + 2]).tolist()
         out = [_Flat(values[lo:hi], rows[lo:hi] - start) for lo, hi, start in zip([0, *ends], ends, self.starts)]
         return [p if len(p.rows) else _Flat() for p in out] + [_Flat() for _ in range(self.order - top)]
@@ -549,16 +537,11 @@ def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> tuple[np.n
 # ---- public surface --------------------------------------------------------
 
 
-def _validate_order(order: int) -> None:
-    if not isinstance(order, int) or order < 0 or order > MAX_ORDER:
-        raise ValidationError(f"jet order must be an integer in [0, {MAX_ORDER}], got {order!r}")
-
-
 def lift(ast: ExprAst, center: Sequence[float] | float, order: int) -> Jet1D | JetND:
     """Jet of order ``0 <= order <= 64`` of the expression about a real ``center`` of ``ast.dims`` coordinates:
     a Jet1D in one variable, else a JetND.  Raises DomainError if an intermediate constant term leaves an
     elementary function's domain (division by zero, log/sqrt at zero or on the negative real axis)."""
-    _validate_order(order)
+    check_int("jet order", order, 0, MAX_ORDER)
     if ast.dims == 1:
         x0 = _scalar_center(center)
         coeffs = _lift_1d_array(ast, np.array([x0]), order)[0]
@@ -568,7 +551,7 @@ def lift(ast: ExprAst, center: Sequence[float] | float, order: int) -> Jet1D | J
 
 def lift_nd(ast: ExprAst, center: Sequence[float] | float, order: int) -> JetND:
     """Multivariate jet about a real center; works for any ``ast.dims >= 1``."""
-    _validate_order(order)
+    check_int("jet order", order, 0, MAX_ORDER)
     if isinstance(center, (int, float)):
         center = (float(center),)
     pts = tuple(float(c) for c in center)

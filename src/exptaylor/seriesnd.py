@@ -29,14 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
-from .expr import ExprAst
+from .errors import DomainError, ValidationError, check_int
+from .expr import MAX_DIMS, ExprAst
 from .jet import _digits, _keys, _layout, _lift_nd_arrays
 from .operators import _check_lam, stage_rows, stage_tensor
 from .series1d import RemainderEstimate, _quad_rule, _times_power, _zero_times, epsilon_sup, expm1, horner
 
 MAX_ND_ORDER = 16
-MAX_ND_DIMS = 4
 # segment points per lift and stage product: memory is O(keys * chunk), not
 # O(keys * points); 1024 keeps the BLAS column split that printed bounds pin
 POINT_CHUNK = 1024
@@ -47,19 +46,15 @@ POINT_CHUNK = 1024
 
 def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
     """All ``comb(order - 1 + n, n)`` multi-indices with ``|g| < order`` in graded-lex order."""
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(order, int) or order < 1:
-        raise ValidationError(f"order must be a positive integer, got {order!r}")
+    check_int("n", n, 1)
+    check_int("order", order, 1)
     return _keys(n, order, np.arange(math.comb(order - 1 + n, n)))
 
 
 def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
     """Multi-indices with ``|g| == degree``, graded-lex order within the degree."""
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(degree, int) or degree < 0:
-        raise ValidationError(f"degree must be >= 0, got {degree!r}")
+    check_int("n", n, 1)
+    check_int("degree", degree, 0)
     return _keys(n, degree + 1, np.arange(math.comb(degree - 1 + n, n), math.comb(degree + n, n)))
 
 
@@ -102,23 +97,17 @@ class ExpansionND:
 
 
 def _check_nd_args(ast: ExprAst, n: int, lam: complex) -> complex:
-    if not isinstance(n, int) or n < 1 or n > MAX_ND_DIMS:
-        raise ValidationError(f"n must be an integer in [1, {MAX_ND_DIMS}], got {n!r}")
+    check_int("n", n, 1, MAX_DIMS)
     if n != ast.dims:
         raise ValidationError(f"expression has dims={ast.dims}, caller said n={n}")
     return _check_lam(lam)
-
-
-def _check_nd_order(order: int) -> None:
-    if not isinstance(order, int) or order < 1 or order > MAX_ND_ORDER:
-        raise ValidationError(f"order must be an integer in [1, {MAX_ND_ORDER}], got {order!r}")
 
 
 def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order: int) -> ExpansionND:
     """Expansion coefficients for all ``|g| < order`` (``1 <= order <= 16``) about the real ``center`` of an
     expression in ``1 <= n <= 4`` variables (checked against the AST), with the nonzero ``lam`` of every axis."""
     lam = _check_nd_args(ast, n, lam)
-    _check_nd_order(order)
+    check_int("order", order, 1, MAX_ND_ORDER)
     pts = tuple(float(c) for c in center)
     if len(pts) != n:
         raise ValidationError(f"center has {len(pts)} coordinates, need {n}")
@@ -149,8 +138,9 @@ def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> c
     if len(pts) != expansion.dims:
         raise ValidationError(f"point has {len(pts)} coordinates, need {expansion.dims}")
     dense = _dense(expansion.coeffs, expansion.order, expansion.dims)
-    for w in expm1(expansion.lam * (pts - np.array(expansion.center))):
-        dense = horner(dense, w)
+    with np.errstate(all="ignore"):  # as in 1-D, an offset that overflows gives a non-finite value, not a warning
+        for w in expm1(expansion.lam * (pts - np.array(expansion.center))):
+            dense = horner(dense, w)
     return complex(dense)
 
 
@@ -175,14 +165,11 @@ def remainder_bound_nd(
     segment; at ``n = 1`` these are the 1-D formulas.  A zero stage times an overflowed power of ``E`` is 0; a bound
     or integral that is not finite raises ``DomainError``."""
     lam = _check_nd_args(ast, n, lam)
-    _check_nd_order(order)
+    check_int("order", order, 1, MAX_ND_ORDER)
     c, xv = (np.array([float(v) for v in p]) for p in (center, x))
     if len(c) != n or len(xv) != n:
         raise ValidationError(f"center and x must have length {n}")
-    if not isinstance(grid, int) or grid < 3:
-        raise ValidationError(f"grid must be an integer >= 3, got {grid!r}")
-    d = xv - c
-    h = float(np.max(np.abs(d)))
+    check_int("grid", grid, 3)
     theta, weights = _quad_rule(64)
     t = np.concatenate((np.linspace(0.0, 1.0, grid), theta))
     _, starts, codes, ranks = _layout(n, order + 1)
@@ -191,6 +178,8 @@ def remainder_bound_nd(
     facts = _factorials(G)
     sups, integrand = np.zeros(len(gammas)), []
     with np.errstate(all="ignore"):
+        d = xv - c  # an offset past the largest double is inf: the bounds are then refused below
+        h = float(np.max(np.abs(d)))
         points = c + t[:, None] * d
         E = expm1((lam.real if lam.imag == 0 else lam) * (1.0 - t) * d[:, None])  # (n, points)
         for lo in range(0, len(t), POINT_CHUNK):

@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 
 MAX_TABLE_DEPTH = 256
 # |s(n, m)| m! <= (n!)^2 is finite in doubles up to here (and overflows by n = 100)
@@ -92,8 +92,7 @@ def build_table(n_max: int) -> StirlingTable:
     n_max : int
         Largest row index, ``0 <= n_max <= 256``.
     """
-    if not isinstance(n_max, int) or n_max < 0 or n_max > MAX_TABLE_DEPTH:
-        raise ValidationError(f"n_max must be an integer in [0, {MAX_TABLE_DEPTH}], got {n_max!r}")
+    check_int("n_max", n_max, 0, MAX_TABLE_DEPTH)
     rows: list[tuple[int, ...]] = [(1,)]
     for n in range(n_max):
         prev = rows[n]
@@ -119,8 +118,7 @@ def stage_matrix(k_max: int) -> np.ndarray:
     k_max : int
         Largest row index, ``0 <= k_max <= 64``.
     """
-    if not isinstance(k_max, int) or k_max < 0 or k_max > MAX_MATRIX_DEPTH:
-        raise ValidationError(f"k_max must be an integer in [0, {MAX_MATRIX_DEPTH}], got {k_max!r}")
+    check_int("k_max", k_max, 0, MAX_MATRIX_DEPTH)
     table = build_table(k_max)
     out = np.zeros((k_max + 1, k_max + 1))
     for n, row in enumerate(table.rows):
@@ -146,10 +144,8 @@ def ratio_rows(k_max: int, j_max: int) -> Iterator[StirlingRatioRow]:
     j_max : int
         Largest ``j``, ``k_max <= j_max <= 10**6``.
     """
-    if not isinstance(k_max, int) or k_max < 1 or k_max > MAX_RATIO_K:
-        raise ValidationError(f"k_max must be an integer in [1, {MAX_RATIO_K}], got {k_max!r}")
-    if not isinstance(j_max, int) or j_max < k_max or j_max > MAX_RATIO_J:
-        raise ValidationError(f"j_max must be an integer in [{k_max}, {MAX_RATIO_J}], got {j_max!r}")
+    check_int("k_max", k_max, 1, MAX_RATIO_K)
+    check_int("j_max", j_max, k_max, MAX_RATIO_J)
 
     prev = np.zeros(j_max + 1)
     prev[0] = 1.0

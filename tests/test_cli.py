@@ -316,6 +316,26 @@ def test_overflow_exits_2_with_one_line(argv, what):
     assert what in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (("eval", "--fn", "x", "--lambda", "1", "--x", "1e308", "--x0=-1e308", "--order", "3"), 2,
+         "domain error: non-finite remainder bound or integral at x=1e+308, order 3"),
+        (("nd", "--fn", "x1+x2", "--dims", "2", "--lambda", "1", "--x0=-1e308,0", "--x", "1e308,0", "--order", "2"),
+         2, "domain error: non-finite value in bound"),
+        (("sweep", "--fn", "x", "--lambda", "1", "--x0", "0", "--order", "3", "--x-range=-1e308:1e308:3"), 1,
+         "error: --x-range needs a finite span hi - lo, got '-1e308:1e308:3'"),
+    ],
+    ids=["eval", "nd", "sweep"],
+)
+def test_offset_past_the_largest_double_is_refused_without_a_warning(capsys, argv, code, line):
+    # x - x0 overflows a double: the library refuses the bound, and the CLI the sweep's span
+    p = run_main(capsys, *argv)
+    assert (p.returncode, p.stdout) == (code, "")
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line)
+
+
 def test_nd_zero_divisor_past_the_first_chunk_exits_2():
     # the divisor vanishes at t = 0.75, sample 1,536 of the segment's 2,049,
     # so only the second chunk of the lift meets it

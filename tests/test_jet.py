@@ -338,6 +338,8 @@ def test_flat_parts_match_the_map_algebra(case):
                 assert_part_is(sparse.conv(k, a, b, lo, hi), map_conv(k, *maps, lo, hi), n, k)
         for k, part in enumerate(sparse.mul(a, b)):
             assert_part_is(part, map_conv(k, *maps, 0, k), n, k)
+        for k, part in enumerate(sparse.mul(b, a)):  # the other side then has the fewer rows, or as many
+            assert_part_is(part, map_conv(k, *maps[::-1], 0, k), n, k)
 
 
 def test_nd_jet_separable_product():
