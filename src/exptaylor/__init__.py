@@ -47,7 +47,6 @@ from .seriesnd import (
     remainder_bound_nd,
 )
 from .stirling import (
-    StirlingRatioRow,
     StirlingTable,
     build_ratio_rows,
     build_table,
@@ -71,7 +70,6 @@ __all__ = [
     "JetND",
     "ParseError",
     "RemainderEstimate",
-    "StirlingRatioRow",
     "StirlingTable",
     "ValidationError",
     "build_ratio_rows",

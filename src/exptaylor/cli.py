@@ -345,7 +345,7 @@ COMMANDS = {
     "radius": (_cmd_radius, "ratio-test radius and x-region half-width", (
         FN, LAMBDA, X0,
         _opt("--j-max", "highest coefficient index (default 48)", type=int, default=48),
-        _opt("--window", "trailing ratios kept (default 8)", type=int, default=8),
+        _opt("--window", "trailing ratios kept, 4 <= window < j-max (default 8)", type=int, default=8),
         *_output("text"),
     )),
     "growth": (_cmd_growth, "stage-sup growth against factorial envelopes", (

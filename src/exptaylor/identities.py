@@ -34,12 +34,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError, check_int
-from .stirling import StirlingRatioRow, ratio_rows
+from .stirling import ratio_rows
 
 TOL_FLOOR = 1e-12
 TWO_PI_I = 2j * math.pi
@@ -138,7 +138,6 @@ def stirling_log2_series(
     weighted: bool,
     J: int,
     variant: str | None = None,
-    row: StirlingRatioRow | None = None,
 ) -> IdentityResult:
     """Stirling sum for ``log(2)^k / k!``, ``1 <= k <= 4``.
 
@@ -155,22 +154,13 @@ def stirling_log2_series(
     computed and the one closer to the target is reported (ties go to
     signed); only the signed convention matches the targets for every
     ``k``, which is exactly the bookkeeping this suite documents.
-
-    ``row`` may supply the precomputed row for this ``k`` from
-    :func:`~exptaylor.stirling.ratio_rows`, covering ``j <= J + 1``.
     """
     check_int("k", k, 1, MAX_STIRLING_K)
     check_int("J", J, k, MAX_TERMS)
     if variant not in (None, "signed", "unsigned"):
         raise ValidationError(f"variant must be 'signed', 'unsigned', or None, got {variant!r}")
-    if row is None:
-        for row in ratio_rows(k, J + 1):
-            pass  # the last row is row k
-    if row.k != k:
-        raise ValidationError(f"row is for k={row.k}, need k={k}")
-    u = row.values  # u[j] = |s(j, k)| / j!
-    if len(u) < J + 2:
-        raise ValidationError(f"row covers j <= {len(u) - 1}, need {J + 1}")
+    for u in ratio_rows(k, J + 1):
+        pass  # the last row is row k: u[j] = |s(j, k)| / j!
 
     kind = "weighted" if weighted else "unweighted"
     if weighted:
@@ -216,28 +206,28 @@ def stirling_log2_series(
 
 # ---- suite -----------------------------------------------------------------
 
-# (name, zero-argument description) pairs; J values keep the whole suite
+# (name, function, arguments) triples; J values keep the whole suite
 # under a second while leaving each tolerance comfortably above rounding
-_SUITE: tuple[tuple[str, tuple], ...] = (
-    ("cosine_x0.1_J60", ("cosine", 0.1, 60)),
-    ("cosine_x-0.15_J80", ("cosine", -0.15, 80)),
-    ("linear_x0.1_J80", ("linear", 0.1, 80)),
-    ("linear_boundary_J400", ("linear", 1.0 / 6.0, 400)),
-    ("log_k2_J60", ("log", 2, 60)),
-    ("log_k5_J200", ("log", 5, 200)),
-    ("stirling_k1_weighted_J60", ("stirling", 1, True, 60)),
-    ("stirling_k2_weighted_J60", ("stirling", 2, True, 60)),
-    ("stirling_k3_weighted_J60", ("stirling", 3, True, 60)),
-    ("stirling_k4_weighted_J60", ("stirling", 4, True, 60)),
-    ("stirling_k1_unweighted_J20000", ("stirling", 1, False, 20000)),
-    ("stirling_k2_unweighted_J100000", ("stirling", 2, False, 100000)),
-    ("stirling_k3_unweighted_J20000", ("stirling", 3, False, 20000)),
-    ("stirling_k4_unweighted_J20000", ("stirling", 4, False, 20000)),
+_SUITE: tuple[tuple[str, Callable[..., IdentityResult], tuple], ...] = (
+    ("cosine_x0.1_J60", cosine_series, (0.1, 60)),
+    ("cosine_x-0.15_J80", cosine_series, (-0.15, 80)),
+    ("linear_x0.1_J80", linear_series, (0.1, 80)),
+    ("linear_boundary_J400", linear_series, (1.0 / 6.0, 400)),
+    ("log_k2_J60", log_series, (2, 60)),
+    ("log_k5_J200", log_series, (5, 200)),
+    ("stirling_k1_weighted_J60", stirling_log2_series, (1, True, 60)),
+    ("stirling_k2_weighted_J60", stirling_log2_series, (2, True, 60)),
+    ("stirling_k3_weighted_J60", stirling_log2_series, (3, True, 60)),
+    ("stirling_k4_weighted_J60", stirling_log2_series, (4, True, 60)),
+    ("stirling_k1_unweighted_J20000", stirling_log2_series, (1, False, 20000)),
+    ("stirling_k2_unweighted_J100000", stirling_log2_series, (2, False, 100000)),
+    ("stirling_k3_unweighted_J20000", stirling_log2_series, (3, False, 20000)),
+    ("stirling_k4_unweighted_J20000", stirling_log2_series, (4, False, 20000)),
 )
 
 
 def suite_names() -> tuple[str, ...]:
-    return tuple(name for name, _ in _SUITE)
+    return tuple(name for name, _, _ in _SUITE)
 
 
 def run_suite(
@@ -250,48 +240,24 @@ def run_suite(
     the whole suite.  ``tol_overrides`` maps registered names to replacement
     tolerances (the pass flag is recomputed against the override).  Unknown
     names in either argument are rejected so typos cannot silently pass.
-    The Stirling identities share one stream of ratio rows, up to the largest
-    selected ``k`` and ``J``, and each is summed while its row is alive.
+    Each identity is computed on its own, as a standalone call would be.
     """
     registered = set(suite_names())
     overrides = dict(tol_overrides or {})
     unknown = set(overrides) - registered
     if unknown:
         raise ValidationError(f"unknown identity names in tol_overrides: {sorted(unknown)}")
-    if names is None:
-        selected = _SUITE
-    else:
-        unknown = set(names) - registered
-        if unknown:
-            raise ValidationError(f"unknown identity names: {sorted(unknown)}")
-        wanted = set(names)
-        selected = tuple(entry for entry in _SUITE if entry[0] in wanted)
-
-    stirling_results: dict[str, IdentityResult] = {}
-    stirling = [(name, args) for name, args in selected if args[0] == "stirling"]
-    if stirling:
-        k_max = max(args[1] for _, args in stirling)
-        j_max = max(args[3] for _, args in stirling) + 1
-        for row in ratio_rows(k_max, j_max):
-            for name, args in stirling:
-                if args[1] == row.k:
-                    stirling_results[name] = stirling_log2_series(
-                        args[1], args[2], args[3], row=row
-                    )
+    wanted = registered if names is None else set(names)
+    unknown = wanted - registered
+    if unknown:
+        raise ValidationError(f"unknown identity names: {sorted(unknown)}")
 
     results = []
-    for name, args in selected:
-        kind = args[0]
-        if kind == "cosine":
-            res = cosine_series(args[1], args[2])
-        elif kind == "linear":
-            res = linear_series(args[1], args[2])
-        elif kind == "log":
-            res = log_series(args[1], args[2])
-        else:
-            res = stirling_results[name]
-        if name in overrides:
-            tol = float(overrides[name])
-            res = replace(res, tolerance=tol, passed=res.abs_error <= tol)
-        results.append(res)
+    for name, function, args in _SUITE:
+        if name in wanted:
+            res = function(*args)
+            if name in overrides:
+                tol = float(overrides[name])
+                res = replace(res, tolerance=tol, passed=res.abs_error <= tol)
+            results.append(res)
     return results

@@ -409,7 +409,7 @@ def _layout(n: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     the rest in that order), and row ``starts[k] + r`` of all degrees below ``base``.  ``sums[r]`` holds its suffix
     sums ``s_i = g_i + ... + g_(n-1)``, ``1 <= i < n``, which do not read ``g_0``: those of degree ``k`` are the first
     ``C(k+n-1, n-1)`` rows of one array.  Codes ``sum_i s_i base^(i-1)`` add when multi-indices add, as no suffix sum
-    reaches ``base``, and ``ranks[codes[r]] = r``: so ``g + e_k`` is row ``ranks[codes[r] + sum_(i<k) base^i]``."""
+    reaches ``base``, and ``ranks[codes[r]] = r``: ``_plus_unit`` finds the row of ``g + e_k`` from them."""
     sums = np.zeros((1, 0), dtype=np.intp)
     for m in range(1, n):  # the suffix sums of the last m variables, from those of the last m - 1
         counts = [math.comb(d + m - 1, m - 1) for d in range(base)]  # s_1 = d, then the first counts[d] rows
@@ -424,6 +424,13 @@ def _layout(n: int, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     for a in (sums, starts, codes, ranks):
         a.flags.writeable = False
     return sums, starts, codes, ranks
+
+
+def _plus_unit(n: int, base: int, rows: np.ndarray) -> np.ndarray:
+    """Row ``ranks[codes[r] + sum_(i<k) base^i]`` of ``g + e_k`` for each axis ``k`` and row ``r`` of ``g``,
+    numbered within one degree below ``base - 1`` (``_layout``): shape ``(n, len(rows))``."""
+    _, _, codes, ranks = _layout(n, base)
+    return ranks[codes[rows] + np.cumsum([0, *base ** np.arange(n - 1)])[:, None]]
 
 
 def _digits(n: int, base: int, rows: np.ndarray) -> np.ndarray:

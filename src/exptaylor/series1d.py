@@ -451,8 +451,8 @@ def radius_estimate(
     """
     lam = _check_lam(lam)
     _check_1d(ast)
-    if not isinstance(window, int) or not isinstance(j_max, int) or not 4 <= window <= j_max <= MAX_ORDER:
-        raise ValidationError(f"need 4 <= window <= j_max <= {MAX_ORDER}, got window={window!r}, j_max={j_max!r}")
+    if not isinstance(window, int) or not isinstance(j_max, int) or not 4 <= window < j_max <= MAX_ORDER:
+        raise ValidationError(f"need 4 <= window < j_max <= {MAX_ORDER}, got window={window!r}, j_max={j_max!r}")
     with np.errstate(all="ignore"):
         jet = lift(ast, float(x0), j_max)
         absv = np.abs(stage_tensor(jet.coeffs, lam))

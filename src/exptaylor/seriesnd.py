@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError, check_int
 from .expr import MAX_DIMS, ExprAst
-from .jet import _digits, _keys, _layout, _lift_nd_arrays
+from .jet import _digits, _keys, _layout, _lift_nd_arrays, _plus_unit
 from .operators import _check_lam, stage_rows, stage_tensor
 from .series1d import RemainderEstimate, _quad_rule, _times_power, _zero_times, epsilon_sup, expm1, horner
 
@@ -48,14 +48,14 @@ def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
     """All ``comb(order - 1 + n, n)`` multi-indices with ``|g| < order`` in graded-lex order."""
     check_int("n", n, 1)
     check_int("order", order, 1)
-    return _keys(n, order, np.arange(math.comb(order - 1 + n, n)))
+    return _keys(n, order, np.arange(_layout(n, order)[1][order]))
 
 
 def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
     """Multi-indices with ``|g| == degree``, graded-lex order within the degree."""
     check_int("n", n, 1)
     check_int("degree", degree, 0)
-    return _keys(n, degree + 1, np.arange(math.comb(degree - 1 + n, n), math.comb(degree + n, n)))
+    return _keys(n, degree + 1, np.arange(*_layout(n, degree + 1)[1][degree : degree + 2]))
 
 
 def multi_index_factorial(gamma: Sequence[int]) -> int:
@@ -72,7 +72,7 @@ def _factorials(digits: np.ndarray) -> np.ndarray:
 def _expansion_table(n: int, order: int) -> tuple:
     """``(keys, index, factorials)`` for ``multi_indices(n, order)``, read-only: ``stages[index]`` lists the
     stages in key order, and ``factorials`` their ``g!``."""
-    digits = _digits(n, order, np.arange(math.comb(order - 1 + n, n)))
+    digits = _digits(n, order, np.arange(_layout(n, order)[1][order]))
     keys, index, factorials = tuple(map(tuple, digits.tolist())), tuple(digits.T), _factorials(digits)
     for a in (*index, factorials):
         a.flags.writeable = False
@@ -172,9 +172,9 @@ def remainder_bound_nd(
     check_int("grid", grid, 3)
     theta, weights = _quad_rule(64)
     t = np.concatenate((np.linspace(0.0, 1.0, grid), theta))
-    _, starts, codes, ranks = _layout(n, order + 1)
+    starts = _layout(n, order + 1)[1]
     gammas, G = (_digits(n, order + 1, np.arange(starts[k], starts[k + 1])) for k in (order, order - 1))
-    shifts = ranks[codes[: len(G), None] + np.cumsum([0] + [(order + 1) ** i for i in range(n - 1)])].T
+    shifts = _plus_unit(n, order + 1, np.arange(len(G)))
     facts = _factorials(G)
     sups, integrand = np.zeros(len(gammas)), []
     with np.errstate(all="ignore"):

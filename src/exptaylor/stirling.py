@@ -8,29 +8,27 @@ Three representations are kept deliberately separate:
   capped at ``n <= 256``; the entries grow factorially and the table is
   meant for operator coefficients, not for long sums.
 
-* :func:`stage_matrix` is the float image of the exact table that the
-  numerics use: ``S[n, m] = s(n, m) * m!``, each entry rounded once from the
-  exact integer.  Stage ``n`` of the lambda cascade is
+* :func:`stage_matrix` is the float matrix ``S[n, m] = s(n, m) * m!`` that
+  the numerics use, built exactly by ``S(n+1, m) = m S(n, m-1) - n S(n, m)``
+  and rounded once per entry.  Stage ``n`` of the lambda cascade is
   ``sum_m S[n, m] lam^(-m) c_m`` over normalized jet coefficients ``c``.
 
-* :class:`StirlingRatioRow` holds the float ratios ``u_k[j] = |s(j, k)| / j!``
-  for a fixed ``k``.  Dividing the recurrence of the unsigned numbers by
-  ``(j + 1)!`` gives ``(j + 1) u_k[j+1] = u_{k-1}[j] + j u_k[j]``, which
-  telescopes to
+* :func:`ratio_rows` yields the float ratios ``u_k[j] = |s(j, k)| / j!``,
+  one array per ``k``, row ``k`` at position ``k``.  Dividing the
+  recurrence of the unsigned numbers by ``(j + 1)!`` gives
+  ``(j + 1) u_k[j+1] = u_{k-1}[j] + j u_k[j]``, which telescopes to
 
       ``j * u_k[j] = sum_{i < j} u_{k-1}[i]``.
 
   So each row is one cumulative sum of the previous row, followed by one
   division by ``j``.  Every term is positive, so the sum is stable and
   usable out to ``j`` in the hundreds of thousands, far past where either
-  ``|s(j, k)|`` or ``j!`` overflows a double.  :func:`ratio_rows` streams
-  the rows one ``k`` at a time; these rows feed the slowly convergent
-  log-2 sums.
+  ``|s(j, k)|`` or ``j!`` overflows a double.  The rows are streamed one
+  ``k`` at a time; they feed the slowly convergent log-2 sums.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -72,18 +70,6 @@ class StirlingTable:
         return self.rows[n]
 
 
-@dataclass(frozen=True)
-class StirlingRatioRow:
-    """Float row ``values[j] = |s(j, k)| / j!`` for ``0 <= j <= j_max``."""
-
-    k: int
-    values: np.ndarray
-
-    @property
-    def j_max(self) -> int:
-        return len(self.values) - 1
-
-
 def build_table(n_max: int) -> StirlingTable:
     """Build the exact signed table up to row ``n_max``.
 
@@ -119,22 +105,24 @@ def stage_matrix(k_max: int) -> np.ndarray:
         Largest row index, ``0 <= k_max <= 64``.
     """
     check_int("k_max", k_max, 0, MAX_MATRIX_DEPTH)
-    table = build_table(k_max)
     out = np.zeros((k_max + 1, k_max + 1))
-    for n, row in enumerate(table.rows):
-        out[n, : n + 1] = [float(v * math.factorial(m)) for m, v in enumerate(row)]
+    row = [1]  # S(n, m) for 0 <= m <= n in Python integers
+    for n in range(k_max + 1):
+        out[n, : n + 1] = [float(v) for v in row]
+        # S(n+1, m) = m S(n, m-1) - n S(n, m), with S(n, -1) = S(n, n+1) = 0
+        row = [m * a - n * b for m, (a, b) in enumerate(zip([0, *row], [*row, 0]))]
     out.setflags(write=False)
     return out
 
 
-def ratio_rows(k_max: int, j_max: int) -> Iterator[StirlingRatioRow]:
+def ratio_rows(k_max: int, j_max: int) -> Iterator[np.ndarray]:
     """Yield float ratio rows ``|s(j, k)| / j!`` for ``k = 0 .. k_max`` in order.
 
     Row ``k`` is ``cumsum`` of row ``k - 1``, shifted by one and divided by
     ``j = 1 .. j_max``.  The ``k = 0`` row is the trivial ``(1, 0, 0, ...)``.
-    Each row is a fresh array, and the generator keeps only the row it last
-    yielded, so a caller that drops each row holds at most two rows at
-    once.  A row's first ``n`` entries do not depend on ``j_max``.  The
+    Each row is a fresh array indexed by ``j``, and the generator keeps
+    only the row it last yielded, so a caller that drops each row holds at
+    most two rows at once.  A row's first ``n`` entries do not depend on ``j_max``.  The
     arguments are checked on the first ``next``.
 
     Parameters
@@ -149,7 +137,7 @@ def ratio_rows(k_max: int, j_max: int) -> Iterator[StirlingRatioRow]:
 
     prev = np.zeros(j_max + 1)
     prev[0] = 1.0
-    yield StirlingRatioRow(k=0, values=prev)
+    yield prev
     for k in range(1, k_max + 1):
         cur = np.empty(j_max + 1)
         cur[0] = 0.0
@@ -159,14 +147,13 @@ def ratio_rows(k_max: int, j_max: int) -> Iterator[StirlingRatioRow]:
             hi = min(lo + RATIO_DIVIDE_CHUNK, j_max + 1)
             cur[lo:hi] /= np.arange(lo, hi, dtype=float)
         prev = cur
-        yield StirlingRatioRow(k=k, values=cur)
+        yield cur
 
 
-def build_ratio_rows(k_max: int, j_max: int) -> list[StirlingRatioRow]:
-    """All rows of :func:`ratio_rows` at once, indexable by ``k``.
+def build_ratio_rows(k_max: int, j_max: int) -> list[np.ndarray]:
+    """All rows of :func:`ratio_rows` at once, row ``k`` at index ``k``.
 
-    Returns ``k_max + 1`` rows ``|s(j, k)| / j!`` for ``0 <= j <= j_max``;
-    each is ``j * u_k[j] = sum_{i<j} u_{k-1}[i]`` as one cumulative sum.
+    Returns ``k_max + 1`` float arrays ``|s(j, k)| / j!`` for ``0 <= j <= j_max``.
     This holds every row in memory; a caller that needs one ``k`` at a time
     should iterate :func:`ratio_rows` instead.
 

@@ -180,7 +180,7 @@ def test_09_stirling_table_invariants():
     for k in range(1, 5):
         for j in range(k, 65):
             exact = abs(table.value(j, k)) / math.factorial(j)
-            got = rows[k].values[j]
+            got = rows[k][j]
             ok = ok and (exact == got == 0.0 or abs(got - exact) <= 1e-12 * exact)
     check("9 Stirling table recurrence, row sums, and float rows (n <= 64)", ok)
 

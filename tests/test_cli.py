@@ -26,7 +26,7 @@ from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import eval_complex, parse
 from exptaylor.identities import run_suite
 from exptaylor.render import RENDERERS, Field, Table, format_complex
-from exptaylor.series1d import eval_series, expand_1d, expm1
+from exptaylor.series1d import eval_series, expand_1d, expm1, radius_estimate
 
 TWO_PI_I = "0+6.283185307179586i"
 
@@ -505,6 +505,22 @@ def test_radius_terminating_series_exits_1(capsys):
     p = run_main(capsys, "radius", "--fn", "exp(x)", "--lambda", "1", "--j-max", "24")
     assert p.returncode == 1
     assert "error" in p.stderr
+
+
+def test_radius_window_must_be_below_j_max(capsys):
+    # ratios run over 1 <= j < j_max, so a window of j_max can never fill;
+    # cos(2*pi*x) does not terminate and must not be reported as if it did
+    message = "need 4 <= window < j_max <= 64, got window=8, j_max=8"
+    with pytest.raises(ValidationError) as info:
+        radius_estimate(parse("cos(2*pi*x)"), 2j * math.pi, 0.0, j_max=8, window=8)
+    assert str(info.value) == message
+    p = run_main(capsys, "radius", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--j-max", "8", "--window", "8")
+    assert p.returncode == 1
+    assert p.stdout == ""
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1
+    assert "window" in lines[0] and "j_max" in lines[0]
+    assert "terminate" not in lines[0]
 
 
 def test_radius_csv(capsys):

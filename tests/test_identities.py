@@ -129,16 +129,6 @@ def test_stirling_unsigned_variant_coincides_for_even_k():
     assert a.computed == b.computed
 
 
-def test_stirling_precomputed_rows():
-    row = build_ratio_rows(4, 201)[3]
-    r = stirling_log2_series(3, True, 200, row=row)
-    assert r.passed
-    with pytest.raises(ValidationError):
-        stirling_log2_series(3, True, 400, row=row)  # row too short
-    with pytest.raises(ValidationError):
-        stirling_log2_series(2, True, 200, row=row)  # row for another k
-
-
 @pytest.mark.parametrize("k,J", [(1, 20000), (2, 100000), (3, 20000), (4, 20000), (4, 777)])
 def test_stirling_boundary_sum_error_within_pairwise_bound(k, J):
     # The boundary series is summed as n differences d_i of adjacent terms.
@@ -149,9 +139,8 @@ def test_stirling_boundary_sum_error_within_pairwise_bound(k, J):
     # reference is the exactly rounded sum of the same float terms, so only
     # the summation is measured.
     eps = np.finfo(float).eps
-    row = build_ratio_rows(k, J + 1)[k]
-    u = row.values
-    r = stirling_log2_series(k, False, J, variant="signed", row=row)
+    u = build_ratio_rows(k, J + 1)[k]
+    r = stirling_log2_series(k, False, J, variant="signed")
     signed = [u[j] if (j - k) % 2 == 0 else -u[j] for j in range(k, J + 2)]
     exact = math.fsum(signed[:-1] + [0.5 * signed[-1]])
     pairs = (J - k + 1) // 2
@@ -162,13 +151,13 @@ def test_stirling_boundary_sum_error_within_pairwise_bound(k, J):
 
 
 def test_stirling_results_agree_across_entry_points():
-    # the streamed suite, a one-name suite and a standalone call sum the same
+    # the whole suite, a one-name suite and a standalone call sum the same
     # row prefix, so every field is bitwise equal
     whole = dict(zip(suite_names(), run_suite()))
-    for name, args in _SUITE:
-        if args[0] != "stirling":
+    for name, function, args in _SUITE:
+        if function is not stirling_log2_series:
             continue
-        _, k, weighted, J = args
+        k, weighted, J = args
         alone = run_suite(names=[name])[0]
         standalone = stirling_log2_series(k, weighted, J)
         assert whole[name] == alone == standalone

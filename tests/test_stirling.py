@@ -99,19 +99,19 @@ def test_ratio_rows_match_exact_table():
     for k in range(1, 5):
         for j in range(k, 65):
             exact = Fraction(abs(table.value(j, k)), math.factorial(j))
-            got = rows[k].values[j]
+            got = rows[k][j]
             assert got == pytest.approx(float(exact), rel=1e-12)
 
 
 def test_ratio_row_closed_forms():
     rows = build_ratio_rows(2, 40)
     # u[k, k] = 1/k!, u[j, 1] = 1/j, u[j, 2] = H_{j-1}/j
-    assert rows[2].values[2] == pytest.approx(0.5, rel=1e-15)
-    assert rows[1].values[5] == pytest.approx(0.2, rel=1e-15)
+    assert rows[2][2] == pytest.approx(0.5, rel=1e-15)
+    assert rows[1][5] == pytest.approx(0.2, rel=1e-15)
     for j in (2, 7, 25, 40):
-        assert rows[1].values[j] == pytest.approx(1.0 / j, rel=1e-14)
+        assert rows[1][j] == pytest.approx(1.0 / j, rel=1e-14)
         harmonic = sum(1.0 / i for i in range(1, j))
-        assert rows[2].values[j] == pytest.approx(harmonic / j, rel=1e-13)
+        assert rows[2][j] == pytest.approx(harmonic / j, rel=1e-13)
 
 
 def test_ratio_rows_within_summation_bound_of_mpmath():
@@ -132,7 +132,7 @@ def test_ratio_rows_within_summation_bound_of_mpmath():
             for i in range(1, j_max + 1):
                 acc += prev[i - 1]
                 cur[i] = acc / i
-            got = rows[k].values
+            got = rows[k]
             assert not got[:k].any()
             rel = np.array(
                 [float(abs(mpmath.mpf(got[i]) - cur[i]) / cur[i]) for i in range(k, j_max + 1)]
@@ -142,23 +142,25 @@ def test_ratio_rows_within_summation_bound_of_mpmath():
 
 
 def test_ratio_rows_stream_in_order_and_match_list():
+    # row k at position k, each a float array over 0 <= j <= j_max
     streamed = list(ratio_rows(3, 500))
-    assert [row.k for row in streamed] == [0, 1, 2, 3]
+    assert [(row.dtype, row.shape) for row in streamed] == [(np.float64, (501,))] * 4
+    assert [np.flatnonzero(row)[0] for row in streamed] == [0, 1, 2, 3]
     for a, b in zip(streamed, build_ratio_rows(3, 500)):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
     # a row's prefix does not depend on how far the rows reach
     for a, b in zip(ratio_rows(3, 80), streamed):
-        assert np.array_equal(a.values, b.values[:81])
+        assert np.array_equal(a, b[:81])
     with pytest.raises(ValidationError):
         next(ratio_rows(9, 10))
 
 
 def test_ratio_row_k0_trivial():
     rows = build_ratio_rows(1, 10)
-    assert rows[0].k == 0
-    assert rows[0].values[0] == 1.0
-    assert not rows[0].values[1:].any()
-    assert rows[0].j_max == 10
+    assert len(rows) == 2  # rows k = 0 and 1, row k at position k
+    assert rows[0][0] == 1.0
+    assert not rows[0][1:].any()
+    assert len(rows[0]) - 1 == 10
 
 
 def test_ratio_rows_validated():
@@ -177,12 +179,14 @@ def test_stage_matrix_diagonal_is_factorial():
     assert stage_matrix(10)[10, 10] == float(math.factorial(10))
 
 
-def test_stage_matrix_matches_exact_table():
-    table = build_table(64)
-    S = stage_matrix(64)
-    assert S.shape == (65, 65)
-    for n in range(65):
-        for m in range(65):
+@pytest.mark.parametrize("K", [0, 1, 16, 39, 64])
+def test_stage_matrix_matches_exact_table(K):
+    # the matrix runs its own recurrence on s(n, m) m!; the table runs s(n, m)
+    table = build_table(K)
+    S = stage_matrix(K)
+    assert S.shape == (K + 1, K + 1)
+    for n in range(K + 1):
+        for m in range(K + 1):
             assert S[n, m] == float(table.value(n, m) * math.factorial(m))
     assert np.all(np.isfinite(S))
 
