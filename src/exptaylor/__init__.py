@@ -26,21 +26,18 @@ from .jet import Jet1D, JetND, lift, lift_nd
 from .operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from .series1d import (
     ConvergenceReport,
-    Expansion1D,
     GrowthReport,
     RemainderEstimate,
     epsilon_sup,
-    eval_series,
-    expand_1d,
     growth_diagnostic,
     radius_estimate,
     remainder_bound,
     remainder_bounds,
 )
 from .seriesnd import (
-    ExpansionND,
-    eval_nd,
-    expand_nd,
+    Expansion,
+    evaluate,
+    expand,
     multi_index_factorial,
     multi_indices,
     multi_indices_of_degree,
@@ -61,8 +58,7 @@ __all__ = [
     "DiagnosticError",
     "DomainError",
     "ExpTaylorError",
-    "Expansion1D",
-    "ExpansionND",
+    "Expansion",
     "ExprAst",
     "GrowthReport",
     "IdentityResult",
@@ -78,10 +74,8 @@ __all__ = [
     "cosine_series",
     "epsilon_sup",
     "eval_complex",
-    "eval_nd",
-    "eval_series",
-    "expand_1d",
-    "expand_nd",
+    "evaluate",
+    "expand",
     "growth_diagnostic",
     "lift",
     "lift_nd",

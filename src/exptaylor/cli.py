@@ -33,17 +33,8 @@ from .errors import DiagnosticError, DomainError, ParseError, ValidationError
 from .expr import eval_complex, parse
 from .identities import run_suite
 from .render import RENDERERS, Field, Table, format_complex, format_float
-from .series1d import (
-    eval_series,
-    expand_1d,
-    expm1,
-    growth_diagnostic,
-    horner,
-    radius_estimate,
-    remainder_bound,
-    remainder_bounds,
-)
-from .seriesnd import eval_nd, expand_nd, remainder_bound_nd
+from .series1d import expm1, growth_diagnostic, horner, radius_estimate, remainder_bound, remainder_bounds
+from .seriesnd import evaluate, expand, multi_indices, remainder_bound_nd
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,7 +123,7 @@ def _coeff_table(items, index_kind: str, label: Callable) -> Table:
 
 
 def _cmd_expand(args):
-    exp = expand_1d(parse(args.fn, dims=1), args.lam, args.x0, args.order)
+    exp = expand(parse(args.fn, dims=1), args.lam, (args.x0,), args.order)
     return [
         Field(None, args.fn, "str", "fn"),
         Field("lambda", args.lam, "lit"),
@@ -146,8 +137,7 @@ def _cmd_eval(args):
     if args.check_tol < 0:
         raise ValidationError(f"--check-tol must be >= 0, got {args.check_tol!r}")
     ast = parse(args.fn, dims=1)
-    exp = expand_1d(ast, args.lam, args.x0, args.order)
-    series = complex(eval_series(exp, args.x))
+    series = evaluate(expand(ast, args.lam, (args.x0,), args.order), (args.x,))
     true = complex(eval_complex(ast, args.x))
     est = remainder_bound(
         ast, args.lam, args.x0, args.x, args.order, grid=args.grid, quad_nodes=args.quad_nodes
@@ -192,8 +182,8 @@ def _cmd_sweep(args):
     ests = remainder_bounds(ast, args.lam, args.x0, xs, orders, grid=args.grid, quad_nodes=args.quad_nodes)
     # the order-n expansion is the first n coefficients of the highest-order one: one Horner per
     # order over every x, and the errors x-major, as the estimates
-    full = expand_1d(ast, args.lam, args.x0, max(orders))
-    w = expm1(full.lam * (np.array(xs) - full.x0))
+    full = expand(ast, args.lam, (args.x0,), max(orders))
+    w = expm1(full.lam * (np.array(xs) - args.x0))
     trues = np.array([complex(eval_complex(ast, x)) for x in xs])[:, None]
     errs = np.abs(trues - np.stack([horner(full.coeffs[:n], w) for n in orders], axis=1)).ravel().tolist()
     rows = [(p, err, est.bound_tight, est.bound_loose) for p, err, est in zip(points, errs, ests)]
@@ -246,17 +236,19 @@ def _cmd_nd(args):
     n = args.dims
     ast = parse(args.fn, dims=n)
     center = (0.0,) * n if args.x0 is None else args.x0
-    exp = expand_nd(ast, n, args.lam, center, args.order)
+    exp = expand(ast, args.lam, center, args.order)
+    keys = multi_indices(n, exp.order)
+    coeffs = _coeff_table(zip(keys, map(exp.coeffs.item, keys)), "index", lambda g: ",".join(map(str, g)))
     record = [
         Field("fn", args.fn, "str"),
         Field("dims", n, "int"),
         Field("lambda", args.lam, "lit"),
         Field("center", center, "vector"),
         Field("order", exp.order, "int"),
-        Field("coeffs", _coeff_table(exp.coeffs.items(), "index", lambda g: ",".join(map(str, g))), "table"),
+        Field("coeffs", coeffs, "table"),
     ]
     if args.x is not None:
-        series = complex(eval_nd(exp, args.x))  # checks the length of x
+        series = evaluate(exp, args.x)  # checks the length of x
         true = complex(eval_complex(ast, args.x))
         est = remainder_bound_nd(ast, n, args.lam, center, args.x, args.order, grid=args.grid)
         remainder = complex(est.integral_value)

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError, check_int
-from .stirling import ratio_rows
+from .stirling import MAX_RATIO_J, ratio_rows
 
 TOL_FLOOR = 1e-12
 TWO_PI_I = 2j * math.pi
@@ -156,7 +156,7 @@ def stirling_log2_series(
     ``k``, which is exactly the bookkeeping this suite documents.
     """
     check_int("k", k, 1, MAX_STIRLING_K)
-    check_int("J", J, k, MAX_TERMS)
+    check_int("J", J, k, MAX_RATIO_J - 1)  # the ratio rows run to J + 1
     if variant not in (None, "signed", "unsigned"):
         raise ValidationError(f"variant must be 'signed', 'unsigned', or None, got {variant!r}")
     for u in ratio_rows(k, J + 1):

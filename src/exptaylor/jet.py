@@ -443,8 +443,8 @@ def _digits(n: int, base: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _keys(n: int, base: int, rows: np.ndarray) -> list[tuple[int, ...]]:
-    """``_digits`` as tuples, for the public surface."""
-    return list(map(tuple, _digits(n, base, rows).tolist()))
+    """``_digits`` as tuples, for the public surface: zipped from the columns, which is faster than a tuple per row."""
+    return list(zip(*_digits(n, base, rows).T.tolist()))
 
 
 class _Sparse(_Algebra):

@@ -4,9 +4,10 @@ A smooth function is expanded about ``x0`` in powers of
 
     w = exp(lam * (x - x0)) - 1
 
-with coefficients ``c[j] = stage_j(x0) / j!``, every stage at ``x0`` from one
-Stirling-matrix product (``operators.stage_tensor``).  The truncation error
-after ``N`` terms has an exact integral form
+with coefficients ``c[j] = stage_j(x0) / j!`` (``seriesnd.expand``, the case
+of one variable), summed by Horner's rule in ``w`` (``horner``, with ``w``
+from ``expm1``).  The truncation error after ``N`` terms has an exact
+integral form
 
     R_N = lam / (N-1)! * integral_0^1 of
           stage_N(a)((1-t) x0 + t x) * (exp(lam (1-t)(x - x0)) - 1)^(N-1)
@@ -44,16 +45,6 @@ from .stirling import stage_matrix
 # 4,096 against 116.2 at 2,048 (135.9 at 8,192, with 1.8 MB more peak memory), and
 # growth at grid 20,001, lam = 2 pi i took 28-39 ms against 30-45 ms and 33-44 ms
 LIFT_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class Expansion1D:
-    """Coefficients ``coeffs[j]`` of ``w^j`` for ``j < order`` about ``x0``."""
-
-    lam: complex
-    x0: float
-    order: int
-    coeffs: np.ndarray  # shape (order,): float64 when 1/lam is real, else complex128
 
 
 @dataclass(frozen=True)
@@ -118,38 +109,12 @@ class GrowthReport:
     periodic_input: bool
 
 
-# ---- expansion and evaluation ----------------------------------------------
+# ---- w and Horner's rule --------------------------------------------------
 
 
 def _check_1d(ast: ExprAst) -> None:
     if ast.dims != 1:
         raise ValidationError(f"expected a 1-variable expression, got dims={ast.dims}")
-
-
-def expand_1d(ast: ExprAst, lam: complex, x0: float, order: int) -> Expansion1D:
-    """Expansion coefficients ``c[0..order-1]`` about ``x0``.
-
-    Parameters
-    ----------
-    ast : ExprAst
-        One-variable expression to expand.
-    lam : complex
-        Nonzero scale in ``w = exp(lam (x - x0)) - 1``.
-    x0 : float
-        Real expansion center.
-    order : int
-        Number of coefficients, ``1 <= order <= 64``.
-    """
-    lam = _check_lam(lam)
-    _check_1d(ast)
-    check_int("order", order, 1, MAX_ORDER)
-    facts = np.array([math.factorial(j) for j in range(order)], dtype=np.float64)
-    with np.errstate(all="ignore"):
-        # a reciprocal and a product: the complex division by facts + 0j rounded so
-        coeffs = stage_tensor(lift(ast, float(x0), order - 1).coeffs, lam) * (1.0 / facts)
-    if not np.all(np.isfinite(coeffs)):
-        raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
-    return Expansion1D(lam=lam, x0=float(x0), order=order, coeffs=coeffs)
 
 
 def expm1(u):
@@ -168,7 +133,7 @@ def expm1(u):
     with np.errstate(all="ignore"):
         out.real = np.expm1(u.real) * np.cos(u.imag) - 2.0 * np.sin(u.imag / 2.0) ** 2
         out.imag = np.where(u.imag == 0, 0.0, np.exp(u.real) * np.sin(u.imag))
-    return out[()]  # a scalar for a scalar u, so eval_series sums in numpy scalar arithmetic
+    return out[()]  # a scalar for a scalar u, so a Horner sum in one w runs in numpy scalar arithmetic
 
 
 def horner(coeffs, w):
@@ -190,12 +155,6 @@ def _real_power(w: np.ndarray, n: int) -> np.ndarray:
     the result has the bits of the complex power's real part (up to the sign of an exact zero).
     """
     return np.ones_like(w) if n == 0 else _square_multiply(w, n, operator.mul)
-
-
-def eval_series(expansion: Expansion1D, x: float | complex) -> complex:
-    """Evaluate the truncated expansion at ``x`` (Horner in ``w``).  Overflow gives a non-finite value
-    without a warning; the remainder bound at the same ``x`` overflows with it and raises ``DomainError``."""
-    return complex(horner(expansion.coeffs, expm1(expansion.lam * (complex(x) - expansion.x0))))
 
 
 # ---- exact remainder and bounds --------------------------------------------

@@ -1,9 +1,11 @@
-"""Exponential Taylor expansions in several variables.
+"""Exponential Taylor expansions in 1 to 4 variables.
 
 Multi-indices are ordered graded-lexicographically (``jet._layout``): by total
 degree, and within a degree with earlier axes dominant, so for two variables
 (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).  The expansion about ``c`` sums
-``coeff[g] * prod_i w_i^g_i`` with ``w_i = exp(lam (x_i - c_i)) - 1``.
+``coeff[g] * prod_i w_i^g_i`` with ``w_i = exp(lam (x_i - c_i)) - 1`` and
+``coeff[g] = stage_g(c) / g!``, one ``Expansion`` whatever the number of
+variables: one variable is the case n = 1.
 
 The remainder after total degree ``N`` is an exact integral along the
 segment ``xi(t) = c + t (x - c)``, as in one variable:
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import DomainError, ValidationError, check_int
 from .expr import MAX_DIMS, ExprAst
-from .jet import _digits, _keys, _layout, _lift_nd_arrays, _plus_unit
+from .jet import MAX_ORDER, _digits, _keys, _layout, _lift_1d_array, _lift_nd_arrays, _plus_unit
 from .operators import _check_lam, stage_rows, stage_tensor
 from .series1d import RemainderEstimate, _quad_rule, _times_power, _zero_times, epsilon_sup, expm1, horner
 
@@ -63,85 +65,84 @@ def multi_index_factorial(gamma: Sequence[int]) -> int:
     return math.prod(map(math.factorial, gamma))
 
 
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(MAX_ORDER + 1)])
+
+
 def _factorials(digits: np.ndarray) -> np.ndarray:
-    """``g!`` for each row ``g`` of ``digits``, exact in float64: every partial product divides ``|g|! <= 16!``."""
-    return np.cumprod([1.0, *range(1, MAX_ND_ORDER + 1)])[digits].prod(axis=1)
+    """``g!`` for each row ``g`` of ``digits``: in one variable ``g! <= 63!`` rounded once, and in more, where
+    ``|g| <= 16``, exact in float64, as every partial product divides ``|g|!``."""
+    return _FACTORIALS[digits].prod(axis=1)
 
 
 @lru_cache(maxsize=None)
 def _expansion_table(n: int, order: int) -> tuple:
-    """``(keys, index, factorials)`` for ``multi_indices(n, order)``, read-only: ``stages[index]`` lists the
-    stages in key order, and ``factorials`` their ``g!``."""
+    """``(index, factorials)`` for ``multi_indices(n, order)``, read-only: ``coeffs[index]`` lists the
+    coefficients in graded-lex order, and ``factorials`` their ``g!``."""
     digits = _digits(n, order, np.arange(_layout(n, order)[1][order]))
-    keys, index, factorials = tuple(map(tuple, digits.tolist())), tuple(digits.T), _factorials(digits)
+    index, factorials = tuple(digits.T), _factorials(digits)
     for a in (*index, factorials):
         a.flags.writeable = False
-    return keys, index, factorials
+    return index, factorials
 
 
 # ---- expansion -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ExpansionND:
-    """Coefficients ``coeffs[g]`` of ``prod w_i^g_i`` for ``|g| < order``."""
+class Expansion:
+    """Coefficients ``coeffs[g]`` of ``prod_i w_i^g_i`` about ``center``: a dense ``(order,) * n`` array, zero past
+    total degree ``order - 1``, float64 when ``1/lam`` is real and complex128 otherwise."""
 
     lam: complex
     center: tuple[float, ...]
     order: int
-    coeffs: dict[tuple[int, ...], complex]
+    coeffs: np.ndarray
 
     @property
     def dims(self) -> int:
         return len(self.center)
 
 
-def _check_nd_args(ast: ExprAst, n: int, lam: complex) -> complex:
-    check_int("n", n, 1, MAX_DIMS)
-    if n != ast.dims:
-        raise ValidationError(f"expression has dims={ast.dims}, caller said n={n}")
-    return _check_lam(lam)
-
-
-def expand_nd(ast: ExprAst, n: int, lam: complex, center: Sequence[float], order: int) -> ExpansionND:
-    """Expansion coefficients for all ``|g| < order`` (``1 <= order <= 16``) about the real ``center`` of an
-    expression in ``1 <= n <= 4`` variables (checked against the AST), with the nonzero ``lam`` of every axis."""
-    lam = _check_nd_args(ast, n, lam)
-    check_int("order", order, 1, MAX_ND_ORDER)
+def expand(ast: ExprAst, lam: complex, center: Sequence[float], order: int) -> Expansion:
+    """Expansion coefficients for all ``|g| < order`` about the real ``center`` of an expression in 1 to 4
+    variables, with the nonzero ``lam`` of every axis: ``1 <= order <= 64`` in one variable, lifted as a 1-D jet,
+    and ``1 <= order <= 16`` in more, lifted as an n-D jet.  Each coefficient is its stage (``stage_tensor``)
+    times ``1/g!``, as numpy's complex division by the real ``g!`` rounds; a non-finite one raises
+    ``DomainError``."""
+    lam, n = _check_lam(lam), ast.dims
+    check_int("order", order, 1, MAX_ORDER if n == 1 else MAX_ND_ORDER)
     pts = tuple(float(c) for c in center)
     if len(pts) != n:
         raise ValidationError(f"center has {len(pts)} coordinates, need {n}")
-    keys, index, factorials = _expansion_table(n, order)
-    dense = np.zeros((order,) * n, dtype=np.complex128)
+    index, factorials = _expansion_table(n, order)
     with np.errstate(all="ignore"):
         # the jet's degree is order - 1, so every stage of |g| < order reads stored coefficients alone
-        rows, jet = _lift_nd_arrays(ast, np.array([pts]), order - 1)  # its rows are those of the keys
-        dense[tuple(axis[rows] for axis in index)] = jet[:, 0]
-        # one complex division by g! + 0j per key, as the per-key quotient rounds
-        values = stage_tensor(dense, lam)[index] / factorials
-    if not np.all(np.isfinite(values)):
+        if n == 1:
+            jet = _lift_1d_array(ast, np.array(pts), order - 1)[0]
+        else:
+            rows, values = _lift_nd_arrays(ast, np.array([pts]), order - 1)  # its rows are those of the index
+            jet = np.zeros((order,) * n)
+            jet[tuple(axis[rows] for axis in index)] = values[:, 0]
+        stages = stage_tensor(jet, lam)
+        coeffs = np.zeros_like(stages)
+        coeffs[index] = stages[index] * (1.0 / factorials)
+    if not np.all(np.isfinite(coeffs)):
         raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
-    return ExpansionND(lam=lam, center=pts, order=order, coeffs=dict(zip(keys, values.tolist())))
+    return Expansion(lam=lam, center=pts, order=order, coeffs=coeffs)
 
 
-def _dense(coeffs: dict, order: int, dims: int) -> np.ndarray:
-    """The complex ``(order,) * dims`` tensor holding ``coeffs[g]`` at each key ``g`` and 0 elsewhere."""
-    out = np.zeros((order,) * dims, dtype=np.complex128)
-    out[tuple(np.array(list(coeffs), dtype=np.intp).reshape(-1, dims).T)] = list(coeffs.values())
-    return out
-
-
-def eval_nd(expansion: ExpansionND, x: Sequence[float] | Sequence[complex]) -> complex:
-    """Evaluate the truncated expansion at ``x``: the coefficients as a dense
-    ``(order,) * n`` tensor, summed by Horner's rule in ``w_i`` along each axis in turn."""
+def evaluate(expansion: Expansion, x: Sequence[float] | Sequence[complex]) -> complex:
+    """Evaluate the truncated expansion at the real or complex point ``x``: Horner's rule in ``w_i`` along
+    each axis in turn.  Overflow gives a non-finite value without a warning; the remainder bound at the same
+    ``x`` overflows with it and raises ``DomainError``."""
     pts = np.array([complex(v) for v in x])
     if len(pts) != expansion.dims:
         raise ValidationError(f"point has {len(pts)} coordinates, need {expansion.dims}")
-    dense = _dense(expansion.coeffs, expansion.order, expansion.dims)
-    with np.errstate(all="ignore"):  # as in 1-D, an offset that overflows gives a non-finite value, not a warning
+    coeffs = expansion.coeffs
+    with np.errstate(all="ignore"):
         for w in expm1(expansion.lam * (pts - np.array(expansion.center))):
-            dense = horner(dense, w)
-    return complex(dense)
+            coeffs = horner(coeffs, w)
+    return complex(coeffs)
 
 
 # ---- remainder along the segment -------------------------------------------
@@ -164,7 +165,10 @@ def remainder_bound_nd(
     ``bound_tight`` the sampled ``|lam| max |I|``, and ``bound_loose`` the loose bound with the sup sampled on the
     segment; at ``n = 1`` these are the 1-D formulas.  A zero stage times an overflowed power of ``E`` is 0; a bound
     or integral that is not finite raises ``DomainError``."""
-    lam = _check_nd_args(ast, n, lam)
+    check_int("n", n, 1, MAX_DIMS)
+    if n != ast.dims:
+        raise ValidationError(f"expression has dims={ast.dims}, caller said n={n}")
+    lam = _check_lam(lam)
     check_int("order", order, 1, MAX_ND_ORDER)
     c, xv = (np.array([float(v) for v in p]) for p in (center, x))
     if len(c) != n or len(xv) != n:

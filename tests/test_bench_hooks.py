@@ -19,8 +19,9 @@ from exptaylor.expr import parse
 from exptaylor.operators import cascade_values
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-# deleted with the n-D big-integer stage sums (now operators.stage_tensor/stage_rows)
-ALREADY_ABSENT = {"operators.d_lambda_nd", "operators.nd_stage_value"}
+# deleted with the n-D big-integer stage sums (now operators.stage_tensor/stage_rows), and
+# with the n-D expander (now seriesnd.expand, for 1 to 4 variables)
+ALREADY_ABSENT = {"operators.d_lambda_nd", "operators.nd_stage_value", "seriesnd.expand_nd"}
 
 
 def load_tracer():

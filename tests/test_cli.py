@@ -26,7 +26,8 @@ from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import eval_complex, parse
 from exptaylor.identities import run_suite
 from exptaylor.render import RENDERERS, Field, Table, format_complex
-from exptaylor.series1d import eval_series, expand_1d, expm1, radius_estimate
+from exptaylor.series1d import expm1, radius_estimate
+from exptaylor.seriesnd import evaluate, expand
 
 TWO_PI_I = "0+6.283185307179586i"
 
@@ -421,15 +422,15 @@ def test_sweep_errors_match_eval_series_point_by_point(capsys, fn, lam, span):
     ast, lam = parse(fn), parse_complex_literal(lam)
     for row in json.loads(out)["rows"]:
         x, order = (row["x"], int(span[1])) if "--order" in span else (float(span[1]), row["N"])
-        e = expand_1d(ast, lam, 0.0, order)
+        e = expand(ast, lam, (0.0,), order)
         true = complex(eval_complex(ast, x))
-        # sweep's array Horner and eval_series' scalar one each round within
+        # sweep's array Horner and evaluate's scalar one each round within
         # (sqrt(5) + 1)u of the terms' size per multiply-add, order - 1 of them,
         # plus a few u of w to each power: under 10 order u for the two; the
         # subtraction from true and the modulus add 2u of |true| each
         size = float(np.sum(np.abs(e.coeffs) * np.abs(expm1(e.lam * x)) ** np.arange(order)))
         tol = 10 * order * 2.0**-53 * size + 4 * 2.0**-53 * abs(true)
-        assert abs(row["abs_error"] - abs(true - eval_series(e, x))) <= tol
+        assert abs(row["abs_error"] - abs(true - evaluate(e, (x,)))) <= tol
 
 
 def test_sweep_bounds_of_x_against_mpmath_near_x0(capsys):
@@ -568,6 +569,25 @@ def test_nd_json_with_point(capsys):
     ]
     assert point["abs_error"] <= 1.02 * point["bound_tight"] <= 1.02 * point["bound"]
     assert point["recon_error"] <= 1e-15
+
+
+def test_nd_in_one_variable_prints_the_expand_coefficients(capsys):
+    # one expansion for every n: nd --dims 1 lifts the 1-D jet, as expand does, so the digits agree
+    args = ("--fn", "exp(sin(x))", "--lambda", "1", "--x0=0.17", "--order", "9", "--format", "json")
+    nd, ex = run_main(capsys, "nd", "--dims", "1", *args), run_main(capsys, "expand", *args)
+    assert nd.returncode == ex.returncode == 0
+    assert [([c["index"]], c["re"], c["im"]) for c in json.loads(ex.stdout)["coeffs"]] == [
+        (c["index"], c["re"], c["im"]) for c in json.loads(nd.stdout)["coeffs"]
+    ]
+
+
+def test_nd_in_one_variable_takes_the_expand_order_cap_and_the_bound_keeps_its_own(capsys):
+    args = ("--fn", "exp(sin(x))", "--lambda", "1", "--order", "20", "--format", "json")
+    nd, ex = run_main(capsys, "nd", "--dims", "1", *args), run_main(capsys, "expand", *args)
+    assert nd.returncode == ex.returncode == 0
+    assert [c["re"] for c in json.loads(nd.stdout)["coeffs"]] == [c["re"] for c in json.loads(ex.stdout)["coeffs"]]
+    p = run_main(capsys, "nd", "--dims", "1", *args, "--x", "0.1")
+    assert (p.returncode, p.stdout, p.stderr) == (1, "", "error: order must be an integer in [1, 16], got 20\n")
 
 
 def test_nd_seed_is_accepted_and_has_no_effect(capsys):

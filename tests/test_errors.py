@@ -7,8 +7,8 @@ from exptaylor.errors import ValidationError, check_int
 from exptaylor.expr import parse
 from exptaylor.identities import cosine_series, linear_series, log_series, stirling_log2_series
 from exptaylor.jet import lift, lift_nd
-from exptaylor.series1d import expand_1d, growth_diagnostic, remainder_bound, remainder_bounds
-from exptaylor.seriesnd import expand_nd, multi_indices, multi_indices_of_degree, remainder_bound_nd
+from exptaylor.series1d import growth_diagnostic, remainder_bound, remainder_bounds
+from exptaylor.seriesnd import expand, multi_indices, multi_indices_of_degree, remainder_bound_nd
 from exptaylor.stirling import build_table, ratio_rows, stage_matrix
 
 X, X12 = parse("x"), parse("x1*x2", dims=2)
@@ -21,12 +21,14 @@ CASES = {
     "log_k": ("k must be an integer >= 2, got {}", lambda v: log_series(v, 5), 1, 2.0),
     "log_J": ("J must be an integer in [1, 1000000], got {}", lambda v: log_series(2, v), 0, None),
     "stirling_k": ("k must be an integer in [1, 4], got {}", lambda v: stirling_log2_series(v, True, 8), 5, 1.0),
-    "stirling_J": ("J must be an integer in [2, 1000000], got {}", lambda v: stirling_log2_series(2, True, v), 1,
+    "stirling_J": ("J must be an integer in [2, 999999], got {}", lambda v: stirling_log2_series(2, True, v), 1,
                    np.int64(8)),
+    "stirling_J_top": ("J must be an integer in [1, 999999], got {}", lambda v: stirling_log2_series(1, True, v),
+                       10**6, 3.0),
     "lift_order": ("jet order must be an integer in [0, 64], got {}", lambda v: lift(X, 0.0, v), 65, 3.0),
     "lift_nd_order": ("jet order must be an integer in [0, 64], got {}", lambda v: lift_nd(X12, (0, 0), v), -1,
                       np.int64(2)),
-    "expand_order": ("order must be an integer in [1, 64], got {}", lambda v: expand_1d(X, 1, 0.0, v), 0, 4.0),
+    "expand_order": ("order must be an integer in [1, 64], got {}", lambda v: expand(X, 1, (0.0,), v), 0, 4.0),
     "bounds_order": ("order must be an integer in [1, 64], got {}", lambda v: remainder_bounds(X, 1, 0, [0.5], [v]),
                      65, 4.0),
     "quad_nodes": ("quad_nodes must be an integer in [2, 1024], got {}",
@@ -34,8 +36,9 @@ CASES = {
     "growth_n_max": ("n_max must be an integer in [1, 32], got {}", lambda v: growth_diagnostic(X, 1, 1.0, n_max=v),
                      33, 16.0),
     "growth_grid": ("grid must be an integer >= 2, got {}", lambda v: growth_diagnostic(X, 1, 1.0, grid=v), 1, 9.0),
-    "nd_n": ("n must be an integer in [1, 4], got {}", lambda v: expand_nd(X12, v, 1, (0, 0), 3), 5, 2.0),
-    "nd_order": ("order must be an integer in [1, 16], got {}", lambda v: expand_nd(X12, 2, 1, (0, 0), v), 17, 3.0),
+    "nd_n": ("n must be an integer in [1, 4], got {}",
+             lambda v: remainder_bound_nd(X12, v, 1, (0, 0), (0.1, 0.1), 3), 5, 2.0),
+    "nd_order": ("order must be an integer in [1, 16], got {}", lambda v: expand(X12, 1, (0, 0), v), 17, 3.0),
     "nd_bound_order": ("order must be an integer in [1, 16], got {}",
                        lambda v: remainder_bound_nd(X12, 2, 1, (0, 0), (0.1, 0.1), v), 0, 3.0),
     "nd_grid": ("grid must be an integer >= 3, got {}",

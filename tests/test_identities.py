@@ -17,7 +17,7 @@ from exptaylor.identities import (
     stirling_log2_series,
     suite_names,
 )
-from exptaylor.series1d import eval_series, expand_1d
+from exptaylor.seriesnd import evaluate, expand
 from exptaylor.stirling import build_ratio_rows
 
 
@@ -206,11 +206,11 @@ def test_passed_consistent_with_fields():
 
 
 def test_linear_matches_expansion_machinery():
-    # same coefficients as expand_1d of the identity map at lam = 2 pi i
+    # same coefficients as expand of the identity map at lam = 2 pi i
     J = 30
     direct = linear_series(0.1, J)
-    e = expand_1d(parse("x"), 2j * math.pi, 0.0, J + 1)
-    assert eval_series(e, 0.1) == pytest.approx(direct.computed, rel=1e-12, abs=1e-15)
+    e = expand(parse("x"), 2j * math.pi, (0.0,), J + 1)
+    assert evaluate(e, (0.1,)) == pytest.approx(direct.computed, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -218,8 +218,8 @@ def test_log_matches_expansion_machinery(k):
     # identity map at lam = -log k, evaluated at x = 1, scales to log k
     J = 50
     direct = log_series(k, J)
-    e = expand_1d(parse("x"), -math.log(k), 0.0, J + 1)
-    assert eval_series(e, 1.0) * math.log(k) == pytest.approx(direct.computed, rel=1e-12)
+    e = expand(parse("x"), -math.log(k), (0.0,), J + 1)
+    assert evaluate(e, (1.0,)) * math.log(k) == pytest.approx(direct.computed, rel=1e-12)
 
 
 # ---- suite runner --------------------------------------------------------------------

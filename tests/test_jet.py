@@ -17,8 +17,8 @@ from exptaylor.jet import (
     Jet1D, _Dense, _digits, _Flat, _keys, _layout, _lift_1d_array, _lift_nd_arrays, _Sparse, lift, lift_nd,
 )
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
-from exptaylor.series1d import expand_1d, growth_diagnostic, radius_estimate, remainder_bound
-from exptaylor.seriesnd import remainder_bound_nd
+from exptaylor.series1d import growth_diagnostic, radius_estimate, remainder_bound
+from exptaylor.seriesnd import expand, remainder_bound_nd
 from exptaylor.stirling import stage_matrix
 
 
@@ -1068,7 +1068,7 @@ def test_lift_and_cascade_keep_the_point_major_bits(P):
 
 @pytest.mark.parametrize("lam", LAMS, ids=str)
 def test_expansion_coefficients_keep_the_complex_quotients(lam):
-    # expand_1d stages the real lift as point_major_stages stages the complex
+    # expand stages the real lift as point_major_stages stages the complex
     # oracle's jet, then multiplies by 1/j!, which is how numpy's complex
     # division by j! + 0j rounds; that division turns a -0 real part into +0
     # and the product keeps it, so zeros are compared by value (no renderer
@@ -1086,9 +1086,9 @@ def test_expansion_coefficients_keep_the_complex_quotients(lam):
                     want = point_major_stages(jet, lam).astype(np.complex128) / facts
                 if not np.all(np.isfinite(want)):
                     with pytest.raises(DomainError, match="^non-finite expansion coefficient"):
-                        expand_1d(ast, lam, x0, order)
+                        expand(ast, lam, (x0,), order)
                     continue
-                got = expand_1d(ast, lam, x0, order).coeffs
+                got = expand(ast, lam, (x0,), order).coeffs
                 assert np.iscomplexobj(got) == (lam.imag != 0)
                 assert_same_bits(got + 0.0, want + 0.0, (src, x0, order))
 
@@ -1124,8 +1124,8 @@ def test_domain_and_overflow_errors_keep_their_messages(monkeypatch, src):
     # same message
     ast = parse(src)
     calls = [
-        lambda: expand_1d(ast, 1.0, 1.0, 8).coeffs,
-        lambda: expand_1d(ast, TWO_PI_I, 0.2, 8).coeffs,
+        lambda: expand(ast, 1.0, (1.0,), 8).coeffs,
+        lambda: expand(ast, TWO_PI_I, (0.2,), 8).coeffs,
         lambda: remainder_bound(ast, 1.0, 0.5, 1.0, 6),
         lambda: radius_estimate(ast, -0.5, 1.0).ratios,
         lambda: growth_diagnostic(ast, 1.0, 1.5, grid=33).sup_values,
@@ -1315,8 +1315,9 @@ def test_signed_zeros_the_real_lift_moves_never_reach_a_stage(n):
         for lam in (1.0, TWO_PI_I):
             assert np.array_equal(*(bits(stage_rows(keys, values, gammas, lam)) for values in (got, want)))
             for p in range(len(centers)):
-                maps = [dict(zip(_keys(n, 9, rows), map(complex, values[:, p]))) for values in (got, want)]
-                dense = [seriesnd._dense(coeffs, 9, n) for coeffs in maps]
+                dense = [np.zeros((9,) * n, dtype=np.complex128) for _ in (got, want)]
+                for t, values in zip(dense, (got, want)):
+                    t[tuple(keys.T)] = values[:, p]
                 assert np.array_equal(*(bits(stage_tensor(t, lam)) for t in dense))
 
 
@@ -1362,6 +1363,6 @@ def test_an_imaginary_constant_is_refused_in_1_d():
     with pytest.raises(ValidationError, match="real"):
         lift(ast, 0.1, 3)
     with pytest.raises(ValidationError, match="real"):
-        expand_1d(ast, 1.0, 0.1, 3)
+        expand(ast, 1.0, (0.1,), 3)
     real = ExprAst(BinOp("+", Var(0, "x"), Const(complex(2.0, 0.0))), 1)
     assert lift(real, 0.1, 2).coeffs[0] == 2.1

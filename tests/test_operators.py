@@ -15,7 +15,7 @@ from exptaylor import seriesnd
 from exptaylor.jet import lift, lift_nd
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import _cascade_roundoff_scales, _quad_rule
-from exptaylor.seriesnd import POINT_CHUNK, _dense
+from exptaylor.seriesnd import POINT_CHUNK
 from exptaylor.stirling import build_table
 
 TWO_PI_I = 2j * math.pi
@@ -227,9 +227,17 @@ def test_stirling_rows_nest_every_order_by_itself_and_agree_with_the_cascade(jet
             assert abs(got[r][p] - cascade[p, n]) <= 32 * (n + 1) * UNIT_ROUNDOFF * scales[n], (orders, r, p)
 
 
+def dense(jet):
+    """The complex ``(jet.order + 1,) * jet.dims`` tensor of an n-D jet's coefficients, 0 where it stores none."""
+    out = np.zeros((jet.order + 1,) * jet.dims, dtype=np.complex128)
+    for g, c in jet.coeffs.items():
+        out[g] = c
+    return out
+
+
 def nd_field(jet, lam):
-    # every stage of |g| <= jet.order from the dense tensor of the jet, as expand_nd stages it
-    return stage_tensor(_dense(jet.coeffs, jet.order + 1, jet.dims), lam)
+    # every stage of |g| <= jet.order from the dense tensor of the jet, as expand stages it
+    return stage_tensor(dense(jet), lam)
 
 
 def test_nd_product_of_coordinates():
@@ -347,7 +355,7 @@ def cascade_tensor(jet, lam):
     # the recursion path run along each axis of the dense jet tensor; the
     # result is exact for |g| <= jet.order, since stage g reads only m <= g
     K = jet.order
-    t = _dense(jet.coeffs, K + 1, jet.dims)
+    t = dense(jet)
     for axis in range(jet.dims):
         t = np.moveaxis(cascade_values(np.moveaxis(t, axis, -1), lam, K), -1, axis)
     return t

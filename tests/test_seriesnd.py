@@ -1,4 +1,4 @@
-"""Tests for multivariate expansions, their remainder along the segment and its bounds."""
+"""Tests for expansions in 1 to 4 variables, their remainder along the segment and its bounds."""
 
 import math
 import tracemalloc
@@ -8,22 +8,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exptaylor import seriesnd
+import exptaylor
+from exptaylor import series1d, seriesnd
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import _digits, _lift_1d_array, _lift_nd_arrays, lift_nd
+from exptaylor.jet import Jet1D, _digits, _lift_1d_array, _lift_nd_arrays, lift
 from exptaylor.operators import stage_rows, stage_tensor
 from exptaylor.series1d import (
     _quad_rule,
     epsilon_sup,
-    eval_series,
-    expand_1d,
+    expm1,
+    horner,
     remainder_bound,
 )
 from exptaylor.seriesnd import (
     POINT_CHUNK,
-    eval_nd,
-    expand_nd,
+    evaluate,
+    expand,
     multi_index_factorial,
     multi_indices,
     multi_indices_of_degree,
@@ -85,7 +86,7 @@ def test_multi_index_factorial():
 
 
 def spy_lifts(monkeypatch):
-    """Record the points that ``remainder_bound_nd`` and ``expand_nd`` hand to each lift."""
+    """Record the points that ``remainder_bound_nd`` and ``expand`` hand to each n-D lift."""
     batches = []
 
     def recording(ast, centers, order):
@@ -112,7 +113,7 @@ def test_segment_runs_from_center_to_x(monkeypatch):
 def test_expansion_lifts_once_at_the_center(monkeypatch):
     # the expansion's jet comes from the same n-D lift as the segment's, at the one point
     batches = spy_lifts(monkeypatch)
-    expand_nd(product_cosine(), 2, LAM, (0.2, -0.1), 5)
+    expand(product_cosine(), LAM, (0.2, -0.1), 5)
     (points,) = batches
     assert np.array_equal(points, [[0.2, -0.1]])
 
@@ -135,108 +136,132 @@ def test_segment_validation():
 
 
 def test_expand_constant():
-    e = expand_nd(parse("3", 2), 2, LAM, (0.0, 0.0), 4)
+    e = expand(parse("3", 2), LAM, (0.0, 0.0), 4)
     assert e.coeffs[(0, 0)] == 3
-    assert all(c == 0 for g, c in e.coeffs.items() if g != (0, 0))
+    assert all(e.coeffs[g] == 0 for g in multi_indices(2, 4) if g != (0, 0))
 
 
 def test_expand_keys_cover_all_indices():
-    e = expand_nd(product_cosine(), 2, LAM, (0.0, 0.0), 6)
-    assert sorted(e.coeffs) == sorted(multi_indices(2, 6))
+    # a dense (order,) * n array: the multi-indices of |g| < order, and zeros past them
+    e = expand(product_cosine(), LAM, (0.0, 0.0), 6)
+    assert e.coeffs.shape == (6, 6)
+    past = np.ones((6, 6), dtype=bool)
+    past[tuple(np.array(multi_indices(2, 6)).T)] = False
+    assert np.count_nonzero(past) == 36 - 21 and np.all(e.coeffs[past] == 0)
+    assert np.count_nonzero(e.coeffs[~past]) > 0
 
 
 def test_product_coefficient_xy():
-    e = expand_nd(parse("x1*x2", 2), 2, LAM, (0.0, 0.0), 3)
+    e = expand(parse("x1*x2", 2), LAM, (0.0, 0.0), 3)
     assert e.coeffs[(1, 1)] == pytest.approx(-1.0 / (4 * math.pi**2), rel=1e-14)
 
 
 def test_separability_product_cosine():
-    e2 = expand_nd(product_cosine(), 2, LAM, (0.0, 0.0), 10)
-    e1 = expand_1d(parse("cos(2*pi*x)"), LAM, 0.0, 10)
-    for (g1, g2), c in e2.coeffs.items():
+    e2 = expand(product_cosine(), LAM, (0.0, 0.0), 10)
+    e1 = expand(parse("cos(2*pi*x)"), LAM, (0.0,), 10)
+    for g1, g2 in multi_indices(2, 10):
         ref = e1.coeffs[g1] * e1.coeffs[g2]
-        assert c == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        assert e2.coeffs[g1, g2] == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 def test_constant_factor_scales_coefficients():
-    a = expand_nd(parse("5 * x1 * x2", 2), 2, LAM, (0.0, 0.0), 4)
-    b = expand_nd(parse("x1*x2", 2), 2, LAM, (0.0, 0.0), 4)
-    for g in a.coeffs:
+    a = expand(parse("5 * x1 * x2", 2), LAM, (0.0, 0.0), 4)
+    b = expand(parse("x1*x2", 2), LAM, (0.0, 0.0), 4)
+    for g in multi_indices(2, 4):
         assert a.coeffs[g] == pytest.approx(5 * b.coeffs[g], rel=1e-13, abs=1e-15)
 
 
 def test_center_coefficient_is_function_value():
-    e = expand_nd(product_cosine(), 2, LAM, (0.05, -0.03), 4)
+    e = expand(product_cosine(), LAM, (0.05, -0.03), 4)
     true = math.cos(2 * math.pi * 0.05) * math.cos(2 * math.pi * -0.03)
     assert e.coeffs[(0, 0)] == pytest.approx(true, rel=1e-14)
 
 
+def jet_array(jet):
+    """A jet's coefficients as the float64 ``(order + 1,) * n`` array that ``expand`` stages: a 1-D jet's
+    own array, or an n-D jet's real coefficients scattered, 0 where it stores none."""
+    if isinstance(jet, Jet1D):
+        return jet.coeffs
+    out = np.zeros((jet.order + 1,) * jet.dims)
+    for g, c in jet.coeffs.items():
+        out[g] = c.real
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coefficients_are_the_per_key_quotients(n):
-    # the one array division keeps the bits and the key order of dividing
-    # each stage by the integer g! on its own, signed zeros included
+    # the one array product keeps the bits and the key order of multiplying each stage by 1/g! on its
+    # own, signed zeros included.  That is how numpy's complex division by g! + 0i rounds, so each value
+    # is also that quotient, up to the sign of a zero, which no renderer prints
+    def check(stages, got, order):
+        keys = multi_indices(n, order)
+        values = np.array([got[g] for g in keys])
+        want = np.array([stages[g] * (1.0 / multi_index_factorial(g)) for g in keys])
+        assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
+        quotients = np.array([np.complex128(stages[g]) / float(multi_index_factorial(g)) for g in keys])
+        assert np.array_equal(values + 0.0, quotients + 0.0)
+
     xs = ["x"] if n == 1 else [f"x{i}" for i in range(1, n + 1)]
     srcs = ["*".join(f"cos(2*pi*{x})" for x in xs), f"{xs[0]} * sin({xs[-1]}) / (4 + {xs[0]} + {xs[-1]})"]
     for src in srcs:
         ast = parse(src, n)
         for order in range(1, 17):
             for lam in (1.0, LAM):
-                stages = stage_tensor(seriesnd._dense(lift_nd(ast, (0.0,) * n, order - 1).coeffs, order, n), lam)
-                want = {g: stages[g] / multi_index_factorial(g) for g in multi_indices(n, order)}
-                got = expand_nd(ast, n, lam, (0.0,) * n, order).coeffs
-                assert list(got) == list(want)
-                values = np.array(list(got.values()))
-                assert np.array_equal(values.view(np.uint64), np.array(list(want.values())).view(np.uint64))
-    # stages over 60 binades, a third of their parts +0 or -0
+                got = expand(ast, lam, (0.0,) * n, order).coeffs
+                assert got.shape == (order,) * n and np.iscomplexobj(got) == (lam != 1.0)
+                check(stage_tensor(jet_array(lift(ast, (0.0,) * n, order - 1)), lam), got, order)
+    # stages over 60 binades, a third of their parts +0 or -0, up to the highest order of the lift
+    top = 64 if n == 1 else 16
     rng = np.random.default_rng(n)
-    parts = rng.standard_normal((16,) * n + (2,)) * 2.0 ** rng.integers(-30, 30, size=(16,) * n + (2,))
+    parts = rng.standard_normal((top,) * n + (2,)) * 2.0 ** rng.integers(-30, 30, size=(top,) * n + (2,))
     pick = rng.random(parts.shape)
     parts[pick < 0.15], parts[pick > 0.85] = 0.0, -0.0
     stages = parts.view(np.complex128)[..., 0]
-    keys, index, factorials = seriesnd._expansion_table(n, 16)
-    got = np.array(stages[index] / factorials)
-    want = np.array([stages[g] / multi_index_factorial(g) for g in multi_indices(n, 16)])
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    index, factorials = seriesnd._expansion_table(n, top)
+    got = np.zeros_like(stages)
+    got[index] = stages[index] * (1.0 / factorials)
+    check(stages, got, top)
 
 
 def test_expansion_table_cannot_be_changed_by_a_caller():
-    keys, index, factorials = seriesnd._expansion_table(3, 5)
-    assert isinstance(keys, tuple) and isinstance(index, tuple)
-    assert keys == tuple(multi_indices(3, 5))
+    index, factorials = seriesnd._expansion_table(3, 5)
+    assert isinstance(index, tuple)
+    assert list(zip(*(a.tolist() for a in index))) == multi_indices(3, 5)
     for a in (*index, factorials):
         with pytest.raises(ValueError):
             a[0] = 7
-    assert seriesnd._expansion_table(3, 5)[0] is keys
+    assert seriesnd._expansion_table(3, 5)[0] is index
 
 
 # ---- evaluation ----------------------------------------------------------------
 
 
 def test_eval_at_center_returns_c0():
-    e = expand_nd(product_cosine(), 2, LAM, (0.1, 0.2), 5)
-    assert eval_nd(e, (0.1, 0.2)) == pytest.approx(e.coeffs[(0, 0)], abs=1e-15)
+    e = expand(product_cosine(), LAM, (0.1, 0.2), 5)
+    assert evaluate(e, (0.1, 0.2)) == pytest.approx(e.coeffs[(0, 0)], abs=1e-15)
 
 
 def test_eval_product_cosine_high_order():
-    e = expand_nd(product_cosine(), 2, LAM, (0.0, 0.0), 16)
+    e = expand(product_cosine(), LAM, (0.0, 0.0), 16)
     true = math.cos(0.1 * math.pi) ** 2
-    assert abs(eval_nd(e, (0.05, 0.05)) - true) < 1e-5
+    assert abs(evaluate(e, (0.05, 0.05)) - true) < 1e-5
 
 
 def test_eval_one_dim_matches_series1d():
+    # one variable takes the 1-D lift, its stages times 1/j!, and series1d's Horner in w, bit for bit
     ast = parse("cos(2*pi*x)")
-    en = expand_nd(ast, 1, LAM, (0.1,), 8)
-    e1 = expand_1d(ast, LAM, 0.1, 8)
-    for j in range(8):
-        assert en.coeffs[(j,)] == pytest.approx(e1.coeffs[j], abs=1e-12)
+    e = expand(ast, LAM, (0.1,), 8)
+    want = stage_tensor(lift(ast, 0.1, 7).coeffs, LAM) * (1.0 / np.array([math.factorial(j) for j in range(8)]))
+    assert e.coeffs.shape == (8,)
+    assert np.array_equal(e.coeffs.view(np.uint64), want.view(np.uint64))
     for x in (0.05, 0.18, -0.12):
-        assert eval_nd(en, (x,)) == pytest.approx(eval_series(e1, x), abs=1e-12)
+        assert evaluate(e, (x,)) == complex(horner(want, expm1(LAM * (complex(x) - 0.1))))
 
 
 def test_eval_complex_point():
-    e = expand_nd(parse("exp(x1 + x2)", 2), 2, 1.0, (0.0, 0.0), 3)
+    e = expand(parse("exp(x1 + x2)", 2), 1.0, (0.0, 0.0), 3)
     # exp(x1+x2) with lam = 1 terminates on each axis at degree 1
-    val = eval_nd(e, (0.3 + 0.1j, -0.2))
+    val = evaluate(e, (0.3 + 0.1j, -0.2))
     assert val == pytest.approx(np.exp(0.1 + 0.1j), rel=1e-12)
 
 
@@ -253,18 +278,21 @@ ND_POINTS = [
 @pytest.mark.parametrize("src, n, lam, center, order, x", ND_POINTS)
 def test_eval_against_an_mpmath_sum_of_the_same_coefficients(src, n, lam, center, order, x):
     mpmath = pytest.importorskip("mpmath")
-    e = expand_nd(parse(src, n), n, lam, center, order)
+    e = expand(parse(src, n), lam, center, order)
     with mpmath.workdps(30):
         mlam = mpmath.mpc(complex(lam))
         w = [mpmath.expm1(mlam * (mpmath.mpc(complex(xi)) - ci)) for xi, ci in zip(x, center)]
-        terms = [mpmath.mpc(complex(c)) * mpmath.fprod(wi**gi for wi, gi in zip(w, g)) for g, c in e.coeffs.items()]
+        terms = [
+            mpmath.mpc(complex(e.coeffs[g])) * mpmath.fprod(wi**gi for wi, gi in zip(w, g))
+            for g in multi_indices(n, order)
+        ]
         want = complex(mpmath.fsum(terms))
         size = float(mpmath.fsum(abs(t) for t in terms))
     # each term passes through order - 1 complex multiply-adds per axis, within
     # 4u each, and carries the error of each w_i (within 8u, test_series1d's
     # expm1 check) to a power of at most order - 1: (4n + 8)(order - 1)u in all
     tol = 8 * (n + 1) * (order - 1) * 2.0**-53 * size
-    assert abs(eval_nd(e, x) - want) <= tol
+    assert abs(evaluate(e, x) - want) <= tol
 
 
 # ---- remainder along the segment ------------------------------------------------
@@ -288,9 +316,9 @@ def test_bound_zero_for_constant():
 
 def test_bound_dominates_measured_error():
     ast = product_cosine()
-    e = expand_nd(ast, 2, LAM, (0.0, 0.0), 8)
+    e = expand(ast, LAM, (0.0, 0.0), 8)
     true = math.cos(0.1 * math.pi) ** 2
-    series = eval_nd(e, (0.05, 0.05))
+    series = evaluate(e, (0.05, 0.05))
     est = remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.05, 0.05), 8, grid=33)
     assert abs(series - true) <= 1.02 * est.bound_tight <= 1.02 * est.bound_loose
     assert abs(series + est.integral_value - true) <= 1e-15
@@ -382,8 +410,8 @@ def test_measured_remainder_decays_geometrically():
     true = math.cos(0.1 * math.pi) ** 2
     errs = []
     for order in range(2, 13):
-        e = expand_nd(ast, 2, LAM, (0.0, 0.0), order)
-        errs.append(abs(eval_nd(e, (0.05, 0.05)) - true))
+        e = expand(ast, LAM, (0.0, 0.0), order)
+        errs.append(abs(evaluate(e, (0.05, 0.05)) - true))
     for a, b in zip(errs, errs[1:]):
         assert b <= 0.95 * a
 
@@ -392,10 +420,10 @@ def test_bound_four_dims_random_sampling():
     # both bounds dominate the measured error at 20 seeded random points of [-0.05, 0.05]^4
     src = "cos(2*pi*x1) * cos(2*pi*x2) * cos(2*pi*x3) * cos(2*pi*x4)"
     ast = parse(src, 4)
-    e = expand_nd(ast, 4, LAM, (0.0,) * 4, 3)
+    e = expand(ast, LAM, (0.0,) * 4, 3)
     for x in np.random.default_rng(1).uniform(-0.05, 0.05, size=(20, 4)):
         x = tuple(map(float, x))
-        measured = abs(eval_nd(e, x) - math.prod(math.cos(2 * math.pi * xi) for xi in x))
+        measured = abs(evaluate(e, x) - math.prod(math.cos(2 * math.pi * xi) for xi in x))
         est = remainder_bound_nd(ast, 4, LAM, (0.0,) * 4, x, 3, grid=9)
         assert measured <= 1.02 * est.bound_tight <= 1.02 * est.bound_loose
 
@@ -497,11 +525,13 @@ def test_remainder_matches_mpmath_and_both_bounds_dominate(n, kind, a, lam, orde
     assume(min(distance(c, a), distance(x, a)) >= 2 * length)
     ast, N = parse(source(n, a), n), order
     est = remainder_bound_nd(ast, n, lam, c, x, N)
-    e = expand_nd(ast, n, lam, c, N)
+    e = expand(ast, lam, c, N)
     with mpmath.workdps(40):
         mlam = mpmath.mpc(lam)
         w = [mpmath.expm1(mlam * (mpmath.mpf(xi) - mpmath.mpf(ci))) for xi, ci in zip(x, c)]
-        series = mpmath.fsum(mpmath.mpc(coeff) * mpmath.fprod(wi**gi for wi, gi in zip(w, g)) for g, coeff in e.coeffs.items())
+        series = mpmath.fsum(
+            mpmath.mpc(complex(e.coeffs[g])) * mpmath.fprod(wi**gi for wi, gi in zip(w, g)) for g in multi_indices(n, N)
+        )
         error = complex(value(mpmath, [mpmath.mpf(xi) for xi in x], mpmath.mpf(a)) - series)
     # Quadrature: the integrand is analytic within 1 of [0, 1] in t (half the
     # distance allowed), whose Bernstein ellipse has rho = 2 + sqrt(5), so the
@@ -536,29 +566,46 @@ def test_remainder_matches_mpmath_and_both_bounds_dominate(n, kind, a, lam, orde
     assert abs(error) <= est.bound_loose + tol
 
 
+# ---- the public surface -------------------------------------------------------------
+
+
+def test_public_names_resolve_sorted_and_the_removed_ones_are_gone():
+    # a stale entry in __all__ breaks only ``from exptaylor import *``
+    assert exptaylor.__all__ == sorted(exptaylor.__all__)
+    for name in exptaylor.__all__:
+        assert hasattr(exptaylor, name), name
+    namespace = {}
+    exec("from exptaylor import *", namespace)
+    assert {"Expansion", "expand", "evaluate"} <= namespace.keys()
+    # one expansion, one expand and one evaluate for 1 to 4 variables replaced these
+    for name in ("Expansion1D", "ExpansionND", "expand_1d", "expand_nd", "eval_series", "eval_nd"):
+        assert name not in exptaylor.__all__ and name not in namespace
+        assert not any(hasattr(module, name) for module in (exptaylor, series1d, seriesnd)), name
+
+
 # ---- validation -------------------------------------------------------------------
 
 
 def test_expand_validation():
     ast = product_cosine()
     with pytest.raises(ValidationError):
-        expand_nd(ast, 2, LAM, (0.0, 0.0), 0)
+        expand(ast, LAM, (0.0, 0.0), 0)
     with pytest.raises(ValidationError):
-        expand_nd(ast, 2, LAM, (0.0, 0.0), 17)
+        expand(ast, LAM, (0.0, 0.0), 17)
     with pytest.raises(ValidationError):
-        expand_nd(ast, 3, LAM, (0.0, 0.0, 0.0), 4)  # dims mismatch
+        expand(ast, LAM, (0.0, 0.0, 0.0), 4)  # a center of the wrong length
     with pytest.raises(ValidationError):
-        expand_nd(ast, 2, 0.0, (0.0, 0.0), 4)
+        expand(ast, 0.0, (0.0, 0.0), 4)
     with pytest.raises(ValidationError):
-        expand_nd(ast, 2, LAM, (0.0,), 4)
+        expand(ast, LAM, (0.0,), 4)
     with pytest.raises(ValidationError):
-        expand_nd(ast, 0, LAM, (), 4)
+        expand(ast, LAM, (), 4)
 
 
 def test_eval_validation():
-    e = expand_nd(product_cosine(), 2, LAM, (0.0, 0.0), 4)
+    e = expand(product_cosine(), LAM, (0.0, 0.0), 4)
     with pytest.raises(ValidationError):
-        eval_nd(e, (0.1,))
+        evaluate(e, (0.1,))
 
 
 def test_bound_validation():
