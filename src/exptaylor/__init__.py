@@ -22,7 +22,7 @@ from .identities import (
     stirling_log2_series,
     suite_names,
 )
-from .jet import Jet1D, JetND, lift, lift_nd
+from .jet import Jet, lift
 from .operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from .series1d import (
     ConvergenceReport,
@@ -62,8 +62,7 @@ __all__ = [
     "ExprAst",
     "GrowthReport",
     "IdentityResult",
-    "Jet1D",
-    "JetND",
+    "Jet",
     "ParseError",
     "RemainderEstimate",
     "StirlingTable",
@@ -78,7 +77,6 @@ __all__ = [
     "expand",
     "growth_diagnostic",
     "lift",
-    "lift_nd",
     "linear_series",
     "log_series",
     "multi_index_factorial",

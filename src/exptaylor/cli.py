@@ -250,7 +250,7 @@ def _cmd_nd(args):
     if args.x is not None:
         series = evaluate(exp, args.x)  # checks the length of x
         true = complex(eval_complex(ast, args.x))
-        est = remainder_bound_nd(ast, n, args.lam, center, args.x, args.order, grid=args.grid)
+        est = remainder_bound_nd(ast, args.lam, center, args.x, args.order, grid=args.grid)
         remainder = complex(est.integral_value)
         point = [
             Field("x", args.x, "vector"),

@@ -15,7 +15,10 @@ complex terms, to which the printed digits are pinned.  In n-D part k is the
 stored rows of the graded-lex array of every multi-index of degree k, and a
 product finds the row of each pair's sum through a rank table.  This layout
 (``_layout``) carries n-D multi-indices from the lift to the stages, as rows and
-their digits in integer arrays; tuples are made only for the public surface.
+their digits in integer arrays.  The public ``lift`` returns one ``Jet`` in any
+number of variables, Neidinger's dense ``(K+1,) * n`` Taylor tensor, into which
+the n-D lift's rows are scattered; tuples of multi-indices are made only for
+the CLI's table (``seriesnd.multi_indices``).
 
 Jets are real (float64): the grammar has no imaginary literal, and ``log``
 and ``sqrt`` reject the negative real axis.  They keep the bits of the
@@ -26,7 +29,8 @@ reciprocal and a product, as numpy divides by a complex number with zero
 imaginary part (Smith's method).  Only the sign of an exact zero can differ
 (a real ``2 * -0`` is -0, the complex product was +0), and no output prints
 that sign.  Orders are capped at 64: coefficients are factorially scaled and
-double precision runs out of headroom not far beyond that.
+double precision runs out of headroom not far beyond that.  A dense jet in more
+than one variable is capped at order 16 (``MAX_ND_ORDER``).
 """
 
 from __future__ import annotations
@@ -44,31 +48,24 @@ from .errors import DomainError, ValidationError, check_int
 from .expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Node, Var, int_exponent
 
 MAX_ORDER = 64
+MAX_ND_ORDER = 16  # a dense 4-D jet of order 64 would take 143 MB
 
 
 @dataclass(frozen=True)
-class Jet1D:
-    """Order-``len(coeffs)-1`` jet about ``center``; treat as immutable."""
+class Jet:
+    """``coeffs[g] = D^g f(center) / g!`` about ``center``: the dense float64 ``(order+1,) * n`` Taylor tensor, zero
+    past total degree ``order``; treat as immutable."""
 
-    coeffs: np.ndarray  # float64, shape (K+1,)
-    center: float = 0.0
+    coeffs: np.ndarray
+    center: tuple[float, ...]
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return self.coeffs.shape[0] - 1
 
-
-@dataclass(frozen=True)
-class JetND:
-    """Multivariate jet: ``coeffs[g] = D^g f(center) / g!`` for ``|g| <= order``."""
-
-    dims: int
-    order: int
-    coeffs: dict[tuple[int, ...], complex]
-    center: tuple[float, ...]
-
-    def coeff(self, gamma: tuple[int, ...]) -> complex:
-        return self.coeffs.get(tuple(gamma), 0j)
+    @property
+    def dims(self) -> int:
+        return len(self.center)
 
 
 # ---- domain checks ---------------------------------------------------------
@@ -544,35 +541,19 @@ def _lift_nd_arrays(ast: ExprAst, centers: np.ndarray, order: int) -> tuple[np.n
 # ---- public surface --------------------------------------------------------
 
 
-def lift(ast: ExprAst, center: Sequence[float] | float, order: int) -> Jet1D | JetND:
-    """Jet of order ``0 <= order <= 64`` of the expression about a real ``center`` of ``ast.dims`` coordinates:
-    a Jet1D in one variable, else a JetND.  Raises DomainError if an intermediate constant term leaves an
-    elementary function's domain (division by zero, log/sqrt at zero or on the negative real axis)."""
-    check_int("jet order", order, 0, MAX_ORDER)
-    if ast.dims == 1:
-        x0 = _scalar_center(center)
-        coeffs = _lift_1d_array(ast, np.array([x0]), order)[0]
-        return Jet1D(coeffs=coeffs, center=x0)
-    return lift_nd(ast, center, order)
-
-
-def lift_nd(ast: ExprAst, center: Sequence[float] | float, order: int) -> JetND:
-    """Multivariate jet about a real center; works for any ``ast.dims >= 1``."""
-    check_int("jet order", order, 0, MAX_ORDER)
-    if isinstance(center, (int, float)):
-        center = (float(center),)
+def lift(ast: ExprAst, center: Sequence[float], order: int) -> Jet:
+    """Jet of the expression about a real ``center`` of ``ast.dims`` coordinates, of order ``0 <= order <= 64`` in
+    one variable and ``0 <= order <= 16`` in more: the 1-D lift's row, or the n-D lift's rows scattered into
+    zeros.  Raises DomainError if an intermediate constant term leaves an elementary function's domain (division
+    by zero, log/sqrt at zero or on the negative real axis)."""
+    n = ast.dims
+    check_int("jet order", order, 0, MAX_ORDER if n == 1 else MAX_ND_ORDER)
     pts = tuple(float(c) for c in center)
-    if len(pts) != ast.dims:
-        raise ValidationError(f"center has {len(pts)} coordinates, expression has {ast.dims}")
+    if len(pts) != n:
+        raise ValidationError(f"center has {len(pts)} coordinates, need {n}")
+    if n == 1:
+        return Jet(_lift_1d_array(ast, np.array(pts), order)[0], pts)
     rows, values = _lift_nd_arrays(ast, np.array([pts]), order)
-    coeffs = dict(sorted(zip(_keys(ast.dims, order + 1, rows), map(complex, values[:, 0]))))
-    return JetND(dims=ast.dims, order=order, coeffs=coeffs, center=pts)
-
-
-def _scalar_center(center) -> float:
-    if isinstance(center, (int, float)):
-        return float(center)
-    seq = tuple(center)
-    if len(seq) != 1:
-        raise ValidationError(f"expected a single real center, got {center!r}")
-    return float(seq[0])
+    coeffs = np.zeros((order + 1,) * n)
+    coeffs[tuple(_digits(n, order + 1, rows).T)] = values[:, 0]
+    return Jet(coeffs, pts)

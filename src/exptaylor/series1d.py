@@ -335,6 +335,8 @@ def epsilon_sup(lam: complex, r: float) -> float:
     a, b = lam.real, lam.imag
     if a == 0:
         return 2.0 * math.sin(min(abs(b) * r / 2.0, math.pi / 2.0))
+    if r == math.inf:
+        return math.inf  # exp(|a| r) - 1 is unbounded; a grid over an infinite span is nan
     if b != 0:
         zs = np.linspace(-r, r, 1025)
         with np.errstate(all="ignore"):
@@ -413,7 +415,7 @@ def radius_estimate(
     if not isinstance(window, int) or not isinstance(j_max, int) or not 4 <= window < j_max <= MAX_ORDER:
         raise ValidationError(f"need 4 <= window < j_max <= {MAX_ORDER}, got window={window!r}, j_max={j_max!r}")
     with np.errstate(all="ignore"):
-        jet = lift(ast, float(x0), j_max)
+        jet = lift(ast, (x0,), j_max)
         absv = np.abs(stage_tensor(jet.coeffs, lam))
     if not np.all(np.isfinite(absv)):
         raise DomainError("non-finite stage value (overflow in the jet or in powers of 1/lam)")

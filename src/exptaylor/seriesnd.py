@@ -33,11 +33,10 @@ import numpy as np
 
 from .errors import DomainError, ValidationError, check_int
 from .expr import MAX_DIMS, ExprAst
-from .jet import MAX_ORDER, _digits, _keys, _layout, _lift_1d_array, _lift_nd_arrays, _plus_unit
+from .jet import MAX_ND_ORDER, MAX_ORDER, _digits, _keys, _layout, _lift_nd_arrays, _plus_unit, lift
 from .operators import _check_lam, stage_rows, stage_tensor
 from .series1d import RemainderEstimate, _quad_rule, _times_power, _zero_times, epsilon_sup, expm1, horner
 
-MAX_ND_ORDER = 16
 # segment points per lift and stage product: memory is O(keys * chunk), not
 # O(keys * points); 1024 keeps the BLAS column split that printed bounds pin
 POINT_CHUNK = 1024
@@ -48,15 +47,15 @@ POINT_CHUNK = 1024
 
 def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
     """All ``comb(order - 1 + n, n)`` multi-indices with ``|g| < order`` in graded-lex order."""
-    check_int("n", n, 1)
-    check_int("order", order, 1)
+    check_int("n", n, 1, MAX_DIMS)
+    check_int("order", order, 1, MAX_ORDER)
     return _keys(n, order, np.arange(_layout(n, order)[1][order]))
 
 
 def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
     """Multi-indices with ``|g| == degree``, graded-lex order within the degree."""
-    check_int("n", n, 1)
-    check_int("degree", degree, 0)
+    check_int("n", n, 1, MAX_DIMS)
+    check_int("degree", degree, 0, MAX_ORDER - 1)
     return _keys(n, degree + 1, np.arange(*_layout(n, degree + 1)[1][degree : degree + 2]))
 
 
@@ -105,30 +104,22 @@ class Expansion:
 
 def expand(ast: ExprAst, lam: complex, center: Sequence[float], order: int) -> Expansion:
     """Expansion coefficients for all ``|g| < order`` about the real ``center`` of an expression in 1 to 4
-    variables, with the nonzero ``lam`` of every axis: ``1 <= order <= 64`` in one variable, lifted as a 1-D jet,
-    and ``1 <= order <= 16`` in more, lifted as an n-D jet.  Each coefficient is its stage (``stage_tensor``)
-    times ``1/g!``, as numpy's complex division by the real ``g!`` rounds; a non-finite one raises
+    variables, with the nonzero ``lam`` of every axis, ``1 <= order <= 64`` in one variable and ``1 <= order <= 16``
+    in more: the jet of order ``order - 1`` (``lift``), its stages (``stage_tensor``), and each stage times
+    ``1/g!``, as numpy's complex division by the real ``g!`` rounds; a non-finite coefficient raises
     ``DomainError``."""
-    lam, n = _check_lam(lam), ast.dims
-    check_int("order", order, 1, MAX_ORDER if n == 1 else MAX_ND_ORDER)
-    pts = tuple(float(c) for c in center)
-    if len(pts) != n:
-        raise ValidationError(f"center has {len(pts)} coordinates, need {n}")
-    index, factorials = _expansion_table(n, order)
+    lam = _check_lam(lam)
+    check_int("order", order, 1, MAX_ORDER if ast.dims == 1 else MAX_ND_ORDER)
+    index, factorials = _expansion_table(ast.dims, order)
     with np.errstate(all="ignore"):
         # the jet's degree is order - 1, so every stage of |g| < order reads stored coefficients alone
-        if n == 1:
-            jet = _lift_1d_array(ast, np.array(pts), order - 1)[0]
-        else:
-            rows, values = _lift_nd_arrays(ast, np.array([pts]), order - 1)  # its rows are those of the index
-            jet = np.zeros((order,) * n)
-            jet[tuple(axis[rows] for axis in index)] = values[:, 0]
-        stages = stage_tensor(jet, lam)
+        jet = lift(ast, center, order - 1)
+        stages = stage_tensor(jet.coeffs, lam)
         coeffs = np.zeros_like(stages)
         coeffs[index] = stages[index] * (1.0 / factorials)
     if not np.all(np.isfinite(coeffs)):
         raise DomainError("non-finite expansion coefficient (overflow in the jet or in powers of 1/lam)")
-    return Expansion(lam=lam, center=pts, order=order, coeffs=coeffs)
+    return Expansion(lam=lam, center=jet.center, order=order, coeffs=coeffs)
 
 
 def evaluate(expansion: Expansion, x: Sequence[float] | Sequence[complex]) -> complex:
@@ -150,7 +141,6 @@ def evaluate(expansion: Expansion, x: Sequence[float] | Sequence[complex]) -> co
 
 def remainder_bound_nd(
     ast: ExprAst,
-    n: int,
     lam: complex,
     center: Sequence[float],
     x: Sequence[float],
@@ -163,12 +153,10 @@ def remainder_bound_nd(
     (``jet._layout``) gives, as arrays, the ``g`` of degree ``N`` (the stages) and ``N - 1`` (the sum in ``I``), the
     row of each ``g + e_k`` and each ``g!``.  ``integral_value`` is ``lam`` times the Gauss sum of ``I``,
     ``bound_tight`` the sampled ``|lam| max |I|``, and ``bound_loose`` the loose bound with the sup sampled on the
-    segment; at ``n = 1`` these are the 1-D formulas.  A zero stage times an overflowed power of ``E`` is 0; a bound
-    or integral that is not finite raises ``DomainError``."""
-    check_int("n", n, 1, MAX_DIMS)
-    if n != ast.dims:
-        raise ValidationError(f"expression has dims={ast.dims}, caller said n={n}")
-    lam = _check_lam(lam)
+    segment; in one variable these are the 1-D formulas.  The ``n = ast.dims`` coordinates of ``center`` and ``x``
+    are checked.  A zero stage times an overflowed power of ``E`` is 0; a bound or integral that is not finite raises
+    ``DomainError``."""
+    lam, n = _check_lam(lam), ast.dims
     check_int("order", order, 1, MAX_ND_ORDER)
     c, xv = (np.array([float(v) for v in p]) for p in (center, x))
     if len(c) != n or len(xv) != n:

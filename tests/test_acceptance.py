@@ -60,7 +60,7 @@ def test_01_operator_paths_agree():
     table = build_table(12)
     ok = True
     for src, lam, _ in FUNCTIONS:
-        jet = lift(parse(src), 0.0, 12)
+        jet = lift(parse(src), (0.0,), 12)
         a = cascade_values(jet.coeffs, lam, 12)
         b = stage_tensor(jet.coeffs, lam)
         absc = np.abs(jet.coeffs)
@@ -151,7 +151,7 @@ def test_08_multivariate_expansion():
     true = math.cos(0.1 * math.pi) ** 2
     e8 = expand(ast2, TWO_PI_I, (0.0, 0.0), 8)
     measured = abs(evaluate(e8, (0.05, 0.05)) - true)
-    bound = remainder_bound_nd(ast2, 2, TWO_PI_I, (0.0, 0.0), (0.05, 0.05), 8, grid=33).bound_loose
+    bound = remainder_bound_nd(ast2, TWO_PI_I, (0.0, 0.0), (0.05, 0.05), 8, grid=33).bound_loose
     ok = ok and measured <= 1.02 * bound
     errs = []
     for order in range(2, 13):

@@ -19,9 +19,10 @@ from exptaylor.expr import parse
 from exptaylor.operators import cascade_values
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-# deleted with the n-D big-integer stage sums (now operators.stage_tensor/stage_rows), and
-# with the n-D expander (now seriesnd.expand, for 1 to 4 variables)
-ALREADY_ABSENT = {"operators.d_lambda_nd", "operators.nd_stage_value", "seriesnd.expand_nd"}
+# deleted with the n-D big-integer stage sums (now operators.stage_tensor/stage_rows), with
+# the n-D expander (now seriesnd.expand, for 1 to 4 variables), and with the n-D jet (now
+# jet.lift, for 1 to 4 variables)
+ALREADY_ABSENT = {"operators.d_lambda_nd", "operators.nd_stage_value", "seriesnd.expand_nd", "jet.lift_nd"}
 
 
 def load_tracer():
@@ -44,6 +45,8 @@ def test_every_hook_names_a_function():
 def test_lift_hooks_read_ast_centers_order():
     for fn in (jet._lift_1d_array, jet._lift_nd_arrays):
         assert list(inspect.signature(fn).parameters)[:3] == ["ast", "centers", "order"]
+    # the single-lift hook reads the expression and the order
+    assert list(inspect.signature(jet.lift).parameters)[:3] == ["ast", "center", "order"]
 
 
 # series1d and the tracer's hooks index lifted jets and stage values by their

@@ -326,8 +326,11 @@ def test_overflow_exits_2_with_one_line(argv, what):
          2, "domain error: non-finite value in bound"),
         (("sweep", "--fn", "x", "--lambda", "1", "--x0", "0", "--order", "3", "--x-range=-1e308:1e308:3"), 1,
          "error: --x-range needs a finite span hi - lo, got '-1e308:1e308:3'"),
+        # a general lambda takes epsilon_sup's grid scan, which an infinite offset once filled with nan
+        (("nd", "--fn", "x1+x2", "--dims", "2", "--lambda", "0.3+1i", "--x0=-1e308,0", "--x", "1e308,0",
+          "--order", "2"), 2, "domain error: non-finite value in bound"),
     ],
-    ids=["eval", "nd", "sweep"],
+    ids=["eval", "nd", "sweep", "nd_general_lambda"],
 )
 def test_offset_past_the_largest_double_is_refused_without_a_warning(capsys, argv, code, line):
     # x - x0 overflows a double: the library refuses the bound, and the CLI the sweep's span

@@ -14,7 +14,7 @@ from exptaylor import series1d, seriesnd
 from exptaylor.errors import DiagnosticError, DomainError, ValidationError
 from exptaylor.expr import BinOp, Call, Const, ExprAst, NamedConst, Neg, Var, int_exponent, parse
 from exptaylor.jet import (
-    Jet1D, _Dense, _digits, _Flat, _keys, _layout, _lift_1d_array, _lift_nd_arrays, _Sparse, lift, lift_nd,
+    Jet, _Dense, _digits, _Flat, _keys, _layout, _lift_1d_array, _lift_nd_arrays, _Sparse, lift,
 )
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import growth_diagnostic, radius_estimate, remainder_bound
@@ -25,9 +25,8 @@ from exptaylor.stirling import stage_matrix
 TWO_PI_I = 2j * math.pi
 
 
-def coeffs_of(src, center, order, dims=1):
-    jet = lift(parse(src, dims), center, order)
-    return np.asarray(jet.coeffs)
+def coeffs_of(src, x0, order):
+    return lift(parse(src), (x0,), order).coeffs
 
 
 # closed-form normalized Taylor coefficients, independent of the jet kernels
@@ -179,10 +178,10 @@ def test_low_order_against_finite_differences(src, fn, j):
 def test_lift_validates_order():
     ast = parse("x")
     with pytest.raises(ValidationError):
-        lift(ast, 0.0, -1)
+        lift(ast, (0.0,), -1)
     with pytest.raises(ValidationError):
-        lift(ast, 0.0, 65)
-    jet = lift(ast, 1.5, 4)
+        lift(ast, (0.0,), 65)
+    jet = lift(ast, (1.5,), 4)
     np.testing.assert_allclose(jet.coeffs, [1.5, 1, 0, 0, 0], atol=0)
 
 
@@ -200,22 +199,22 @@ def test_lift_validates_order():
 )
 def test_lift_domain_errors(src, center):
     with pytest.raises(DomainError):
-        lift(parse(src), center, 4)
+        lift(parse(src), (center,), 4)
 
 
 def test_quotient_by_a_zero_tan_keeps_the_division_message():
     # a / tan(u) lifts as a * cot(u); a zero tan(u0) is still a zero divisor
-    for ast, center in ((parse("x / tan(x - x)"), 0.3), (parse("x1 / tan(x2)", 2), (0.3, 0.0))):
+    for ast, center in ((parse("x / tan(x - x)"), (0.3,)), (parse("x1 / tan(x2)", 2), (0.3, 0.0))):
         with pytest.raises(DomainError, match="^division: argument is zero at a lift point$"):
             lift(ast, center, 4)
 
 
 def test_nd_zero_power():
     with pytest.raises(DomainError):
-        lift_nd(parse("x1^0 + x2", 2), (0.0, 0.0), 4)
-    jet = lift_nd(parse("(1+x1)^0 + x2", 2), (0.0, 0.0), 4)
-    assert jet.coeff((0, 0)) == pytest.approx(1.0)
-    assert jet.coeff((0, 1)) == pytest.approx(1.0)
+        lift(parse("x1^0 + x2", 2), (0.0, 0.0), 4)
+    jet = lift(parse("(1+x1)^0 + x2", 2), (0.0, 0.0), 4)
+    assert jet.coeffs[0, 0] == pytest.approx(1.0)
+    assert jet.coeffs[0, 1] == pytest.approx(1.0)
 
 
 def test_part_subtraction_is_addition_of_the_negation():
@@ -344,43 +343,72 @@ def test_flat_parts_match_the_map_algebra(case):
 
 def test_nd_jet_separable_product():
     ast = parse("sin(x1)*exp(x2)", 2)
-    jet = lift_nd(ast, (0.2, -0.1), 8)
+    jet = lift(ast, (0.2, -0.1), 8)
     a = coeffs_of("sin(x)", 0.2, 8)
     b = coeffs_of("exp(x)", -0.1, 8)
-    for (g1, g2), value in jet.coeffs.items():
-        assert value == pytest.approx(a[g1] * b[g2], rel=1e-12, abs=1e-15)
+    for g1, g2 in seriesnd.multi_indices(2, 9):
+        assert jet.coeffs[g1, g2] == pytest.approx(a[g1] * b[g2], rel=1e-12, abs=1e-15)
 
 
 def test_nd_jet_total_degree_truncation():
-    jet = lift_nd(parse("x1*x2", 2), (0.0, 0.0), 3)
-    assert jet.dims == 2
-    assert all(sum(g) <= 3 for g in jet.coeffs)
-    assert jet.coeff((1, 1)) == pytest.approx(1.0)
-    assert jet.coeff((3, 3)) == 0  # missing index reads as zero
+    jet = lift(parse("x1*x2", 2), (0.0, 0.0), 3)
+    assert jet.dims == 2 and jet.order == 3 and jet.coeffs.shape == (4, 4)
+    assert not jet.coeffs[np.add.outer(np.arange(4), np.arange(4)) > 3].any()
+    assert jet.coeffs[1, 1] == pytest.approx(1.0)
+    assert jet.coeffs[3, 3] == 0  # past the total degree, zero
 
 
 def test_nd_jet_mixed_composition():
     # f(x1,x2) = cos(x1 + 2*x2): d^g f / g! = cos^(|g|)(c1+2c2) 2^g2 / (g1! g2!)
     c1, c2 = 0.3, 0.1
-    jet = lift_nd(parse("cos(x1+2*x2)", 2), (c1, c2), 6)
+    jet = lift(parse("cos(x1+2*x2)", 2), (c1, c2), 6)
     u0 = c1 + 2 * c2
-    for (g1, g2), value in jet.coeffs.items():
+    for g1, g2 in seriesnd.multi_indices(2, 7):
         want = math.cos(u0 + (g1 + g2) * math.pi / 2) * 2**g2 / (factorial(g1) * factorial(g2))
-        assert value == pytest.approx(want, rel=1e-12, abs=1e-14)
+        assert jet.coeffs[g1, g2] == pytest.approx(want, rel=1e-12, abs=1e-14)
 
 
 def test_scalar_lift_dispatches_to_1d():
-    jet = lift(parse("x"), 0.0, 2)
-    assert isinstance(jet, Jet1D)
+    jet = lift(parse("x"), (0.0,), 2)
+    assert isinstance(jet, Jet) and jet.dims == 1 and jet.coeffs.shape == (3,)
     nd = lift(parse("x1+x2", 2), (0.0, 0.0), 2)
-    assert nd.dims == 2
+    assert isinstance(nd, Jet) and nd.dims == 2 and nd.coeffs.shape == (3, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lift_is_the_batched_lift_scattered_into_the_dense_tensor(n):
+    # the one public jet: the batched lift's row in 1-D and its rows scattered at their multi-indices in
+    # more, bit for bit at each center of a batch, zero past the total degree, and capped at order 16 in n-D
+    xs = ["x"] if n == 1 else [f"x{i}" for i in range(1, n + 1)]
+    ast = parse(f"exp({xs[0]}) * sin({' + '.join(xs)}) / (3 + {xs[-1]})", n)
+    order = 40 if n == 1 else 16
+    centers = np.random.default_rng(n).uniform(-0.5, 0.5, (3, n))
+    if n == 1:
+        batched = _lift_1d_array(ast, centers[:, 0], order)
+    else:
+        rows, values = _lift_nd_arrays(ast, centers, order)
+        batched = np.zeros((len(centers),) + (order + 1,) * n)
+        batched[(slice(None), *_digits(n, order + 1, rows).T)] = values.T
+    degrees = np.indices((order + 1,) * n).sum(axis=0)
+    for c, want in zip(centers, batched):
+        jet = lift(ast, c, order)
+        assert (jet.center, jet.dims, jet.order) == (tuple(c), n, order)
+        assert jet.coeffs.shape == (order + 1,) * n and jet.coeffs.dtype == np.float64
+        assert np.array_equal(bits(jet.coeffs), bits(want))
+        assert not jet.coeffs[degrees > order].any()
+    top = 64 if n == 1 else 16
+    assert lift(ast, (0.1,) * n, top).order == top
+    with pytest.raises(ValidationError, match=rf"^jet order must be an integer in \[0, {top}\], got {top + 1}$"):
+        lift(ast, (0.1,) * n, top + 1)
+    with pytest.raises(ValidationError, match=f"^center has {n + 1} coordinates, need {n}$"):
+        lift(ast, (0.1,) * (n + 1), 2)
 
 
 def along(jet, d):
     """Coefficients of ``t -> f(center + t*d)``: ``sum over |g| = k of c_g d^g``."""
     out = np.zeros(jet.order + 1, dtype=np.complex128)
-    for g, c in jet.coeffs.items():
-        out[sum(g)] += c * math.prod(di**gi for di, gi in zip(d, g))
+    for g in seriesnd.multi_indices(jet.dims, jet.order + 1):
+        out[sum(g)] += complex(jet.coeffs[g]) * math.prod(di**gi for di, gi in zip(d, g))
     return out
 
 
@@ -405,7 +433,7 @@ def test_nd_jet_against_mpmath_along_directions():
     mpmath = pytest.importorskip("mpmath")
     src, order = "sqrt(3+x1*x2)*log(2+x2)^2.5/tan(1+x1)", 12
     for c, chosen in (((0.05, 0.07), 1e-12), ((0.257, 0.152), None)):
-        jet = lift_nd(parse(src, 2), c, order)
+        jet = lift(parse(src, 2), c, order)
         for i in range(6):
             d = (math.cos(i * math.pi / 6), math.sin(i * math.pi / 6))
             with mpmath.workdps(40):
@@ -454,7 +482,7 @@ def test_nd_jet_agrees_with_1d_jet_along_a_line(case):
     # the 1-D jet of f(c + x*d) at x = 0; the goldens pin the 1-D kernels
     line = line_through(src, c, d)
     want = _lift_1d_array(parse(line), np.array([0.0]), order)[0]
-    got = along(lift_nd(parse(src, n), c, order), d)
+    got = along(lift(parse(src, n), c, order), d)
     # each side within its own rounding bound of the exact line coefficients
     tol = along_tolerance(line, n, order) + 2 * RoundingBound(0.0, order).walk(parse(line).root)[2]
     assert np.all(np.abs(got - want) <= tol), np.abs(got - want) / tol
@@ -675,7 +703,7 @@ def test_jet_with_tan_against_mpmath_on_the_1d_and_nd_paths():
     # for the n-D jet summed along d)
     mpmath = pytest.importorskip("mpmath")
     src, c, order = "sqrt(3+x1*x2)*log(2+x2)^2.5/tan(1+x1)", (0.257, 0.152), 12
-    nd = lift_nd(parse(src, 2), c, order)
+    nd = lift(parse(src, 2), c, order)
     for i in range(6):
         d = (math.cos(i * math.pi / 6), math.sin(i * math.pi / 6))
         line = parse(line_through(src, c, d))
@@ -1135,7 +1163,7 @@ def test_domain_and_overflow_errors_keep_their_messages(monkeypatch, src):
         if oracle:
             lift_oracle = lambda ast, centers, order: PointMajor(centers, order).walk(ast.root)
             monkeypatch.setattr(series1d, "_lift_1d_array", lift_oracle)
-            monkeypatch.setattr(series1d, "lift", lambda ast, x0, order: Jet1D(lift_oracle(ast, np.array([x0]), order)[0], x0))
+            monkeypatch.setattr(series1d, "lift", lambda ast, x0, order: Jet(lift_oracle(ast, np.array(x0), order)[0], x0))
             monkeypatch.setattr(series1d, "stage_tensor", point_major_stages)
             monkeypatch.setattr(series1d, "stirling_rows", point_major_rows)
         outcomes.append([])
@@ -1336,7 +1364,7 @@ def test_sampled_bound_is_the_complex_lifts_bound(monkeypatch, src, n, x):
     for lifter in (_lift_nd_arrays, complex_lift):
         monkeypatch.setattr(seriesnd, "_lift_nd_arrays", lifter)
         try:
-            est = remainder_bound_nd(ast, n, 1.0, (0.0,) * n, x, 6)
+            est = remainder_bound_nd(ast, 1.0, (0.0,) * n, x, 6)
             results.append((est.integral_value, est.bound_tight, est.bound_loose))
         except DomainError as err:
             results.append(str(err))
@@ -1349,11 +1377,11 @@ def test_an_imaginary_constant_is_refused_in_n_d():
     # and a real jet would silently drop its imaginary part
     ast = ExprAst(BinOp("+", Var(0, "x1"), BinOp("*", Const(1j), Var(1, "x2"))), 2)
     with pytest.raises(ValidationError, match="real"):
-        lift_nd(ast, (0.1, 0.2), 3)
+        lift(ast, (0.1, 0.2), 3)
     with pytest.raises(ValidationError, match="real"):
-        remainder_bound_nd(ast, 2, 1.0, (0.1, 0.2), (0.2, 0.3), 3, grid=5)
+        remainder_bound_nd(ast, 1.0, (0.1, 0.2), (0.2, 0.3), 3, grid=5)
     real = ExprAst(BinOp("+", Var(0, "x1"), Const(complex(2.0, 0.0))), 2)
-    assert lift_nd(real, (0.1, 0.2), 2).coeff((0, 0)) == 2.1
+    assert lift(real, (0.1, 0.2), 2).coeffs[0, 0] == 2.1
 
 
 def test_an_imaginary_constant_is_refused_in_1_d():
@@ -1361,8 +1389,8 @@ def test_an_imaginary_constant_is_refused_in_1_d():
     # rather than dropped
     ast = ExprAst(BinOp("+", Var(0, "x"), Const(1j)), 1)
     with pytest.raises(ValidationError, match="real"):
-        lift(ast, 0.1, 3)
+        lift(ast, (0.1,), 3)
     with pytest.raises(ValidationError, match="real"):
         expand(ast, 1.0, (0.1,), 3)
     real = ExprAst(BinOp("+", Var(0, "x"), Const(complex(2.0, 0.0))), 1)
-    assert lift(real, 0.1, 2).coeffs[0] == 2.1
+    assert lift(real, (0.1,), 2).coeffs[0] == 2.1

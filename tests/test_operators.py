@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
 from exptaylor import seriesnd
-from exptaylor.jet import lift, lift_nd
+from exptaylor.jet import lift
 from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import _cascade_roundoff_scales, _quad_rule
 from exptaylor.seriesnd import POINT_CHUNK
@@ -22,7 +22,7 @@ TWO_PI_I = 2j * math.pi
 
 
 def stages(src, lam, x0, count, path="recursive"):
-    jet = lift(parse(src), x0, count)
+    jet = lift(parse(src), (x0,), count)
     if path == "recursive":
         return cascade_values(jet.coeffs, lam, count)
     return stage_tensor(jet.coeffs, lam)
@@ -59,7 +59,7 @@ def test_exp_terminates_stirling_path():
 def test_square_with_log2_lambda():
     lam = math.log(2.0)
     table = build_table(8)
-    jet = lift(parse("x^2"), 0.0, 8)
+    jet = lift(parse("x^2"), (0.0,), 8)
     got = stage_tensor(jet.coeffs, lam)
     assert got[0] == 0
     assert got[1] == 0  # first derivative of x^2 vanishes at 0
@@ -72,7 +72,7 @@ def cancellation_scale(src, lam, x0, count):
     # sum of term magnitudes in the Stirling form of each stage; stages that
     # are zero by cancellation (terminating series) can only be zero in
     # floats up to roundoff of this scale
-    jet = lift(parse(src), x0, count)
+    jet = lift(parse(src), (x0,), count)
     table = build_table(count)
     scales = [abs(jet.coeffs[0])]
     for n in range(1, count + 1):
@@ -130,7 +130,7 @@ def test_linearity():
 
 
 def test_validation():
-    jet = lift(parse("x"), 0.0, 4)
+    jet = lift(parse("x"), (0.0,), 4)
     with pytest.raises(ValidationError):
         cascade_values(jet.coeffs, 0.0, 2)
     with pytest.raises(ValidationError):
@@ -169,7 +169,7 @@ ROW_LAMBDAS = st.tuples(
 
 @settings(max_examples=60, deadline=None)
 @given(jets=batched_jets(), lam=ROW_LAMBDAS)
-@example(jets=lift(parse("x"), 0.5, 6).coeffs[None, :], lam=1e-300)  # lam^-2 is inf, c_2 is 0
+@example(jets=lift(parse("x"), (0.5,), 6).coeffs[None, :], lam=1e-300)  # lam^-2 is inf, c_2 is 0
 def test_stirling_row_against_a_40_digit_sum_of_the_same_jet(jets, lam):
     # Horner's rule on sum_m a_m q^m, a_m = S[N, m] c_m, q = 1/lam (Higham,
     # Accuracy and Stability of Numerical Algorithms, 2nd ed., 5.1): term m
@@ -227,22 +227,9 @@ def test_stirling_rows_nest_every_order_by_itself_and_agree_with_the_cascade(jet
             assert abs(got[r][p] - cascade[p, n]) <= 32 * (n + 1) * UNIT_ROUNDOFF * scales[n], (orders, r, p)
 
 
-def dense(jet):
-    """The complex ``(jet.order + 1,) * jet.dims`` tensor of an n-D jet's coefficients, 0 where it stores none."""
-    out = np.zeros((jet.order + 1,) * jet.dims, dtype=np.complex128)
-    for g, c in jet.coeffs.items():
-        out[g] = c
-    return out
-
-
-def nd_field(jet, lam):
-    # every stage of |g| <= jet.order from the dense tensor of the jet, as expand stages it
-    return stage_tensor(dense(jet), lam)
-
-
 def test_nd_product_of_coordinates():
-    jet = lift_nd(parse("x1*x2", 2), (0.0, 0.0), 3)
-    field = nd_field(jet, TWO_PI_I)
+    # every stage of |g| <= jet.order from the dense tensor of the jet, as expand stages it
+    field = stage_tensor(lift(parse("x1*x2", 2), (0.0, 0.0), 3).coeffs, TWO_PI_I)
     want = 1 / TWO_PI_I**2
     assert field[1, 1] == pytest.approx(want)
     assert field[1, 1].real == pytest.approx(-1 / (4 * math.pi**2))
@@ -255,8 +242,7 @@ def test_nd_product_of_coordinates():
 
 
 def test_nd_constant_only_gamma_zero():
-    jet = lift_nd(parse("3 + 0*x1", 2), (0.5, 0.5), 2)
-    field = nd_field(jet, 1.0)
+    field = stage_tensor(lift(parse("3 + 0*x1", 2), (0.5, 0.5), 2).coeffs, 1.0)
     assert field[0, 0] == pytest.approx(3.0)
     for g, v in np.ndenumerate(field):
         if g != (0, 0):
@@ -265,8 +251,7 @@ def test_nd_constant_only_gamma_zero():
 
 def test_nd_separability_against_1d():
     lam = TWO_PI_I
-    jet2 = lift_nd(parse("cos(2*pi*x1)*cos(2*pi*x2)", 2), (0.0, 0.0), 5)
-    field = nd_field(jet2, lam)
+    field = stage_tensor(lift(parse("cos(2*pi*x1)*cos(2*pi*x2)", 2), (0.0, 0.0), 5).coeffs, lam)
     one_d = stages("cos(2*pi*x)", lam, 0.0, 5)
     for (g1, g2), v in np.ndenumerate(field):
         if g1 + g2 < 6:
@@ -274,8 +259,7 @@ def test_nd_separability_against_1d():
 
 
 def test_nd_field_center_value():
-    jet = lift_nd(parse("exp(x1+x2)", 2), (0.1, 0.2), 2)
-    field = nd_field(jet, 1.0)
+    field = stage_tensor(lift(parse("exp(x1+x2)", 2), (0.1, 0.2), 2).coeffs, 1.0)
     assert field[0, 0] == pytest.approx(math.exp(0.3), rel=1e-13)
 
 
@@ -296,9 +280,10 @@ def test_stage_rows_match_stage_tensor(n):
     # the batched row weights and the dense per-axis apply are two shapes
     # of the same map
     src, center, gammas = STAGE_ROW_CASES[n]
-    jet = lift_nd(parse(src, n), center, 4)
-    field = nd_field(jet, 1 + 1j)
-    keys, values = np.array(list(jet.coeffs)), np.array(list(jet.coeffs.values()))[:, None]
+    jet = lift(parse(src, n), center, 4)
+    field = stage_tensor(jet.coeffs, 1 + 1j)
+    keys = np.array(seriesnd.multi_indices(n, 5))
+    values = jet.coeffs[tuple(keys.T)][:, None]
     block = stage_rows(keys, values, gammas, 1 + 1j)
     for g, direct in zip(gammas, block[:, 0]):
         assert direct == pytest.approx(field[g], rel=1e-13)
@@ -331,13 +316,13 @@ def test_stage_rows_chunks_cover_every_point(monkeypatch):
     monkeypatch.setattr(seriesnd, "stage_rows", recording_stage_rows)
     ast, grid = parse("1/(3+x1-x2)", 2), POINT_CHUNK + 3 - 64
     c, d = np.array([-0.5, 0.4]), np.array([1.0, -0.8])
-    seriesnd.remainder_bound_nd(ast, 2, TWO_PI_I, tuple(c), tuple(c + d), 3, grid=grid)
+    seriesnd.remainder_bound_nd(ast, TWO_PI_I, tuple(c), tuple(c + d), 3, grid=grid)
     assert [b.shape for b in blocks] == [(4, POINT_CHUNK), (4, 3)]
     rows = np.concatenate(blocks, axis=1)
     t = np.concatenate((np.linspace(0.0, 1.0, grid), _quad_rule(64)[0]))
     gammas = [(3, 0), (2, 1), (1, 2), (0, 3)]
     for p in (0, grid - 1, POINT_CHUNK - 1, POINT_CHUNK, POINT_CHUNK + 2):
-        field = nd_field(lift_nd(ast, c + t[p] * d, 3), TWO_PI_I)
+        field = stage_tensor(lift(ast, c + t[p] * d, 3).coeffs, TWO_PI_I)
         for g, got in zip(gammas, rows[:, p]):
             assert got == pytest.approx(field[g], rel=1e-13)
 
@@ -355,7 +340,7 @@ def cascade_tensor(jet, lam):
     # the recursion path run along each axis of the dense jet tensor; the
     # result is exact for |g| <= jet.order, since stage g reads only m <= g
     K = jet.order
-    t = dense(jet)
+    t = jet.coeffs
     for axis in range(jet.dims):
         t = np.moveaxis(cascade_values(np.moveaxis(t, axis, -1), lam, K), -1, axis)
     return t
@@ -365,8 +350,8 @@ def cascade_tensor(jet, lam):
 @pytest.mark.parametrize("lam", [TWO_PI_I, 1.0, 0.3 + 1j])
 def test_nd_stirling_matches_cascade_per_axis(src, lam):
     K = 8
-    jet = lift_nd(parse(src, 3), (0.2, -0.1, 0.3), K)
+    jet = lift(parse(src, 3), (0.2, -0.1, 0.3), K)
     a = cascade_tensor(jet, lam)
-    b = nd_field(jet, lam)
+    b = stage_tensor(jet.coeffs, lam)
     inside = np.indices(a.shape).sum(axis=0) <= K
     assert np.max(np.abs(a - b)[inside]) <= 1e-12 * np.max(np.abs(a[inside]))

@@ -401,6 +401,8 @@ def test_epsilon_closed_forms():
     # imaginary lam saturates at 2 once |lam| r reaches pi
     assert epsilon_sup(2j * math.pi, 0.5) == pytest.approx(2.0, rel=1e-14)
     assert epsilon_sup(2j * math.pi, 7.3) == pytest.approx(2.0, rel=1e-14)
+    # an infinite half-width: unbounded for a nonzero real part, without scanning a grid over it
+    assert epsilon_sup(0.3 + 1j, math.inf) == math.inf
 
 
 @pytest.mark.parametrize("lam", [1 + 2j, 0.5 - 3j, -2 + 0.7j])
@@ -666,7 +668,7 @@ def test_remainder_bounds_do_not_depend_on_the_other_orders_or_xs(src, lam, data
 @example(src="cos((x-(2*x)/(2+(x)^2)))", lam=5 + 0j, x0=2.2250738585072014e-308, count=5)
 def test_cascade_agrees_with_stirling_within_roundoff(src, lam, x0, count):
     with np.errstate(all="ignore"):  # a nested exp may overflow; such draws are rejected below
-        jet = lift(parse(src), x0, count)
+        jet = lift(parse(src), (x0,), count)
     # Both paths form stage N from the terms s(N, m) m! lam^-m c_m of one jet.
     # The cascade's N steps each round within 11u of the absolute-value
     # recursion, whose stage N is exactly this scale (inverse 6u, product 2u,

@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exptaylor
-from exptaylor import series1d, seriesnd
+from exptaylor import jet, series1d, seriesnd
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import Jet1D, _digits, _lift_1d_array, _lift_nd_arrays, lift
+from exptaylor.jet import _digits, _lift_1d_array, _lift_nd_arrays, lift
 from exptaylor.operators import stage_rows, stage_tensor
 from exptaylor.series1d import (
     _quad_rule,
@@ -86,7 +86,7 @@ def test_multi_index_factorial():
 
 
 def spy_lifts(monkeypatch):
-    """Record the points that ``remainder_bound_nd`` and ``expand`` hand to each n-D lift."""
+    """Record the points that ``remainder_bound_nd`` hands to each n-D lift."""
     batches = []
 
     def recording(ast, centers, order):
@@ -101,7 +101,7 @@ def test_segment_runs_from_center_to_x(monkeypatch):
     # the grid's samples in t order, then the Gauss-Legendre nodes, all on c + t (x - c)
     batches = spy_lifts(monkeypatch)
     c, x = np.array([0.2, -0.1]), np.array([-0.3, 0.4])
-    remainder_bound_nd(product_cosine(), 2, LAM, tuple(c), tuple(x), 3, grid=5)
+    remainder_bound_nd(product_cosine(), LAM, tuple(c), tuple(x), 3, grid=5)
     (points,) = batches
     theta, _ = _quad_rule(64)
     t = np.concatenate((np.linspace(0.0, 1.0, 5), theta))
@@ -111,25 +111,30 @@ def test_segment_runs_from_center_to_x(monkeypatch):
 
 
 def test_expansion_lifts_once_at_the_center(monkeypatch):
-    # the expansion's jet comes from the same n-D lift as the segment's, at the one point
-    batches = spy_lifts(monkeypatch)
+    # the expansion's jet is one lift at the center, to order - 1
+    calls = []
+
+    def recording(ast, center, order):
+        calls.append((tuple(center), order))
+        return lift(ast, center, order)
+
+    monkeypatch.setattr(seriesnd, "lift", recording)
     expand(product_cosine(), LAM, (0.2, -0.1), 5)
-    (points,) = batches
-    assert np.array_equal(points, [[0.2, -0.1]])
+    assert calls == [((0.2, -0.1), 4)]
 
 
 def test_segment_validation():
     ast = product_cosine()
     with pytest.raises(ValidationError, match="center and x must have length 2"):
-        remainder_bound_nd(ast, 2, LAM, (0.0,), (1.0, 2.0), 3)
+        remainder_bound_nd(ast, LAM, (0.0,), (1.0, 2.0), 3)
     with pytest.raises(ValidationError, match="center and x must have length 2"):
-        remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (1.0, 2.0, 3.0), 3)
+        remainder_bound_nd(ast, LAM, (0.0, 0.0), (1.0, 2.0, 3.0), 3)
     for grid in (0, 2, 5.0):
         with pytest.raises(ValidationError, match=f"grid must be an integer >= 3, got {grid!r}"):
-            remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1, 0.1), 3, grid=grid)
+            remainder_bound_nd(ast, LAM, (0.0, 0.0), (0.1, 0.1), 3, grid=grid)
     # four axes take the same segment, and the same grid check
     with pytest.raises(ValidationError, match="grid must be an integer >= 3, got 2"):
-        remainder_bound_nd(parse("x1*x4", 4), 4, LAM, (0.0,) * 4, (0.1,) * 4, 3, grid=2)
+        remainder_bound_nd(parse("x1*x4", 4), LAM, (0.0,) * 4, (0.1,) * 4, 3, grid=2)
 
 
 # ---- expansion coefficients ---------------------------------------------------
@@ -177,17 +182,6 @@ def test_center_coefficient_is_function_value():
     assert e.coeffs[(0, 0)] == pytest.approx(true, rel=1e-14)
 
 
-def jet_array(jet):
-    """A jet's coefficients as the float64 ``(order + 1,) * n`` array that ``expand`` stages: a 1-D jet's
-    own array, or an n-D jet's real coefficients scattered, 0 where it stores none."""
-    if isinstance(jet, Jet1D):
-        return jet.coeffs
-    out = np.zeros((jet.order + 1,) * jet.dims)
-    for g, c in jet.coeffs.items():
-        out[g] = c.real
-    return out
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coefficients_are_the_per_key_quotients(n):
     # the one array product keeps the bits and the key order of multiplying each stage by 1/g! on its
@@ -209,7 +203,7 @@ def test_coefficients_are_the_per_key_quotients(n):
             for lam in (1.0, LAM):
                 got = expand(ast, lam, (0.0,) * n, order).coeffs
                 assert got.shape == (order,) * n and np.iscomplexobj(got) == (lam != 1.0)
-                check(stage_tensor(jet_array(lift(ast, (0.0,) * n, order - 1)), lam), got, order)
+                check(stage_tensor(lift(ast, (0.0,) * n, order - 1).coeffs, lam), got, order)
     # stages over 60 binades, a third of their parts +0 or -0, up to the highest order of the lift
     top = 64 if n == 1 else 16
     rng = np.random.default_rng(n)
@@ -251,7 +245,7 @@ def test_eval_one_dim_matches_series1d():
     # one variable takes the 1-D lift, its stages times 1/j!, and series1d's Horner in w, bit for bit
     ast = parse("cos(2*pi*x)")
     e = expand(ast, LAM, (0.1,), 8)
-    want = stage_tensor(lift(ast, 0.1, 7).coeffs, LAM) * (1.0 / np.array([math.factorial(j) for j in range(8)]))
+    want = stage_tensor(lift(ast, (0.1,), 7).coeffs, LAM) * (1.0 / np.array([math.factorial(j) for j in range(8)]))
     assert e.coeffs.shape == (8,)
     assert np.array_equal(e.coeffs.view(np.uint64), want.view(np.uint64))
     for x in (0.05, 0.18, -0.12):
@@ -305,12 +299,12 @@ def bits(est):
 
 
 def test_bound_zero_at_center():
-    est = remainder_bound_nd(product_cosine(), 2, LAM, (0.1, 0.1), (0.1, 0.1), 4)
+    est = remainder_bound_nd(product_cosine(), LAM, (0.1, 0.1), (0.1, 0.1), 4)
     assert (est.integral_value, est.bound_tight, est.bound_loose) == (0, 0.0, 0.0)
 
 
 def test_bound_zero_for_constant():
-    est = remainder_bound_nd(parse("3", 2), 2, LAM, (0.0, 0.0), (0.3, 0.2), 4)
+    est = remainder_bound_nd(parse("3", 2), LAM, (0.0, 0.0), (0.3, 0.2), 4)
     assert (est.integral_value, est.bound_tight, est.bound_loose) == (0, 0.0, 0.0)
 
 
@@ -319,7 +313,7 @@ def test_bound_dominates_measured_error():
     e = expand(ast, LAM, (0.0, 0.0), 8)
     true = math.cos(0.1 * math.pi) ** 2
     series = evaluate(e, (0.05, 0.05))
-    est = remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.05, 0.05), 8, grid=33)
+    est = remainder_bound_nd(ast, LAM, (0.0, 0.0), (0.05, 0.05), 8, grid=33)
     assert abs(series - true) <= 1.02 * est.bound_tight <= 1.02 * est.bound_loose
     assert abs(series + est.integral_value - true) <= 1e-15
 
@@ -377,7 +371,7 @@ def test_bound_one_dim_matches_loose_bound():
     # the same bits (checked), staged by stage_rows where the 1-D path nests stirling_rows
     for src, lam, x0, x, N, grid in ONE_DIM_CASES:
         ast = parse(src)
-        got = remainder_bound_nd(ast, 1, lam, (x0,), (x,), N, grid=grid)
+        got = remainder_bound_nd(ast, lam, (x0,), (x,), N, grid=grid)
         want = remainder_bound(ast, lam, x0, x, N, grid=grid, quad_nodes=64)
         points = np.concatenate((np.linspace(0.0, 1.0, grid), _quad_rule(64)[0])) * (x - x0) + x0
         jets = _lift_1d_array(ast, points, N)
@@ -396,7 +390,7 @@ def test_axis_parallel_segment_is_the_one_dim_remainder(lam):
     # so the remainder of cos(2 pi x1) exp(x2) is exp(c2) times that of cos(2 pi x);
     # the lift's products by exp(c2) add a rounding of u, inside the 1-D tolerances
     c2, N, grid = 0.3, 7, 65
-    got = remainder_bound_nd(parse("cos(2*pi*x1) * exp(x2)", 2), 2, lam, (0.1, c2), (0.25, c2), N, grid=grid)
+    got = remainder_bound_nd(parse("cos(2*pi*x1) * exp(x2)", 2), lam, (0.1, c2), (0.25, c2), N, grid=grid)
     ast = parse("cos(2*pi*x)")
     want = remainder_bound(ast, lam, 0.1, 0.25, N, grid=grid, quad_nodes=64)
     tol_integral, tol_tight, _ = one_dim_tolerances(ast, lam, 0.1, 0.25, N, grid)
@@ -424,7 +418,7 @@ def test_bound_four_dims_random_sampling():
     for x in np.random.default_rng(1).uniform(-0.05, 0.05, size=(20, 4)):
         x = tuple(map(float, x))
         measured = abs(evaluate(e, x) - math.prod(math.cos(2 * math.pi * xi) for xi in x))
-        est = remainder_bound_nd(ast, 4, LAM, (0.0,) * 4, x, 3, grid=9)
+        est = remainder_bound_nd(ast, LAM, (0.0,) * 4, x, 3, grid=9)
         assert measured <= 1.02 * est.bound_tight <= 1.02 * est.bound_loose
 
 
@@ -456,7 +450,7 @@ def whole_batch(monkeypatch, fn, *args, **kwargs):
 )
 def test_streamed_bound_equals_whole_batch_bound(monkeypatch, src, n, grid, lam):
     ast = parse(src, n)
-    args = (ast, n, lam, (0.0,) * n, tuple(0.05 * (i + 1) for i in range(n)), 8)
+    args = (ast, lam, (0.0,) * n, tuple(0.05 * (i + 1) for i in range(n)), 8)
     streamed = remainder_bound_nd(*args, grid=grid)
     assert streamed.bound_tight > 0 and streamed.integral_value != 0
     assert bits(streamed) == bits(whole_batch(monkeypatch, remainder_bound_nd, *args, grid=grid))
@@ -474,7 +468,7 @@ def test_sampled_bound_memory_is_bounded_by_the_chunk(monkeypatch):
     limit = 4 * keys * POINT_CHUNK * 16
     tracemalloc.start()
     try:
-        est = remainder_bound_nd(ast, 3, 1.0, (0.0,) * 3, (0.1,) * 3, order, grid=grid)
+        est = remainder_bound_nd(ast, 1.0, (0.0,) * 3, (0.1,) * 3, order, grid=grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -524,7 +518,7 @@ def test_remainder_matches_mpmath_and_both_bounds_dominate(n, kind, a, lam, orde
     # the singular sets are hyperplanes, so the distance along the segment is least at an end
     assume(min(distance(c, a), distance(x, a)) >= 2 * length)
     ast, N = parse(source(n, a), n), order
-    est = remainder_bound_nd(ast, n, lam, c, x, N)
+    est = remainder_bound_nd(ast, lam, c, x, N)
     e = expand(ast, lam, c, N)
     with mpmath.workdps(40):
         mlam = mpmath.mpc(lam)
@@ -577,10 +571,13 @@ def test_public_names_resolve_sorted_and_the_removed_ones_are_gone():
     namespace = {}
     exec("from exptaylor import *", namespace)
     assert {"Expansion", "expand", "evaluate"} <= namespace.keys()
-    # one expansion, one expand and one evaluate for 1 to 4 variables replaced these
-    for name in ("Expansion1D", "ExpansionND", "expand_1d", "expand_nd", "eval_series", "eval_nd"):
+    # one expansion, one expand and one evaluate for 1 to 4 variables replaced the first six, and one jet
+    # and one lift the last three
+    removed = ("Expansion1D", "ExpansionND", "expand_1d", "expand_nd", "eval_series", "eval_nd")
+    removed += ("Jet1D", "JetND", "lift_nd")
+    for name in removed:
         assert name not in exptaylor.__all__ and name not in namespace
-        assert not any(hasattr(module, name) for module in (exptaylor, series1d, seriesnd)), name
+        assert not any(hasattr(module, name) for module in (exptaylor, jet, series1d, seriesnd)), name
 
 
 # ---- validation -------------------------------------------------------------------
@@ -611,6 +608,6 @@ def test_eval_validation():
 def test_bound_validation():
     ast = product_cosine()
     with pytest.raises(ValidationError):
-        remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1,), 4)
+        remainder_bound_nd(ast, LAM, (0.0, 0.0), (0.1,), 4)
     with pytest.raises(ValidationError):
-        remainder_bound_nd(ast, 2, LAM, (0.0, 0.0), (0.1, 0.1), 4, grid=2)
+        remainder_bound_nd(ast, LAM, (0.0, 0.0), (0.1, 0.1), 4, grid=2)
