@@ -176,7 +176,7 @@ def remainder_bound_nd(
         E = expm1((lam.real if lam.imag == 0 else lam) * (1.0 - t) * d[:, None])  # (n, points)
         for lo in range(0, len(t), POINT_CHUNK):
             rows, values = _lift_nd_arrays(ast, points[lo : lo + POINT_CHUNK], order)
-            stages = stage_rows(_digits(n, order + 1, rows), values, gammas, lam)
+            stages = stage_rows(rows, values, n, order, lam)
             sups = np.maximum(sups, np.max(np.abs(stages[:, : max(grid - lo, 0)]), axis=1, initial=0.0))
             powers = [np.ones_like(E[:, lo : lo + POINT_CHUNK])]
             for _ in range(1, order):
@@ -185,10 +185,11 @@ def remainder_bound_nd(
             m = reduce(np.multiply, (powers[j][G[:, j]] for j in range(n)))
             J = reduce(np.add, (d[k] * stages[shifts[k]] for k in range(n)))
             terms = _zero_times(J, m / facts[:, None])
-            # row by row, so each point's sum over g adds in one order whatever the chunk's length
-            integrand.append(reduce(np.add, terms))
+            # along the rows, so each point's sum over g adds in one order whatever the chunk's length
+            integrand.append(np.add.reduce(terms, axis=0))
         integrand = np.concatenate(integrand)
-        integral = complex(lam * np.sum(weights * integrand[grid:]))
+        # a complex sum, as numpy's pairwise sum groups a real row differently
+        integral = complex(lam * np.sum((weights * integrand[grid:]).astype(np.complex128, copy=False)))
         bound_tight = abs(lam) * float(np.max(np.abs(integrand[:grid])))
     total = 0.0
     for f, sup in zip(_factorials(gammas).tolist(), sups.tolist()):

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from exptaylor.errors import ValidationError
 from exptaylor.expr import parse
 from exptaylor import seriesnd
-from exptaylor.jet import lift
-from exptaylor.operators import cascade_values, stage_rows, stage_tensor, stirling_rows
+from exptaylor.jet import _lift_nd_arrays, lift
+from exptaylor.operators import _stage_weights, cascade_values, stage_rows, stage_tensor, stirling_rows
 from exptaylor.series1d import _cascade_roundoff_scales, _quad_rule
 from exptaylor.seriesnd import POINT_CHUNK
-from exptaylor.stirling import build_table
+from exptaylor.stirling import build_table, stage_matrix
 
 TWO_PI_I = 2j * math.pi
 
@@ -278,30 +278,84 @@ STAGE_ROW_CASES = {
 @pytest.mark.parametrize("n", sorted(STAGE_ROW_CASES))
 def test_stage_rows_match_stage_tensor(n):
     # the batched row weights and the dense per-axis apply are two shapes
-    # of the same map
+    # of the same map, one degree at a time; the lift's rows past it are dropped
     src, center, gammas = STAGE_ROW_CASES[n]
     jet = lift(parse(src, n), center, 4)
     field = stage_tensor(jet.coeffs, 1 + 1j)
     keys = np.array(seriesnd.multi_indices(n, 5))
     values = jet.coeffs[tuple(keys.T)][:, None]
-    block = stage_rows(keys, values, gammas, 1 + 1j)
-    for g, direct in zip(gammas, block[:, 0]):
-        assert direct == pytest.approx(field[g], rel=1e-13)
+    for g in gammas:
+        block = stage_rows(np.arange(len(keys)), values, n, sum(g), 1 + 1j)
+        degree = seriesnd.multi_indices_of_degree(n, sum(g))
+        assert block[degree.index(g), 0] == pytest.approx(field[g], rel=1e-13)
+        for other, direct in zip(degree, block[:, 0]):
+            assert direct == pytest.approx(field[other], rel=1e-13)
 
 
 @pytest.mark.parametrize(
-    "gammas, values, shapes",
+    "rows, values, N, message",
     [
-        ([], [[1.0], [2.0]], "keys (2, 2), values (2, 1) and gammas (0,)"),
-        ([(1, 0, 0)], [[1.0], [2.0]], "keys (2, 2), values (2, 1) and gammas (1, 3)"),
-        ([(1, 0)], [[1.0]], "keys (2, 2), values (1, 1) and gammas (1, 2)"),
+        ([0, 1], [[1.0], [2.0]], -1, "N must be an integer in [0, 16], got -1"),
+        ([(0, 0), (1, 0)], [[1.0], [2.0]], 1, "need rows (k,) and values (k, P), got rows (2, 2) and values (2, 1)"),
+        ([0, 1], [[1.0]], 1, "need rows (k,) and values (k, P), got rows (2,) and values (1, 1)"),
     ],
     ids=["no_gammas", "columns_differ", "rows_differ"],
 )
-def test_stage_rows_refuses_arrays_that_do_not_match(gammas, values, shapes):
+def test_stage_rows_refuses_arrays_that_do_not_match(rows, values, N, message):
+    # no multi-index has degree -1; the rows are the layout's numbers, not (k, n) digits; one value per row
     with pytest.raises(ValidationError) as err:
-        stage_rows(np.array([(0, 0), (1, 0)]), np.array(values), gammas, 1.0)
-    assert str(err.value) == f"need keys (k, n), values (k, P) and gammas (at least 1, n), got {shapes}"
+        stage_rows(np.array(rows), np.array(values), 2, N, 1.0)
+    assert str(err.value) == message
+
+
+def parent_weights(n, N, keys):
+    """The weights ``prod_i S[g_i, m_i]`` of the degree-``N`` rows over the multi-indices ``keys``, as each call
+    built them before they were cached: one row gather and one column gather per axis."""
+    G, M = np.array(seriesnd.multi_indices_of_degree(n, N)), np.asarray(keys)
+    S = stage_matrix(N)
+    W = S[G[:, 0]][:, M[:, 0]]
+    for axis in range(1, n):
+        W *= S[G[:, axis]][:, M[:, axis]]
+    return W
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stage_weights_are_built_once_read_only_and_keep_the_products(n):
+    _stage_weights.cache_clear()
+    try:
+        for N in range(17):
+            W = _stage_weights(n, N)
+            assert _stage_weights(n, N) is W
+            assert not W.flags.writeable
+            with pytest.raises(ValueError):
+                W[0, 0] = 1.0
+            keys = seriesnd.multi_indices(n, N + 1)
+            assert W.shape == (math.comb(N + n - 1, n - 1), len(keys))
+            assert np.array_equal(W.view(np.uint64), parent_weights(n, N, keys).view(np.uint64))
+        assert _stage_weights.cache_info().misses == 17
+    finally:
+        _stage_weights.cache_clear()  # 4-D order 16 alone holds 37.6 MB
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam", [1.0, -2.5, 0.3], ids=["one", "negative", "small"])
+def test_real_stage_rows_are_the_complex_rows_real_parts(n, lam):
+    # a real 1/lam stages real values in float64; BLAS rounds a full chunk's columns
+    # as it rounds the real parts of the interleaved complex product
+    N = 12 if n > 1 else 40
+    src = {1: "sin(x)*exp(x)/(3+x)", 2: "1/(4+x1-x2)", 3: "exp(x1*x2)+x3^2", 4: "1/(4+x1+x2+x3+x4)"}[n]
+    centers = np.random.default_rng(n).uniform(-0.3, 0.3, size=(POINT_CHUNK, n))
+    rows, values = _lift_nd_arrays(parse(src, n), centers, N)
+    real = stage_rows(rows, values, n, N, lam)
+    complex_ = stage_rows(rows, values.astype(np.complex128), n, N, lam)
+    assert real.dtype == np.float64 and complex_.dtype == np.complex128
+    assert not np.any(complex_.imag)
+    assert np.array_equal(real.view(np.uint64), complex_.real.view(np.uint64))
+    # the chunk's last few columns may meet another BLAS kernel; they stay within rounding
+    for P in (1, 3, 97):
+        tail = stage_rows(rows, values[:, :P], n, N, lam)
+        assert tail.dtype == np.float64
+        assert np.allclose(tail, complex_[:, :P].real, rtol=1e-12, atol=0)
 
 
 def test_stage_rows_chunks_cover_every_point(monkeypatch):
@@ -309,8 +363,8 @@ def test_stage_rows_chunks_cover_every_point(monkeypatch):
     # 963 samples and 64 nodes make one chunk and three points more
     blocks = []
 
-    def recording_stage_rows(keys, values, gammas, lam):
-        blocks.append(stage_rows(keys, values, gammas, lam))
+    def recording_stage_rows(rows, values, n, N, lam):
+        blocks.append(stage_rows(rows, values, n, N, lam))
         return blocks[-1]
 
     monkeypatch.setattr(seriesnd, "stage_rows", recording_stage_rows)

@@ -12,7 +12,7 @@ import exptaylor
 from exptaylor import jet, series1d, seriesnd
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
-from exptaylor.jet import _digits, _lift_1d_array, _lift_nd_arrays, lift
+from exptaylor.jet import _lift_1d_array, _lift_nd_arrays, lift
 from exptaylor.operators import stage_rows, stage_tensor
 from exptaylor.series1d import (
     _quad_rule,
@@ -318,21 +318,15 @@ def test_bound_dominates_measured_error():
     assert abs(series + est.integral_value - true) <= 1e-15
 
 
-def lifted(ast, centers, order):
-    """The n-D lift at ``centers`` as the multi-indices of its rows and their values."""
-    rows, values = _lift_nd_arrays(ast, centers, order)
-    return _digits(centers.shape[1], order + 1, rows), values
-
-
-def roundoff_scales(lift, gammas, lam):
-    """Per stage and point, ``sum_m |W[g, m]| |lam|^-|m| |c_m|``: the terms each stage rounds.
+def roundoff_scales(lift, n, degrees, lam):
+    """Per stage and point, ``sum_m |W[g, m]| |lam|^-|m| |c_m|``: the terms each stage rounds, for every ``g`` of
+    each degree in ``degrees``, in layout order.
 
     Row ``g`` of ``W`` has the sign ``(-1)^(|g| - |m|)``, so staging ``|c|``
     at ``-|lam|`` gives every term the sign ``(-1)^|g|``, and no term cancels.
     """
-    keys, values = lift
-    out = stage_rows(keys, np.abs(values), gammas, -abs(lam)).real
-    return out * np.array([(-1.0) ** sum(g) for g in gammas])[:, None]
+    rows, values = lift
+    return np.concatenate([(-1.0) ** N * stage_rows(rows, np.abs(values), n, N, -abs(lam)) for N in degrees])
 
 
 def one_dim_tolerances(ast, lam, x0, x, N, grid):
@@ -350,7 +344,7 @@ def one_dim_tolerances(ast, lam, x0, x, N, grid):
     s, dx = np.linspace(0.0, 1.0, grid), x - x0
     scale = abs(lam) * abs(dx) / math.factorial(N - 1) * 32 * (N + 1) * 2.0**-53
     sigma_nodes, sigma_grid = (
-        roundoff_scales(lifted(ast, (x0 + t * dx)[:, None], N), [(N,)], lam)[0] for t in (theta, s)
+        roundoff_scales(_lift_nd_arrays(ast, (x0 + t * dx)[:, None], N), 1, [N], lam)[0] for t in (theta, s)
     )
     on_nodes = sigma_nodes * np.abs(np.expm1(lam * (1 - theta) * dx)) ** (N - 1)
     on_grid = sigma_grid * np.abs(np.expm1(lam * (1 - s) * dx)) ** (N - 1)
@@ -375,8 +369,8 @@ def test_bound_one_dim_matches_loose_bound():
         want = remainder_bound(ast, lam, x0, x, N, grid=grid, quad_nodes=64)
         points = np.concatenate((np.linspace(0.0, 1.0, grid), _quad_rule(64)[0])) * (x - x0) + x0
         jets = _lift_1d_array(ast, points, N)
-        keys, values = lifted(ast, points[:, None], N)
-        assert all(np.array_equal(v, jets[:, m]) for (m,), v in zip(keys.tolist(), values))
+        rows, values = _lift_nd_arrays(ast, points[:, None], N)
+        assert all(np.array_equal(v, jets[:, m]) for m, v in zip(rows.tolist(), values))
         tol_integral, tol_tight, tol_loose = one_dim_tolerances(ast, lam, x0, x, N, grid)
         assert abs(got.integral_value - want.integral_value) <= tol_integral, src
         assert abs(got.bound_tight - want.bound_tight) <= tol_tight, src
@@ -422,10 +416,10 @@ def test_bound_four_dims_random_sampling():
         assert measured <= 1.02 * est.bound_tight <= 1.02 * est.bound_loose
 
 
-def stage_by_chunk(keys, values, gammas, lam):
+def stage_by_chunk(rows, values, n, N, lam):
     """``stage_rows`` over POINT_CHUNK columns at a time: a longer BLAS product may split its columns otherwise."""
     parts = [values[:, lo : lo + POINT_CHUNK] for lo in range(0, values.shape[1], POINT_CHUNK)]
-    return np.concatenate([stage_rows(keys, part, gammas, lam) for part in parts], axis=1)
+    return np.concatenate([stage_rows(rows, part, n, N, lam) for part in parts], axis=1)
 
 
 def whole_batch(monkeypatch, fn, *args, **kwargs):
@@ -543,7 +537,7 @@ def test_remainder_matches_mpmath_and_both_bounds_dominate(n, kind, a, lam, orde
     theta, weights = _quad_rule(64)
     gammas, lower = multi_indices_of_degree(n, N), multi_indices_of_degree(n, N - 1)
     points = np.array(c) + theta[:, None] * np.array(d)
-    sigma = dict(zip(gammas, roundoff_scales(lifted(ast, points, N), gammas, lam)))
+    sigma = dict(zip(gammas, roundoff_scales(_lift_nd_arrays(ast, points, N), n, [N], lam)))
     E = np.abs(np.expm1(lam * (1 - theta)[:, None] * np.array(d)))
     A = sum(
         np.prod(E**g, axis=1) / multi_index_factorial(g) * abs(d[k]) * sigma[g[:k] + (g[k] + 1,) + g[k + 1 :]]
@@ -551,7 +545,7 @@ def test_remainder_matches_mpmath_and_both_bounds_dominate(n, kind, a, lam, orde
         for k in range(n)
     )
     keys = multi_indices(n, N)
-    sigma_c = roundoff_scales(lifted(ast, np.array([c]), N - 1), keys, lam)[:, 0]
+    sigma_c = roundoff_scales(_lift_nd_arrays(ast, np.array([c]), N - 1), n, range(N), lam)[:, 0]
     wabs = np.abs([complex(wi) for wi in w])
     B = sum(s * np.prod(wabs**g) / multi_index_factorial(g) for g, s in zip(keys, sigma_c))
     tol = 64 * n * (N + 1) * 2.0**-53 * (abs(lam) * np.sum(weights * A) + B)
