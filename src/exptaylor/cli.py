@@ -414,6 +414,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:
+        # a sample count past what memory holds: numpy refuses the array before filling it
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.out in (None, "-"):
             sys.stdout.write(text)

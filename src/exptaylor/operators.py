@@ -152,8 +152,9 @@ def stage_rows(rows: np.ndarray, values: np.ndarray, n: int, N: int, lam: comple
     coefficients (``jet._lift_nd_arrays``).  They hold every nonzero ``m`` with ``|m| <= N``, and rows past that
     degree are dropped.  The rest are scaled by ``lam^(-|m|)`` and multiplied by the cached weights
     ``_stage_weights(n, N)``, whose columns are gathered only where the lift reached part of the layout.  For a real
-    ``1/lam`` and real values the product is float64, with the bits of the complex product's real parts; otherwise a
-    real matrix times interleaved complex columns.  The caller bounds ``P`` (``seriesnd.POINT_CHUNK``).
+    ``1/lam`` and real values the product is float64, the complex product's real parts at half the flops: bit for
+    bit over a full chunk, though BLAS may round a product's last few columns apart.  Otherwise it is a real matrix
+    times interleaved complex columns.  The caller bounds ``P`` (``seriesnd.POINT_CHUNK``).
     """
     lam = _check_lam(lam)
     check_int("n", n, 1, MAX_DIMS)

@@ -324,11 +324,11 @@ def epsilon_sup(lam: complex, r: float) -> float:
     ``|exp(lam z) - 1|^2 = expm1(a z)^2 + 4 e^(a z) sin(b z / 2)^2``, the
     squared modulus of :func:`expm1`'s parts: two terms that are never
     negative, so nothing cancels near ``z = 0``.  A sup past the largest
-    double is ``inf``.
+    double is ``inf``; a nan ``r`` is refused with a negative one.
     """
     lam = complex(lam)
     r = float(r)
-    if r < 0:
+    if not r >= 0:  # false for nan, which no closed form or scan would catch
         raise ValidationError(f"r must be >= 0, got {r!r}")
     if r == 0 or lam == 0:
         return 0.0

@@ -151,11 +151,12 @@ def remainder_bound_nd(
     docstring with ``I(t)`` the integrand: the segment is lifted at ``grid`` equally spaced ``t`` and at the 64
     Gauss-Legendre nodes, ``POINT_CHUNK`` points per lift, and staged by ``stage_rows``.  The lift's layout
     (``jet._layout``) gives, as arrays, the ``g`` of degree ``N`` (the stages) and ``N - 1`` (the sum in ``I``), the
-    row of each ``g + e_k`` and each ``g!``.  ``integral_value`` is ``lam`` times the Gauss sum of ``I``,
-    ``bound_tight`` the sampled ``|lam| max |I|``, and ``bound_loose`` the loose bound with the sup sampled on the
-    segment; in one variable these are the 1-D formulas.  The ``n = ast.dims`` coordinates of ``center`` and ``x``
-    are checked.  A zero stage times an overflowed power of ``E`` is 0; a bound or integral that is not finite raises
-    ``DomainError``."""
+    row of each ``g + e_k`` and each ``g!``.  For a real ``lam`` the stages, ``E``, ``J`` and the terms are float64,
+    and only the Gauss sum runs over complex values, as in 1-D.  ``integral_value`` is ``lam`` times the Gauss sum
+    of ``I``, ``bound_tight`` the sampled ``|lam| max |I|``, and ``bound_loose`` the loose bound with the sup sampled
+    on the segment; in one variable these are the 1-D formulas.  The ``n = ast.dims`` coordinates of ``center`` and
+    ``x`` are checked.  A zero stage times an overflowed power of ``E`` is 0; a bound or integral that is not finite
+    raises ``DomainError``."""
     lam, n = _check_lam(lam), ast.dims
     check_int("order", order, 1, MAX_ND_ORDER)
     c, xv = (np.array([float(v) for v in p]) for p in (center, x))

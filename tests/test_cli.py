@@ -340,6 +340,25 @@ def test_offset_past_the_largest_double_is_refused_without_a_warning(capsys, arg
     assert len(lines) == 1 and lines[0].startswith(line)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--fn", "x", "--lambda", "1", "--x", "0.5", "--grid", "1000000000000001"),
+        ("sweep", "--fn", "x", "--lambda", "1", "--x-range", "0:0.1:1000000000000000"),
+        ("nd", "--fn", "x1*x2", "--dims", "2", "--lambda", "1", "--x", "0.1,0.1", "--grid", "1000000000000000"),
+        ("growth", "--fn", "cos(2*pi*x)", "--lambda", TWO_PI_I, "--period", "1", "--grid", "1000000000000000"),
+    ],
+    ids=["eval", "sweep", "nd", "growth"],
+)
+def test_a_sample_count_past_memory_exits_1_with_one_line(capsys, argv):
+    # 10^15 float64 samples are 7.1 PiB, more than any address space: numpy refuses
+    # the first array at once, before a byte is written
+    p = run_main(capsys, *argv)
+    assert (p.returncode, p.stdout) == (1, "")
+    lines = p.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate"), lines
+
+
 def test_nd_zero_divisor_past_the_first_chunk_exits_2():
     # the divisor vanishes at t = 0.75, sample 1,536 of the segment's 2,049,
     # so only the second chunk of the lift meets it

@@ -405,6 +405,14 @@ def test_epsilon_closed_forms():
     assert epsilon_sup(0.3 + 1j, math.inf) == math.inf
 
 
+@pytest.mark.parametrize("lam", [1.0, TWO_PI_I, 0.3 + 1j], ids=["real", "imaginary", "general"])
+@pytest.mark.parametrize("r", [-0.5, math.nan], ids=["negative", "nan"])
+def test_epsilon_refuses_a_negative_or_nan_half_width(lam, r):
+    # every branch returned nan for a nan r, since r < 0 is false for it
+    with pytest.raises(ValidationError, match=r"^r must be >= 0, got "):
+        epsilon_sup(lam, r)
+
+
 @pytest.mark.parametrize("lam", [1 + 2j, 0.5 - 3j, -2 + 0.7j])
 @pytest.mark.parametrize("r", [0.3, 0.8, 1.6])
 def test_epsilon_general_complex_against_grid(lam, r):
