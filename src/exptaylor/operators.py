@@ -132,14 +132,17 @@ def _stage_weights(n: int, N: int) -> np.ndarray:
     """The row weights ``W[g, m] = prod_i S[g_i, m_i]`` of every ``|g| = N`` (rows) over every ``|m| <= N`` (columns),
     both in the lift's layout order (``jet._layout``), built once per ``(n, N)`` and read-only.  The product runs
     axis by axis from the first, so an entry past ``2^53`` rounds as it always has.  The largest, ``n = 4`` and
-    ``N = 16``, is 969 by 4,845 (37.6 MB)."""
+    ``N = 16``, is 969 by 4,845 (37.6 MB); every ``(n, N)`` a caller can ask for holds 110 MB in all."""
     starts = _layout(n, N + 1)[1]
     G, M = (_digits(n, N + 1, np.arange(lo, starts[N + 1])) for lo in (starts[N], 0))
     S = stage_matrix(N)
-    # one row gather and one column gather per axis: a 2-D fancy index costs more than both
+    # one row gather and one column gather per axis: a 2-D fancy index costs more than both;
+    # past the first axis in blocks of about 2^20 weights (8 MB), so no second full-size array is formed
     W = S[G[:, 0]][:, M[:, 0]]
-    for axis in range(1, n):
-        W *= S[G[:, axis]][:, M[:, axis]]
+    step = max(1, 2**20 // len(M))
+    for lo in range(0, len(G), step):
+        for axis in range(1, n):
+            W[lo : lo + step] *= S[G[lo : lo + step, axis]][:, M[:, axis]]
     W.flags.writeable = False
     return W
 
