@@ -38,18 +38,10 @@ from .seriesnd import (
     Expansion,
     evaluate,
     expand,
-    multi_index_factorial,
     multi_indices,
-    multi_indices_of_degree,
     remainder_bound_nd,
 )
-from .stirling import (
-    StirlingTable,
-    build_ratio_rows,
-    build_table,
-    ratio_rows,
-    stage_matrix,
-)
+from .stirling import ratio_rows, stage_matrix
 
 __version__ = "0.1.0"
 
@@ -65,10 +57,7 @@ __all__ = [
     "Jet",
     "ParseError",
     "RemainderEstimate",
-    "StirlingTable",
     "ValidationError",
-    "build_ratio_rows",
-    "build_table",
     "cascade_values",
     "cosine_series",
     "epsilon_sup",
@@ -79,9 +68,7 @@ __all__ = [
     "lift",
     "linear_series",
     "log_series",
-    "multi_index_factorial",
     "multi_indices",
-    "multi_indices_of_degree",
     "parse",
     "radius_estimate",
     "ratio_rows",

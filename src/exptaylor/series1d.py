@@ -200,8 +200,9 @@ def remainder_bounds(
     ``LIFT_BLOCK`` points' worth at a time; the kernels and the row act point
     by point, so the blocks move no bit.  For a real ``lam`` the bounds are
     formed in float64 (see ``_block_bounds``), with the bits of the complex
-    arithmetic.  Raises ``DomainError`` when a bound or the integral is not
-    finite, checked in x-major order after each block's lift.
+    arithmetic.  A nan ``x0`` or ``x`` raises ``ValidationError``; a bound or
+    integral that is not finite raises ``DomainError``, checked in x-major
+    order after each block's lift.
     """
     lam = _check_lam(lam)
     _check_1d(ast)
@@ -216,6 +217,11 @@ def remainder_bounds(
     s = np.linspace(0.0, 1.0, grid)
     x0 = float(x0)
     xs = [float(x) for x in xs]
+    # an inf offset is left to the bound's DomainError; a nan one would surface as epsilon_sup's half-width
+    if math.isnan(x0):
+        raise ValidationError("x0 must not be nan")
+    if any(map(math.isnan, xs)):
+        raise ValidationError("x must not be nan")
     per = max(1, LIFT_BLOCK // (grid + quad_nodes))
     out: list[RemainderEstimate] = []
     for lo in range(0, len(xs), per):
@@ -461,7 +467,7 @@ def growth_diagnostic(
     n_max: int = 16,
     grid: int = 257,
 ) -> GrowthReport:
-    """Sampled factorial-envelope fit for cascade magnitudes on ``[0, period]``.
+    """Sampled factorial-envelope fit for cascade magnitudes on ``[0, period]``, a finite ``period > 0``.
 
     For shifts ``k = 0..6`` the ratio sequence ``sup_N / (N+k)!`` is formed;
     the smallest ``k`` whose trailing half does not exceed its leading half
@@ -479,6 +485,8 @@ def growth_diagnostic(
     period = float(period)
     if period <= 0:
         raise ValidationError(f"period must be positive, got {period!r}")
+    if not math.isfinite(period):  # inf and nan: no grid spans them
+        raise ValidationError(f"period must be finite, got {period!r}")
     xs = np.linspace(0.0, period, grid)
     sups = np.zeros(n_max + 1)
     for lo in range(0, grid, LIFT_BLOCK):

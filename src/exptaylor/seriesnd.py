@@ -52,18 +52,6 @@ def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
     return _keys(n, order, np.arange(_layout(n, order)[1][order]))
 
 
-def multi_indices_of_degree(n: int, degree: int) -> list[tuple[int, ...]]:
-    """Multi-indices with ``|g| == degree``, graded-lex order within the degree."""
-    check_int("n", n, 1, MAX_DIMS)
-    check_int("degree", degree, 0, MAX_ORDER - 1)
-    return _keys(n, degree + 1, np.arange(*_layout(n, degree + 1)[1][degree : degree + 2]))
-
-
-def multi_index_factorial(gamma: Sequence[int]) -> int:
-    """``g! = prod_i g_i!``."""
-    return math.prod(map(math.factorial, gamma))
-
-
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(MAX_ORDER + 1)])
 
 
@@ -155,13 +143,16 @@ def remainder_bound_nd(
     and only the Gauss sum runs over complex values, as in 1-D.  ``integral_value`` is ``lam`` times the Gauss sum
     of ``I``, ``bound_tight`` the sampled ``|lam| max |I|``, and ``bound_loose`` the loose bound with the sup sampled
     on the segment; in one variable these are the 1-D formulas.  The ``n = ast.dims`` coordinates of ``center`` and
-    ``x`` are checked.  A zero stage times an overflowed power of ``E`` is 0; a bound or integral that is not finite
-    raises ``DomainError``."""
+    ``x`` are checked, and a nan one is refused.  A zero stage times an overflowed power of ``E`` is 0; a bound or
+    integral that is not finite raises ``DomainError``."""
     lam, n = _check_lam(lam), ast.dims
     check_int("order", order, 1, MAX_ND_ORDER)
     c, xv = (np.array([float(v) for v in p]) for p in (center, x))
     if len(c) != n or len(xv) != n:
         raise ValidationError(f"center and x must have length {n}")
+    for name, p in (("center", c), ("x", xv)):
+        if np.isnan(p).any():  # an inf offset is left to the bound's DomainError
+            raise ValidationError(f"{name} must not hold nan, got {p.tolist()}")
     check_int("grid", grid, 3)
     theta, weights = _quad_rule(64)
     t = np.concatenate((np.linspace(0.0, 1.0, grid), theta))

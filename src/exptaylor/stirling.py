@@ -1,12 +1,8 @@
-"""Stirling numbers of the first kind, exact and factorial-scaled.
+"""Stirling numbers of the first kind, factorial-scaled.
 
-Three representations are kept deliberately separate:
-
-* :class:`StirlingTable` holds the signed integers ``s(n, k)`` defined by
-  ``x(x-1)...(x-n+1) = sum_k s(n, k) x^k``, built exactly with Python
-  integers via ``s(n+1, k) = s(n, k-1) - n * s(n, k)``.  Exact tables are
-  capped at ``n <= 256``; the entries grow factorially and the table is
-  meant for operator coefficients, not for long sums.
+The signed integers ``s(n, k)`` are defined by
+``x(x-1)...(x-n+1) = sum_k s(n, k) x^k``.  Two float forms are kept
+deliberately separate:
 
 * :func:`stage_matrix` is the float matrix ``S[n, m] = s(n, m) * m!`` that
   the numerics use, built exactly by ``S(n+1, m) = m S(n, m-1) - n S(n, m)``
@@ -29,67 +25,19 @@ Three representations are kept deliberately separate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import check_int
 
-MAX_TABLE_DEPTH = 256
 # |s(n, m)| m! <= (n!)^2 is finite in doubles up to here (and overflows by n = 100)
 MAX_MATRIX_DEPTH = 64
 MAX_RATIO_K = 8
 MAX_RATIO_J = 10**6
 # j is made a chunk at a time, so no third row-length array is alive
 RATIO_DIVIDE_CHUNK = 8192
-
-
-@dataclass(frozen=True)
-class StirlingTable:
-    """Triangular table of signed first-kind Stirling numbers.
-
-    ``rows[n][k]`` is ``s(n, k)`` for ``0 <= k <= n <= n_max``, exact.
-    """
-
-    n_max: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def value(self, n: int, k: int) -> int:
-        """Signed ``s(n, k)``; zero outside the triangle ``0 <= k <= n``."""
-        if n < 0 or n > self.n_max:
-            raise ValidationError(f"row {n} not in table (n_max={self.n_max})")
-        if k < 0 or k > n:
-            return 0
-        return self.rows[n][k]
-
-    def row(self, n: int) -> tuple[int, ...]:
-        if n < 0 or n > self.n_max:
-            raise ValidationError(f"row {n} not in table (n_max={self.n_max})")
-        return self.rows[n]
-
-
-def build_table(n_max: int) -> StirlingTable:
-    """Build the exact signed table up to row ``n_max``.
-
-    Parameters
-    ----------
-    n_max : int
-        Largest row index, ``0 <= n_max <= 256``.
-    """
-    check_int("n_max", n_max, 0, MAX_TABLE_DEPTH)
-    rows: list[tuple[int, ...]] = [(1,)]
-    for n in range(n_max):
-        prev = rows[n]
-        nxt = [0] * (n + 2)
-        for k in range(1, n + 2):
-            # s(n+1, k) = s(n, k-1) - n * s(n, k); out-of-range entries are 0
-            left = prev[k - 1] if k - 1 <= n else 0
-            right = prev[k] if k <= n else 0
-            nxt[k] = left - n * right
-        rows.append(tuple(nxt))
-    return StirlingTable(n_max=n_max, rows=tuple(rows))
 
 
 @lru_cache(maxsize=None)
@@ -149,19 +97,3 @@ def ratio_rows(k_max: int, j_max: int) -> Iterator[np.ndarray]:
         prev = cur
         yield cur
 
-
-def build_ratio_rows(k_max: int, j_max: int) -> list[np.ndarray]:
-    """All rows of :func:`ratio_rows` at once, row ``k`` at index ``k``.
-
-    Returns ``k_max + 1`` float arrays ``|s(j, k)| / j!`` for ``0 <= j <= j_max``.
-    This holds every row in memory; a caller that needs one ``k`` at a time
-    should iterate :func:`ratio_rows` instead.
-
-    Parameters
-    ----------
-    k_max : int
-        Largest ``k``, ``1 <= k_max <= 8``.
-    j_max : int
-        Largest ``j``, ``k_max <= j_max <= 10**6``.
-    """
-    return list(ratio_rows(k_max, j_max))

@@ -8,8 +8,8 @@ from exptaylor.expr import parse
 from exptaylor.identities import cosine_series, linear_series, log_series, stirling_log2_series
 from exptaylor.jet import lift
 from exptaylor.series1d import growth_diagnostic, remainder_bound, remainder_bounds
-from exptaylor.seriesnd import expand, multi_indices, multi_indices_of_degree, remainder_bound_nd
-from exptaylor.stirling import build_table, ratio_rows, stage_matrix
+from exptaylor.seriesnd import expand, multi_indices, remainder_bound_nd
+from exptaylor.stirling import ratio_rows, stage_matrix
 
 X, X12 = parse("x"), parse("x1*x2", dims=2)
 
@@ -43,10 +43,6 @@ CASES = {
                 lambda v: remainder_bound_nd(X12, 1, (0, 0), (0.1, 0.1), 3, grid=v), 2, 33.0),
     "multi_indices_n": ("n must be an integer in [1, 4], got {}", lambda v: multi_indices(v, 3), 5, 2.0),
     "multi_indices_order": ("order must be an integer in [1, 64], got {}", lambda v: multi_indices(2, v), 65, 3.0),
-    "of_degree_n": ("n must be an integer in [1, 4], got {}", lambda v: multi_indices_of_degree(v, 2), 5, 2.0),
-    "of_degree_degree": ("degree must be an integer in [0, 63], got {}", lambda v: multi_indices_of_degree(2, v), 64,
-                         2.0),
-    "table_n_max": ("n_max must be an integer in [0, 256], got {}", lambda v: build_table(v), 257, 4.0),
     "matrix_k_max": ("k_max must be an integer in [0, 64], got {}", lambda v: stage_matrix(v), 65, 4.0),
     "ratio_k_max": ("k_max must be an integer in [1, 8], got {}", lambda v: next(ratio_rows(v, 10)), 9, 2.0),
     "ratio_j_max": ("j_max must be an integer in [2, 1000000], got {}", lambda v: next(ratio_rows(2, v)), 1, 10.0),

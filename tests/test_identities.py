@@ -18,7 +18,7 @@ from exptaylor.identities import (
     suite_names,
 )
 from exptaylor.seriesnd import evaluate, expand
-from exptaylor.stirling import build_ratio_rows
+from exptaylor.stirling import ratio_rows
 
 
 # ---- individual identities ---------------------------------------------------
@@ -139,7 +139,7 @@ def test_stirling_boundary_sum_error_within_pairwise_bound(k, J):
     # reference is the exactly rounded sum of the same float terms, so only
     # the summation is measured.
     eps = np.finfo(float).eps
-    u = build_ratio_rows(k, J + 1)[k]
+    u = list(ratio_rows(k, J + 1))[k]
     r = stirling_log2_series(k, False, J, variant="signed")
     signed = [u[j] if (j - k) % 2 == 0 else -u[j] for j in range(k, J + 2)]
     exact = math.fsum(signed[:-1] + [0.5 * signed[-1]])

@@ -234,21 +234,26 @@ def compositions(degree, n):
     return [(degree,)] if n == 1 else [(g,) + h for g in range(degree + 1) for h in compositions(degree - g, n - 1)]
 
 
+def of_degree(n, degree):
+    """The multi-indices with ``|g| == degree``: the last degree block of ``multi_indices(n, degree + 1)``."""
+    return seriesnd.multi_indices(n, degree + 1)[math.comb(degree - 1 + n, n) :]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_rank_and_key_round_trip(n):
-    # the rows of a part of degree k are multi_indices_of_degree(n, k), which within a degree is descending
+    # the rows of a part of degree k are the degree-k block of multi_indices, which within a degree is descending
     # lexicographic order, and a product's code of each key ranks it back to its row; the cached tables are the
     # lift's, and shifting a code ranks g + e_k
     _, starts, codes, ranks = _layout(n, 17)
     sparse = _Sparse(np.zeros((1, n)), 16)
     assert sparse.starts is starts and sparse.codes is codes and sparse.ranks is ranks  # built once, not per lift
     for degree in range(17):
-        keys = seriesnd.multi_indices_of_degree(n, degree)
+        keys = of_degree(n, degree)
         assert keys == sorted(compositions(degree, n), reverse=True)
         rows = np.arange(starts[degree], starts[degree + 1])
         assert _keys(n, 17, rows) == keys
         assert np.array_equal(_digits(n, 17, rows), np.array(keys, dtype=np.intp).reshape(len(keys), n))
-        above = {g: row for row, g in enumerate(seriesnd.multi_indices_of_degree(n, degree + 1))}
+        above = {g: row for row, g in enumerate(of_degree(n, degree + 1))}
         for row, g in enumerate(keys):
             code = sum(sum(g[i:]) * 17 ** (i - 1) for i in range(1, n))
             assert codes[row] == code

@@ -223,6 +223,19 @@ def test_remainder_bounds_validation():
     assert remainder_bounds(ast, 1.0, 0.0, [], [4]) == []
 
 
+@pytest.mark.parametrize(
+    "x0, xs, message", [(math.nan, [0.1], "x0 must not be nan"), (0.0, [0.1, math.nan], "x must not be nan")], ids=["x0", "x"]
+)
+def test_remainder_bounds_refuse_a_nan_coordinate(x0, xs, message):
+    # a nan is refused by the argument's name, not as epsilon_sup's half-width; an infinite offset is a DomainError
+    ast = parse("exp(x)")
+    with pytest.raises(ValidationError) as err:
+        remainder_bounds(ast, 1.0, x0, xs, [4])
+    assert str(err.value) == message
+    with pytest.raises(DomainError, match=r"^non-finite remainder bound or integral at x=inf, order 4 "):
+        remainder_bounds(ast, 1.0, 0.0, [math.inf], [4])
+
+
 def _per_segment_bounds(ast, lam, x0, xs, orders, grid, quad_nodes):
     """The one-segment-at-a-time loop ``remainder_bounds`` ran before it lifted
     segments in blocks, frozen here as the oracle for the blocked one.  It pins
@@ -630,6 +643,14 @@ def test_growth_validation():
         growth_diagnostic(ast, TWO_PI_I, 0.0)
     with pytest.raises(ValidationError):
         growth_diagnostic(ast, TWO_PI_I, 1.0, n_max=33)
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+def test_growth_refuses_a_period_that_is_not_positive_and_finite(period):
+    # refused before the grid: an infinite or nan period makes a grid of nan, with numpy's RuntimeWarning
+    with pytest.raises(ValidationError) as err:
+        growth_diagnostic(parse("cos(2*pi*x)"), TWO_PI_I, period)
+    assert str(err.value) == f"period must be {'positive' if period <= 0 else 'finite'}, got {period!r}"
 
 
 # ---- properties over random expressions smooth on the real line

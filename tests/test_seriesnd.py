@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import exptaylor
-from exptaylor import jet, series1d, seriesnd
+from exptaylor import jet, series1d, seriesnd, stirling
 from exptaylor.errors import DomainError, ValidationError
 from exptaylor.expr import parse
 from exptaylor.jet import _lift_1d_array, _lift_nd_arrays, lift
@@ -25,9 +25,7 @@ from exptaylor.seriesnd import (
     POINT_CHUNK,
     evaluate,
     expand,
-    multi_index_factorial,
     multi_indices,
-    multi_indices_of_degree,
     remainder_bound_nd,
 )
 
@@ -36,6 +34,16 @@ LAM = 2j * math.pi
 
 def product_cosine():
     return parse("cos(2*pi*x1) * cos(2*pi*x2)", 2)
+
+
+def of_degree(n, degree):
+    """The multi-indices with ``|g| == degree``: the last degree block of ``multi_indices(n, degree + 1)``."""
+    return multi_indices(n, degree + 1)[math.comb(degree - 1 + n, n) :]
+
+
+def factorial(g):
+    """``g! = prod_i g_i!``."""
+    return math.prod(map(math.factorial, g))
 
 
 # ---- multi-index machinery --------------------------------------------------
@@ -61,7 +69,7 @@ def test_multi_indices_count(n, order):
 
 @pytest.mark.parametrize("n,degree", [(2, 2), (3, 4), (4, 3)])
 def test_degree_slice_count(n, degree):
-    got = multi_indices_of_degree(n, degree)
+    got = of_degree(n, degree)
     assert len(got) == math.comb(degree + n - 1, n - 1)
     assert all(sum(g) == degree for g in got)
 
@@ -69,17 +77,17 @@ def test_degree_slice_count(n, degree):
 def test_degree_slice_matches_full_list_order():
     full = multi_indices(3, 5)
     sliced = [g for g in full if sum(g) == 3]
-    assert sliced == multi_indices_of_degree(3, 3)
+    assert sliced == of_degree(3, 3)
 
 
 def test_multi_index_factorial():
-    assert multi_index_factorial((2, 3, 1)) == 12
-    assert multi_index_factorial((0, 0)) == 1
-    assert multi_index_factorial((5,)) == 120
+    assert seriesnd._factorials(np.array([(2, 3, 1)])).tolist() == [12]
+    assert seriesnd._factorials(np.array([(0, 0)])).tolist() == [1]
+    assert seriesnd._factorials(np.array([(5,)])).tolist() == [120]
     # the float table the remainder reads is exact for every |g| <= 16
     for n in range(1, 5):
         keys = multi_indices(n, 17)
-        assert seriesnd._factorials(np.array(keys)).tolist() == [multi_index_factorial(g) for g in keys]
+        assert seriesnd._factorials(np.array(keys)).tolist() == [factorial(g) for g in keys]
 
 
 # ---- the segment ---------------------------------------------------------------
@@ -190,9 +198,9 @@ def test_coefficients_are_the_per_key_quotients(n):
     def check(stages, got, order):
         keys = multi_indices(n, order)
         values = np.array([got[g] for g in keys])
-        want = np.array([stages[g] * (1.0 / multi_index_factorial(g)) for g in keys])
+        want = np.array([stages[g] * (1.0 / factorial(g)) for g in keys])
         assert np.array_equal(values.view(np.uint64), want.view(np.uint64))
-        quotients = np.array([np.complex128(stages[g]) / float(multi_index_factorial(g)) for g in keys])
+        quotients = np.array([np.complex128(stages[g]) / float(factorial(g)) for g in keys])
         assert np.array_equal(values + 0.0, quotients + 0.0)
 
     xs = ["x"] if n == 1 else [f"x{i}" for i in range(1, n + 1)]
@@ -535,19 +543,19 @@ def test_remainder_matches_mpmath_and_both_bounds_dominate(n, kind, a, lam, orde
     #   into the reference f(x) - series: B = sum over |g| < N of sigma_g(c) |w|^g / g!.
     # The factor 64 n (N + 1) u leaves room for second-order terms.
     theta, weights = _quad_rule(64)
-    gammas, lower = multi_indices_of_degree(n, N), multi_indices_of_degree(n, N - 1)
+    gammas, lower = of_degree(n, N), of_degree(n, N - 1)
     points = np.array(c) + theta[:, None] * np.array(d)
     sigma = dict(zip(gammas, roundoff_scales(_lift_nd_arrays(ast, points, N), n, [N], lam)))
     E = np.abs(np.expm1(lam * (1 - theta)[:, None] * np.array(d)))
     A = sum(
-        np.prod(E**g, axis=1) / multi_index_factorial(g) * abs(d[k]) * sigma[g[:k] + (g[k] + 1,) + g[k + 1 :]]
+        np.prod(E**g, axis=1) / factorial(g) * abs(d[k]) * sigma[g[:k] + (g[k] + 1,) + g[k + 1 :]]
         for g in lower
         for k in range(n)
     )
     keys = multi_indices(n, N)
     sigma_c = roundoff_scales(_lift_nd_arrays(ast, np.array([c]), N - 1), n, range(N), lam)[:, 0]
     wabs = np.abs([complex(wi) for wi in w])
-    B = sum(s * np.prod(wabs**g) / multi_index_factorial(g) for g, s in zip(keys, sigma_c))
+    B = sum(s * np.prod(wabs**g) / factorial(g) for g, s in zip(keys, sigma_c))
     tol = 64 * n * (N + 1) * 2.0**-53 * (abs(lam) * np.sum(weights * A) + B)
     assert abs(est.integral_value - error) <= tol, (abs(est.integral_value - error), tol, abs(error))
     assert abs(error) <= est.bound_tight + tol
@@ -569,9 +577,13 @@ def test_public_names_resolve_sorted_and_the_removed_ones_are_gone():
     # and one lift the last three
     removed = ("Expansion1D", "ExpansionND", "expand_1d", "expand_nd", "eval_series", "eval_nd")
     removed += ("Jet1D", "JetND", "lift_nd")
+    # the exact Stirling table and the ratio-row list had no caller but the tests; a degree block is a slice of
+    # multi_indices, and g! is math.prod(map(math.factorial, g))
+    removed += ("StirlingTable", "build_table", "build_ratio_rows", "multi_indices_of_degree", "multi_index_factorial")
     for name in removed:
         assert name not in exptaylor.__all__ and name not in namespace
-        assert not any(hasattr(module, name) for module in (exptaylor, jet, series1d, seriesnd)), name
+        assert not any(hasattr(module, name) for module in (exptaylor, jet, series1d, seriesnd, stirling)), name
+    assert not hasattr(stirling, "MAX_TABLE_DEPTH")
 
 
 # ---- validation -------------------------------------------------------------------
@@ -605,3 +617,22 @@ def test_bound_validation():
         remainder_bound_nd(ast, LAM, (0.0, 0.0), (0.1,), 4)
     with pytest.raises(ValidationError):
         remainder_bound_nd(ast, LAM, (0.0, 0.0), (0.1, 0.1), 4, grid=2)
+
+
+@pytest.mark.parametrize(
+    "center, x, message",
+    [
+        ((math.nan, 0.0), (0.1, 0.1), "center must not hold nan, got [nan, 0.0]"),
+        ((0.0, 0.0), (0.1, math.nan), "x must not hold nan, got [0.1, nan]"),
+    ],
+    ids=["center", "x"],
+)
+def test_bound_refuses_a_nan_coordinate(center, x, message):
+    # a nan is refused by the argument's name, not as epsilon_sup's half-width; an infinite offset is a DomainError
+    ast = parse("x1*x2", 2)
+    with pytest.raises(ValidationError) as err:
+        remainder_bound_nd(ast, 1.0, center, x, 3)
+    assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        remainder_bound_nd(ast, 1.0, (0.0, 0.0), (0.1, math.inf), 3)
+    assert str(err.value) == "non-finite value in bound"

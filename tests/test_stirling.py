@@ -1,4 +1,4 @@
-"""Exact Stirling table vs an independent polynomial-expansion oracle."""
+"""Stirling matrices and ratio rows vs the definition of ``s(n, k)`` as falling-factorial coefficients."""
 
 import math
 from fractions import Fraction
@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from exptaylor.errors import ValidationError
-from exptaylor.stirling import (
-    build_ratio_rows,
-    build_table,
-    ratio_rows,
-    stage_matrix,
-)
+from exptaylor.stirling import ratio_rows, stage_matrix
 
 
 def falling_factorial_coeffs(n):
@@ -26,85 +21,87 @@ def falling_factorial_coeffs(n):
     return coeffs
 
 
+def exact(n_max):
+    """``s(n, k)`` for ``0 <= n <= n_max`` from the definition; zero outside the triangle ``0 <= k <= n``."""
+    rows = [falling_factorial_coeffs(n) for n in range(n_max + 1)]
+    return lambda n, k: rows[n][k] if 0 <= k <= n else 0
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_matches_falling_factorial_expansion(n):
-    table = build_table(16)
+    # the matrix's own recurrence gives s(n, k) k!, rounded once
+    S = stage_matrix(16)
     oracle = falling_factorial_coeffs(n)
     for k in range(n + 1):
-        assert table.value(n, k) == oracle[k]
+        assert S[n, k] == float(oracle[k] * math.factorial(k))
 
 
 def test_recurrence_holds_through_n64():
-    table = build_table(64)
+    # the recurrence stage_matrix scales by m! follows from the definition
+    s = exact(64)
     for n in range(64):
         for k in range(n + 2):
-            assert table.value(n + 1, k) == table.value(n, k - 1) - n * table.value(n, k)
+            assert s(n + 1, k) == s(n, k - 1) - n * s(n, k)
 
 
 def test_row_sums():
-    table = build_table(64)
+    rows = [falling_factorial_coeffs(n) for n in range(65)]
     for n in range(65):
-        assert sum(abs(v) for v in table.row(n)) == math.factorial(n)
-    assert sum(table.row(0)) == 1
-    assert sum(table.row(1)) == 1
+        assert sum(abs(v) for v in rows[n]) == math.factorial(n)
+    assert sum(rows[0]) == 1
+    assert sum(rows[1]) == 1
     for n in range(2, 65):
-        assert sum(table.row(n)) == 0
+        assert sum(rows[n]) == 0
 
 
 def test_sign_pattern():
-    # nonzero entries alternate as (-1)^(n-k)
-    table = build_table(20)
+    # nonzero entries alternate as (-1)^(n-k); the factor k! keeps the sign
+    S = stage_matrix(20)
     for n in range(21):
         for k in range(1, n + 1):
-            v = table.value(n, k)
+            v = S[n, k]
             assert v != 0
             assert (v > 0) == ((n - k) % 2 == 0)
 
 
 def test_known_small_values():
-    table = build_table(6)
-    assert table.value(0, 0) == 1
-    assert table.value(1, 1) == 1
-    assert table.value(3, 1) == 2
-    assert table.value(4, 2) == 11
-    assert table.value(5, 1) == 24
-    assert table.value(5, 2) == -50
-    assert table.value(5, 3) == 35
-    assert abs(table.value(5, 2)) == 50
+    S = stage_matrix(6)
+
+    def s(n, k):  # exact: every entry here is a small integer
+        return S[n, k] / math.factorial(k)
+
+    assert s(0, 0) == 1
+    assert s(1, 1) == 1
+    assert s(3, 1) == 2
+    assert s(4, 2) == 11
+    assert s(5, 1) == 24
+    assert s(5, 2) == -50
+    assert s(5, 3) == 35
+    assert abs(s(5, 2)) == 50
 
 
 def test_outside_triangle_is_zero():
-    table = build_table(8)
-    assert table.value(5, 0) == 0
-    assert table.value(5, 6) == 0
-    assert table.value(5, -1) == 0
-
-
-def test_row_index_validated():
-    table = build_table(8)
-    with pytest.raises(ValidationError):
-        table.value(9, 1)
-    with pytest.raises(ValidationError):
-        table.row(-1)
-    with pytest.raises(ValidationError):
-        build_table(257)
-    with pytest.raises(ValidationError):
-        build_table(-1)
+    # s(n, 0) = 0 for n >= 1, and s(n, k) = 0 for k > n
+    S = stage_matrix(8)
+    assert S[5, 0] == 0
+    assert S[5, 6] == 0
+    assert not S[1:, 0].any()
+    assert not np.triu(S, 1).any()
 
 
 def test_ratio_rows_match_exact_table():
-    table = build_table(64)
-    rows = build_ratio_rows(4, 64)
+    s = exact(64)
+    rows = list(ratio_rows(4, 64))
     assert len(rows) == 5
     for k in range(1, 5):
         for j in range(k, 65):
-            exact = Fraction(abs(table.value(j, k)), math.factorial(j))
+            want = Fraction(abs(s(j, k)), math.factorial(j))
             got = rows[k][j]
-            assert got == pytest.approx(float(exact), rel=1e-12)
+            assert got == pytest.approx(float(want), rel=1e-12)
 
 
 def test_ratio_row_closed_forms():
-    rows = build_ratio_rows(2, 40)
+    rows = list(ratio_rows(2, 40))
     # u[k, k] = 1/k!, u[j, 1] = 1/j, u[j, 2] = H_{j-1}/j
     assert rows[2][2] == pytest.approx(0.5, rel=1e-15)
     assert rows[1][5] == pytest.approx(0.2, rel=1e-15)
@@ -121,7 +118,7 @@ def test_ratio_rows_within_summation_bound_of_mpmath():
     # that is below (k * (j + 1) + 1) * eps relative.
     mpmath = pytest.importorskip("mpmath")
     k_max, j_max = 4, 20001
-    rows = build_ratio_rows(k_max, j_max)
+    rows = list(ratio_rows(k_max, j_max))
     eps = np.finfo(float).eps
     j = np.arange(j_max + 1)
     with mpmath.workdps(40):
@@ -146,7 +143,8 @@ def test_ratio_rows_stream_in_order_and_match_list():
     streamed = list(ratio_rows(3, 500))
     assert [(row.dtype, row.shape) for row in streamed] == [(np.float64, (501,))] * 4
     assert [np.flatnonzero(row)[0] for row in streamed] == [0, 1, 2, 3]
-    for a, b in zip(streamed, build_ratio_rows(3, 500)):
+    # no row is written after it is yielded: a list of the rows holds what each row read when it came
+    for a, b in zip(streamed, [row.copy() for row in ratio_rows(3, 500)]):
         assert np.array_equal(a, b)
     # a row's prefix does not depend on how far the rows reach
     for a, b in zip(ratio_rows(3, 80), streamed):
@@ -156,7 +154,7 @@ def test_ratio_rows_stream_in_order_and_match_list():
 
 
 def test_ratio_row_k0_trivial():
-    rows = build_ratio_rows(1, 10)
+    rows = list(ratio_rows(1, 10))
     assert len(rows) == 2  # rows k = 0 and 1, row k at position k
     assert rows[0][0] == 1.0
     assert not rows[0][1:].any()
@@ -165,13 +163,13 @@ def test_ratio_row_k0_trivial():
 
 def test_ratio_rows_validated():
     with pytest.raises(ValidationError):
-        build_ratio_rows(0, 10)
+        list(ratio_rows(0, 10))
     with pytest.raises(ValidationError):
-        build_ratio_rows(9, 10)
+        list(ratio_rows(9, 10))
     with pytest.raises(ValidationError):
-        build_ratio_rows(2, 1)
+        list(ratio_rows(2, 1))
     with pytest.raises(ValidationError):
-        build_ratio_rows(2, 10**6 + 1)
+        list(ratio_rows(2, 10**6 + 1))
 
 
 def test_stage_matrix_diagonal_is_factorial():
@@ -181,13 +179,13 @@ def test_stage_matrix_diagonal_is_factorial():
 
 @pytest.mark.parametrize("K", [0, 1, 16, 39, 64])
 def test_stage_matrix_matches_exact_table(K):
-    # the matrix runs its own recurrence on s(n, m) m!; the table runs s(n, m)
-    table = build_table(K)
+    # the matrix runs its own recurrence on s(n, m) m!; the oracle expands the definition
+    s = exact(K)
     S = stage_matrix(K)
     assert S.shape == (K + 1, K + 1)
     for n in range(K + 1):
         for m in range(K + 1):
-            assert S[n, m] == float(table.value(n, m) * math.factorial(m))
+            assert S[n, m] == float(s(n, m) * math.factorial(m))
     assert np.all(np.isfinite(S))
 
 
